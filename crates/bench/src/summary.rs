@@ -484,8 +484,16 @@ pub fn readme_scaling_table(doc: &Json) -> String {
     out
 }
 
+/// Formats a host throughput: one decimal from 1 Mcycles/s up, two
+/// significant figures below (0.47, 0.14, 0.029), so a slow fabric never
+/// rounds to "0.0".
 fn mcy(v: f64) -> String {
-    format!("≈ {v:.1} Mcycles/s")
+    let decimals = if v > 0.0 && v < 1.0 {
+        (1 - v.log10().floor() as i32) as usize
+    } else {
+        1
+    };
+    format!("≈ {v:.decimals$} Mcycles/s")
 }
 
 /// Renders the README throughput table from a built (or parsed)

@@ -80,6 +80,8 @@ pub struct Crossbar<T> {
     cfg: CrossbarConfig,
     /// Per-input bounded queues.
     inputs: Vec<VecDeque<XbarPacket<T>>>,
+    /// Packets queued across every input.
+    queued: usize,
     /// Serialization: each output port is busy until this cycle.
     out_busy: Vec<Cycle>,
     /// Round-robin arbitration pointer over input ports.
@@ -88,6 +90,10 @@ pub struct Crossbar<T> {
     wires: VecDeque<Wire<T>>,
     /// Delivered payloads per output port.
     delivered: Vec<VecDeque<T>>,
+    /// Delivered payloads not yet taken, across every output.
+    undrained: usize,
+    /// Arbitrations performed (ticks in which an input held a packet).
+    visits: u64,
 }
 
 impl<T> Crossbar<T> {
@@ -98,10 +104,13 @@ impl<T> Crossbar<T> {
         Crossbar {
             cfg,
             inputs: (0..cfg.ports).map(|_| VecDeque::new()).collect(),
+            queued: 0,
             out_busy: vec![Cycle::ZERO; cfg.ports],
             rr_start: 0,
             wires: VecDeque::new(),
             delivered: (0..cfg.ports).map(|_| VecDeque::new()).collect(),
+            undrained: 0,
+            visits: 0,
         }
     }
 
@@ -150,22 +159,34 @@ impl<T> Crossbar<T> {
             ready_at,
             payload,
         });
+        self.queued += 1;
         Ok(())
     }
 
     /// Advances the switch one cycle: deliver due wire traversals, then
     /// arbitrate input heads round-robin with one grant per output port.
     pub fn tick(&mut self, now: Cycle) {
+        let start = self.rr_start;
+        self.rr_start = (start + 1) % self.cfg.ports;
+        self.step(now, start);
+    }
+
+    /// One cycle of the switch with the round-robin scan starting at input
+    /// `start`, leaving the crossbar's own pointer alone: a fabric of
+    /// crossbars that all rotate in lockstep keeps one shared pointer.
+    /// With every input empty there is nothing to arbitrate, and the step
+    /// only lands due wire traversals.
+    pub(crate) fn step(&mut self, now: Cycle, start: usize) {
         while self.wires.front().is_some_and(|w| w.arrives_at <= now) {
             let w = self.wires.pop_front().expect("front exists");
             self.delivered[w.out].push_back(w.payload);
+            self.undrained += 1;
         }
-        let ports = self.cfg.ports;
-        let start = self.rr_start;
-        self.rr_start = (start + 1) % ports;
-        let mut granted = vec![false; ports];
-        for k in 0..ports {
-            let port = (start + k) % ports;
+        if self.queued == 0 {
+            return;
+        }
+        self.visits += 1;
+        for port in (start..self.cfg.ports).chain(0..start) {
             let Some(head) = self.inputs[port].front() else {
                 continue;
             };
@@ -173,11 +194,13 @@ impl<T> Crossbar<T> {
                 continue;
             }
             let out = head.out;
-            if granted[out] || self.out_busy[out] > now {
+            // A grant holds its output busy for `flits` ≥ 1 cycles, which
+            // also enforces one grant per output port per cycle.
+            if self.out_busy[out] > now {
                 continue;
             }
             let pkt = self.inputs[port].pop_front().expect("head exists");
-            granted[out] = true;
+            self.queued -= 1;
             self.out_busy[out] = now.plus(u64::from(pkt.flits));
             self.wires.push_back(Wire {
                 arrives_at: now.plus(self.cfg.latency),
@@ -188,8 +211,8 @@ impl<T> Crossbar<T> {
     }
 
     /// Catches the arbitration pointer up over skipped quiescent cycles,
-    /// mirroring [`crate::Mesh::skip`] so a clustered fabric replays the
-    /// dense reference bit-for-bit after an event-horizon jump.
+    /// mirroring [`crate::Mesh::skip`], so the first arbitration after an
+    /// event-horizon jump matches ticking through the gap.
     pub fn skip(&mut self, cycles: u64) {
         self.rr_start = (self.rr_start + (cycles % self.cfg.ports as u64) as usize)
             % self.cfg.ports;
@@ -197,12 +220,15 @@ impl<T> Crossbar<T> {
 
     /// Removes and returns every payload delivered at `out_port` so far.
     pub fn take_delivered(&mut self, out_port: usize) -> Vec<T> {
+        self.undrained -= self.delivered[out_port].len();
         self.delivered[out_port].drain(..).collect()
     }
 
     /// Removes and returns at most one delivered payload at `out_port`.
     pub fn take_one_delivered(&mut self, out_port: usize) -> Option<T> {
-        self.delivered[out_port].pop_front()
+        let v = self.delivered[out_port].pop_front();
+        self.undrained -= usize::from(v.is_some());
+        v
     }
 
     /// Peeks the oldest undelivered payload at `out_port`.
@@ -214,14 +240,25 @@ impl<T> Crossbar<T> {
     /// Packets buffered in inputs or traversing the switch.
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.inputs.iter().map(VecDeque::len).sum::<usize>() + self.wires.len()
+        self.queued + self.wires.len()
+    }
+
+    /// Delivered payloads not yet taken, across every output port.
+    pub(crate) fn undrained(&self) -> usize {
+        self.undrained
     }
 
     /// Whether the switch holds no packets anywhere (including
     /// undrained deliveries).
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
-        self.in_flight() == 0 && self.delivered.iter().all(VecDeque::is_empty)
+        self.in_flight() == 0 && self.undrained == 0
+    }
+
+    /// Arbitrations performed since construction: one per tick in which
+    /// an input held a packet. Ticks with every input empty add nothing.
+    pub(crate) fn visits(&self) -> u64 {
+        self.visits
     }
 }
 

@@ -23,12 +23,12 @@
 //! leg). Flat fabrics never construct the crossbar schedules, so chaos
 //! replay of every existing configuration is unchanged.
 
-use std::collections::VecDeque;
-
+use maple_sim::worklist::Worklist;
 use maple_sim::Cycle;
 use maple_trace::{FaultSite, TraceEvent, Tracer};
 
 use crate::crossbar::{Crossbar, CrossbarConfig};
+use crate::deliveries::Deliveries;
 use crate::{Backpressure, Coord, Mesh, MeshConfig, MeshStats, NocFault};
 
 /// Geometry of the two-level hierarchy: a `clusters_x` × `clusters_y`
@@ -194,10 +194,19 @@ struct Env<T> {
 pub struct ClusteredNoc<T> {
     topo: ClusterTopology,
     xbars: Vec<Crossbar<Env<T>>>,
+    /// Round-robin pointer shared by every crossbar: all of them rotate
+    /// once per tick, so one pointer is the whole state.
+    xbar_rr: usize,
+    /// Clusters whose crossbar holds anything: queued inputs, wire
+    /// traversals or undrained outputs.
+    active: Worklist,
+    /// Scratch index buffers, reused so ticks never allocate.
+    clusters: Vec<usize>,
+    ejecting: Vec<usize>,
     /// Global mesh: one router per cluster.
     mesh: Mesh<Env<T>>,
     /// Final deliveries per global tile (row-major).
-    delivered: Vec<VecDeque<T>>,
+    delivered: Deliveries<T>,
     stats: MeshStats,
     fault: Option<NocFault>,
     xbar_fault: Option<XbarFault>,
@@ -214,8 +223,12 @@ impl<T> ClusteredNoc<T> {
         ClusteredNoc {
             topo,
             xbars: (0..topo.clusters()).map(|_| Crossbar::new(xcfg)).collect(),
+            xbar_rr: 0,
+            active: Worklist::new(topo.clusters()),
+            clusters: Vec::new(),
+            ejecting: Vec::new(),
             mesh: Mesh::new(MeshConfig::new(topo.clusters_x, topo.clusters_y)),
-            delivered: (0..topo.total_tiles()).map(|_| VecDeque::new()).collect(),
+            delivered: Deliveries::new(topo.total_tiles()),
             stats: MeshStats::default(),
             fault: None,
             xbar_fault: None,
@@ -301,6 +314,7 @@ impl<T> ClusteredNoc<T> {
         self.xbars[ci]
             .inject(ready_at, in_port, out_port, flits, env)
             .map_err(|Backpressure(e)| Backpressure(e.payload))?;
+        self.active.insert(ci);
         self.stats.injected.inc();
         Ok(())
     }
@@ -395,12 +409,28 @@ impl<T> ClusteredNoc<T> {
     /// order: global-mesh arrivals feed crossbar mesh ports, crossbars
     /// switch, crossbar mesh-side outputs feed the global mesh, and the
     /// mesh routes. Tile-side crossbar outputs become final deliveries.
+    ///
+    /// Steps 1–3 visit only the clusters with mesh ejections waiting or
+    /// anything in their crossbar, in ascending cluster order; an idle
+    /// cluster's only per-cycle state is the round-robin pointer, which
+    /// every crossbar shares. Step 4 is [`Mesh::tick`], which visits only
+    /// routers holding packets.
     pub fn tick(&mut self, now: Cycle) {
         let mesh_port = self.mesh_port();
+        let start = self.xbar_rr;
+        self.xbar_rr = (start + 1) % (mesh_port + 1);
+        let mut ejecting = std::mem::take(&mut self.ejecting);
+        self.mesh.pending_nodes(&mut ejecting);
+        for &ci in &ejecting {
+            self.active.insert(ci);
+        }
+        self.ejecting = ejecting;
+        let mut clusters = std::mem::take(&mut self.clusters);
+        self.active.drain_sorted(&mut clusters);
         // 1. Mesh ejections enter the destination cluster's crossbar
         //    through its mesh port (order-preserving; anything the
         //    crossbar cannot take stays queued on the mesh side).
-        for ci in 0..self.xbars.len() {
+        for &ci in &clusters {
             let cc = self.topo.cluster_coord(ci);
             while self.xbars[ci].can_inject(mesh_port) {
                 let Some(env) = self.mesh.take_one_delivered(cc) else {
@@ -414,14 +444,17 @@ impl<T> ClusteredNoc<T> {
                     .expect("can_inject checked");
             }
         }
-        // 2. Switch every cluster.
-        for x in &mut self.xbars {
-            x.tick(now);
+        // 2. Switch every busy cluster.
+        for &ci in &clusters {
+            self.xbars[ci].step(now, start);
         }
         // 3. Crossbar outputs: mesh-side staging re-injects into the
         //    global mesh (with backpressure), tile-side outputs are
         //    final deliveries.
-        for ci in 0..self.xbars.len() {
+        for &ci in &clusters {
+            if self.xbars[ci].undrained() == 0 {
+                continue;
+            }
             let cc = self.topo.cluster_coord(ci);
             while let Some(env) = self.xbars[ci].peek_delivered(mesh_port) {
                 let dst_cluster = self.topo.cluster_of(env.dst);
@@ -445,10 +478,16 @@ impl<T> ClusteredNoc<T> {
                     self.stats.delivered.inc();
                     self.stats.hops.add(env.hops);
                     self.stats.latency.record(now.since(env.injected_at));
-                    self.delivered[ti].push_back(env.payload);
+                    self.delivered.push(ti, env.payload);
                 }
             }
         }
+        for &ci in &clusters {
+            if !self.xbars[ci].is_quiescent() {
+                self.active.insert(ci);
+            }
+        }
+        self.clusters = clusters;
         // 4. Route the global mesh.
         self.mesh.tick(now);
     }
@@ -465,39 +504,73 @@ impl<T> ClusteredNoc<T> {
         }
     }
 
-    /// Catches arbitration pointers up over skipped quiescent cycles.
+    /// Catches arbitration pointers up over skipped quiescent cycles:
+    /// one modular add each for the mesh and the shared crossbar pointer.
     pub fn skip(&mut self, cycles: u64) {
         self.mesh.skip(cycles);
-        for x in &mut self.xbars {
-            x.skip(cycles);
-        }
+        let ports = self.mesh_port() + 1;
+        self.xbar_rr = (self.xbar_rr + (cycles % ports as u64) as usize) % ports;
     }
 
     /// Removes and returns every payload delivered at tile `node`.
     pub fn take_delivered(&mut self, node: Coord) -> Vec<T> {
         let i = self.tile_index(node);
-        self.delivered[i].drain(..).collect()
+        self.delivered.take_all(i)
     }
 
     /// Removes and returns at most one delivered payload at `node`.
     pub fn take_one_delivered(&mut self, node: Coord) -> Option<T> {
         let i = self.tile_index(node);
-        self.delivered[i].pop_front()
+        self.delivered.take_one(i)
     }
 
-    /// Packets currently buffered anywhere in the fabric.
+    /// Fills `into` (cleared first) with every tile holding undrained
+    /// deliveries, in row-major order. Costs O(such tiles), not O(fabric).
+    pub fn delivered_tiles(&mut self, into: &mut Vec<Coord>) {
+        let mut tiles = std::mem::take(&mut self.clusters);
+        self.delivered.pending(&mut tiles);
+        let width = usize::from(self.topo.total_width());
+        into.clear();
+        into.extend(
+            tiles
+                .iter()
+                .map(|&t| Coord::new((t % width) as u16, (t / width) as u16)),
+        );
+        self.clusters = tiles;
+    }
+
+    /// Packets currently buffered anywhere in the fabric. Every cluster
+    /// whose crossbar holds a packet is on the worklist, so this costs
+    /// O(busy clusters).
     #[must_use]
     pub fn in_flight(&self) -> usize {
         self.mesh.in_flight()
-            + self.xbars.iter().map(Crossbar::in_flight).sum::<usize>()
+            + self
+                .active
+                .as_slice()
+                .iter()
+                .map(|&ci| self.xbars[ci].in_flight())
+                .sum::<usize>()
     }
 
     /// Whether the fabric holds no packets anywhere.
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
         self.mesh.is_quiescent()
-            && self.xbars.iter().all(Crossbar::is_quiescent)
-            && self.delivered.iter().all(VecDeque::is_empty)
+            && self.delivered.len() == 0
+            && self
+                .active
+                .as_slice()
+                .iter()
+                .all(|&ci| self.xbars[ci].is_quiescent())
+    }
+
+    /// Router and crossbar arbitrations performed since construction:
+    /// [`Mesh::visits`] plus one per crossbar per tick in which one of
+    /// its inputs held a packet.
+    #[must_use]
+    pub fn visits(&self) -> u64 {
+        self.mesh.visits() + self.xbars.iter().map(Crossbar::visits).sum::<u64>()
     }
 
     /// Fabric-level aggregate statistics (inject-to-final-delivery).
@@ -620,7 +693,9 @@ impl<T> Fabric<T> {
         }
     }
 
-    /// Advances the fabric one cycle.
+    /// Advances the fabric one cycle. The host cost is proportional to
+    /// the packets in flight: only routers and clusters holding packets
+    /// are visited (see [`Mesh::tick`] and [`ClusteredNoc::tick`]).
     pub fn tick(&mut self, now: Cycle) {
         match self {
             Fabric::Flat(m) => m.tick(now),
@@ -637,7 +712,8 @@ impl<T> Fabric<T> {
         }
     }
 
-    /// Catches per-cycle arbitration state up over skipped cycles.
+    /// Catches per-cycle arbitration state up over skipped cycles: the
+    /// shared round-robin pointers advance by one modular add each.
     pub fn skip(&mut self, cycles: u64) {
         match self {
             Fabric::Flat(m) => m.skip(cycles),
@@ -658,6 +734,26 @@ impl<T> Fabric<T> {
         match self {
             Fabric::Flat(m) => m.take_one_delivered(node),
             Fabric::Clustered(c) => c.take_one_delivered(node),
+        }
+    }
+
+    /// Fills `into` (cleared first) with every tile holding undrained
+    /// deliveries, in row-major order.
+    pub fn delivered_tiles(&mut self, into: &mut Vec<Coord>) {
+        match self {
+            Fabric::Flat(m) => m.delivered_tiles(into),
+            Fabric::Clustered(c) => c.delivered_tiles(into),
+        }
+    }
+
+    /// Router and crossbar arbitrations performed since construction: a
+    /// deterministic measure of the fabric's host work, proportional to
+    /// packets in flight rather than to tiles.
+    #[must_use]
+    pub fn visits(&self) -> u64 {
+        match self {
+            Fabric::Flat(m) => m.visits(),
+            Fabric::Clustered(c) => c.visits(),
         }
     }
 
@@ -870,6 +966,44 @@ mod tests {
                 "t={t}"
             );
         }
+    }
+
+    /// The 1024-tile fabric of the scaling sweep: 8×8 clusters of 4×4.
+    fn kilotile() -> ClusterTopology {
+        ClusterTopology::new(4, 4, 8, 8)
+    }
+
+    #[test]
+    fn idle_kilotile_fabric_visits_nothing() {
+        let mut f: Fabric<u32> = Fabric::clustered(kilotile(), 1);
+        for t in 0..1000u64 {
+            f.tick(Cycle(t));
+        }
+        assert_eq!(f.visits(), 0);
+        assert!(f.is_quiescent());
+    }
+
+    #[test]
+    fn corner_to_corner_packet_costs_o_hops_visits() {
+        let mut f: Fabric<u32> = Fabric::clustered(kilotile(), 1);
+        let (src, dst) = (Coord::new(0, 0), Coord::new(31, 31));
+        f.inject(Cycle(0), src, dst, 1, 7).unwrap();
+        let mut t = 0u64;
+        while f.take_one_delivered(dst).is_none() {
+            assert!(t < 1000, "packet never arrived");
+            f.tick(Cycle(t));
+            t += 1;
+        }
+        let hops = f.stats().hops.get();
+        assert_eq!(hops, 2 + 14, "two switch legs and 14 mesh hops");
+        // One arbitration per switch leg, one router visit per mesh hop,
+        // one for the ejection: 17, against 64 routers plus 64 crossbars
+        // per cycle for a full scan.
+        assert_eq!(f.visits(), hops + 1);
+        for k in 0..100 {
+            f.tick(Cycle(t + k));
+        }
+        assert_eq!(f.visits(), hops + 1, "a drained fabric costs nothing");
     }
 
     #[test]

@@ -41,6 +41,7 @@
 
 pub mod boundary;
 pub mod crossbar;
+mod deliveries;
 pub mod fabric;
 
 pub use crossbar::{Crossbar, CrossbarConfig};
@@ -48,7 +49,9 @@ pub use fabric::{ClusterTopology, ClusteredNoc, Fabric, XbarFault};
 
 use std::collections::VecDeque;
 
+use deliveries::Deliveries;
 use maple_sim::stats::{Counter, Histogram};
+use maple_sim::worklist::Worklist;
 use maple_sim::Cycle;
 use maple_trace::{FaultSite, TraceEvent, Tracer};
 
@@ -123,7 +126,10 @@ impl MeshConfig {
         }
     }
 
-    /// Overrides the per-hop latency.
+    /// Overrides the per-hop latency. It must be at least one cycle:
+    /// [`Mesh::new`] rejects zero, because a zero-latency hop would let a
+    /// packet cross several routers in one tick, which the mesh's
+    /// visit-each-busy-router-once tick does not model.
     #[must_use]
     pub fn with_hop_latency(mut self, cycles: u64) -> Self {
         self.hop_latency = cycles;
@@ -159,7 +165,7 @@ impl<T> std::fmt::Display for Backpressure<T> {
 impl<T: std::fmt::Debug> std::error::Error for Backpressure<T> {}
 
 /// Aggregate mesh statistics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MeshStats {
     /// Packets injected successfully.
     pub injected: Counter,
@@ -220,12 +226,21 @@ struct Packet<T> {
 pub struct Mesh<T> {
     cfg: MeshConfig,
     /// Input buffers: `buffers[router][port]`.
-    buffers: Vec<Vec<VecDeque<Packet<T>>>>,
+    buffers: Vec<[VecDeque<Packet<T>>; PORTS]>,
     /// Serialization: each output port is busy until this cycle.
     port_busy: Vec<[Cycle; PORTS]>,
-    /// Round-robin arbitration state per router.
-    rr_start: Vec<usize>,
-    delivered: Vec<VecDeque<T>>,
+    /// Round-robin arbitration pointer, shared by every router: all of
+    /// them rotate once per tick, so one pointer is the whole state.
+    rr: usize,
+    /// Routers holding at least one buffered packet.
+    active: Worklist,
+    /// Scratch index buffer, reused so ticks never allocate.
+    scratch: Vec<usize>,
+    delivered: Deliveries<T>,
+    /// Packets buffered in routers (injected, not yet ejected or dropped).
+    in_flight: usize,
+    /// Router arbitrations performed (see [`Mesh::visits`]).
+    visits: u64,
     stats: MeshStats,
     /// Fault plane slice; `None` (the default) means perfectly reliable.
     fault: Option<NocFault>,
@@ -238,19 +253,28 @@ impl<T> Mesh<T> {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero, or if the hop latency is zero
+    /// (see [`MeshConfig::with_hop_latency`]).
     #[must_use]
     pub fn new(cfg: MeshConfig) -> Self {
         assert!(cfg.width > 0 && cfg.height > 0, "mesh must be non-empty");
+        assert!(
+            cfg.hop_latency > 0,
+            "mesh hop latency must be at least one cycle"
+        );
         let n = cfg.nodes();
         Mesh {
             cfg,
             buffers: (0..n)
-                .map(|_| (0..PORTS).map(|_| VecDeque::new()).collect())
+                .map(|_| std::array::from_fn(|_| VecDeque::new()))
                 .collect(),
             port_busy: vec![[Cycle::ZERO; PORTS]; n],
-            rr_start: vec![0; n],
-            delivered: (0..n).map(|_| VecDeque::new()).collect(),
+            rr: 0,
+            active: Worklist::new(n),
+            scratch: Vec::new(),
+            delivered: Deliveries::new(n),
+            in_flight: 0,
+            visits: 0,
             stats: MeshStats::default(),
             fault: None,
             tracer: Tracer::disabled(),
@@ -292,6 +316,14 @@ impl<T> Mesh<T> {
         c.x < self.cfg.width && c.y < self.cfg.height
     }
 
+    /// Buffers an admitted packet at router `i`'s local input port.
+    fn admit(&mut self, i: usize, pkt: Packet<T>) {
+        self.buffers[i][LOCAL].push_back(pkt);
+        self.active.insert(i);
+        self.in_flight += 1;
+        self.stats.injected.inc();
+    }
+
     /// Injects a packet of `flits` flits at `src` destined for `dst`.
     ///
     /// The packet becomes routable on the next cycle. Returns the payload
@@ -320,15 +352,17 @@ impl<T> Mesh<T> {
         if self.buffers[i][LOCAL].len() >= self.cfg.buffer_depth {
             return Err(Backpressure(payload));
         }
-        self.buffers[i][LOCAL].push_back(Packet {
-            dst,
-            flits,
-            injected_at: now,
-            ready_at: now,
-            hops: 0,
-            payload,
-        });
-        self.stats.injected.inc();
+        self.admit(
+            i,
+            Packet {
+                dst,
+                flits,
+                injected_at: now,
+                ready_at: now,
+                hops: 0,
+                payload,
+            },
+        );
         Ok(())
     }
 
@@ -379,15 +413,17 @@ impl<T> Mesh<T> {
                     .emit(now, || TraceEvent::FaultInjected { site: FaultSite::NocDelay });
             }
         }
-        self.buffers[i][LOCAL].push_back(Packet {
-            dst,
-            flits,
-            injected_at: now,
-            ready_at,
-            hops: 0,
-            payload,
-        });
-        self.stats.injected.inc();
+        self.admit(
+            i,
+            Packet {
+                dst,
+                flits,
+                injected_at: now,
+                ready_at,
+                hops: 0,
+                payload,
+            },
+        );
         Ok(())
     }
 
@@ -434,59 +470,80 @@ impl<T> Mesh<T> {
         }
     }
 
-    /// Advances every router by one cycle.
+    /// Advances the mesh by one cycle.
     ///
     /// Each router considers its five input ports in round-robin order and
     /// forwards at most one packet per *output* port per cycle; forwarding a
     /// packet occupies the output for `flits` cycles (serialization) and the
     /// packet arrives at the neighbour `hop_latency` cycles later.
+    ///
+    /// Only routers holding packets are visited, in ascending router
+    /// index — the order a full scan would visit them in, which matters
+    /// because a forward fills the neighbour's buffer that a later
+    /// router's credit check reads. An empty router's only per-cycle
+    /// state is the round-robin pointer, which every router shares, so
+    /// skipping it changes nothing. A packet forwarded this cycle is not
+    /// ready before the next (hop latency is at least one cycle), so its
+    /// new router joins the worklist for the next tick.
     pub fn tick(&mut self, now: Cycle) {
-        for r in 0..self.buffers.len() {
-            let here = self.coord(r);
-            let start = self.rr_start[r];
-            self.rr_start[r] = (start + 1) % PORTS;
-            // Each output port grants at most once per cycle.
-            let mut granted = [false; PORTS];
-            for k in 0..PORTS {
-                let port = (start + k) % PORTS;
-                let Some(head) = self.buffers[r][port].front() else {
-                    continue;
-                };
-                if head.ready_at > now {
-                    continue;
-                }
-                let out = self.route(here, head.dst);
-                if granted[out] || self.port_busy[r][out] > now {
-                    continue;
-                }
-                if out == LOCAL {
-                    let pkt = self.buffers[r][port].pop_front().expect("head exists");
-                    granted[LOCAL] = true;
-                    self.port_busy[r][LOCAL] = now.plus(u64::from(pkt.flits));
-                    self.stats.delivered.inc();
-                    self.stats.hops.add(pkt.hops);
-                    self.stats.latency.record(now.since(pkt.injected_at));
-                    self.delivered[r].push_back(pkt.payload);
-                    continue;
-                }
-                let next = self.neighbor(here, out);
-                let next_idx = self.idx(next);
-                let entry = Self::entry_port(out);
-                if self.buffers[next_idx][entry].len() >= self.cfg.buffer_depth {
-                    continue; // credit-based backpressure
-                }
-                let mut pkt = self.buffers[r][port].pop_front().expect("head exists");
-                granted[out] = true;
-                self.port_busy[r][out] = now.plus(u64::from(pkt.flits));
-                pkt.ready_at = now.plus(self.cfg.hop_latency);
-                pkt.hops += 1;
-                self.tracer.emit(now, || TraceEvent::NocHop {
-                    x: here.x,
-                    y: here.y,
-                    flits: pkt.flits,
-                });
-                self.buffers[next_idx][entry].push_back(pkt);
+        let start = self.rr;
+        self.rr = (start + 1) % PORTS;
+        let mut routers = std::mem::take(&mut self.scratch);
+        self.active.drain_sorted(&mut routers);
+        for &r in &routers {
+            self.arbitrate(r, start, now);
+            if self.buffers[r].iter().any(|q| !q.is_empty()) {
+                self.active.insert(r);
             }
+        }
+        self.scratch = routers;
+    }
+
+    /// One router's arbitration for cycle `now`, starting at input `start`.
+    fn arbitrate(&mut self, r: usize, start: usize, now: Cycle) {
+        self.visits += 1;
+        let here = self.coord(r);
+        for k in 0..PORTS {
+            let port = (start + k) % PORTS;
+            let Some(head) = self.buffers[r][port].front() else {
+                continue;
+            };
+            if head.ready_at > now {
+                continue;
+            }
+            let out = self.route(here, head.dst);
+            // A grant holds its output busy for `flits` ≥ 1 cycles, which
+            // also enforces one grant per output port per cycle.
+            if self.port_busy[r][out] > now {
+                continue;
+            }
+            if out == LOCAL {
+                let pkt = self.buffers[r][port].pop_front().expect("head exists");
+                self.port_busy[r][LOCAL] = now.plus(u64::from(pkt.flits));
+                self.in_flight -= 1;
+                self.stats.delivered.inc();
+                self.stats.hops.add(pkt.hops);
+                self.stats.latency.record(now.since(pkt.injected_at));
+                self.delivered.push(r, pkt.payload);
+                continue;
+            }
+            let next = self.neighbor(here, out);
+            let next_idx = self.idx(next);
+            let entry = Self::entry_port(out);
+            if self.buffers[next_idx][entry].len() >= self.cfg.buffer_depth {
+                continue; // credit-based backpressure
+            }
+            let mut pkt = self.buffers[r][port].pop_front().expect("head exists");
+            self.port_busy[r][out] = now.plus(u64::from(pkt.flits));
+            pkt.ready_at = now.plus(self.cfg.hop_latency);
+            pkt.hops += 1;
+            self.tracer.emit(now, || TraceEvent::NocHop {
+                x: here.x,
+                y: here.y,
+                flits: pkt.flits,
+            });
+            self.buffers[next_idx][entry].push_back(pkt);
+            self.active.insert(next_idx);
         }
     }
 
@@ -497,7 +554,7 @@ impl<T> Mesh<T> {
     /// horizon to `now` — the mesh never skips while traffic is in flight
     /// (arbitration, serialization and backpressure interact per cycle).
     /// An empty mesh is quiescent; its only per-cycle state, the
-    /// round-robin pointers, is caught up in bulk by [`Mesh::skip`].
+    /// round-robin pointer, is caught up in bulk by [`Mesh::skip`].
     #[must_use]
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         if self.is_quiescent() {
@@ -509,42 +566,60 @@ impl<T> Mesh<T> {
 
     /// Catches the mesh up over `cycles` skipped (quiescent) cycles.
     ///
-    /// The dense loop rotates every router's round-robin arbitration
-    /// pointer once per [`Mesh::tick`] whether or not any packet moves;
-    /// skipping must apply the same rotation in bulk so the first
-    /// arbitration after a gap matches the dense reference bit-for-bit.
+    /// Every tick rotates the shared round-robin arbitration pointer once
+    /// whether or not any packet moves; skipping applies the same
+    /// rotation as one modular add, so the first arbitration after a gap
+    /// matches the dense reference bit-for-bit.
     pub fn skip(&mut self, cycles: u64) {
-        let step = (cycles % PORTS as u64) as usize;
-        for start in &mut self.rr_start {
-            *start = (*start + step) % PORTS;
-        }
+        self.rr = (self.rr + (cycles % PORTS as u64) as usize) % PORTS;
     }
 
     /// Removes and returns every payload delivered at `node` so far.
     pub fn take_delivered(&mut self, node: Coord) -> Vec<T> {
         let i = self.idx(node);
-        self.delivered[i].drain(..).collect()
+        self.delivered.take_all(i)
     }
 
     /// Removes and returns at most one delivered payload at `node`.
     pub fn take_one_delivered(&mut self, node: Coord) -> Option<T> {
         let i = self.idx(node);
-        self.delivered[i].pop_front()
+        self.delivered.take_one(i)
+    }
+
+    /// Fills `into` with the routers holding undrained deliveries, in
+    /// ascending router index.
+    pub(crate) fn pending_nodes(&mut self, into: &mut Vec<usize>) {
+        self.delivered.pending(into);
+    }
+
+    /// Fills `into` (cleared first) with every node holding undrained
+    /// deliveries, in row-major order. Costs O(such nodes), not O(mesh).
+    pub fn delivered_tiles(&mut self, into: &mut Vec<Coord>) {
+        let mut nodes = std::mem::take(&mut self.scratch);
+        self.delivered.pending(&mut nodes);
+        into.clear();
+        into.extend(nodes.iter().map(|&n| self.coord(n)));
+        self.scratch = nodes;
     }
 
     /// Number of packets currently buffered anywhere in the mesh.
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.buffers
-            .iter()
-            .map(|ports| ports.iter().map(VecDeque::len).sum::<usize>())
-            .sum()
+        self.in_flight
     }
 
     /// Whether the mesh holds no packets (in routers or awaiting ejection).
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
-        self.in_flight() == 0 && self.delivered.iter().all(VecDeque::is_empty)
+        self.in_flight == 0 && self.delivered.len() == 0
+    }
+
+    /// Router arbitrations performed since construction: one per router
+    /// per tick in which it held a packet. A deterministic measure of the
+    /// mesh's host work — idle ticks add nothing.
+    #[must_use]
+    pub fn visits(&self) -> u64 {
+        self.visits
     }
 
     /// Aggregate statistics since construction.
@@ -724,6 +799,28 @@ mod tests {
         assert_eq!(got, expected);
         assert!(mesh.is_quiescent());
         assert_eq!(mesh.stats().delivered.get(), expected as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "hop latency must be at least one cycle")]
+    fn zero_hop_latency_is_rejected() {
+        let _: Mesh<u32> = Mesh::new(MeshConfig::new(2, 2).with_hop_latency(0));
+    }
+
+    #[test]
+    fn visits_track_packets_not_routers() {
+        let mut mesh: Mesh<u32> = Mesh::new(MeshConfig::new(8, 8));
+        let now = drive(&mut mesh, Cycle(0), 1000);
+        assert_eq!(mesh.visits(), 0, "idle ticks visit nothing");
+        mesh.inject(now, Coord::new(0, 0), Coord::new(7, 7), 1, 1)
+            .unwrap();
+        let now = drive(&mut mesh, now, 40);
+        assert_eq!(mesh.take_delivered(Coord::new(7, 7)), vec![1]);
+        // One visit per hop plus the ejection, however large the mesh.
+        assert_eq!(mesh.visits(), 14 + 1);
+        assert_eq!(mesh.in_flight(), 0);
+        drive(&mut mesh, now, 100);
+        assert_eq!(mesh.visits(), 15);
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //!   `tick` (advance one cycle) and `next_event` (earliest future cycle at
 //!   which it could act); the driver folds the answers into a [`Horizon`]
 //!   and fast-forwards the clock across provably-quiescent gaps.
+//! - [`worklist::Worklist`]: the index set activity-driven loops visit in
+//!   ascending order, so per-cycle cost tracks work, not component count.
 //!
 //! # Example
 //!
@@ -36,6 +38,7 @@ pub mod fault;
 pub mod link;
 pub mod rng;
 pub mod stats;
+pub mod worklist;
 
 pub use fault::HangDiagnosis;
 

@@ -24,6 +24,7 @@ use maple_noc::{Coord, Fabric, MeshConfig, NocFault, XbarFault};
 use maple_sim::fault::{CoreHang, EngineHang, HangDiagnosis, WatchdogConfig};
 use maple_sim::link::DelayQueue;
 use maple_sim::stats::Counter;
+use maple_sim::worklist::Worklist;
 use maple_sim::{Cycle, RunOutcome};
 use maple_trace::{
     merge_rings, FaultSite, MetricsSnapshot, StallBreakdown, StallRow, TraceEvent, TraceRecord,
@@ -54,6 +55,16 @@ struct OutMsg {
     dst: Coord,
     flits: u8,
     payload: NocPayload,
+}
+
+/// The component a tile's fabric deliveries drain into. The derived
+/// order is phase 1's drain order: cores, then L2 banks, then engines,
+/// each ascending.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Sink {
+    Core(usize),
+    Bank(usize),
+    Engine(usize),
 }
 
 /// A pending OS page-fault service. The faulting address is carried in
@@ -169,6 +180,14 @@ pub struct System {
     /// backpressure, order-preserving).
     out_uncore: Vec<DelayQueue<OutMsg>>,
     out_retry: Vec<VecDeque<OutMsg>>,
+    /// Tiles whose uncore queue or retry queue holds a message.
+    egress: Worklist,
+    /// Each tile's delivery sink, by tile index (`None`: unused tile).
+    sinks: Vec<Option<Sink>>,
+    /// Scratch buffers reused every cycle so the hub loops never allocate.
+    egress_tiles: Vec<usize>,
+    arrival_tiles: Vec<Coord>,
+    arrivals: Vec<(Sink, Coord)>,
     fault_service: DelayQueue<FaultTarget>,
     faults_in_service: Vec<bool>,
     engine_fault_in_service: Vec<bool>,
@@ -253,6 +272,18 @@ impl System {
         }
         let droplet = cfg.droplet.map(DropletPrefetcher::new);
         let nodes = usize::from(cfg.mesh_width) * usize::from(cfg.mesh_height);
+        let mut sinks = vec![None; nodes];
+        let tile_index =
+            |c: &Coord| usize::from(c.y) * usize::from(cfg.mesh_width) + usize::from(c.x);
+        for (i, c) in layout.core_tiles.iter().enumerate() {
+            sinks[tile_index(c)] = Some(Sink::Core(i));
+        }
+        for (b, c) in layout.l2_tiles.iter().enumerate() {
+            sinks[tile_index(c)] = Some(Sink::Bank(b));
+        }
+        for (e, c) in layout.maple_tiles.iter().enumerate() {
+            sinks[tile_index(c)] = Some(Sink::Engine(e));
+        }
         // Install the fault plane's per-site schedules and the driver-side
         // chaos state. All of this is skipped — and no RNG stream is ever
         // created or drawn — when `cfg.fault` is `None`.
@@ -297,6 +328,11 @@ impl System {
             desc_pair: Vec::new(),
             out_uncore: (0..nodes).map(|_| DelayQueue::new()).collect(),
             out_retry: (0..nodes).map(|_| VecDeque::new()).collect(),
+            egress: Worklist::new(nodes),
+            sinks,
+            egress_tiles: Vec::new(),
+            arrival_tiles: Vec::new(),
+            arrivals: Vec::new(),
             fault_service: DelayQueue::new(),
             faults_in_service: Vec::new(),
             engine_fault_in_service: vec![false; cfg.maples],
@@ -635,6 +671,7 @@ impl System {
     fn queue_out(&mut self, from: Coord, msg: OutMsg) {
         let t = self.tile_index(from);
         self.out_uncore[t].send(self.now, self.cfg.uncore_latency, msg);
+        self.egress.insert(t);
     }
 
     /// Queues an outbound memory/MMIO request from `tile`, routing by
@@ -684,7 +721,7 @@ impl System {
     }
 
     fn is_maple_tile(&self, c: Coord) -> bool {
-        self.layout.maple_tiles.contains(&c)
+        matches!(self.sinks[self.tile_index(c)], Some(Sink::Engine(_)))
     }
 
     /// Retires a poisoned MAPLE instance: the driver unmaps its page and
@@ -844,47 +881,56 @@ impl System {
     ) {
         // 1a. Deliver mesh arrivals: core/engine traffic crosses the cut
         //     into the owning partition's inbox; L2 traffic stays hub-side.
-        for i in 0..plan.total_cores() {
-            let tile = self.layout.core_tiles[i];
+        //     Only tiles holding deliveries are drained, in sink order
+        //     (cores, then banks, then engines, each ascending) — the
+        //     order of a full scan over every component tile.
+        let mut tiles = std::mem::take(&mut self.arrival_tiles);
+        let mut arrivals = std::mem::take(&mut self.arrivals);
+        self.mesh.delivered_tiles(&mut tiles);
+        arrivals.clear();
+        arrivals.extend(tiles.iter().filter_map(|&tile| {
+            match self.sinks[self.tile_index(tile)]? {
+                Sink::Core(i) if i >= plan.total_cores() => None,
+                Sink::Engine(e) if e >= plan.total_engines() => None,
+                sink => Some((sink, tile)),
+            }
+        }));
+        arrivals.sort_unstable();
+        for &(sink, tile) in &arrivals {
             for payload in self.mesh.take_delivered(tile) {
-                match payload {
-                    NocPayload::Resp(resp) => {
+                match (sink, payload) {
+                    (Sink::Core(i), NocPayload::Resp(resp)) => {
                         if let Some(chaos) = &mut self.chaos {
                             chaos.mmio_watch.remove(&(i, resp.id));
                         }
                         let (p, local) = plan.core_owner(i);
                         inboxes[p].core_resps.export(now, (local, resp));
                     }
-                    NocPayload::Req(req) => {
+                    (Sink::Core(_), NocPayload::Req(req)) => {
                         unreachable!("request delivered to core tile: {req:?}")
                     }
-                }
-            }
-        }
-        for b in 0..self.l2.len() {
-            for payload in self.mesh.take_delivered(self.layout.l2_tiles[b]) {
-                match payload {
-                    NocPayload::Req(req) => {
+                    (Sink::Bank(b), NocPayload::Req(req)) => {
                         if let Some(d) = &mut self.droplet {
                             d.observe(now, &req);
                         }
                         self.l2[b].accept(now, req);
                     }
-                    NocPayload::Resp(_) => unreachable!("response delivered to L2 tile"),
+                    (Sink::Bank(_), NocPayload::Resp(_)) => {
+                        unreachable!("response delivered to L2 tile")
+                    }
+                    (Sink::Engine(e), payload) => {
+                        let (p, local) = plan.engine_owner(e);
+                        let msg = match payload {
+                            NocPayload::Req(req) => EngineMsg::Req(req),
+                            NocPayload::Resp(resp) => EngineMsg::Resp(resp),
+                        };
+                        inboxes[p].engine_msgs.export(now, (local, msg));
+                    }
                 }
             }
         }
-        for e in 0..plan.total_engines() {
-            let tile = self.layout.maple_tiles[e];
-            for payload in self.mesh.take_delivered(tile) {
-                let (p, local) = plan.engine_owner(e);
-                let msg = match payload {
-                    NocPayload::Req(req) => EngineMsg::Req(req),
-                    NocPayload::Resp(resp) => EngineMsg::Resp(resp),
-                };
-                inboxes[p].engine_msgs.export(now, (local, msg));
-            }
-        }
+        self.arrival_tiles = tiles;
+        self.arrivals = arrivals;
 
         // 1b. Complete due fault services. The OS maps the page recorded
         //     at dispatch time; the owning partition resumes (or keeps
@@ -1059,9 +1105,13 @@ impl System {
     }
 
     /// Drains the per-tile uncore egress queues into the mesh, preserving
-    /// per-tile order under backpressure.
+    /// per-tile order under backpressure. Only tiles holding a message
+    /// are visited, in ascending tile order: under chaos, that is the
+    /// order of the fault plane's RNG draws.
     fn inject_outbound(&mut self, now: Cycle) {
-        for t in 0..self.out_uncore.len() {
+        let mut tiles = std::mem::take(&mut self.egress_tiles);
+        self.egress.drain_sorted(&mut tiles);
+        for &t in &tiles {
             let src = Coord::new(
                 (t % usize::from(self.cfg.mesh_width)) as u16,
                 (t / usize::from(self.cfg.mesh_width)) as u16,
@@ -1116,7 +1166,11 @@ impl System {
                     }
                 }
             }
+            if !self.out_retry[t].is_empty() || !self.out_uncore[t].is_empty() {
+                self.egress.insert(t);
+            }
         }
+        self.egress_tiles = tiles;
     }
 
     /// Whether any engine was retired (poisoned) under the fault plane —
@@ -1168,11 +1222,11 @@ impl System {
             h.observe(d.next_event(now));
         }
         h.observe(self.mesh.next_event(now));
-        for q in &self.out_uncore {
-            h.observe(q.next_deadline().map(|d| d.max(now)));
-        }
-        if self.out_retry.iter().any(|r| !r.is_empty()) {
-            h.at(now);
+        for &t in self.egress.as_slice() {
+            if !self.out_retry[t].is_empty() {
+                h.at(now);
+            }
+            h.observe(self.out_uncore[t].next_deadline().map(|d| d.max(now)));
         }
         h.observe(self.fault_service.next_deadline().map(|d| d.max(now)));
         if let Some(chaos) = &self.chaos {
@@ -1570,12 +1624,6 @@ impl System {
     #[must_use]
     pub fn engine(&self, i: usize) -> &Engine {
         &self.engines[i]
-    }
-
-    /// The shared L2 (bank 0; flat configurations have exactly one).
-    #[must_use]
-    pub fn l2(&self) -> &SharedL2 {
-        &self.l2[0]
     }
 
     /// L2 bank `b` of a banked (clustered) configuration.

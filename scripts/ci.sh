@@ -164,29 +164,37 @@ fi
 grep -q "serve ok: bit-exact" target/serve_gate_jobs1.txt
 echo "    $(tail -n 1 target/serve_gate_jobs1.txt), identical at 1 and 4 workers"
 
-echo "==> scale smoke: 256-tile hierarchical fabric, bit-exact at any worker count"
-# A MemPool-scale configuration (16 crossbar clusters of 16 tiles, 32
-# cores, 16 engines, 16 interleaved L2 banks) through the skipping and
-# 4-partition steppers. Host-independent lines only, byte-diffed across
-# MAPLE_JOBS; the wall-clock budget guards against the hierarchy making
-# large fabrics accidentally quadratic to simulate.
-SCALE_T0=$SECONDS
-MAPLE_JOBS=1 cargo run --offline --release -q -p maple-bench --bin stepper_check \
-    -- --scale 256 > target/scale_gate_jobs1.txt
-MAPLE_JOBS=4 cargo run --offline --release -q -p maple-bench --bin stepper_check \
-    -- --scale 256 > target/scale_gate_jobs4.txt
-SCALE_WALL=$((SECONDS - SCALE_T0))
-if ! diff target/scale_gate_jobs1.txt target/scale_gate_jobs4.txt; then
-    echo "ERROR: scale gate output differs between MAPLE_JOBS=1 and =4" >&2
-    exit 1
-fi
-grep -q "scale ok: bit-exact at 256 tiles" target/scale_gate_jobs1.txt
+echo "==> scale smoke: 256- and 1024-tile hierarchical fabrics, bit-exact and golden"
+# MemPool-scale configurations (16 or 64 crossbar clusters of 16 tiles,
+# two cores, one engine and one interleaved L2 bank per cluster) through
+# the skipping and 4-partition steppers. Host-independent lines only,
+# byte-diffed across MAPLE_JOBS and against the committed golden outputs
+# in results/ — so a change that only speeds up the simulator proves it
+# simulates exactly what its parent did. The wall-clock budget guards
+# against large fabrics becoming accidentally quadratic to simulate.
 SCALE_BUDGET=120
-if [ "$SCALE_WALL" -gt "$SCALE_BUDGET" ]; then
-    echo "ERROR: 256-tile scale smoke took ${SCALE_WALL}s (budget ${SCALE_BUDGET}s)" >&2
-    exit 1
-fi
-echo "    $(tail -n 1 target/scale_gate_jobs1.txt), identical at 1 and 4 workers (${SCALE_WALL}s)"
+for TILES in 256 1024; do
+    SCALE_T0=$SECONDS
+    for JOBS in 1 4; do
+        MAPLE_JOBS=$JOBS cargo run --offline --release -q -p maple-bench --bin stepper_check \
+            -- --scale "$TILES" > "target/scale_gate_${TILES}_jobs${JOBS}.txt"
+    done
+    SCALE_WALL=$((SECONDS - SCALE_T0))
+    if ! diff "target/scale_gate_${TILES}_jobs1.txt" "target/scale_gate_${TILES}_jobs4.txt"; then
+        echo "ERROR: ${TILES}-tile scale gate output differs between MAPLE_JOBS=1 and =4" >&2
+        exit 1
+    fi
+    if ! diff "results/scale_gate_${TILES}.txt" "target/scale_gate_${TILES}_jobs1.txt"; then
+        echo "ERROR: ${TILES}-tile scale gate output differs from results/scale_gate_${TILES}.txt" >&2
+        exit 1
+    fi
+    grep -q "scale ok: bit-exact at ${TILES} tiles" "target/scale_gate_${TILES}_jobs1.txt"
+    if [ "$SCALE_WALL" -gt "$SCALE_BUDGET" ]; then
+        echo "ERROR: ${TILES}-tile scale smoke took ${SCALE_WALL}s (budget ${SCALE_BUDGET}s)" >&2
+        exit 1
+    fi
+    echo "    $(tail -n 1 "target/scale_gate_${TILES}_jobs1.txt"), identical at 1 and 4 workers and to the golden file (${SCALE_WALL}s)"
+done
 
 echo "==> stepper: partitioned throughput floor (skipped honestly on 1-core hosts)"
 # The speedup expectation is host-dependent: a 1-core container pins the
