@@ -3,110 +3,75 @@
 //! Runs the differential oracle grid (every oracle variant × three fixed
 //! tiny kernel instances), the fixed-seed chaos grid, and the
 //! hierarchical-fabric rows (flat vs 1-cluster bit-identity, a live 2×2
-//! crossbar hierarchy), and prints one line per measurement to stdout. Every printed value is a pure
-//! function of the fixed seeds and the simulator — **independent of
-//! `MAPLE_JOBS` and of how the grid was dispatched**:
+//! crossbar hierarchy) on the local `maple-fleet` pool, and prints one
+//! line per measurement to stdout. Every printed value is a pure function
+//! of the fixed seeds and the simulator — **independent of `MAPLE_JOBS`**:
+//! ci.sh diffs the output at `MAPLE_JOBS=1` and `=4` and against
+//! `results/oracle_grid.txt`.
 //!
-//! - default: the local `maple-fleet` pool (the original worker-count
-//!   gate: ci.sh diffs `MAPLE_JOBS=1` vs `=4`);
-//! - `--coordinator loopback:N`: the distributed coordinator over `N`
-//!   deterministic in-process workers;
-//! - `--coordinator tcp` with `MAPLE_WORKERS=host:port,...`: real TCP
-//!   workers started via `--bin fleet_worker`;
-//! - `--chaos SEED` (loopback only): wraps every worker in a seeded
-//!   `FaultyTransport` — worker 0 crashes mid-job, the rest drop and
-//!   delay traffic — exercising lease expiry, reassignment and (if all
-//!   workers die) local fallback.
-//!
-//! The distributed determinism gate in ci.sh byte-diffs stdout across
-//! all of these. `--expect-reassignments` additionally fails the run if
-//! the reassignment counter stayed at zero — proof the kill/reassign
-//! path actually executed rather than the schedule being quietly
-//! harmless.
-//!
-//! Progress/accounting (which *does* vary with dispatch mode and
+//! The binary takes no arguments. Progress/accounting (which varies with
 //! wall-clock) goes to stderr only.
 
-use maple_bench::distributed::{
-    grid_cells, job_key, run_grid_cell, run_spec, spec_of, GRID_KERNELS, GRID_SEED,
-};
-use maple_bench::experiments::FleetLine;
-use maple_fleet::net::{FaultyTransport, LoopbackWorker, NetFaultConfig, TcpTransport, Transport};
-use maple_fleet::remote::{run_remote, RemoteConfig, RemoteJob};
-use maple_fleet::{FleetConfig, ResultCache};
-use maple_workloads::data::{dense_vector, uniform_sparse};
+use maple_fleet::FleetConfig;
+use maple_sim::rng::SimRng;
+use maple_workloads::bfs::Bfs;
+use maple_workloads::data::{dense_vector, uniform_sparse, Csr};
 use maple_workloads::harness::{RunStats, Variant};
-use maple_workloads::oracle::{chaos_check, chaos_schedules, check_cross, check_run};
+use maple_workloads::oracle::{
+    chaos_check, chaos_schedules, check_cross, check_run, ORACLE_VARIANTS,
+};
+use maple_workloads::sdhp::Sdhp;
 use maple_workloads::spmv::Spmv;
 
-/// How the grid cells get executed.
-enum Dispatch {
-    /// Local fleet pool (the default; original behavior).
-    Local,
-    /// Coordinator over `n` in-process loopback workers; `chaos` wraps
-    /// them in seeded fault schedules.
-    Loopback { n: usize, chaos: Option<u64> },
-    /// Coordinator over real TCP workers at these addresses.
-    Tcp { addrs: Vec<String> },
+/// Fixed seed of the oracle grid; the whole grid replays bit-for-bit
+/// from this.
+const GRID_SEED: u64 = 0x0A_C1E5;
+
+/// The grid's kernel axis, in print order.
+const GRID_KERNELS: [&str; 3] = ["spmv", "sdhp", "bfs"];
+
+/// Small fixed CSR, expanded deterministically from `seed`.
+fn fixed_csr(rows: usize, ncols: usize, seed: u64) -> Csr {
+    let mut rng = SimRng::seed(seed);
+    let rows_vec: Vec<Vec<(u32, u32)>> = (0..rows)
+        .map(|_| {
+            let nnz = rng.below(7) as usize;
+            let mut cols: Vec<u32> = (0..nnz).map(|_| rng.below(ncols as u64) as u32).collect();
+            cols.sort_unstable();
+            cols.dedup();
+            cols.into_iter()
+                .map(|c| (c, 1 + rng.below(100) as u32))
+                .collect()
+        })
+        .collect();
+    Csr::from_rows(rows, ncols, &rows_vec)
 }
 
-struct Options {
-    dispatch: Dispatch,
-    expect_reassignments: bool,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: oracle_grid [--coordinator loopback:N|tcp] [--chaos SEED] [--expect-reassignments]\n\
-         tcp mode reads MAPLE_WORKERS=host:port,host:port,..."
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Options {
-    let mut dispatch = Dispatch::Local;
-    let mut chaos: Option<u64> = None;
-    let mut expect_reassignments = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--coordinator" => {
-                let mode = args.next().unwrap_or_else(|| usage());
-                dispatch = if let Some(n) = mode.strip_prefix("loopback:") {
-                    let n = n.parse().unwrap_or_else(|_| usage());
-                    Dispatch::Loopback { n, chaos: None }
-                } else if mode == "tcp" {
-                    let raw = std::env::var("MAPLE_WORKERS").unwrap_or_else(|_| {
-                        eprintln!("--coordinator tcp needs MAPLE_WORKERS=host:port,...");
-                        std::process::exit(2);
-                    });
-                    Dispatch::Tcp {
-                        addrs: raw.split(',').map(|s| s.trim().to_owned()).collect(),
-                    }
-                } else {
-                    usage()
-                };
-            }
-            "--chaos" => {
-                let seed = args.next().unwrap_or_else(|| usage());
-                chaos = Some(seed.parse().unwrap_or_else(|_| usage()));
-            }
-            "--expect-reassignments" => expect_reassignments = true,
-            _ => usage(),
+/// Runs one grid cell from scratch: rebuilds the fixed instance for the
+/// kernel and executes the variant.
+fn run_grid_cell(kernel: &str, variant: Variant, threads: usize) -> RunStats {
+    match kernel {
+        "spmv" => {
+            let inst = Spmv {
+                a: fixed_csr(10, 128, GRID_SEED ^ 0x01),
+                x: dense_vector(128, GRID_SEED ^ 0x02),
+            };
+            inst.run(variant, threads)
         }
-    }
-    if let Some(seed) = chaos {
-        match &mut dispatch {
-            Dispatch::Loopback { chaos, .. } => *chaos = Some(seed),
-            _ => {
-                eprintln!("--chaos requires --coordinator loopback:N");
-                std::process::exit(2);
-            }
+        "sdhp" => {
+            let a = fixed_csr(8, 128, GRID_SEED ^ 0x03);
+            let inst = Sdhp::from_sparse(&a, GRID_SEED ^ 0x04);
+            inst.run(variant, threads)
         }
-    }
-    Options {
-        dispatch,
-        expect_reassignments,
+        "bfs" => {
+            let graph = fixed_csr(16, 16, GRID_SEED ^ 0x05);
+            let root = (0..graph.nrows)
+                .find(|&r| !graph.row_range(r).is_empty())
+                .unwrap_or(0) as u32;
+            let inst = Bfs { graph, root };
+            inst.run(variant, threads)
+        }
+        other => unreachable!("unknown grid kernel {other:?}"),
     }
 }
 
@@ -119,169 +84,44 @@ fn emit(kernel: &str, label: &str, threads: usize, s: &RunStats) {
 }
 
 /// Applies the oracle invariants to one kernel's row of the grid.
-fn check_kernel(kernel: &str, cells: &[(Variant, usize)], rows: &[RunStats]) {
+fn check_kernel(kernel: &str, rows: &[RunStats]) {
     let doall = &rows[0];
     check_run(&format!("{kernel}/doall"), doall).expect("oracle invariant");
-    for (&(v, _), s) in cells[1..].iter().zip(&rows[1..]) {
+    for (&(v, _), s) in ORACLE_VARIANTS[1..].iter().zip(&rows[1..]) {
         let label = format!("{kernel}/{}", v.label());
         check_run(&label, s).expect("oracle invariant");
         check_cross(doall, &label, s).expect("oracle invariant");
     }
 }
 
-/// Local dispatch: one fleet batch per kernel (the original layout, so
-/// the worker-count gate's reference bytes are unchanged).
-fn run_local() {
-    for kernel in GRID_KERNELS {
-        let cells: Vec<(Variant, usize)> = grid_cells()
-            .into_iter()
-            .filter(|(k, _, _)| k == kernel)
-            .map(|(_, v, t)| (v, t))
-            .collect();
-        let jobs: Vec<_> = cells
-            .iter()
-            .map(|&(v, t)| move || run_grid_cell(kernel, v, t).expect("known cell"))
-            .collect();
-        let rows = maple_fleet::run_batch(&FleetConfig::from_env(), jobs)
-            .into_results()
-            .unwrap_or_else(|(i, e)| panic!("{kernel}/{}: {e}", cells[i].0.label()));
-        for (&(v, t), s) in cells.iter().zip(&rows) {
-            emit(kernel, v.label(), t, s);
-        }
-        check_kernel(kernel, &cells, &rows);
-    }
-}
-
-/// The chaos fault schedule for loopback worker `wi` under `seed`:
-/// worker 0 dies while computing its second job (guaranteeing at least
-/// one reassignment); every worker drops a bit of traffic and delays
-/// some replies past the lease, so expiry/stale-dedup paths run too.
-fn chaos_schedule(seed: u64, wi: usize, lease_polls: u64) -> NetFaultConfig {
-    let cfg = NetFaultConfig::new(seed ^ ((wi as u64 + 1) << 24))
-        .with_send_drop(0.05)
-        .with_recv_drop(0.05)
-        .with_recv_delay(0.15, lease_polls + 16);
-    if wi == 0 {
-        cfg.with_crash_after_jobs(1)
-    } else {
-        cfg
-    }
-}
-
-/// Coordinator dispatch: ships every grid cell as one remote batch, then
-/// prints the decoded rows in the same order and format as `run_local`.
-fn run_coordinator(opts: &Options) {
-    let cells = grid_cells();
-    let jobs: Vec<RemoteJob> = cells
-        .iter()
-        .map(|(k, v, t)| RemoteJob {
-            key: job_key(k, *v, *t),
-            spec: spec_of(k, *v, *t),
-        })
-        .collect();
-
-    let mut cfg = RemoteConfig::default();
-    let transports: Vec<Box<dyn Transport>> = match &opts.dispatch {
-        Dispatch::Local => unreachable!("handled by run_local"),
-        Dispatch::Loopback { n, chaos } => (0..*n)
-            .map(|wi| {
-                let worker = LoopbackWorker::new(run_spec);
-                match chaos {
-                    None => Box::new(worker) as Box<dyn Transport>,
-                    Some(seed) => Box::new(FaultyTransport::new(
-                        worker,
-                        chaos_schedule(*seed, wi, cfg.lease_polls),
-                    )),
-                }
-            })
-            .collect(),
-        Dispatch::Tcp { addrs } => {
-            // Real sockets: poll gently and measure leases generously —
-            // wall-clock scheduling noise must never look like a dead
-            // worker on a loaded CI host.
-            cfg = cfg
-                .with_poll_sleep(std::time::Duration::from_millis(2))
-                .with_lease_polls(2_000);
-            addrs
-                .iter()
-                .map(|addr| {
-                    let t =
-                        TcpTransport::dial(addr, 6, std::time::Duration::from_millis(50))
-                            .unwrap_or_else(|e| panic!("dial {addr}: {e}"));
-                    Box::new(t) as Box<dyn Transport>
-                })
-                .collect()
-        }
-    };
-
-    // A scratch cache per invocation: the grid is tiny, and the gate
-    // wants real dispatch traffic, not a warm-cache no-op. The shared
-    // production cache is exercised by the fleet tests instead.
-    let scratch = maple_fleet::cache::default_cache_dir()
-        .parent()
-        .expect("cache dir has a parent")
-        .join(format!("fleet-cache-grid-{}", std::process::id()));
-    let cache = ResultCache::open(&scratch).expect("open scratch grid cache");
-
-    let t0 = std::time::Instant::now();
-    let batch = run_remote(transports, &cfg, &jobs, Some(&cache), |job| {
-        run_spec(&job.spec)
-    })
-    .expect("no poll budget configured, cannot abort");
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    let fleet = FleetLine::from_remote(&batch.stats, t0.elapsed().as_secs_f64());
-    eprintln!("[oracle_grid] {}", fleet.render());
-
-    let rows: Vec<RunStats> = cells
-        .iter()
-        .zip(&batch.outcomes)
-        .map(|((k, v, t), outcome)| {
-            let payload = outcome
-                .as_ref()
-                .unwrap_or_else(|e| panic!("{k}/{} t={t}: {e}", v.label()));
-            maple_bench::distributed::decode_stats(payload)
-                .unwrap_or_else(|e| panic!("{k}/{} t={t}: corrupt payload: {e}", v.label()))
-        })
-        .collect();
-    for ((k, v, t), s) in cells.iter().zip(&rows) {
-        emit(k, v.label(), *t, s);
-    }
-    for kernel in GRID_KERNELS {
-        let idx: Vec<usize> = (0..cells.len()).filter(|&i| cells[i].0 == kernel).collect();
-        let kernel_cells: Vec<(Variant, usize)> =
-            idx.iter().map(|&i| (cells[i].1, cells[i].2)).collect();
-        let kernel_rows: Vec<RunStats> = idx.iter().map(|&i| rows[i].clone()).collect();
-        check_kernel(kernel, &kernel_cells, &kernel_rows);
-    }
-
-    if opts.expect_reassignments && batch.stats.reassignments == 0 {
-        eprintln!(
-            "ERROR: --expect-reassignments, but the reassignment counter is 0 \
-             (the kill/reassign path did not execute): {:?}",
-            batch.stats
-        );
-        std::process::exit(1);
-    }
-}
-
 fn main() {
-    let opts = parse_args();
+    if std::env::args().len() > 1 {
+        eprintln!("usage: oracle_grid (no arguments; MAPLE_JOBS sets the worker count)");
+        std::process::exit(2);
+    }
     let jobs = maple_fleet::pool::jobs_from_env();
     eprintln!("[oracle_grid] running with {jobs} workers");
     let t0 = std::time::Instant::now();
 
-    match opts.dispatch {
-        Dispatch::Local => run_local(),
-        _ => run_coordinator(&opts),
+    // Differential grid: one fleet batch per kernel.
+    for kernel in GRID_KERNELS {
+        let cells: Vec<_> = ORACLE_VARIANTS
+            .iter()
+            .map(|&(v, t)| move || run_grid_cell(kernel, v, t))
+            .collect();
+        let rows = maple_fleet::run_batch(&FleetConfig::from_env(), cells)
+            .into_results()
+            .unwrap_or_else(|(i, e)| panic!("{kernel}/{}: {e}", ORACLE_VARIANTS[i].0.label()));
+        for (&(v, t), s) in ORACLE_VARIANTS.iter().zip(&rows) {
+            emit(kernel, v.label(), t, s);
+        }
+        check_kernel(kernel, &rows);
     }
 
     // Chaos grid: each schedule through the degradation ladder (the
     // doall baseline and the faulted MAPLE attempt run as a fleet batch
-    // inside chaos_check). Always local — these lines are part of the
-    // deterministic stdout surface in every dispatch mode. The instance
-    // is big enough that every run comfortably outlives the scheduled
-    // mid-run reset at cycle 5000.
+    // inside chaos_check). The instance is big enough that every run
+    // comfortably outlives the scheduled mid-run reset at cycle 5000.
     let chaos_inst = Spmv {
         a: uniform_sparse(32, 8 * 1024, 6, GRID_SEED ^ 0x06),
         x: dense_vector(8 * 1024, GRID_SEED ^ 0x07),
@@ -298,10 +138,9 @@ fn main() {
         println!("chaos\t{}\tok", schedule.name);
     }
 
-    // Hierarchical grid: always local, same deterministic stdout in
-    // every dispatch mode (like the chaos grid). A degenerate 1-cluster
-    // configuration must be bit-exact with the flat mesh, and a live
-    // 2×2 crossbar hierarchy must satisfy the oracle invariants.
+    // Hierarchical grid: a degenerate 1-cluster configuration must be
+    // bit-exact with the flat mesh, and a live 2×2 crossbar hierarchy
+    // must satisfy the oracle invariants.
     let hier_inst = Spmv {
         a: uniform_sparse(32, 8 * 1024, 6, GRID_SEED ^ 0x08),
         x: dense_vector(8 * 1024, GRID_SEED ^ 0x09),

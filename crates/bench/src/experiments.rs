@@ -167,8 +167,7 @@ pub fn case_key(spec: &CaseSpec, config: &SocConfig) -> u64 {
 /// form of the same numbers.
 #[derive(Debug, Clone, Default)]
 pub struct FleetLine {
-    /// Worker threads the batch ran with (local pool), or remote workers
-    /// the coordinator started with (distributed dispatch).
+    /// Worker threads the batch ran with.
     pub jobs: usize,
     /// Suite wall-clock (cache probing + batch execution), seconds.
     pub wall_seconds: f64,
@@ -176,56 +175,16 @@ pub struct FleetLine {
     pub cache_hits: usize,
     /// Cases that had to be simulated.
     pub cache_misses: usize,
-    /// Cases computed by remote workers (distributed dispatch only).
-    pub remote_jobs: usize,
-    /// Cases that fell back to the local pool after remote dispatch
-    /// failed (the bottom of the degradation ladder).
-    pub local_fallback_jobs: usize,
-    /// Dispatched cases taken away from a worker and requeued (lease
-    /// expiry, worker crash, typed remote failure).
-    pub reassignments: u64,
-    /// Remote workers declared dead during the batch.
-    pub worker_failures: u64,
-    /// Degradation-ladder rung the distributed batch finished on;
-    /// `None` for purely local suites.
-    pub rung: Option<maple_fleet::remote::Rung>,
 }
 
 impl FleetLine {
-    /// Folds a distributed batch's accounting into the standard line.
-    #[must_use]
-    pub fn from_remote(stats: &maple_fleet::remote::RemoteStats, wall_seconds: f64) -> FleetLine {
-        FleetLine {
-            jobs: stats.workers,
-            wall_seconds,
-            cache_hits: stats.cache_hits,
-            cache_misses: stats.remote_done + stats.local_done,
-            remote_jobs: stats.remote_done,
-            local_fallback_jobs: stats.local_done,
-            reassignments: stats.reassignments,
-            worker_failures: stats.worker_failures,
-            rung: Some(stats.rung),
-        }
-    }
-
     /// The one-line text rendering.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut line = format!(
+        format!(
             "jobs={}, wall={:.2}s, cache {} hits / {} misses",
             self.jobs, self.wall_seconds, self.cache_hits, self.cache_misses
-        );
-        if let Some(rung) = self.rung {
-            line.push_str(&format!(
-                ", remote {} / local-fallback {}, reassignments {}, worker-failures {}, rung {}",
-                self.remote_jobs,
-                self.local_fallback_jobs,
-                self.reassignments,
-                self.worker_failures,
-                rung.label()
-            ));
-        }
-        line
+        )
     }
 
     /// Surfaces the accounting through the standard metrics machinery.
@@ -234,34 +193,15 @@ impl FleetLine {
         m.gauge(format!("{prefix}/wall_seconds"), self.wall_seconds);
         m.counter(format!("{prefix}/cache_hits"), self.cache_hits as u64);
         m.counter(format!("{prefix}/cache_misses"), self.cache_misses as u64);
-        if let Some(rung) = self.rung {
-            m.counter(format!("{prefix}/remote_jobs"), self.remote_jobs as u64);
-            m.counter(
-                format!("{prefix}/local_fallback_jobs"),
-                self.local_fallback_jobs as u64,
-            );
-            m.counter(format!("{prefix}/reassignments"), self.reassignments);
-            m.counter(format!("{prefix}/worker_failures"), self.worker_failures);
-            m.counter(format!("{prefix}/ladder_rung"), rung as u64);
-        }
     }
 
     /// Merges another suite's accounting into this one (for the
-    /// whole-sweep totals in `BENCH_maple.json`). Rungs merge by
-    /// severity: one degraded suite marks the whole sweep degraded.
+    /// whole-sweep totals in `BENCH_maple.json`).
     pub fn absorb(&mut self, other: &FleetLine) {
         self.jobs = self.jobs.max(other.jobs);
         self.wall_seconds += other.wall_seconds;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        self.remote_jobs += other.remote_jobs;
-        self.local_fallback_jobs += other.local_fallback_jobs;
-        self.reassignments += other.reassignments;
-        self.worker_failures += other.worker_failures;
-        self.rung = match (self.rung, other.rung) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
     }
 }
 
@@ -357,7 +297,6 @@ pub fn suite_with(
         wall_seconds: t0.elapsed().as_secs_f64(),
         cache_hits: hits,
         cache_misses: miss_idx.len(),
-        ..FleetLine::default()
     };
     eprintln!("[{name}] {}", fleet.render());
     SuiteRun {

@@ -9,7 +9,6 @@
 
 #![deny(missing_docs)]
 
-pub mod distributed;
 pub mod experiments;
 pub mod instances;
 pub mod report;

@@ -20,9 +20,8 @@
 //! filesystem that reordered the data flush, bit-rot, or a
 //! pre-integrity-era entry — treats it as a **miss and evicts the
 //! entry**, never a panic or a garbage row bubbling into a batch. The
-//! caller recomputes and overwrites; a distributed fleet pooling one
-//! cache directory can therefore survive any worker dying at any point
-//! of a `put`.
+//! caller recomputes and overwrites, so a process killed at any point of
+//! a `put` leaves the cache usable.
 
 use std::fs;
 use std::io;

@@ -10,7 +10,7 @@
 //!   scoped threads. A batch of jobs returns its results **in submission
 //!   order, bit-identical regardless of worker count or completion
 //!   order**; a panicking job becomes a typed [`pool::JobError`] without
-//!   poisoning the pool, and every job carries wall-clock and retry
+//!   poisoning the pool, and every job carries wall-clock and placement
 //!   accounting.
 //! - [`crew`]: a long-lived worker gang for *one* job stepped in many
 //!   synchronized rounds — the execution substrate of the soc crate's
@@ -27,17 +27,6 @@
 //!   affected entries instead of requiring a manual cache wipe. Entries
 //!   carry an integrity header: truncated or bit-rotted files are
 //!   evicted misses, never panics.
-//! - [`net`]: the distributed fleet's wire layer — a length-prefixed
-//!   frame protocol over `std::net`, a [`net::Transport`] trait with a
-//!   deterministic in-process loopback worker, and a seeded
-//!   [`net::FaultyTransport`] chaos wrapper (drop/delay/truncate/crash
-//!   schedules) so the protocol tests without sockets.
-//! - [`remote`]: the fault-tolerant coordinator/worker runtime — per-job
-//!   leases with heartbeats, lease expiry → reassignment (at-least-once
-//!   dispatch made exactly-once-by-construction through `Digest`-keyed
-//!   dedup in the shared cache), jitter-free exponential backoff with
-//!   strike budgets, and a remote → degraded → local degradation ladder
-//!   that finishes any batch on the local [`pool`] when workers die.
 //!
 //! The crate is hermetic by design: std-only, zero dependencies (not even
 //! on other workspace crates — `maple-sim` itself builds on it).
@@ -56,20 +45,11 @@
 pub mod cache;
 pub mod crew;
 pub mod digest;
-pub mod net;
 pub mod pool;
-pub mod remote;
 
 pub use cache::ResultCache;
 pub use crew::{Conductor, Crew};
 pub use digest::Digest;
-pub use net::{
-    FaultyTransport, LoopbackWorker, Msg, NetFaultConfig, RemoteError, TcpTransport, Transport,
-};
 pub use pool::{
-    jobs_from_env, run_batch, Batch, BatchStats, FailureKind, FleetConfig, JobError, JobOutcome,
-    JobStats,
-};
-pub use remote::{
-    run_remote, serve_connection, RemoteBatch, RemoteConfig, RemoteJob, RemoteStats, Rung,
+    jobs_from_env, run_batch, Batch, BatchStats, FleetConfig, JobError, JobOutcome, JobStats,
 };

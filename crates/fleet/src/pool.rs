@@ -7,13 +7,10 @@
 //! submission order** no matter which worker finished which job when —
 //! the scheduling is nondeterministic, the collection is not.
 //!
-//! Failure isolation: each attempt runs under `catch_unwind`, so a
-//! panicking job becomes a typed [`JobError`] in its own slot while every
-//! other job completes normally (the pool is never poisoned). Panicked
-//! jobs are retried up to [`FleetConfig::max_retries`] times — zero by
-//! default, because a deterministic simulation that panicked once will
-//! panic again; retries exist for callers whose jobs touch genuinely
-//! transient resources.
+//! Failure isolation: each job runs under `catch_unwind`, so a panicking
+//! job becomes a typed [`JobError`] in its own slot while every other job
+//! completes normally (the pool is never poisoned). A failed job is not
+//! rerun: a deterministic simulation that panicked once will panic again.
 //!
 //! Nested batches collapse: a `run_batch` issued from inside a fleet
 //! worker runs its jobs inline on that worker (single-threaded), so
@@ -54,19 +51,14 @@ pub fn jobs_from_env() -> usize {
 pub struct FleetConfig {
     /// Worker threads to spawn (clamped to the job count; at least one).
     pub workers: usize,
-    /// Re-executions granted to a panicking job before it is reported as
-    /// a [`JobError`].
-    pub max_retries: u32,
 }
 
 impl FleetConfig {
-    /// The standard configuration: workers from [`jobs_from_env`], no
-    /// retries.
+    /// The standard configuration: workers from [`jobs_from_env`].
     #[must_use]
     pub fn from_env() -> Self {
         FleetConfig {
             workers: jobs_from_env(),
-            max_retries: 0,
         }
     }
 
@@ -74,13 +66,6 @@ impl FleetConfig {
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Overrides the panic-retry budget.
-    #[must_use]
-    pub fn with_max_retries(mut self, max_retries: u32) -> Self {
-        self.max_retries = max_retries;
         self
     }
 }
@@ -91,63 +76,25 @@ impl Default for FleetConfig {
     }
 }
 
-/// How a failed job failed — the pool's own panic isolation, a runner
-/// that returned a typed failure, or the remote layer's error taxonomy
-/// (see [`crate::net::RemoteError`]) threaded through by the coordinator.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FailureKind {
-    /// The job panicked on every granted attempt.
-    Panic,
-    /// The job ran to completion but reported failure (worker runner or
-    /// local fallback returned `Err`).
-    Exec,
-    /// The distributed layer failed the job with a typed network error.
-    Remote(crate::net::RemoteError),
-}
-
-impl fmt::Display for FailureKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FailureKind::Panic => f.write_str("panicked"),
-            FailureKind::Exec => f.write_str("failed"),
-            FailureKind::Remote(e) => write!(f, "failed remotely ({e})"),
-        }
-    }
-}
-
-/// A job that exhausted its attempts.
+/// A job that panicked.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobError {
-    /// The final failure payload, rendered.
+    /// The panic payload, rendered.
     pub message: String,
-    /// Executions performed (1 + retries granted).
-    pub attempts: u32,
-    /// What kind of failure ended the attempts.
-    pub kind: FailureKind,
 }
 
 impl fmt::Display for JobError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "job {} after {} attempt{}: {}",
-            self.kind,
-            self.attempts,
-            if self.attempts == 1 { "" } else { "s" },
-            self.message
-        )
+        write!(f, "job panicked: {}", self.message)
     }
 }
 
 /// Per-job accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobStats {
-    /// Wall-clock spent executing this job (all attempts), in
-    /// nanoseconds. Varies run to run; never part of the deterministic
-    /// result surface.
+    /// Wall-clock spent executing this job, in nanoseconds. Varies run
+    /// to run; never part of the deterministic result surface.
     pub wall_nanos: u64,
-    /// Executions performed (1 for a first-try success).
-    pub attempts: u32,
     /// Index of the worker that ran the job (scheduling detail, varies).
     pub worker: usize,
 }
@@ -158,7 +105,7 @@ pub struct JobStats {
 pub struct JobOutcome<T> {
     /// The job's return value, or the typed panic report.
     pub result: Result<T, JobError>,
-    /// Wall-clock / retry / placement accounting.
+    /// Wall-clock / placement accounting.
     pub stats: JobStats,
 }
 
@@ -172,10 +119,7 @@ pub struct BatchStats {
     pub workers: usize,
     /// Batch wall-clock, submission to collection, in nanoseconds.
     pub wall_nanos: u64,
-    /// Total re-executions granted to panicking jobs.
-    pub retries: u64,
-    /// Total attempts that ended in a panic (≥ jobs that ultimately
-    /// failed; a retried-then-successful job contributes here too).
+    /// Jobs that panicked.
     pub panics: u64,
     /// Jobs executed by a worker other than the one they were assigned
     /// to (work-stealing traffic; scheduling detail, varies).
@@ -249,7 +193,6 @@ where
     let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
         .map(|w| Mutex::new((w..n).step_by(workers.max(1)).collect()))
         .collect();
-    let retries = AtomicU64::new(0);
     let panics = AtomicU64::new(0);
     let steals = AtomicU64::new(0);
 
@@ -265,7 +208,7 @@ where
                     .expect("job slot lock")
                     .take()
                     .expect("job claimed twice");
-                let outcome = run_one(&job, cfg.max_retries, me, &retries, &panics);
+                let outcome = run_one(&job, me, &panics);
                 *result_slots[idx].lock().expect("result slot lock") = Some(outcome);
             }
             IN_FLEET_WORKER.with(|f| f.set(was_worker));
@@ -298,7 +241,6 @@ where
             jobs: n,
             workers,
             wall_nanos: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            retries: retries.into_inner(),
             panics: panics.into_inner(),
             steals: steals.into_inner(),
         },
@@ -322,51 +264,27 @@ fn claim(deques: &[Mutex<VecDeque<usize>>], me: usize) -> Option<(usize, bool)> 
     None
 }
 
-/// Executes one job with panic isolation and the retry budget.
-fn run_one<T, F>(
-    job: &F,
-    max_retries: u32,
-    worker: usize,
-    retries: &AtomicU64,
-    panics: &AtomicU64,
-) -> JobOutcome<T>
+/// Executes one job with panic isolation.
+fn run_one<T, F>(job: &F, worker: usize, panics: &AtomicU64) -> JobOutcome<T>
 where
     F: Fn() -> T,
 {
     let t0 = Instant::now();
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        let _quiet = QuietPanics::enter();
-        let attempt = panic::catch_unwind(AssertUnwindSafe(job));
-        drop(_quiet);
-        let stats = |attempts| JobStats {
-            wall_nanos: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            attempts,
-            worker,
-        };
-        match attempt {
-            Ok(value) => {
-                return JobOutcome {
-                    result: Ok(value),
-                    stats: stats(attempts),
-                }
-            }
-            Err(payload) => {
-                panics.fetch_add(1, Ordering::Relaxed);
-                if attempts > max_retries {
-                    return JobOutcome {
-                        result: Err(JobError {
-                            message: panic_message(&*payload),
-                            attempts,
-                            kind: FailureKind::Panic,
-                        }),
-                        stats: stats(attempts),
-                    };
-                }
-                retries.fetch_add(1, Ordering::Relaxed);
-            }
+    let quiet = QuietPanics::enter();
+    let caught = panic::catch_unwind(AssertUnwindSafe(job));
+    drop(quiet);
+    let result = caught.map_err(|payload| {
+        panics.fetch_add(1, Ordering::Relaxed);
+        JobError {
+            message: panic_message(&*payload),
         }
+    });
+    JobOutcome {
+        result,
+        stats: JobStats {
+            wall_nanos: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            worker,
+        },
     }
 }
 
@@ -422,7 +340,6 @@ impl Drop for QuietPanics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
 
     fn square_batch(workers: usize, n: u64) -> Vec<u64> {
         let cfg = FleetConfig::from_env().with_workers(workers);
@@ -465,7 +382,6 @@ mod tests {
             if i == 3 {
                 let err = o.result.as_ref().expect_err("job 3 panics");
                 assert!(err.message.contains("job three is broken"), "{err}");
-                assert_eq!(err.attempts, 1);
             } else {
                 assert_eq!(*o.result.as_ref().expect("healthy job"), i as u64);
             }
@@ -473,54 +389,6 @@ mod tests {
         assert_eq!(batch.stats.panics, 1);
         // The pool is not poisoned: it runs another batch fine.
         assert_eq!(square_batch(4, 8), (0..8).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn retry_budget_reruns_panicking_jobs() {
-        let flaky_calls = AtomicU32::new(0);
-        let cfg = FleetConfig::from_env().with_workers(2).with_max_retries(2);
-        let jobs: Vec<Box<dyn Fn() -> u32 + Send>> = vec![
-            Box::new(|| 7),
-            Box::new(|| {
-                // Fails on the first attempt, succeeds on the second.
-                if flaky_calls.fetch_add(1, Ordering::SeqCst) == 0 {
-                    panic!("transient");
-                }
-                9
-            }),
-        ];
-        let batch = run_batch(&cfg, jobs);
-        assert_eq!(*batch.outcomes[0].result.as_ref().unwrap(), 7);
-        assert_eq!(*batch.outcomes[1].result.as_ref().unwrap(), 9);
-        assert_eq!(batch.outcomes[1].stats.attempts, 2);
-        assert_eq!(batch.stats.retries, 1);
-        assert_eq!(batch.stats.panics, 1);
-    }
-
-    #[test]
-    fn retry_exhaustion_reports_the_full_budget() {
-        // A job that panics on every attempt must burn exactly
-        // 1 + max_retries executions and surface that count in the
-        // typed error — the accounting the FleetLine report trusts.
-        let calls = AtomicU32::new(0);
-        let cfg = FleetConfig::from_env().with_workers(2).with_max_retries(3);
-        let jobs: Vec<Box<dyn Fn() -> u32 + Send>> = vec![
-            Box::new(|| 1),
-            Box::new(|| {
-                calls.fetch_add(1, Ordering::SeqCst);
-                panic!("always broken");
-            }),
-        ];
-        let batch = run_batch(&cfg, jobs);
-        assert_eq!(*batch.outcomes[0].result.as_ref().unwrap(), 1);
-        let err = batch.outcomes[1].result.as_ref().expect_err("job 1 fails");
-        assert_eq!(err.attempts, 4, "1 initial + 3 retries");
-        assert_eq!(err.kind, FailureKind::Panic);
-        assert!(err.message.contains("always broken"), "{err}");
-        assert_eq!(calls.load(Ordering::SeqCst), 4, "executed exactly 4 times");
-        assert_eq!(batch.stats.retries, 3);
-        assert_eq!(batch.stats.panics, 4);
-        assert_eq!(batch.outcomes[1].stats.attempts, 4);
     }
 
     #[test]
@@ -554,7 +422,6 @@ mod tests {
         assert_eq!(batch.stats.jobs, 10);
         assert_eq!(batch.stats.workers, 3);
         for o in &batch.outcomes {
-            assert_eq!(o.stats.attempts, 1);
             assert!(o.stats.worker < 3);
         }
     }

@@ -2,10 +2,12 @@
 //! into the bench harness: results are bit-identical at every worker
 //! count, a panicking job is isolated into a typed error, and the
 //! content-addressed cache serves repeat runs and invalidates exactly
-//! the cases whose configuration changed.
+//! the cases whose configuration changed. The `oracle_grid` binary's
+//! stdout matches its committed golden output.
 
 use std::fs;
 use std::path::PathBuf;
+use std::process::Command;
 
 use maple_bench::experiments::{suite_with, CaseSpec, Measurement};
 use maple_bench::summary::{build_json, HarnessLine};
@@ -250,4 +252,30 @@ fn corrupted_cache_entries_are_recomputed_not_propagated() {
     assert_eq!(third.fleet.cache_hits, cases.len());
     assert_eq!(tsv_of(&first.rows), tsv_of(&third.rows));
     let _ = fs::remove_dir_all(cache.root());
+}
+
+#[test]
+fn oracle_grid_stdout_matches_the_committed_golden() {
+    let golden_path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/oracle_grid.txt");
+    let golden = fs::read_to_string(&golden_path)
+        .unwrap_or_else(|e| panic!("read {}: {e}", golden_path.display()));
+    let out = Command::new(env!("CARGO_BIN_EXE_oracle_grid"))
+        .output()
+        .expect("spawn oracle_grid");
+    assert!(out.status.success(), "oracle_grid failed: {out:?}");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), golden);
+}
+
+#[test]
+fn oracle_grid_rejects_arguments_with_usage_not_a_panic() {
+    let out = Command::new(env!("CARGO_BIN_EXE_oracle_grid"))
+        .args(["--coordinator", "loopback:1"])
+        .output()
+        .expect("spawn oracle_grid");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("usage: oracle_grid"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "no grid rows on a usage error");
 }
