@@ -29,9 +29,12 @@
 //! host: on a 1-core container the parallel stepper cannot win, so the
 //! expectation is **skipped** (exit 0, with an explicit skip line) —
 //! only the bit-exactness gates above apply there.
+//!
+//! Any other, extra or malformed argument prints usage and exits 2
+//! before any simulation runs.
 
 use maple_bench::report::FigureReport;
-use maple_bench::scaling::scale_gate;
+use maple_bench::scaling::{scale_gate, square_cluster_grid};
 use maple_bench::stepper::{
     fast_path_gate, partitioned_gate, partitioned_sweep, stall_heavy_comparison,
 };
@@ -70,57 +73,83 @@ fn speedup_floor_gate(floor: f64) -> i32 {
     0
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--speedup-floor") {
-        let floor: f64 = args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .filter(|&f| f > 0.0)
-            .expect("--speedup-floor takes a positive number");
-        std::process::exit(speedup_floor_gate(floor));
-    }
-    if args.iter().any(|a| a == "--fast-path") {
-        match fast_path_gate(0x57E9) {
-            Ok(report) => println!("{report}"),
-            Err(msg) => {
-                eprintln!("[stepper_check] FAST-PATH DIVERGENCE\n{msg}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--scale") {
-        let tiles: usize = args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-            .expect("--scale takes a positive tile count (a square multiple of 16)");
-        match scale_gate(0x5CA1E, tiles) {
-            Ok(report) => println!("{report}"),
-            Err(msg) => {
-                eprintln!("[stepper_check] HIERARCHICAL FABRIC DIVERGENCE\n{msg}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--partitions") {
-        let n: usize = args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-            .expect("--partitions takes a positive integer");
-        match partitioned_gate(0x57E9, n) {
-            Ok(report) => println!("{report}"),
-            Err(msg) => {
-                eprintln!("[stepper_check] PARTITIONED STEPPER DIVERGENCE\n{msg}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
+const USAGE: &str = "usage: stepper_check [--partitions N | --fast-path | --scale TILES | \
+--speedup-floor X]
+  N        partitions, 1 or more
+  TILES    a square number of 16-tile clusters, at most 1024 (16, 64, 144, 256, ..., 1024)
+  X        a positive speedup floor";
 
+/// Largest `--scale` the binary accepts: the biggest fabric the repo runs.
+const MAX_SCALE_TILES: usize = 1024;
+
+/// The gate one invocation runs.
+enum Mode {
+    Steppers,
+    Partitions(usize),
+    FastPath,
+    Scale(usize),
+    SpeedupFloor(f64),
+}
+
+/// Parses the command line (program name excluded); `None` for any
+/// unknown, missing, extra or out-of-range argument.
+fn parse(args: &[String]) -> Option<Mode> {
+    match args {
+        [] => Some(Mode::Steppers),
+        [flag] if flag == "--fast-path" => Some(Mode::FastPath),
+        [flag, value] => match flag.as_str() {
+            "--partitions" => value.parse().ok().filter(|&n| n > 0).map(Mode::Partitions),
+            "--scale" => value
+                .parse()
+                .ok()
+                .filter(|&t| t <= MAX_SCALE_TILES && square_cluster_grid(t).is_some())
+                .map(Mode::Scale),
+            "--speedup-floor" => value
+                .parse()
+                .ok()
+                .filter(|f: &f64| f.is_finite() && *f > 0.0)
+                .map(Mode::SpeedupFloor),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some(mode) = parse(&args) else {
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    };
+    match mode {
+        Mode::Steppers => stepper_gate(),
+        Mode::SpeedupFloor(floor) => std::process::exit(speedup_floor_gate(floor)),
+        Mode::FastPath => print_or_fail(fast_path_gate(0x57E9), "FAST-PATH DIVERGENCE"),
+        Mode::Scale(tiles) => print_or_fail(
+            scale_gate(0x5CA1E, tiles),
+            "HIERARCHICAL FABRIC DIVERGENCE",
+        ),
+        Mode::Partitions(n) => print_or_fail(
+            partitioned_gate(0x57E9, n),
+            "PARTITIONED STEPPER DIVERGENCE",
+        ),
+    }
+}
+
+/// Prints a gate's host-independent report, or its divergence and exits 1.
+fn print_or_fail(result: Result<String, String>, divergence: &str) {
+    match result {
+        Ok(report) => println!("{report}"),
+        Err(msg) => {
+            eprintln!("[stepper_check] {divergence}\n{msg}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// The default gate: dense vs skipping on the stall-heavy SPMV, plus the
+/// host-throughput smoke (rewrites `results/stepper.json`).
+fn stepper_gate() {
     let cmp = stall_heavy_comparison(0x57E9);
     if let Some(msg) = cmp.divergence() {
         eprintln!("[stepper_check] STEPPER DIVERGENCE\n{msg}");

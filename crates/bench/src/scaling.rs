@@ -60,22 +60,30 @@ pub struct ScaleRow {
     pub host_mcycles_per_sec: f64,
 }
 
+/// The square cluster grid at `tiles` total tiles, or `None` unless
+/// `tiles` is a positive multiple of [`CLUSTER_TILES`] whose cluster count
+/// is a perfect square (the sweep points are 64/256/1024 = 2²/4²/8²
+/// clusters).
+#[must_use]
+pub fn square_cluster_grid(tiles: usize) -> Option<(u16, u16)> {
+    if tiles == 0 || !tiles.is_multiple_of(CLUSTER_TILES) {
+        return None;
+    }
+    let clusters = tiles / CLUSTER_TILES;
+    let side = clusters.isqrt();
+    let side = u16::try_from(side).ok()?;
+    (usize::from(side) * usize::from(side) == clusters).then_some((side, side))
+}
+
 /// The square cluster grid at `tiles` total tiles.
 ///
 /// # Panics
 ///
 /// Panics unless `tiles` is a square multiple of [`CLUSTER_TILES`]
-/// (the sweep points are 64/256/1024 = 2²/4²/8² clusters).
+/// (see [`square_cluster_grid`]).
 #[must_use]
 pub fn cluster_grid(tiles: usize) -> (u16, u16) {
-    assert_eq!(tiles % CLUSTER_TILES, 0, "tiles must be whole clusters");
-    let clusters = tiles / CLUSTER_TILES;
-    let mut side = 1usize;
-    while side * side < clusters {
-        side += 1;
-    }
-    assert_eq!(side * side, clusters, "square cluster grids only");
-    (side as u16, side as u16)
+    square_cluster_grid(tiles).expect("tiles must be a square number of whole clusters")
 }
 
 /// Applies the scaled hierarchy to a harness-built configuration:
@@ -218,6 +226,9 @@ mod tests {
         assert_eq!(cluster_grid(64), (2, 2));
         assert_eq!(cluster_grid(256), (4, 4));
         assert_eq!(cluster_grid(1024), (8, 8));
+        for bad in [0, 15, 32, 100, 48] {
+            assert_eq!(square_cluster_grid(bad), None, "{bad} tiles");
+        }
     }
 
     #[test]

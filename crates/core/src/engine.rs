@@ -20,13 +20,14 @@
 //! The separate pipelines avoid deadlock: a full queue buffers only its own
 //! produce operations; traffic to other queues keeps flowing.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use maple_mem::l2::OutboundResp;
 use maple_mem::msg::{MemReq, MemReqKind, MemResp, ServedBy};
 use maple_mem::phys::{PAddr, PhysMem, LINE_SIZE};
 use maple_noc::Coord;
 use maple_sim::fault::{FaultSchedule, WatchdogConfig};
+use maple_sim::hash::FxHashMap;
 use maple_sim::link::DelayQueue;
 use maple_sim::stats::Counter;
 use maple_sim::Cycle;
@@ -247,7 +248,7 @@ pub struct EngineContext {
     open_owner: Vec<Option<Coord>>,
     out_resp: DelayQueue<OutboundResp>,
     out_mem: VecDeque<MemReq>,
-    inflight: HashMap<u64, InflightFetch>,
+    inflight: FxHashMap<u64, InflightFetch>,
     lima_regs: (VAddr, VAddr, u32, u32),
     lima_cmds: VecDeque<LimaCmd>,
     lima_go_pending: VecDeque<(Coord, u64, LimaCmd)>,
@@ -322,7 +323,7 @@ pub struct Engine {
     out_resp: DelayQueue<OutboundResp>,
     out_mem: VecDeque<MemReq>,
     next_txid: u64,
-    inflight: HashMap<u64, InflightFetch>,
+    inflight: FxHashMap<u64, InflightFetch>,
     lima_regs: (VAddr, VAddr, u32, u32), // staged A, B, lo, hi
     lima_cmds: VecDeque<LimaCmd>,
     lima_go_pending: VecDeque<(Coord, u64, LimaCmd)>,
@@ -333,7 +334,7 @@ pub struct Engine {
     /// the response data, replayed when a core watchdog re-sends the
     /// request. Survives `RESET` (like `next_txid`) so pre-reset retries
     /// stay idempotent.
-    seen: HashMap<(Coord, u64), Option<u64>>,
+    seen: FxHashMap<(Coord, u64), Option<u64>>,
     /// FIFO eviction order of *completed* `seen` entries.
     seen_order: VecDeque<(Coord, u64)>,
     /// Fetch watchdog; `None` (the default) never times out.
@@ -378,13 +379,13 @@ impl Engine {
             out_resp: DelayQueue::new(),
             out_mem: VecDeque::new(),
             next_txid: 0,
-            inflight: HashMap::new(),
+            inflight: FxHashMap::default(),
             lima_regs: (VAddr(0), VAddr(0), 0, 0),
             lima_cmds: VecDeque::new(),
             lima_go_pending: VecDeque::new(),
             lima: None,
             stats: EngineStats::default(),
-            seen: HashMap::new(),
+            seen: FxHashMap::default(),
             seen_order: VecDeque::new(),
             watchdog: None,
             ack_fault: None,

@@ -66,6 +66,7 @@ use maple_isa::{AtomicOp, Inst, LdClass, Operand, Program, Reg, NUM_REGS};
 use maple_mem::l1::{CoreOp, CoreReq, L1Cache, L1Config, L1Reject};
 use maple_mem::msg::{MemReq, MemResp, ServedBy};
 use maple_mem::phys::{AmoKind, PhysMem, WriteStage};
+use maple_sim::hash::FxHashMap;
 use maple_sim::stats::Counter;
 use maple_sim::Cycle;
 use maple_trace::{StallBreakdown, StallCause, TraceEvent, Tracer, WaitKind};
@@ -75,7 +76,6 @@ use maple_vm::walker::walk_latency;
 use maple_vm::{VAddr, VirtPage};
 
 use crate::desc::{DescQueues, SlotTicket};
-use std::collections::HashMap;
 
 /// Core timing parameters.
 #[derive(Debug, Clone, Copy)]
@@ -214,11 +214,16 @@ pub struct Core {
     l1: L1Cache,
     next_req_id: u64,
     /// DeSC terminal loads in flight: L1 transaction → queue slot.
-    desc_inflight: HashMap<u64, SlotTicket>,
+    desc_inflight: FxHashMap<u64, SlotTicket>,
     /// Unacknowledged MMIO stores tracked by the store buffer:
     /// transaction → (issue cycle, physical address), kept for the MMIO
     /// trace events.
-    mmio_inflight: HashMap<u64, (Cycle, u64)>,
+    mmio_inflight: FxHashMap<u64, (Cycle, u64)>,
+    /// Page of the MMIO store the last tick retried against a store
+    /// buffer full of unacked MMIO stores. While set, the core waits for
+    /// an ack instead of reporting a retry every cycle; see
+    /// [`Core::next_event`] and [`Core::skip`].
+    mmio_wait: Option<VirtPage>,
     stats: CpuStats,
     tracer: Tracer,
     /// Issue cycle of the access the core is blocked on.
@@ -251,8 +256,9 @@ impl Core {
             page_table,
             l1: L1Cache::new(cfg.l1),
             next_req_id: 0,
-            desc_inflight: HashMap::new(),
-            mmio_inflight: HashMap::new(),
+            desc_inflight: FxHashMap::default(),
+            mmio_inflight: FxHashMap::default(),
+            mmio_wait: None,
             stats: CpuStats::default(),
             tracer: Tracer::disabled(),
             stall_begin: Cycle::ZERO,
@@ -347,6 +353,13 @@ impl Core {
     /// Flushes the TLB entry for one page (OS shootdown).
     pub fn tlb_shootdown(&mut self, vpn: VirtPage) {
         self.tlb.shootdown(vpn);
+    }
+
+    /// The core's TLB: its hit/miss counters and LRU state are part of
+    /// what steppers must reproduce bit for bit.
+    #[must_use]
+    pub fn tlb(&self) -> &Tlb {
+        &self.tlb
     }
 
     /// MMIO stores issued but not yet acknowledged (hang diagnostics).
@@ -455,6 +468,7 @@ impl Core {
         mut desc: Option<&mut DescQueues>,
         fence: Option<Cycle>,
     ) {
+        self.mmio_wait = None;
         // 1. Retire arrived memory responses.
         while let Some(resp) = self.l1.pop_core_resp(now) {
             if let Some(ticket) = self.desc_inflight.remove(&resp.id) {
@@ -678,9 +692,12 @@ impl Core {
                             // Store buffer full of unacked MMIO stores —
                             // this is how MAPLE's queue-full backpressure
                             // reaches the pipeline. Each retried cycle is
-                            // an MMIO-attributed stall.
+                            // an MMIO-attributed stall. Only an ack (an L1
+                            // response) or a hub command can change the
+                            // outcome, so the core waits for one.
                             self.stats.stall.add(StallCause::Mmio, 1);
                             self.next_ready = now.plus(1);
+                            self.mmio_wait = Some(va.page());
                             return;
                         }
                         let id = self.fresh_id();
@@ -878,22 +895,28 @@ impl Core {
     /// [`CoreState::Faulted`] reports no event of its own — the response
     /// or the OS fault service that unblocks it is tracked by another
     /// component's horizon — but accrues per-cycle stall counters, which
-    /// [`Core::skip`] catches up in bulk over skipped gaps.
+    /// [`Core::skip`] catches up in bulk over skipped gaps. So does a
+    /// core whose MMIO store found the store buffer full of unacked MMIO
+    /// stores: its retry can only succeed once an ack retires, and the
+    /// ack arrives as an L1 response, which is an L1 term.
     #[must_use]
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let mut h = maple_sim::Horizon::IDLE;
         h.observe(self.l1.next_event(now));
-        if self.state == CoreState::Running {
+        if self.state == CoreState::Running && self.mmio_wait.is_none() {
             h.at(self.next_ready.max(now));
         }
         h.earliest()
     }
 
-    /// Catches per-cycle stall accounting up across `cycles` skipped
-    /// (quiescent) cycles, exactly as the dense loop would have accrued it
-    /// one [`Core::tick`] at a time. The core's state cannot change inside
-    /// a skipped gap — anything that would change it is an event that
-    /// bounds the gap — so the per-cycle increment is constant across it.
+    /// Catches per-cycle accounting up across `cycles` cycles the core was
+    /// not ticked, exactly as the dense loop would have accrued it one
+    /// [`Core::tick`] at a time. The core's state cannot change inside
+    /// such a gap — anything that would change it is an event, a delivery
+    /// or a hub command, and each ends the gap — so the per-cycle
+    /// increment is constant across it. A core waiting on a full MMIO
+    /// store buffer would have retried its store every cycle: one
+    /// interpreted tick, one MMIO stall cycle and one TLB hit each.
     pub fn skip(&mut self, cycles: u64) {
         match self.state {
             CoreState::WaitingMem => self.stats.mem_stall_cycles.add(cycles),
@@ -901,7 +924,14 @@ impl Core {
                 self.stats.fault_stall_cycles.add(cycles);
                 self.stats.stall.add(StallCause::FaultRecovery, cycles);
             }
-            CoreState::Running | CoreState::Halted => {}
+            CoreState::Running => {
+                if let Some(page) = self.mmio_wait {
+                    self.stats.interpreted_ticks.add(cycles);
+                    self.stats.stall.add(StallCause::Mmio, cycles);
+                    self.tlb.lookup_n(page, cycles);
+                }
+            }
+            CoreState::Halted => {}
         }
     }
 

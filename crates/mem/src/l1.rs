@@ -5,8 +5,9 @@
 //! handful of MSHRs for outstanding line fills. MMIO accesses (the MAPLE
 //! API) pass through uncached, as do volatile loads and atomics.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
+use maple_sim::hash::FxHashMap;
 use maple_sim::link::DelayQueue;
 use maple_sim::stats::{Counter, Histogram};
 use maple_sim::Cycle;
@@ -178,9 +179,9 @@ pub struct L1Cache {
     cfg: L1Config,
     tags: CacheArray,
     next_txid: u64,
-    inflight: HashMap<u64, Origin>,
+    inflight: FxHashMap<u64, Origin>,
     /// Demand fills in flight, by line base, for merging.
-    fills_by_line: HashMap<PAddr, u64>,
+    fills_by_line: FxHashMap<PAddr, u64>,
     store_buffer: VecDeque<MemReq>,
     out: VecDeque<MemReq>,
     core_resp: DelayQueue<CoreResp>,
@@ -195,8 +196,8 @@ impl L1Cache {
             cfg,
             tags: CacheArray::new(CacheGeometry::new(cfg.size_bytes, cfg.ways)),
             next_txid: 0,
-            inflight: HashMap::new(),
-            fills_by_line: HashMap::new(),
+            inflight: FxHashMap::default(),
+            fills_by_line: FxHashMap::default(),
             store_buffer: VecDeque::new(),
             out: VecDeque::new(),
             core_resp: DelayQueue::new(),

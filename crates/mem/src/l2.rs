@@ -8,9 +8,8 @@
 //! (`PrefetchLine`) install lines without generating responses — the two
 //! paths Section 3.6 of the paper describes.
 
-use std::collections::HashMap;
-
 use maple_noc::Coord;
+use maple_sim::hash::FxHashMap;
 use maple_sim::link::DelayQueue;
 use maple_sim::stats::Counter;
 use maple_sim::Cycle;
@@ -93,7 +92,7 @@ pub struct SharedL2 {
     tags: CacheArray,
     stage: DelayQueue<MemReq>,
     dram: Dram<DramToken>,
-    line_mshrs: HashMap<PAddr, Vec<MemReq>>,
+    line_mshrs: FxHashMap<PAddr, Vec<MemReq>>,
     out: Vec<OutboundResp>,
     stats: L2Stats,
 }
@@ -107,7 +106,7 @@ impl SharedL2 {
             tags: CacheArray::new(CacheGeometry::new(cfg.size_bytes, cfg.ways)),
             stage: DelayQueue::new(),
             dram: Dram::new(dram_cfg),
-            line_mshrs: HashMap::new(),
+            line_mshrs: FxHashMap::default(),
             out: Vec::new(),
             stats: L2Stats::default(),
         }

@@ -10,7 +10,7 @@
 //! regardless of how the simulation itself is partitioned across host
 //! threads (cores only ever *read* `PhysMem` while they tick).
 
-use std::collections::HashMap;
+use maple_sim::hash::FxHashMap;
 
 /// Size of a physical page in bytes (4 KiB, as on the paper's RISC-V SoC).
 pub const PAGE_SIZE: u64 = 4096;
@@ -99,7 +99,7 @@ pub enum AmoKind {
 /// ```
 #[derive(Debug, Default)]
 pub struct PhysMem {
-    pages: HashMap<u64, Box<[u8]>>,
+    pages: FxHashMap<u64, Box<[u8]>>,
 }
 
 impl PhysMem {
@@ -107,7 +107,7 @@ impl PhysMem {
     #[must_use]
     pub fn new() -> Self {
         PhysMem {
-            pages: HashMap::new(),
+            pages: FxHashMap::default(),
         }
     }
 
@@ -140,18 +140,33 @@ impl PhysMem {
         self.page_mut(addr.frame())[off] = value;
     }
 
-    /// Reads `len` bytes (may straddle pages) into a vector.
+    /// Reads `len` bytes (may straddle pages) into a vector, one page
+    /// lookup per page touched.
     #[must_use]
     pub fn read_bytes(&self, addr: PAddr, len: usize) -> Vec<u8> {
-        (0..len as u64)
-            .map(|i| self.read_u8(addr.offset(i)))
-            .collect()
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            let at = addr.offset(out.len() as u64);
+            let off = at.page_offset() as usize;
+            let n = (PAGE_SIZE as usize - off).min(len - out.len());
+            match self.page(at.frame()) {
+                Some(p) => out.extend_from_slice(&p[off..off + n]),
+                None => out.resize(out.len() + n, 0),
+            }
+        }
+        out
     }
 
-    /// Writes a byte slice (may straddle pages).
+    /// Writes a byte slice (may straddle pages), one page lookup per page
+    /// touched.
     pub fn write_bytes(&mut self, addr: PAddr, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(addr.offset(i as u64), b);
+        let mut done = 0;
+        while done < bytes.len() {
+            let at = addr.offset(done as u64);
+            let off = at.page_offset() as usize;
+            let n = (PAGE_SIZE as usize - off).min(bytes.len() - done);
+            self.page_mut(at.frame())[off..off + n].copy_from_slice(&bytes[done..done + n]);
+            done += n;
         }
     }
 

@@ -20,6 +20,7 @@
 //!   and fast-forwards the clock across provably-quiescent gaps.
 //! - [`worklist::Worklist`]: the index set activity-driven loops visit in
 //!   ascending order, so per-cycle cost tracks work, not component count.
+//! - [`hash::FxHashMap`]: the fast deterministic hasher for hot-path maps.
 //!
 //! # Example
 //!
@@ -35,6 +36,7 @@
 #![deny(missing_docs)]
 
 pub mod fault;
+pub mod hash;
 pub mod link;
 pub mod rng;
 pub mod stats;

@@ -51,6 +51,7 @@ pub mod os;
 mod partition;
 pub mod runtime;
 pub mod system;
+mod wake;
 
 pub use config::{ClusterConfig, SocConfig};
 pub use system::{ChaosStats, System};

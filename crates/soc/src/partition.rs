@@ -11,9 +11,10 @@
 //!    stamps via [`BoundaryChannel`]), due page-fault services complete,
 //!    and the chaos plane turns injections into [`Command`]s.
 //! 2. **partition** ([`phase2`], parallel): each partition applies its
-//!    inbox, ticks its cores and engines against a read-only view of
-//!    physical memory (stores are staged in [`WriteStage`]s), collects
-//!    egress and reports into its [`PartitionOut`].
+//!    inbox, ticks the cores and engines that are due (see
+//!    [`WakeSet`]) against a read-only view of physical memory (stores
+//!    are staged in a [`WriteStage`]), collects their egress and reports
+//!    into its [`PartitionOut`].
 //! 3. **hub-post**: the hub replays every partition's egress in global
 //!    component order, applies staged stores, ticks L2/DROPLET/mesh and
 //!    advances time.
@@ -36,6 +37,7 @@ use maple_sim::{Cycle, Horizon};
 use maple_vm::{VAddr, VirtPage};
 
 use crate::system::OCCUPANCY_SAMPLE_PERIOD;
+use crate::wake::WakeSet;
 
 /// A flit crossing the cut toward an engine tile.
 #[derive(Debug, Clone, Copy)]
@@ -47,7 +49,8 @@ pub(crate) enum EngineMsg {
 }
 
 /// A hub decision applied inside the owning partition, in hub order,
-/// before the cycle's ticks. Component indices are partition-local.
+/// before the cycle's ticks; it wakes the components it targets.
+/// Component indices are partition-local.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Command {
     /// A core page-fault service completed (`ok` = page mapped).
@@ -101,12 +104,14 @@ pub(crate) struct Inbox {
     pub fence: Option<Cycle>,
 }
 
-/// Everything a partition hands back to the hub after one cycle.
+/// Everything a partition hands back to the hub after one cycle. Only
+/// the components that ticked contribute, in ascending local order.
 #[derive(Debug, Default)]
 pub(crate) struct PartitionOut {
-    /// Staged plain stores, one stage per local core, applied by the hub
-    /// in global core order before the L2 tick.
-    pub stages: Vec<WriteStage>,
+    /// Plain stores the cores staged, in tick order (cores ascending),
+    /// which is global core order once the hub applies the partitions'
+    /// stages in turn, before the L2 tick.
+    pub stage: WriteStage,
     /// Outbound memory/MMIO requests per local core, in pop order.
     pub core_reqs: Vec<(usize, MemReq)>,
     /// Outbound fetch/prefetch requests per local engine, in pop order.
@@ -120,21 +125,21 @@ pub(crate) struct PartitionOut {
     pub engine_fault_dispatch: Vec<(usize, VAddr)>,
     /// Local cores halted as of this cycle's end.
     pub halted: usize,
-    /// Per-local-engine poisoned flags as of this cycle's end (the hub's
-    /// chaos scan reads these mirrors next cycle, preserving the
-    /// one-cycle lag of the sequential stepper).
-    pub poisoned: Vec<bool>,
-    /// Earliest future cycle any local component could act on, when the
-    /// partition was asked to report one ([`Partition::report_horizon`]).
+    /// Poisoned flag of each local engine that ticked, as of this
+    /// cycle's end (the hub's chaos scan reads its mirror next cycle,
+    /// preserving the one-cycle lag of the sequential stepper; only a
+    /// tick changes the flag).
+    pub poisoned: Vec<(usize, bool)>,
+    /// Earliest future cycle any local component is due; `None` in the
+    /// dense reference, or when every local component waits for a
+    /// delivery or a command.
     pub horizon: Option<Cycle>,
 }
 
 impl PartitionOut {
-    /// Clears the per-cycle collections (stage capacity is preserved).
+    /// Clears the per-cycle collections (capacity is preserved).
     fn reset(&mut self) {
-        for s in &mut self.stages {
-            debug_assert!(s.is_empty(), "hub must apply stages every cycle");
-        }
+        debug_assert!(self.stage.is_empty(), "hub must apply the stage every cycle");
         self.core_reqs.clear();
         self.engine_reqs.clear();
         self.engine_resps.clear();
@@ -147,7 +152,8 @@ impl PartitionOut {
 }
 
 /// One spatial partition: a contiguous span of cores and engines plus
-/// the per-component state only they touch.
+/// the per-component state only they touch, including the wake sets that
+/// decide which of them tick each cycle.
 #[derive(Debug)]
 pub(crate) struct Partition {
     pub cores: Vec<Core>,
@@ -162,24 +168,20 @@ pub(crate) struct Partition {
     pub engine_fault_in_service: Vec<bool>,
     /// Per-local-engine, per-queue occupancy histograms.
     pub occupancy: Vec<Vec<Histogram>>,
-    /// Whether phase 2 should compute a local event horizon (the
-    /// skipping and partitioned steppers want one; the dense reference
-    /// does not pay for it).
-    pub report_horizon: bool,
+    pub core_wake: WakeSet,
+    pub engine_wake: WakeSet,
+    /// Local cores halted so far (only a tick halts a core).
+    pub halted: usize,
     pub inbox: Inbox,
     pub out: PartitionOut,
 }
 
 impl Partition {
-    /// Bulk-applies `n` skipped quiescent cycles to every local
-    /// component (mirror of the hub's `skip_to` accounting).
-    pub fn skip(&mut self, n: u64) {
-        for core in &mut self.cores {
-            core.skip(n);
-        }
-        for engine in &mut self.engines {
-            engine.skip(n);
-        }
+    /// Brings every local component's accounting up to `now` (the end of
+    /// a run, before the components return to the hub).
+    pub fn flush(&mut self, now: Cycle) {
+        self.core_wake.flush(now, |i, n| self.cores[i].skip(n));
+        self.engine_wake.flush(now, |e, n| self.engines[e].skip(n));
     }
 }
 
@@ -305,17 +307,21 @@ fn cuts_desc_pair(b: usize, desc_pair: &[Option<usize>]) -> bool {
 }
 
 /// Phase 2 of one simulated cycle, run inside the owning worker with a
-/// read-only view of physical memory. The order mirrors the sequential
-/// stepper exactly: deliveries, hub commands, core ticks, engine ticks,
-/// egress collection, occupancy sampling, report.
+/// read-only view of physical memory: deliveries, hub commands, then the
+/// due cores and the due engines, each ticked in ascending order with its
+/// egress and faults collected as it ticks, occupancy sampling, report.
+/// The order of everything the hub observes is the order of a loop over
+/// every component, which is what the dense reference runs.
 pub(crate) fn phase2(p: &mut Partition, now: Cycle, mem: &PhysMem) {
     p.out.reset();
 
     // 1. Apply cut-link deliveries in hub (mesh) order.
     for (i, resp) in p.inbox.core_resps.import_ready(now) {
+        p.core_wake.wake(i, now, |n| p.cores[i].skip(n));
         p.cores[i].on_mem_resp(now, resp, mem);
     }
     for (e, msg) in p.inbox.engine_msgs.import_ready(now) {
+        p.engine_wake.wake(e, now, |n| p.engines[e].skip(n));
         match msg {
             EngineMsg::Req(req) => p.engines[e].accept(now, req),
             EngineMsg::Resp(resp) => p.engines[e].on_mem_resp(now, resp, mem),
@@ -326,6 +332,7 @@ pub(crate) fn phase2(p: &mut Partition, now: Cycle, mem: &PhysMem) {
     for cmd in std::mem::take(&mut p.inbox.commands) {
         match cmd {
             Command::CoreFaultServiced { core, ok } => {
+                p.core_wake.wake(core, now, |n| p.cores[core].skip(n));
                 if p.cores[core].state() == CoreState::Faulted {
                     if ok {
                         p.cores[core].resume_from_fault(now, 1);
@@ -338,6 +345,7 @@ pub(crate) fn phase2(p: &mut Partition, now: Cycle, mem: &PhysMem) {
                 }
             }
             Command::EngineFaultServiced { engine, ok } => {
+                p.engine_wake.wake(engine, now, |n| p.engines[engine].skip(n));
                 if p.engines[engine].fault().is_some() {
                     if ok {
                         p.engines[engine].resolve_fault();
@@ -349,59 +357,81 @@ pub(crate) fn phase2(p: &mut Partition, now: Cycle, mem: &PhysMem) {
                     p.engine_fault_in_service[engine] = false;
                 }
             }
-            Command::EngineReset { engine } => p.engines[engine].reset(),
+            Command::EngineReset { engine } => {
+                p.engine_wake.wake(engine, now, |n| p.engines[engine].skip(n));
+                p.engines[engine].reset();
+            }
             Command::Shootdown { vpn } => {
-                for core in &mut p.cores {
-                    core.tlb_shootdown(vpn);
+                for i in 0..p.cores.len() {
+                    p.core_wake.wake(i, now, |n| p.cores[i].skip(n));
+                    p.cores[i].tlb_shootdown(vpn);
                 }
-                for engine in &mut p.engines {
-                    engine.tlb_shootdown(vpn);
+                for e in 0..p.engines.len() {
+                    p.engine_wake.wake(e, now, |n| p.engines[e].skip(n));
+                    p.engines[e].tlb_shootdown(vpn);
                 }
             }
-            Command::NoteFaultRetry { core } => p.cores[core].note_fault_retry(),
+            Command::NoteFaultRetry { core } => {
+                p.core_wake.wake(core, now, |n| p.cores[core].skip(n));
+                p.cores[core].note_fault_retry();
+            }
         }
     }
 
-    // 3. Tick cores (plain stores staged, not written), then engines.
-    for i in 0..p.cores.len() {
+    // 3. Tick the due cores (plain stores staged, not written). A core
+    //    faults or halts only in its own tick, so only ticked cores need
+    //    checking.
+    p.core_wake.collect(now);
+    for k in 0..p.core_wake.due_now().len() {
+        let i = p.core_wake.due_now()[k];
+        p.core_wake.wake(i, now, |n| p.cores[i].skip(n));
         let dq = match p.desc_pair[i] {
-            Some(k) => Some(&mut p.desc_queues[k]),
+            Some(q) => Some(&mut p.desc_queues[q]),
             None => None,
         };
-        p.cores[i].tick(now, mem, &mut p.out.stages[i], dq, p.inbox.fence);
-        if p.cores[i].state() == CoreState::Faulted && !p.faults_in_service[i] {
+        let core = &mut p.cores[i];
+        let was_halted = core.is_halted();
+        core.tick(now, mem, &mut p.out.stage, dq, p.inbox.fence);
+        if core.is_halted() && !was_halted {
+            p.halted += 1;
+        }
+        if core.state() == CoreState::Faulted && !p.faults_in_service[i] {
             p.faults_in_service[i] = true;
-            let vaddr = p.cores[i].fault().expect("Faulted implies a fault").vaddr;
+            let vaddr = core.fault().expect("Faulted implies a fault").vaddr;
             p.out.core_fault_dispatch.push((i, vaddr));
         }
+        while let Some(req) = core.pop_mem_request() {
+            p.out.core_reqs.push((i, req));
+        }
+        p.core_wake.settle(i, now, || core.next_event(now.plus(1)));
     }
-    for e in 0..p.engines.len() {
-        p.engines[e].tick(now, mem);
+
+    // 4. Tick the due engines; per engine, requests precede responses.
+    p.engine_wake.collect(now);
+    for k in 0..p.engine_wake.due_now().len() {
+        let e = p.engine_wake.due_now()[k];
+        p.engine_wake.wake(e, now, |n| p.engines[e].skip(n));
+        let engine = &mut p.engines[e];
+        engine.tick(now, mem);
         if !p.engine_fault_in_service[e] {
-            if let Some(fault) = p.engines[e].fault() {
+            if let Some(fault) = engine.fault() {
                 p.engine_fault_in_service[e] = true;
                 p.out.engine_fault_dispatch.push((e, fault.vaddr));
             }
         }
-    }
-
-    // 4. Collect egress for the hub to replay in global order.
-    for i in 0..p.cores.len() {
-        while let Some(req) = p.cores[i].pop_mem_request() {
-            p.out.core_reqs.push((i, req));
-        }
-    }
-    for e in 0..p.engines.len() {
-        while let Some(req) = p.engines[e].pop_mem_request() {
+        while let Some(req) = engine.pop_mem_request() {
             p.out.engine_reqs.push((e, req));
         }
-        while let Some(out) = p.engines[e].pop_response(now) {
+        while let Some(out) = engine.pop_response(now) {
             p.out.engine_resps.push((e, out));
         }
+        p.out.poisoned.push((e, engine.is_poisoned()));
+        p.engine_wake.settle(e, now, || engine.next_event(now.plus(1)));
     }
 
     // 5. Occupancy sampling (hub-scheduled cycles; nothing after this
-    //    point in the cycle touches engine data queues).
+    //    point in the cycle touches engine data queues, and a sleeping
+    //    engine's queues do not change).
     if now.0.is_multiple_of(OCCUPANCY_SAMPLE_PERIOD) {
         for (e, hists) in p.occupancy.iter_mut().enumerate() {
             for (q, h) in hists.iter_mut().enumerate() {
@@ -411,31 +441,11 @@ pub(crate) fn phase2(p: &mut Partition, now: Cycle, mem: &PhysMem) {
     }
 
     // 6. Report.
-    p.out.halted = p.cores.iter().filter(|c| c.is_halted()).count();
-    p.out.poisoned.extend(p.engines.iter().map(Engine::is_poisoned));
-    if p.report_horizon {
-        p.out.horizon = local_horizon(p, now.plus(1));
-    }
-}
-
-/// Earliest cycle at or after `next` any local component could act on.
-/// Mirrors the component terms of the sequential horizon, with the same
-/// early bail: a core ready to issue immediately pins the answer.
-fn local_horizon(p: &Partition, next: Cycle) -> Option<Cycle> {
+    p.out.halted = p.halted;
     let mut h = Horizon::IDLE;
-    for core in &p.cores {
-        h.observe(core.next_event(next));
-        if h.earliest() == Some(next) {
-            return Some(next);
-        }
-    }
-    for engine in &p.engines {
-        h.observe(engine.next_event(next));
-        if h.earliest() == Some(next) {
-            return Some(next);
-        }
-    }
-    h.earliest()
+    h.observe(p.core_wake.horizon());
+    h.observe(p.engine_wake.horizon());
+    p.out.horizon = h.earliest();
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ use maple_isa::{Program, Reg};
 use maple_fleet::Crew;
 use maple_mem::l2::SharedL2;
 use maple_mem::msg::{MemReq, MemResp};
-use maple_mem::phys::{PAddr, PhysMem, WriteStage, PAGE_SIZE};
+use maple_mem::phys::{PAddr, PhysMem, PAGE_SIZE};
 use maple_noc::{Coord, Fabric, MeshConfig, NocFault, XbarFault};
 use maple_sim::fault::{CoreHang, EngineHang, HangDiagnosis, WatchdogConfig};
 use maple_sim::link::DelayQueue;
@@ -36,6 +36,7 @@ use maple_vm::{VAddr, VirtPage};
 use crate::config::{SocConfig, TileLayout, MAPLE_PA_BASE};
 use crate::os::AddressSpace;
 use crate::partition::{phase2, Command, EngineMsg, Inbox, Partition, PartitionOut, SplitPlan};
+use crate::wake::WakeSet;
 
 /// Messages carried by the NoC.
 ///
@@ -173,6 +174,11 @@ pub struct System {
     /// hold exactly one, and every aggregate over one bank is the
     /// historical value unchanged.
     l2: Vec<SharedL2>,
+    /// Which L2 banks tick each cycle (rebuilt at the start of every
+    /// run). A bank is due on its own `next_event` and no later than the
+    /// next event of a request it accepts; banks keep no per-cycle
+    /// counters, so there is nothing to account while one sleeps.
+    bank_wake: WakeSet,
     droplet: Option<DropletPrefetcher>,
     desc_queues: Vec<DescQueues>,
     desc_pair: Vec<Option<usize>>,
@@ -322,6 +328,7 @@ impl System {
             mesh,
             cores: Vec::new(),
             engines,
+            bank_wake: WakeSet::new(l2.len(), Cycle::ZERO, false),
             l2,
             droplet,
             desc_queues: Vec::new(),
@@ -405,28 +412,58 @@ impl System {
         self.mem.read_u32(pa)
     }
 
+    /// Host write of `bytes` starting at `va`: one translation (and lazy
+    /// map on first touch) per virtual page, one copy per in-page chunk.
+    fn write_bytes(&mut self, va: VAddr, bytes: &[u8]) {
+        let mut done = 0;
+        while done < bytes.len() {
+            let at = va.offset(done as u64);
+            let n = ((PAGE_SIZE - at.page_offset()) as usize).min(bytes.len() - done);
+            let pa = self.host_paddr(at);
+            self.mem.write_bytes(pa, &bytes[done..done + n]);
+            done += n;
+        }
+    }
+
+    /// Host read of `len` bytes starting at `va`, page by page like
+    /// [`System::write_bytes`].
+    fn read_bytes(&mut self, va: VAddr, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            let at = va.offset(out.len() as u64);
+            let n = ((PAGE_SIZE - at.page_offset()) as usize).min(len - out.len());
+            let pa = self.host_paddr(at);
+            out.extend(self.mem.read_bytes(pa, n));
+        }
+        out
+    }
+
     /// Host write of a `u32` slice starting at `va`.
     pub fn write_slice_u32(&mut self, va: VAddr, data: &[u32]) {
-        for (i, &v) in data.iter().enumerate() {
-            self.write_u32(va.offset(i as u64 * 4), v);
-        }
+        let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
+        self.write_bytes(va, &bytes);
     }
 
     /// Host write of a `u64` slice starting at `va`.
     pub fn write_slice_u64(&mut self, va: VAddr, data: &[u64]) {
-        for (i, &v) in data.iter().enumerate() {
-            self.write_u64(va.offset(i as u64 * 8), v);
-        }
+        let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
+        self.write_bytes(va, &bytes);
     }
 
     /// Host read of `n` `u32`s starting at `va`.
     pub fn read_slice_u32(&mut self, va: VAddr, n: usize) -> Vec<u32> {
-        (0..n).map(|i| self.read_u32(va.offset(i as u64 * 4))).collect()
+        self.read_bytes(va, n * 4)
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().expect("4-byte chunk")))
+            .collect()
     }
 
     /// Host read of `n` `u64`s starting at `va`.
     pub fn read_slice_u64(&mut self, va: VAddr, n: usize) -> Vec<u64> {
-        (0..n).map(|i| self.read_u64(va.offset(i as u64 * 8))).collect()
+        self.read_bytes(va, n * 8)
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+            .collect()
     }
 
     // --- device and thread management ------------------------------------
@@ -914,6 +951,7 @@ impl System {
                             d.observe(now, &req);
                         }
                         self.l2[b].accept(now, req);
+                        self.bank_wake.wake_by(b, || self.l2[b].next_event(now));
                     }
                     (Sink::Bank(_), NocPayload::Resp(_)) => {
                         unreachable!("response delivered to L2 tile")
@@ -1010,9 +1048,7 @@ impl System {
         //     write order the tick loop produced when stores were live,
         //     and before the L2 tick so volatile/AMO servicing sees them.
         for out in outs.iter_mut() {
-            for stage in &mut out.stages {
-                stage.apply(mem);
-            }
+            out.stage.apply(mem);
         }
 
         // 3b. Replay egress in global component order (cores ascending,
@@ -1062,10 +1098,13 @@ impl System {
             }
         }
 
-        // 3d. Tick every L2 bank and DROPLET, and collect L2 egress in
-        //     bank order (one bank replays the historical sequence).
-        for bank in &mut self.l2 {
-            bank.tick(now, mem);
+        // 3d. Tick the due L2 banks and DROPLET, and collect L2 egress in
+        //     bank order (one bank replays the historical sequence). Only
+        //     a tick fills a bank's outbound queue, so only ticked banks
+        //     have egress.
+        self.bank_wake.collect(now);
+        for &b in self.bank_wake.due_now() {
+            self.l2[b].tick(now, mem);
         }
         let banks = self.l2.len() as u64;
         if let Some(d) = &mut self.droplet {
@@ -1076,13 +1115,16 @@ impl System {
                     ((req.addr.0 / maple_mem::LINE_SIZE) % banks) as usize
                 };
                 self.l2[b].accept(now, req);
+                self.bank_wake.wake_by(b, || self.l2[b].next_event(now.plus(1)));
             }
         }
-        for b in 0..self.l2.len() {
+        for k in 0..self.bank_wake.due_now().len() {
+            let b = self.bank_wake.due_now()[k];
             let tile = self.layout.l2_tiles[b];
             while let Some(out) = self.l2[b].pop_outgoing() {
                 self.send_resp(tile, out);
             }
+            self.bank_wake.settle(b, now, || self.l2[b].next_event(now.plus(1)));
         }
 
         // 3e. Inject due messages, preserving per-tile order under
@@ -1096,7 +1138,7 @@ impl System {
         for (p, out) in outs.iter().enumerate() {
             halted += out.halted;
             let base = plan.engine_starts[p];
-            for (local, &poisoned) in out.poisoned.iter().enumerate() {
+            for &(local, poisoned) in &out.poisoned {
                 self.poisoned_mirror[base + local] = poisoned;
             }
         }
@@ -1187,13 +1229,14 @@ impl System {
     /// budget remains.
     ///
     /// Partition components (cores, engines) contributed their terms in
-    /// phase 2 — each [`PartitionOut::horizon`] is the local minimum over
-    /// ready-to-issue cores, engine pipeline heads, decode/respond queues
-    /// and fetch watchdogs. The hub folds in everything it owns; anything
-    /// omitted here would let a stepper skip over an observable mutation
-    /// and diverge from the dense reference:
+    /// phase 2 — each [`PartitionOut::horizon`] is the minimum due cycle
+    /// of the partition's wake sets, and the L2 banks' due cycles live in
+    /// the hub's bank wake set. The hub folds in everything else it owns;
+    /// anything omitted here would let a stepper skip over an observable
+    /// mutation and diverge from the dense reference:
     ///
-    /// - the shared L2 and DRAM (staged requests, completions),
+    /// - the shared L2 and DRAM (staged requests, completions), through
+    ///   the banks' due cycles,
     /// - DROPLET decode deadlines,
     /// - the mesh (pinned to `now` while any packet is in flight),
     /// - per-tile uncore egress queues and backpressured retries,
@@ -1215,9 +1258,7 @@ impl System {
         if h.earliest() == Some(now) {
             return Some(now);
         }
-        for bank in &self.l2 {
-            h.observe(bank.next_event(now));
-        }
+        h.observe(self.bank_wake.horizon());
         if let Some(d) = &self.droplet {
             h.observe(d.next_event(now));
         }
@@ -1247,12 +1288,13 @@ impl System {
     }
 
     /// Splits the loaded components into `n` contiguous partitions,
-    /// draining the per-component vectors out of `self`. The hub keeps
-    /// everything else. [`System::reassemble`] is the exact inverse;
-    /// every run loop brackets its cycle loop with this pair so that the
-    /// inspection surface (statistics, traces, hang diagnosis) always
-    /// sees the components back in their global order.
-    fn split(&mut self, n: usize, report_horizon: bool) -> (SplitPlan, Vec<Partition>) {
+    /// draining the per-component vectors out of `self`, and starts the
+    /// run's wake sets (`dense`: every component due every cycle). The
+    /// hub keeps everything else. [`System::reassemble`] is the exact
+    /// inverse; every run loop brackets its cycle loop with this pair so
+    /// that the inspection surface (statistics, traces, hang diagnosis)
+    /// always sees the components back in their global order.
+    fn split(&mut self, n: usize, dense: bool) -> (SplitPlan, Vec<Partition>) {
         let plan = match self.cfg.fabric_topology() {
             Some(topo) => {
                 // Partition boundaries snap to cluster boundaries so a
@@ -1291,6 +1333,7 @@ impl System {
             .into_iter()
             .map(Some)
             .collect();
+        self.bank_wake = WakeSet::new(self.l2.len(), self.now, dense);
         let mut parts = Vec::with_capacity(n);
         for p in 0..plan.partitions() {
             let nc = plan.core_starts[p + 1] - plan.core_starts[p];
@@ -1310,8 +1353,10 @@ impl System {
                     })
                 }));
             }
+            let cores: Vec<Core> = cores.by_ref().take(nc).collect();
             parts.push(Partition {
-                cores: cores.by_ref().take(nc).collect(),
+                halted: cores.iter().filter(|c| c.is_halted()).count(),
+                cores,
                 engines: engines.by_ref().take(ne).collect(),
                 desc_queues,
                 desc_global,
@@ -1319,24 +1364,24 @@ impl System {
                 faults_in_service: faults.by_ref().take(nc).collect(),
                 engine_fault_in_service: engine_faults.by_ref().take(ne).collect(),
                 occupancy: occupancy.by_ref().take(ne).collect(),
-                report_horizon,
+                core_wake: WakeSet::new(nc, self.now, dense),
+                engine_wake: WakeSet::new(ne, self.now, dense),
                 inbox: Inbox::default(),
-                out: PartitionOut {
-                    stages: (0..nc).map(|_| WriteStage::new()).collect(),
-                    ..PartitionOut::default()
-                },
+                out: PartitionOut::default(),
             });
         }
         (plan, parts)
     }
 
-    /// Moves every component back into the hub vectors in global order
-    /// (partition spans are contiguous, so partition order *is* global
-    /// order) and restores the DeSC queues to their global indices.
+    /// Brings every component's accounting up to `now`, then moves it
+    /// back into the hub vectors in global order (partition spans are
+    /// contiguous, so partition order *is* global order) and restores the
+    /// DeSC queues to their global indices.
     fn reassemble(&mut self, parts: Vec<Partition>) {
         let n_queues = self.desc_pair.iter().flatten().max().map_or(0, |&m| m + 1);
         let mut queues: Vec<Option<DescQueues>> = (0..n_queues).map(|_| None).collect();
-        for part in parts {
+        for mut part in parts {
+            part.flush(self.now);
             self.cores.extend(part.cores);
             self.engines.extend(part.engines);
             self.faults_in_service.extend(part.faults_in_service);
@@ -1357,13 +1402,7 @@ impl System {
     /// own pair each cycle so neither side ever reallocates.
     fn fresh_io(parts: &[Partition]) -> (Vec<Inbox>, Vec<PartitionOut>) {
         let inboxes = parts.iter().map(|_| Inbox::default()).collect();
-        let outs = parts
-            .iter()
-            .map(|p| PartitionOut {
-                stages: (0..p.cores.len()).map(|_| WriteStage::new()).collect(),
-                ..PartitionOut::default()
-            })
-            .collect();
+        let outs = parts.iter().map(|_| PartitionOut::default()).collect();
         (inboxes, outs)
     }
 
@@ -1380,14 +1419,15 @@ impl System {
 
     /// The single-threaded run loop: both the skipping stepper (the
     /// default) and the dense reference are this function, differing only
-    /// in whether quiescent gaps are skipped. It runs the same three
-    /// phases as [`System::partitioned_run`] over a one-partition split,
-    /// so all steppers are bit-identical by shared code.
+    /// in whether components sleep until due and quiescent gaps are
+    /// skipped, or every component ticks every cycle. It runs the same
+    /// three phases as [`System::partitioned_run`] over a one-partition
+    /// split, so all steppers are bit-identical by shared code.
     fn sequential_run(&mut self, max_cycles: u64, skipping: bool) -> RunOutcome {
         assert!(!self.cores.is_empty(), "load programs before running");
         let total = self.cores.len();
         let mut mem = std::mem::take(&mut self.mem);
-        let (plan, mut parts) = self.split(1, skipping);
+        let (plan, mut parts) = self.split(1, !skipping);
         let (mut hub_in, mut hub_out) = Self::fresh_io(&parts);
         let verdict = loop {
             if self.now.0 >= max_cycles {
@@ -1408,19 +1448,17 @@ impl System {
                 break Verdict::Retired;
             }
             // A non-quiescent mesh pins the horizon at `now` (packets move
-            // every cycle), so the full component scan below could only
-            // confirm there is nothing to skip — don't pay for it.
+            // every cycle), so the hub scans below could only confirm
+            // there is nothing to skip — don't pay for them. Skipping
+            // moves time only: sleeping components catch their
+            // accounting up when next touched.
             if skipping && self.mesh.is_quiescent() {
                 let target = self
                     .hub_horizon(&hub_out)
                     .map_or(max_cycles, |h| h.0)
                     .min(max_cycles);
                 if target > self.now.0 {
-                    let delta = target - self.now.0;
-                    for part in &mut parts {
-                        part.skip(delta);
-                    }
-                    self.mesh.skip(delta);
+                    self.mesh.skip(target - self.now.0);
                     self.now = Cycle(target);
                 }
             }
@@ -1433,10 +1471,12 @@ impl System {
     /// Runs until every loaded core halts or `max_cycles` elapse, skipping
     /// quiescent gaps: after each stepped cycle the run loop computes the
     /// event horizon (`min` of every component's `next_event`) and
-    /// advances time straight to it. Produces bit-identical cycle counts,
-    /// statistics, traces and occupancy samples to [`System::dense_run`] —
-    /// the skipped cycles are exactly those on which the dense loop would
-    /// only have performed the bulk-applied accounting of `Partition::skip`.
+    /// advances time straight to it; within stepped cycles, only the
+    /// cores, engines and L2 banks that are due tick. Produces
+    /// bit-identical cycle counts, statistics, traces and occupancy
+    /// samples to [`System::dense_run`] — a component's untouched cycles
+    /// are exactly those on which the dense loop would only have
+    /// performed the accounting its `skip` applies in bulk.
     ///
     /// On expiry the outcome is [`RunOutcome::Hung`] carrying a
     /// structured [`HangDiagnosis`] (per-core stall reason, per-engine
@@ -1506,7 +1546,7 @@ impl System {
         assert!(workers > 0, "at least one worker is required");
         let total = self.cores.len();
         let n = self.cfg.partitions.max(1);
-        let (plan, parts) = self.split(n, true);
+        let (plan, parts) = self.split(n, false);
         let (mut hub_in, mut hub_out) = Self::fresh_io(&parts);
         let mem_lock = RwLock::new(std::mem::take(&mut self.mem));
         let now_cell = AtomicU64::new(self.now.0);
@@ -1553,11 +1593,7 @@ impl System {
                         .map_or(max_cycles, |h| h.0)
                         .min(max_cycles);
                     if target > self.now.0 {
-                        let delta = target - self.now.0;
-                        for p in 0..conductor.len() {
-                            conductor.slot(p).skip(delta);
-                        }
-                        self.mesh.skip(delta);
+                        self.mesh.skip(target - self.now.0);
                         self.now = Cycle(target);
                     }
                 }

@@ -2,8 +2,10 @@
 //! dense run loops must stay bit-exact on the paths where skipping is
 //! most aggressive — a permanently-stalled system whose horizon is empty
 //! (the run jumps straight to the cycle budget), a chaos event landing
-//! exactly on a skipped-to cycle, and occupancy sampling across skipped
-//! gaps.
+//! exactly on a skipped-to cycle, occupancy sampling across skipped
+//! gaps — and on the sleep contract of the wake sets: a core waiting on a
+//! full MMIO store buffer, a shootdown landing on a waiting core, and an
+//! engine and an L2 bank that only a delivery wakes.
 
 use maple_isa::builder::ProgramBuilder;
 use maple_sim::fault::FaultPlaneConfig;
@@ -258,5 +260,185 @@ fn occupancy_samples_identical_under_skipping() {
         skip_sys.metrics_snapshot().to_json().render(),
         dense_sys.metrics_snapshot().to_json().render(),
         "occupancy samples (or other metrics) diverged under skipping"
+    );
+}
+
+/// Number of values the producer pushes: far more than queue 0 and the
+/// 8-deep MMIO store buffer hold, so the producer spends most of the run
+/// waiting for acks.
+const FLOOD: u64 = 400;
+
+/// Core 0 floods queue 0 with `FLOOD` produces; core 1 first walks
+/// `lines` cold cache lines (each load a DRAM round trip, during which
+/// the mesh goes quiet and the run skips), then consumes every value and
+/// stores their sum. Returns the VA of the sum.
+fn load_flood(sys: &mut System, lines: u64) -> maple_vm::VAddr {
+    let maple_va = sys.map_maple(0);
+    let cold = sys.alloc(lines * 64);
+    let out = sys.alloc(8);
+
+    let mut b = ProgramBuilder::new();
+    let base = b.reg("maple");
+    let i = b.reg("i");
+    let api = MapleApi::new(base);
+    b.li(i, 0);
+    let top = b.here("produce");
+    api.produce(&mut b, 0, i);
+    b.addi(i, i, 1);
+    b.blt(i, FLOOD as i64, top);
+    b.halt();
+    sys.load_program(b.build().unwrap(), &[(base, maple_va.0)]);
+
+    let mut b = ProgramBuilder::new();
+    let base = b.reg("maple");
+    let ptr = b.reg("ptr");
+    let res = b.reg("res");
+    let j = b.reg("j");
+    let v = b.reg("v");
+    let t = b.reg("t");
+    let sum = b.reg("sum");
+    let api = MapleApi::new(base);
+    b.li(j, 0);
+    let walk = b.here("walk");
+    b.ld(t, ptr, 0, 8);
+    b.addi(ptr, ptr, 64);
+    b.addi(j, j, 1);
+    b.blt(j, lines as i64, walk);
+    b.li(j, 0);
+    let drain = b.here("drain");
+    api.consume(&mut b, 0, v, 4);
+    b.add(sum, sum, v);
+    b.addi(j, j, 1);
+    b.blt(j, FLOOD as i64, drain);
+    b.st(sum, res, 0, 8);
+    b.halt();
+    sys.load_program(
+        b.build().unwrap(),
+        &[(base, maple_va.0), (ptr, cold.0), (res, out.0)],
+    );
+    out
+}
+
+/// Runs `load_flood` under `cfg` and the dense reference, and asserts
+/// both agree on the outcome, the consumed sum, every metric and both
+/// cores' TLB state (hit counts and LRU stamps, which the MMIO wait
+/// accounts in bulk). Returns the skipping run's outcome, sum and system.
+fn assert_flood_bit_exact(cfg: SocConfig, lines: u64) -> (RunOutcome, Option<u64>, System) {
+    let run = |cfg: SocConfig| {
+        let mut sys = System::new(cfg);
+        let out = load_flood(&mut sys, lines);
+        let outcome = sys.run(5_000_000);
+        let sum = outcome.is_finished().then(|| sys.read_u64(out));
+        (outcome, sum, sys)
+    };
+    let (skip_out, skip_sum, skip_sys) = run(cfg.clone());
+    let (dense_out, dense_sum, dense_sys) = run(cfg.with_dense_stepper());
+    assert_eq!(skip_out, dense_out, "outcome diverged");
+    assert_eq!(skip_sum, dense_sum, "consumed sum diverged");
+    assert_eq!(
+        skip_sys.metrics_snapshot().to_json().render(),
+        dense_sys.metrics_snapshot().to_json().render(),
+        "metrics diverged"
+    );
+    for c in 0..2 {
+        assert_eq!(
+            format!("{:?}", skip_sys.core(c).tlb()),
+            format!("{:?}", dense_sys.core(c).tlb()),
+            "core {c} TLB state diverged"
+        );
+    }
+    (skip_out, skip_sum, skip_sys)
+}
+
+#[test]
+fn mmio_wait_across_skipped_gaps_is_bit_exact() {
+    // The producer fills the store buffer with unacked produces long
+    // before the consumer drains anything: it sleeps until an ack
+    // arrives, while the consumer's DRAM walk lets the run skip whole
+    // gaps. Each slept cycle must still count one interpreted tick, one
+    // MMIO stall cycle and one TLB hit, exactly as a retry would.
+    let (out, sum, sys) = assert_flood_bit_exact(SocConfig::fpga_prototype(), 48);
+    assert!(out.is_finished(), "{out:?}");
+    assert_eq!(sum, Some((0..FLOOD).sum()), "every produced value consumed");
+    let producer = sys.core(0).stats();
+    assert!(
+        producer.stall.mmio > 10_000,
+        "the producer must spend the run waiting on acks: {:?}",
+        producer.stall
+    );
+    assert!(
+        producer.interpreted_ticks.get() > producer.instructions.get() + 10_000,
+        "waiting cycles count as interpreted retries"
+    );
+}
+
+#[test]
+fn shootdowns_landing_on_a_waiting_core_are_bit_exact() {
+    // TLB shootdowns wake every core and engine: a core waiting on a full
+    // store buffer must catch up its retries (including the TLB hits on
+    // its MMIO page) before the shootdown touches its TLB.
+    let plane = FaultPlaneConfig::new(5).with_tlb_shootdowns(24, 30_000);
+    let cfg = SocConfig::fpga_prototype().with_fault_plane(plane);
+    let (_, _, sys) = assert_flood_bit_exact(cfg, 48);
+    let chaos = sys.chaos_stats().expect("plane installed");
+    assert!(chaos.shootdowns_injected.get() > 0, "shootdowns must land");
+}
+
+#[test]
+fn engine_and_bank_woken_only_by_deliveries_are_bit_exact() {
+    // One core on a 4-cluster fabric (four L2 banks, four engines) loads
+    // from a line in each bank, idles through a compute loop, then
+    // round-trips a value through engine 0. After the first cycle every
+    // bank and engine has nothing due: each one that acts afterwards is
+    // woken by a delivery alone, and the untouched ones sleep throughout.
+    let run = |cfg: SocConfig| {
+        let mut sys = System::new(cfg);
+        let maple_va = sys.map_maple(0);
+        let data = sys.alloc(4 * 64);
+        let out = sys.alloc(8);
+        sys.write_u64(data, 41);
+        let mut b = ProgramBuilder::new();
+        let base = b.reg("maple");
+        let ptr = b.reg("ptr");
+        let res = b.reg("res");
+        let t = b.reg("t");
+        let v = b.reg("v");
+        let i = b.reg("i");
+        let api = MapleApi::new(base);
+        for line in 0..4 {
+            b.ld(t, ptr, line * 64, 8);
+        }
+        b.ld(t, ptr, 0, 8);
+        b.li(i, 0);
+        let idle = b.here("idle");
+        b.addi(i, i, 1);
+        b.blt(i, 500, idle);
+        b.addi(t, t, 1);
+        api.produce(&mut b, 0, t);
+        api.consume(&mut b, 0, v, 4);
+        b.st(v, res, 0, 8);
+        b.halt();
+        sys.load_program(
+            b.build().unwrap(),
+            &[(base, maple_va.0), (ptr, data.0), (res, out.0)],
+        );
+        let outcome = sys.run(1_000_000);
+        let value = sys.read_u64(out);
+        (outcome, value, sys)
+    };
+    let cfg = SocConfig::fpga_prototype()
+        .with_maples(4)
+        .with_clusters(maple_soc::ClusterConfig::new(16, 2, 2));
+    let (skip_out, skip_val, skip_sys) = run(cfg.clone());
+    let (dense_out, dense_val, dense_sys) = run(cfg.with_dense_stepper());
+    assert!(skip_out.is_finished(), "{skip_out:?}");
+    assert_eq!(skip_val, 42, "the value made the round trip");
+    assert_eq!(skip_out, dense_out, "completion cycle diverged");
+    assert_eq!(skip_val, dense_val);
+    assert_eq!(skip_sys.l2_bank_count(), 4);
+    assert_eq!(
+        skip_sys.metrics_snapshot().to_json().render(),
+        dense_sys.metrics_snapshot().to_json().render(),
+        "metrics diverged"
     );
 }

@@ -80,6 +80,28 @@ impl Tlb {
         None
     }
 
+    /// Performs `n` back-to-back lookups of one page in O(entries): the
+    /// clock, the hit/miss counters and the entry's recency end exactly
+    /// as `n` calls to [`Tlb::lookup`] would leave them. Used to account
+    /// for a sleeping requester that would have retried the same
+    /// translation every cycle.
+    pub fn lookup_n(&mut self, vpn: VirtPage, n: u64) -> Option<TlbEntry> {
+        if n == 0 {
+            return self.probe(vpn);
+        }
+        self.clock += n;
+        let clock = self.clock;
+        for (stamp, e) in &mut self.entries {
+            if e.vpn == vpn {
+                *stamp = clock;
+                self.hits += n;
+                return Some(*e);
+            }
+        }
+        self.misses += n;
+        None
+    }
+
     /// Probes without counting or touching recency.
     #[must_use]
     pub fn probe(&self, vpn: VirtPage) -> Option<TlbEntry> {
@@ -186,6 +208,25 @@ mod tests {
         let e = t.probe(VirtPage(1)).unwrap();
         assert_eq!(e.frame, PAddr(0x9000));
         assert!(!e.flags.write);
+    }
+
+    #[test]
+    fn lookup_n_matches_n_lookups() {
+        let mut bulk = Tlb::new(2);
+        bulk.insert(VirtPage(1), PAddr(0x1000), rw());
+        bulk.insert(VirtPage(2), PAddr(0x2000), rw());
+        let mut single = bulk.clone();
+        for vpn in [1, 9] {
+            assert_eq!(bulk.lookup_n(VirtPage(vpn), 5).is_some(), vpn == 1);
+            for _ in 0..5 {
+                single.lookup(VirtPage(vpn));
+            }
+            assert_eq!(format!("{bulk:?}"), format!("{single:?}"));
+        }
+        // Page 1 is now the most recent, so inserting evicts page 2.
+        bulk.insert(VirtPage(3), PAddr(0x3000), rw());
+        assert!(bulk.probe(VirtPage(1)).is_some());
+        assert!(bulk.probe(VirtPage(2)).is_none());
     }
 
     #[test]
