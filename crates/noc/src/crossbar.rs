@@ -75,11 +75,18 @@ struct Wire<T> {
 }
 
 /// The crossbar switch. See the module docs for the timing model.
+///
+/// The switch keeps no output queues: a wire traversal that lands hands
+/// its payload straight to the caller's sink, so the owner routes it to
+/// its final place (a tile's delivery queue, the global mesh) at once.
 #[derive(Debug)]
 pub struct Crossbar<T> {
     cfg: CrossbarConfig,
     /// Per-input bounded queues.
     inputs: Vec<VecDeque<XbarPacket<T>>>,
+    /// Inputs holding a packet: bit `p % 64` of word `p / 64` is set
+    /// while `inputs[p]` is non-empty, so arbitration walks only them.
+    occupied: Vec<u64>,
     /// Packets queued across every input.
     queued: usize,
     /// Serialization: each output port is busy until this cycle.
@@ -88,10 +95,6 @@ pub struct Crossbar<T> {
     rr_start: usize,
     /// Granted packets traversing the switch (monotonic arrival order).
     wires: VecDeque<Wire<T>>,
-    /// Delivered payloads per output port.
-    delivered: Vec<VecDeque<T>>,
-    /// Delivered payloads not yet taken, across every output.
-    undrained: usize,
     /// Arbitrations performed (ticks in which an input held a packet).
     visits: u64,
 }
@@ -104,12 +107,11 @@ impl<T> Crossbar<T> {
         Crossbar {
             cfg,
             inputs: (0..cfg.ports).map(|_| VecDeque::new()).collect(),
+            occupied: vec![0; cfg.ports.div_ceil(64)],
             queued: 0,
             out_busy: vec![Cycle::ZERO; cfg.ports],
             rr_start: 0,
             wires: VecDeque::new(),
-            delivered: (0..cfg.ports).map(|_| VecDeque::new()).collect(),
-            undrained: 0,
             visits: 0,
         }
     }
@@ -159,16 +161,18 @@ impl<T> Crossbar<T> {
             ready_at,
             payload,
         });
+        self.occupied[in_port / 64] |= 1 << (in_port % 64);
         self.queued += 1;
         Ok(())
     }
 
-    /// Advances the switch one cycle: deliver due wire traversals, then
+    /// Advances the switch one cycle: hand due wire traversals to
+    /// `deliver` as `(output port, payload)` in arrival order, then
     /// arbitrate input heads round-robin with one grant per output port.
-    pub fn tick(&mut self, now: Cycle) {
+    pub fn tick(&mut self, now: Cycle, deliver: impl FnMut(usize, T)) {
         let start = self.rr_start;
         self.rr_start = (start + 1) % self.cfg.ports;
-        self.step(now, start);
+        self.step(now, start, deliver);
     }
 
     /// One cycle of the switch with the round-robin scan starting at input
@@ -176,38 +180,57 @@ impl<T> Crossbar<T> {
     /// crossbars that all rotate in lockstep keeps one shared pointer.
     /// With every input empty there is nothing to arbitrate, and the step
     /// only lands due wire traversals.
-    pub(crate) fn step(&mut self, now: Cycle, start: usize) {
+    pub(crate) fn step(&mut self, now: Cycle, start: usize, mut deliver: impl FnMut(usize, T)) {
         while self.wires.front().is_some_and(|w| w.arrives_at <= now) {
             let w = self.wires.pop_front().expect("front exists");
-            self.delivered[w.out].push_back(w.payload);
-            self.undrained += 1;
+            deliver(w.out, w.payload);
         }
         if self.queued == 0 {
             return;
         }
         self.visits += 1;
-        for port in (start..self.cfg.ports).chain(0..start) {
-            let Some(head) = self.inputs[port].front() else {
-                continue;
-            };
-            if head.ready_at > now {
-                continue;
+        // The occupied inputs from `start` upwards, then those below it:
+        // the full scan's order with the empty inputs left out. A grant
+        // only clears bits already passed, so each word is read once.
+        let (first, shift) = (start / 64, start % 64);
+        let words = self.occupied.len();
+        let segments = std::iter::once((first, !0u64 << shift))
+            .chain((first + 1..words).chain(0..first).map(|w| (w, !0u64)))
+            .chain(std::iter::once((first, (1u64 << shift) - 1)));
+        for (w, mask) in segments {
+            let mut bits = self.occupied[w] & mask;
+            while bits != 0 {
+                let port = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.arbitrate(port, now);
             }
-            let out = head.out;
-            // A grant holds its output busy for `flits` ≥ 1 cycles, which
-            // also enforces one grant per output port per cycle.
-            if self.out_busy[out] > now {
-                continue;
-            }
-            let pkt = self.inputs[port].pop_front().expect("head exists");
-            self.queued -= 1;
-            self.out_busy[out] = now.plus(u64::from(pkt.flits));
-            self.wires.push_back(Wire {
-                arrives_at: now.plus(self.cfg.latency),
-                out,
-                payload: pkt.payload,
-            });
         }
+    }
+
+    /// Grants input `port`'s head packet if it is ready and its output
+    /// is free.
+    fn arbitrate(&mut self, port: usize, now: Cycle) {
+        let head = self.inputs[port].front().expect("occupied input has a head");
+        if head.ready_at > now {
+            return;
+        }
+        let out = head.out;
+        // A grant holds its output busy for `flits` ≥ 1 cycles, which
+        // also enforces one grant per output port per cycle.
+        if self.out_busy[out] > now {
+            return;
+        }
+        let pkt = self.inputs[port].pop_front().expect("head exists");
+        if self.inputs[port].is_empty() {
+            self.occupied[port / 64] &= !(1 << (port % 64));
+        }
+        self.queued -= 1;
+        self.out_busy[out] = now.plus(u64::from(pkt.flits));
+        self.wires.push_back(Wire {
+            arrives_at: now.plus(self.cfg.latency),
+            out,
+            payload: pkt.payload,
+        });
     }
 
     /// Catches the arbitration pointer up over skipped quiescent cycles,
@@ -218,41 +241,16 @@ impl<T> Crossbar<T> {
             % self.cfg.ports;
     }
 
-    /// Removes and returns every payload delivered at `out_port` so far.
-    pub fn take_delivered(&mut self, out_port: usize) -> Vec<T> {
-        self.undrained -= self.delivered[out_port].len();
-        self.delivered[out_port].drain(..).collect()
-    }
-
-    /// Removes and returns at most one delivered payload at `out_port`.
-    pub fn take_one_delivered(&mut self, out_port: usize) -> Option<T> {
-        let v = self.delivered[out_port].pop_front();
-        self.undrained -= usize::from(v.is_some());
-        v
-    }
-
-    /// Peeks the oldest undelivered payload at `out_port`.
-    #[must_use]
-    pub fn peek_delivered(&self, out_port: usize) -> Option<&T> {
-        self.delivered[out_port].front()
-    }
-
     /// Packets buffered in inputs or traversing the switch.
     #[must_use]
     pub fn in_flight(&self) -> usize {
         self.queued + self.wires.len()
     }
 
-    /// Delivered payloads not yet taken, across every output port.
-    pub(crate) fn undrained(&self) -> usize {
-        self.undrained
-    }
-
-    /// Whether the switch holds no packets anywhere (including
-    /// undrained deliveries).
+    /// Whether the switch holds no packets anywhere.
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
-        self.in_flight() == 0 && self.undrained == 0
+        self.in_flight() == 0
     }
 
     /// Arbitrations performed since construction: one per tick in which
@@ -266,16 +264,21 @@ impl<T> Crossbar<T> {
 mod tests {
     use super::*;
 
+    /// Ticks once, returning what landed as `(output port, payload)`.
+    fn tick(x: &mut Crossbar<u32>, t: u64) -> Vec<(usize, u32)> {
+        let mut landed = Vec::new();
+        x.tick(Cycle(t), |out, v| landed.push((out, v)));
+        landed
+    }
+
     #[test]
     fn single_cycle_traversal_matches_one_mesh_hop() {
         // Inject before tick 0: grant at 0, delivery during tick 1 —
         // the same visible timing as one adjacent-tile mesh hop.
         let mut x: Crossbar<u32> = Crossbar::new(CrossbarConfig::new(4));
         x.inject(Cycle(0), 0, 3, 1, 99).unwrap();
-        x.tick(Cycle(0));
-        assert!(x.take_delivered(3).is_empty());
-        x.tick(Cycle(1));
-        assert_eq!(x.take_delivered(3), vec![99]);
+        assert!(tick(&mut x, 0).is_empty());
+        assert_eq!(tick(&mut x, 1), [(3, 99)]);
         assert!(x.is_quiescent());
     }
 
@@ -288,10 +291,7 @@ mod tests {
         x.inject(Cycle(0), 1, 2, 1, 2).unwrap();
         let mut arrivals = Vec::new();
         for t in 0..8u64 {
-            x.tick(Cycle(t));
-            for v in x.take_delivered(2) {
-                arrivals.push((t, v));
-            }
+            arrivals.extend(tick(&mut x, t).into_iter().map(|(_, v)| (t, v)));
         }
         assert_eq!(arrivals.len(), 2);
         assert!(arrivals[1].0 > arrivals[0].0, "serialized: {arrivals:?}");
@@ -304,10 +304,7 @@ mod tests {
         x.inject(Cycle(0), 0, 1, 1, 11).unwrap();
         let mut arrivals = Vec::new();
         for t in 0..20u64 {
-            x.tick(Cycle(t));
-            for v in x.take_delivered(1) {
-                arrivals.push((t, v));
-            }
+            arrivals.extend(tick(&mut x, t).into_iter().map(|(_, v)| (t, v)));
         }
         assert_eq!(arrivals.iter().map(|&(_, v)| v).collect::<Vec<_>>(), [10, 11]);
         assert!(
@@ -325,11 +322,45 @@ mod tests {
             x.inject(Cycle(0), 0, 2, 1, 100 + i).unwrap();
             x.inject(Cycle(0), 1, 3, 1, 200 + i).unwrap();
         }
+        let mut landed = Vec::new();
         for t in 0..12u64 {
-            x.tick(Cycle(t));
+            landed.extend(tick(&mut x, t));
         }
-        assert_eq!(x.take_delivered(2), vec![100, 101, 102, 103]);
-        assert_eq!(x.take_delivered(3), vec![200, 201, 202, 203]);
+        let at = |port| -> Vec<u32> {
+            landed.iter().filter(|&&(o, _)| o == port).map(|&(_, v)| v).collect()
+        };
+        assert_eq!(at(2), [100, 101, 102, 103]);
+        assert_eq!(at(3), [200, 201, 202, 203]);
+    }
+
+    #[test]
+    fn round_robin_spans_occupancy_words() {
+        // 130 inputs span three occupancy words. Every input but one
+        // contends for output 0; whichever the pointer reaches first
+        // wins, so the grant order is the rotation from each start.
+        for start in 0..130 {
+            let mut x: Crossbar<u32> = Crossbar::new(CrossbarConfig::new(130));
+            x.skip(start as u64);
+            for p in (0..130).filter(|&p| p != 64) {
+                x.inject(Cycle(0), p, 0, 1, p as u32).unwrap();
+            }
+            let mut order = Vec::new();
+            for t in 0..140u64 {
+                order.extend(tick(&mut x, t).into_iter().map(|(_, v)| v as usize));
+            }
+            // The pointer rotates by one per tick, and each grant goes to
+            // the first occupied input at or after it (wrapping).
+            let mut left: Vec<usize> = (0..130).filter(|&p| p != 64).collect();
+            let want: Vec<usize> = (0..129)
+                .map(|t| {
+                    let ptr = (start + t) % 130;
+                    let k = left.iter().position(|&p| p >= ptr).unwrap_or(0);
+                    left.remove(k)
+                })
+                .collect();
+            assert_eq!(order, want, "grant order from start {start}");
+            assert!(x.is_quiescent());
+        }
     }
 
     #[test]
@@ -353,7 +384,7 @@ mod tests {
         let mut dense: Crossbar<u32> = Crossbar::new(CrossbarConfig::new(3));
         let mut skipped: Crossbar<u32> = Crossbar::new(CrossbarConfig::new(3));
         for t in 0..7u64 {
-            dense.tick(Cycle(t));
+            tick(&mut dense, t);
         }
         skipped.skip(7);
         assert_eq!(dense.rr_start, skipped.rr_start);
@@ -364,11 +395,9 @@ mod tests {
         let mut x: Crossbar<u32> = Crossbar::new(CrossbarConfig::new(2));
         x.inject(Cycle(5), 0, 1, 1, 9).unwrap();
         for t in 0..5u64 {
-            x.tick(Cycle(t));
-            assert!(x.take_delivered(1).is_empty(), "not ready before cycle 5");
+            assert!(tick(&mut x, t).is_empty(), "not ready before cycle 5");
         }
-        x.tick(Cycle(5));
-        x.tick(Cycle(6));
-        assert_eq!(x.take_delivered(1), vec![9]);
+        assert!(tick(&mut x, 5).is_empty());
+        assert_eq!(tick(&mut x, 6), [(1, 9)]);
     }
 }

@@ -23,6 +23,8 @@
 //! leg). Flat fabrics never construct the crossbar schedules, so chaos
 //! replay of every existing configuration is unchanged.
 
+use std::collections::VecDeque;
+
 use maple_sim::worklist::Worklist;
 use maple_sim::Cycle;
 use maple_trace::{FaultSite, TraceEvent, Tracer};
@@ -178,14 +180,24 @@ impl XbarFault {
 }
 
 /// Envelope carried through crossbars and the global mesh: the final
-/// destination plus the accounting the fabric-level stats need.
+/// destination tile (row-major index) plus the accounting the
+/// fabric-level stats need.
 #[derive(Debug)]
 struct Env<T> {
-    dst: Coord,
+    dst: usize,
     flits: u8,
     injected_at: Cycle,
     hops: u64,
     payload: T,
+}
+
+/// Where a global tile sits in the hierarchy.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Row-major cluster index (also the cluster's global-mesh router).
+    cluster: usize,
+    /// Crossbar port within the cluster.
+    port: usize,
 }
 
 /// The clustered two-level interconnect. Most callers hold a [`Fabric`]
@@ -197,16 +209,27 @@ pub struct ClusteredNoc<T> {
     /// Round-robin pointer shared by every crossbar: all of them rotate
     /// once per tick, so one pointer is the whole state.
     xbar_rr: usize,
-    /// Clusters whose crossbar holds anything: queued inputs, wire
-    /// traversals or undrained outputs.
+    /// Clusters whose crossbar holds a packet or whose mesh-port staging
+    /// queue is non-empty.
     active: Worklist,
     /// Scratch index buffers, reused so ticks never allocate.
     clusters: Vec<usize>,
     ejecting: Vec<usize>,
+    /// Per cluster: packets the crossbar switched to its mesh port,
+    /// waiting (under backpressure) to enter the global mesh.
+    staged: Vec<VecDeque<Env<T>>>,
+    /// Packets across every staging queue.
+    staged_len: usize,
     /// Global mesh: one router per cluster.
     mesh: Mesh<Env<T>>,
     /// Final deliveries per global tile (row-major).
     delivered: Deliveries<T>,
+    /// Lookup tables built once, so no packet pays a division: each
+    /// tile's cluster and port, each tile's and each cluster's grid
+    /// coordinate.
+    slots: Vec<Slot>,
+    tile_coords: Vec<Coord>,
+    cluster_coords: Vec<Coord>,
     stats: MeshStats,
     fault: Option<NocFault>,
     xbar_fault: Option<XbarFault>,
@@ -218,8 +241,17 @@ impl<T> ClusteredNoc<T> {
     /// grant-to-delivery latency (1 = single-cycle local switch).
     #[must_use]
     pub fn new(topo: ClusterTopology, xbar_latency: u64) -> Self {
-        let ports = topo.tiles_per_cluster() + 1;
-        let xcfg = CrossbarConfig::new(ports).with_latency(xbar_latency);
+        let xcfg = CrossbarConfig::new(topo.tiles_per_cluster() + 1).with_latency(xbar_latency);
+        let tile_coords: Vec<Coord> = (0..topo.total_height())
+            .flat_map(|y| (0..topo.total_width()).map(move |x| Coord::new(x, y)))
+            .collect();
+        let slots: Vec<Slot> = tile_coords
+            .iter()
+            .map(|&t| Slot {
+                cluster: topo.cluster_index_of(t),
+                port: topo.local_port(t),
+            })
+            .collect();
         ClusteredNoc {
             topo,
             xbars: (0..topo.clusters()).map(|_| Crossbar::new(xcfg)).collect(),
@@ -227,8 +259,15 @@ impl<T> ClusteredNoc<T> {
             active: Worklist::new(topo.clusters()),
             clusters: Vec::new(),
             ejecting: Vec::new(),
+            staged: (0..topo.clusters()).map(|_| VecDeque::new()).collect(),
+            staged_len: 0,
             mesh: Mesh::new(MeshConfig::new(topo.clusters_x, topo.clusters_y)),
             delivered: Deliveries::new(topo.total_tiles()),
+            slots,
+            tile_coords,
+            cluster_coords: (0..topo.clusters())
+                .map(|c| topo.cluster_coord(c))
+                .collect(),
             stats: MeshStats::default(),
             fault: None,
             xbar_fault: None,
@@ -269,23 +308,11 @@ impl<T> ClusteredNoc<T> {
         self.topo.tiles_per_cluster()
     }
 
-    /// Fabric hop count of a `src → dst` traversal: one switch
-    /// traversal intra-cluster; switch + mesh hops + switch when the
-    /// route crosses clusters.
-    fn hops_for(&self, src: Coord, dst: Coord) -> u64 {
-        let sc = self.topo.cluster_of(src);
-        let dc = self.topo.cluster_of(dst);
-        if sc == dc {
-            1
-        } else {
-            2 + sc.hops_to(dc)
-        }
-    }
-
     /// Whether a new packet can currently be injected at `src`.
     #[must_use]
     pub fn can_inject(&self, src: Coord) -> bool {
-        self.xbars[self.topo.cluster_index_of(src)].can_inject(self.topo.local_port(src))
+        let slot = self.slots[self.tile_index(src)];
+        self.xbars[slot.cluster].can_inject(slot.port)
     }
 
     fn admit(
@@ -297,24 +324,28 @@ impl<T> ClusteredNoc<T> {
         flits: u8,
         payload: T,
     ) -> Result<(), Backpressure<T>> {
-        let ci = self.topo.cluster_index_of(src);
-        let in_port = self.topo.local_port(src);
-        let out_port = if self.topo.cluster_of(src) == self.topo.cluster_of(dst) {
-            self.topo.local_port(dst)
+        let from = self.slots[self.tile_index(src)];
+        let dst = self.tile_index(dst);
+        let to = self.slots[dst];
+        // One switch traversal intra-cluster; switch + mesh hops + switch
+        // when the route crosses clusters.
+        let (out_port, hops) = if from.cluster == to.cluster {
+            (to.port, 1)
         } else {
-            self.mesh_port()
+            let (sc, dc) = (self.cluster_coords[from.cluster], self.cluster_coords[to.cluster]);
+            (self.mesh_port(), 2 + sc.hops_to(dc))
         };
         let env = Env {
             dst,
             flits,
             injected_at: now,
-            hops: self.hops_for(src, dst),
+            hops,
             payload,
         };
-        self.xbars[ci]
-            .inject(ready_at, in_port, out_port, flits, env)
+        self.xbars[from.cluster]
+            .inject(ready_at, from.port, out_port, flits, env)
             .map_err(|Backpressure(e)| Backpressure(e.payload))?;
-        self.active.insert(ci);
+        self.active.insert(from.cluster);
         self.stats.injected.inc();
         Ok(())
     }
@@ -407,36 +438,33 @@ impl<T> ClusteredNoc<T> {
 
     /// Advances the whole fabric one cycle, in a fixed deterministic
     /// order: global-mesh arrivals feed crossbar mesh ports, crossbars
-    /// switch, crossbar mesh-side outputs feed the global mesh, and the
-    /// mesh routes. Tile-side crossbar outputs become final deliveries.
+    /// switch, staged mesh-side packets feed the global mesh, and the
+    /// mesh routes. A switch traversal that lands on a tile port is a
+    /// final delivery on the spot; one that lands on the mesh port joins
+    /// its cluster's staging queue.
     ///
-    /// Steps 1–3 visit only the clusters with mesh ejections waiting or
-    /// anything in their crossbar, in ascending cluster order; an idle
-    /// cluster's only per-cycle state is the round-robin pointer, which
-    /// every crossbar shares. Step 4 is [`Mesh::tick`], which visits only
-    /// routers holding packets.
+    /// Steps 1–3 visit only the clusters with mesh ejections waiting,
+    /// packets in their crossbar or packets staged, in ascending cluster
+    /// order; an idle cluster's only per-cycle state is the round-robin
+    /// pointer, which every crossbar shares. Step 4 is [`Mesh::tick`],
+    /// which visits only routers holding packets.
     pub fn tick(&mut self, now: Cycle) {
         let mesh_port = self.mesh_port();
         let start = self.xbar_rr;
         self.xbar_rr = (start + 1) % (mesh_port + 1);
+        // 1. Mesh ejections enter the destination cluster's crossbar
+        //    through its mesh port (order-preserving; anything the
+        //    crossbar cannot take stays queued on the mesh side). The
+        //    mesh router index is the cluster index.
         let mut ejecting = std::mem::take(&mut self.ejecting);
         self.mesh.pending_nodes(&mut ejecting);
         for &ci in &ejecting {
             self.active.insert(ci);
-        }
-        self.ejecting = ejecting;
-        let mut clusters = std::mem::take(&mut self.clusters);
-        self.active.drain_sorted(&mut clusters);
-        // 1. Mesh ejections enter the destination cluster's crossbar
-        //    through its mesh port (order-preserving; anything the
-        //    crossbar cannot take stays queued on the mesh side).
-        for &ci in &clusters {
-            let cc = self.topo.cluster_coord(ci);
             while self.xbars[ci].can_inject(mesh_port) {
-                let Some(env) = self.mesh.take_one_delivered(cc) else {
+                let Some(env) = self.mesh.take_one_at(ci) else {
                     break;
                 };
-                let out = self.topo.local_port(env.dst);
+                let out = self.slots[env.dst].port;
                 let flits = env.flits;
                 self.xbars[ci]
                     .inject(now, mesh_port, out, flits, env)
@@ -444,46 +472,44 @@ impl<T> ClusteredNoc<T> {
                     .expect("can_inject checked");
             }
         }
-        // 2. Switch every busy cluster.
+        self.ejecting = ejecting;
+        let mut clusters = std::mem::take(&mut self.clusters);
+        self.active.drain_sorted(&mut clusters);
+        // 2. Switch every busy cluster. Landed traversals go to their
+        //    tile's deliveries or the cluster's staging queue.
         for &ci in &clusters {
-            self.xbars[ci].step(now, start);
+            let (delivered, stats, slots) = (&mut self.delivered, &mut self.stats, &self.slots);
+            let (staged, staged_len) = (&mut self.staged[ci], &mut self.staged_len);
+            self.xbars[ci].step(now, start, |out, env| {
+                if out == mesh_port {
+                    staged.push_back(env);
+                    *staged_len += 1;
+                    return;
+                }
+                debug_assert_eq!(slots[env.dst].port, out, "crossbar delivered to wrong tile");
+                stats.delivered.inc();
+                stats.hops.add(env.hops);
+                stats.latency.record(now.since(env.injected_at));
+                delivered.push(env.dst, env.payload);
+            });
         }
-        // 3. Crossbar outputs: mesh-side staging re-injects into the
-        //    global mesh (with backpressure), tile-side outputs are
-        //    final deliveries.
+        // 3. Staged packets enter the global mesh, with backpressure.
         for &ci in &clusters {
-            if self.xbars[ci].undrained() == 0 {
-                continue;
-            }
-            let cc = self.topo.cluster_coord(ci);
-            while let Some(env) = self.xbars[ci].peek_delivered(mesh_port) {
-                let dst_cluster = self.topo.cluster_of(env.dst);
+            let cc = self.cluster_coords[ci];
+            while let Some(env) = self.staged[ci].front() {
                 if !self.mesh.can_inject(cc) {
                     break;
                 }
-                let env = self.xbars[ci]
-                    .take_one_delivered(mesh_port)
-                    .expect("peeked");
+                let dst_cluster = self.cluster_coords[self.slots[env.dst].cluster];
+                let env = self.staged[ci].pop_front().expect("peeked");
+                self.staged_len -= 1;
                 let flits = env.flits;
                 self.mesh
                     .inject(now, cc, dst_cluster, flits, env)
                     .ok()
                     .expect("can_inject checked");
             }
-            for port in 0..mesh_port {
-                let tile = self.topo.tile_at(ci, port);
-                let ti = self.tile_index(tile);
-                for env in self.xbars[ci].take_delivered(port) {
-                    debug_assert_eq!(env.dst, tile, "crossbar delivered to wrong tile");
-                    self.stats.delivered.inc();
-                    self.stats.hops.add(env.hops);
-                    self.stats.latency.record(now.since(env.injected_at));
-                    self.delivered.push(ti, env.payload);
-                }
-            }
-        }
-        for &ci in &clusters {
-            if !self.xbars[ci].is_quiescent() {
+            if !self.xbars[ci].is_quiescent() || !self.staged[ci].is_empty() {
                 self.active.insert(ci);
             }
         }
@@ -529,22 +555,21 @@ impl<T> ClusteredNoc<T> {
     pub fn delivered_tiles(&mut self, into: &mut Vec<Coord>) {
         let mut tiles = std::mem::take(&mut self.clusters);
         self.delivered.pending(&mut tiles);
-        let width = usize::from(self.topo.total_width());
         into.clear();
-        into.extend(
-            tiles
-                .iter()
-                .map(|&t| Coord::new((t % width) as u16, (t / width) as u16)),
-        );
+        into.extend(tiles.iter().map(|&t| self.tile_coords[t]));
         self.clusters = tiles;
     }
 
-    /// Packets currently buffered anywhere in the fabric. Every cluster
-    /// whose crossbar holds a packet is on the worklist, so this costs
+    /// Packets inside the fabric, not yet delivered to a tile: in the
+    /// global mesh, ejected from it but waiting at a full crossbar mesh
+    /// port, in a crossbar, or staged for the mesh. Every cluster whose
+    /// crossbar holds a packet is on the worklist, so this costs
     /// O(busy clusters).
     #[must_use]
     pub fn in_flight(&self) -> usize {
         self.mesh.in_flight()
+            + self.mesh.undrained()
+            + self.staged_len
             + self
                 .active
                 .as_slice()
@@ -556,13 +581,7 @@ impl<T> ClusteredNoc<T> {
     /// Whether the fabric holds no packets anywhere.
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
-        self.mesh.is_quiescent()
-            && self.delivered.len() == 0
-            && self
-                .active
-                .as_slice()
-                .iter()
-                .all(|&ci| self.xbars[ci].is_quiescent())
+        self.delivered.len() == 0 && self.in_flight() == 0
     }
 
     /// Router and crossbar arbitrations performed since construction:

@@ -227,6 +227,12 @@ pub struct Mesh<T> {
     cfg: MeshConfig,
     /// Input buffers: `buffers[router][port]`.
     buffers: Vec<[VecDeque<Packet<T>>; PORTS]>,
+    /// Per router, bit `p` is set while input `p` holds a packet, so
+    /// arbitration walks only occupied inputs.
+    occupied: Vec<u8>,
+    /// Each router's coordinate, built once so a router visit never
+    /// divides.
+    coords: Vec<Coord>,
     /// Serialization: each output port is busy until this cycle.
     port_busy: Vec<[Cycle; PORTS]>,
     /// Round-robin arbitration pointer, shared by every router: all of
@@ -268,6 +274,10 @@ impl<T> Mesh<T> {
             buffers: (0..n)
                 .map(|_| std::array::from_fn(|_| VecDeque::new()))
                 .collect(),
+            occupied: vec![0; n],
+            coords: (0..cfg.height)
+                .flat_map(|y| (0..cfg.width).map(move |x| Coord::new(x, y)))
+                .collect(),
             port_busy: vec![[Cycle::ZERO; PORTS]; n],
             rr: 0,
             active: Worklist::new(n),
@@ -305,13 +315,6 @@ impl<T> Mesh<T> {
         usize::from(c.y) * usize::from(self.cfg.width) + usize::from(c.x)
     }
 
-    fn coord(&self, idx: usize) -> Coord {
-        Coord::new(
-            (idx % usize::from(self.cfg.width)) as u16,
-            (idx / usize::from(self.cfg.width)) as u16,
-        )
-    }
-
     fn in_bounds(&self, c: Coord) -> bool {
         c.x < self.cfg.width && c.y < self.cfg.height
     }
@@ -319,6 +322,7 @@ impl<T> Mesh<T> {
     /// Buffers an admitted packet at router `i`'s local input port.
     fn admit(&mut self, i: usize, pkt: Packet<T>) {
         self.buffers[i][LOCAL].push_back(pkt);
+        self.occupied[i] |= 1 << LOCAL;
         self.active.insert(i);
         self.in_flight += 1;
         self.stats.injected.inc();
@@ -449,13 +453,15 @@ impl<T> Mesh<T> {
         }
     }
 
-    fn neighbor(&self, here: Coord, dir: usize) -> Coord {
+    /// Index of router `r`'s neighbour in direction `dir` (never
+    /// [`LOCAL`]; XY routing never leaves the grid).
+    fn neighbor(&self, r: usize, dir: usize) -> usize {
+        let width = usize::from(self.cfg.width);
         match dir {
-            NORTH => Coord::new(here.x, here.y - 1),
-            SOUTH => Coord::new(here.x, here.y + 1),
-            EAST => Coord::new(here.x + 1, here.y),
-            WEST => Coord::new(here.x - 1, here.y),
-            _ => here,
+            NORTH => r - width,
+            SOUTH => r + width,
+            EAST => r + 1,
+            _ => r - 1,
         }
     }
 
@@ -492,22 +498,26 @@ impl<T> Mesh<T> {
         self.active.drain_sorted(&mut routers);
         for &r in &routers {
             self.arbitrate(r, start, now);
-            if self.buffers[r].iter().any(|q| !q.is_empty()) {
+            if self.occupied[r] != 0 {
                 self.active.insert(r);
             }
         }
         self.scratch = routers;
     }
 
-    /// One router's arbitration for cycle `now`, starting at input `start`.
+    /// One router's arbitration for cycle `now`, starting at input
+    /// `start` and visiting only occupied inputs, in round-robin order.
     fn arbitrate(&mut self, r: usize, start: usize, now: Cycle) {
         self.visits += 1;
-        let here = self.coord(r);
-        for k in 0..PORTS {
+        let here = self.coords[r];
+        // Rotate the occupancy mask so bit k is input `(start + k) % 5`.
+        let occ = u16::from(self.occupied[r]);
+        let mut rotated = ((occ >> start) | (occ << (PORTS - start))) & ((1 << PORTS) - 1);
+        while rotated != 0 {
+            let k = rotated.trailing_zeros() as usize;
+            rotated &= rotated - 1;
             let port = (start + k) % PORTS;
-            let Some(head) = self.buffers[r][port].front() else {
-                continue;
-            };
+            let head = self.buffers[r][port].front().expect("occupied input has a head");
             if head.ready_at > now {
                 continue;
             }
@@ -518,7 +528,7 @@ impl<T> Mesh<T> {
                 continue;
             }
             if out == LOCAL {
-                let pkt = self.buffers[r][port].pop_front().expect("head exists");
+                let pkt = self.pop(r, port);
                 self.port_busy[r][LOCAL] = now.plus(u64::from(pkt.flits));
                 self.in_flight -= 1;
                 self.stats.delivered.inc();
@@ -527,13 +537,12 @@ impl<T> Mesh<T> {
                 self.delivered.push(r, pkt.payload);
                 continue;
             }
-            let next = self.neighbor(here, out);
-            let next_idx = self.idx(next);
+            let next_idx = self.neighbor(r, out);
             let entry = Self::entry_port(out);
             if self.buffers[next_idx][entry].len() >= self.cfg.buffer_depth {
                 continue; // credit-based backpressure
             }
-            let mut pkt = self.buffers[r][port].pop_front().expect("head exists");
+            let mut pkt = self.pop(r, port);
             self.port_busy[r][out] = now.plus(u64::from(pkt.flits));
             pkt.ready_at = now.plus(self.cfg.hop_latency);
             pkt.hops += 1;
@@ -543,8 +552,19 @@ impl<T> Mesh<T> {
                 flits: pkt.flits,
             });
             self.buffers[next_idx][entry].push_back(pkt);
+            self.occupied[next_idx] |= 1 << entry;
             self.active.insert(next_idx);
         }
+    }
+
+    /// Removes the head of router `r`'s input `port`, keeping the
+    /// occupancy mask current.
+    fn pop(&mut self, r: usize, port: usize) -> Packet<T> {
+        let pkt = self.buffers[r][port].pop_front().expect("head exists");
+        if self.buffers[r][port].is_empty() {
+            self.occupied[r] &= !(1 << port);
+        }
+        pkt
     }
 
     /// Earliest cycle at or after `now` at which ticking the mesh could
@@ -586,10 +606,20 @@ impl<T> Mesh<T> {
         self.delivered.take_one(i)
     }
 
+    /// Removes and returns at most one payload delivered at router `i`.
+    pub(crate) fn take_one_at(&mut self, i: usize) -> Option<T> {
+        self.delivered.take_one(i)
+    }
+
     /// Fills `into` with the routers holding undrained deliveries, in
     /// ascending router index.
     pub(crate) fn pending_nodes(&mut self, into: &mut Vec<usize>) {
         self.delivered.pending(into);
+    }
+
+    /// Delivered payloads not yet taken, across every router.
+    pub(crate) fn undrained(&self) -> usize {
+        self.delivered.len()
     }
 
     /// Fills `into` (cleared first) with every node holding undrained
@@ -598,7 +628,7 @@ impl<T> Mesh<T> {
         let mut nodes = std::mem::take(&mut self.scratch);
         self.delivered.pending(&mut nodes);
         into.clear();
-        into.extend(nodes.iter().map(|&n| self.coord(n)));
+        into.extend(nodes.iter().map(|&n| self.coords[n]));
         self.scratch = nodes;
     }
 

@@ -311,12 +311,12 @@ impl<T> RefCrossbar<T> {
         self.rr_start = (self.rr_start + (cycles % self.ports as u64) as usize) % self.ports;
     }
 
+    /// Packets in the switch, including those delivered at an output
+    /// and not yet moved on by the fabric.
     fn in_flight(&self) -> usize {
-        self.inputs.iter().map(VecDeque::len).sum::<usize>() + self.wires.len()
-    }
-
-    fn is_quiescent(&self) -> bool {
-        self.in_flight() == 0 && self.delivered.iter().all(VecDeque::is_empty)
+        self.inputs.iter().map(VecDeque::len).sum::<usize>()
+            + self.wires.len()
+            + self.delivered.iter().map(VecDeque::len).sum::<usize>()
     }
 }
 
@@ -497,14 +497,17 @@ impl<T> RefClustered<T> {
         self.delivered[i].pop_front()
     }
 
+    /// Packets not yet delivered to a tile: in the global mesh, ejected
+    /// from it and waiting at a full crossbar mesh port, or in a crossbar
+    /// (queued, on the wire, or staged at its mesh port).
     pub fn in_flight(&self) -> usize {
-        self.mesh.in_flight() + self.xbars.iter().map(RefCrossbar::in_flight).sum::<usize>()
+        self.mesh.in_flight()
+            + self.mesh.delivered.iter().map(VecDeque::len).sum::<usize>()
+            + self.xbars.iter().map(RefCrossbar::in_flight).sum::<usize>()
     }
 
     pub fn is_quiescent(&self) -> bool {
-        self.mesh.is_quiescent()
-            && self.xbars.iter().all(RefCrossbar::is_quiescent)
-            && self.delivered.iter().all(VecDeque::is_empty)
+        self.in_flight() == 0 && self.delivered.iter().all(VecDeque::is_empty)
     }
 
     pub fn stats(&self) -> &MeshStats {

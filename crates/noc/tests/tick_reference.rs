@@ -3,7 +3,11 @@
 //! `reference/` — same injection verdicts, same delivered `(tile, payload)`
 //! sequence, same `MeshStats`, same `in_flight` and `is_quiescent` — on
 //! random flat meshes and clustered topologies, under multi-flit traffic
-//! with backpressure, fault-plane drops and delays, and `skip` gaps.
+//! with backpressure, fault-plane drops and delays, and `skip` gaps. The
+//! generator includes clusters of more than 64 tiles, so crossbar input
+//! occupancy spans several 64-bit words, and starts every scenario at a
+//! random round-robin offset. Every cycle, every packet must be accounted
+//! for: `injected = delivered + dropped + in_flight`.
 
 mod reference;
 
@@ -41,6 +45,8 @@ struct Step {
 #[derive(Debug, Clone)]
 struct Scenario {
     shape: Shape,
+    /// Cycles skipped before the first step: the round-robin start.
+    offset: u64,
     /// Fault-plane seed, drop rate and delay rate (`None`: reliable).
     faults: Option<(u64, f64, f64)>,
     steps: Vec<Step>,
@@ -52,22 +58,38 @@ impl Gen for ScenarioGen {
     type Value = Scenario;
 
     fn generate(&self, rng: &mut SimRng) -> Scenario {
-        let shape = if rng.below(2) == 0 {
-            Shape::Flat(
+        let shape = match rng.below(5) {
+            0 | 1 => Shape::Flat(
                 1 + rng.below(5) as u16,
                 1 + rng.below(5) as u16,
                 1 + rng.below(3),
                 1 + rng.below(8) as usize,
-            )
-        } else {
-            Shape::Clustered(
+            ),
+            2 | 3 => Shape::Clustered(
                 1 + rng.below(3) as u16,
                 1 + rng.below(3) as u16,
                 1 + rng.below(3) as u16,
                 1 + rng.below(3) as u16,
                 1 + rng.below(3),
-            )
+            ),
+            // 72–99 tiles per cluster: crossbar occupancy crosses a
+            // 64-bit word boundary, and the mesh port sits past it.
+            _ => Shape::Clustered(
+                9 + rng.below(3) as u16,
+                8 + rng.below(2) as u16,
+                1 + rng.below(2) as u16,
+                1 + rng.below(2) as u16,
+                1 + rng.below(3),
+            ),
         };
+        let tiles = match shape {
+            Shape::Flat(w, h, ..) => u64::from(w) * u64::from(h),
+            Shape::Clustered(cw, ch, cx, cy, _) => {
+                u64::from(cw) * u64::from(ch) * u64::from(cx) * u64::from(cy)
+            }
+        };
+        let span = tiles.max(81);
+        let offset = rng.below(128);
         let faults = (rng.below(3) == 0).then(|| {
             (
                 rng.below(1 << 20),
@@ -87,11 +109,11 @@ impl Gen for ScenarioGen {
                             let src = if rng.below(2) == 0 {
                                 hot
                             } else {
-                                rng.below(81) as u16
+                                rng.below(span) as u16
                             };
                             (
                                 src,
-                                rng.below(81) as u16,
+                                rng.below(span) as u16,
                                 1 + rng.below(4) as u8 * rng.below(3) as u8,
                                 rng.below(2) == 0,
                             )
@@ -112,6 +134,7 @@ impl Gen for ScenarioGen {
             .collect();
         Scenario {
             shape,
+            offset,
             faults,
             steps,
         }
@@ -223,6 +246,12 @@ fn compare(
         reference.is_quiescent(),
         "is_quiescent at {now}"
     );
+    let s = fabric.stats();
+    tk_assert_eq!(
+        s.injected.get(),
+        s.delivered.get() + s.dropped.get() + fabric.in_flight() as u64,
+        "injected = delivered + dropped + in_flight at {now}"
+    );
     Ok(())
 }
 
@@ -232,7 +261,9 @@ fn activity_driven_tick_matches_full_scan_reference() {
     check(&cfg, &ScenarioGen, |s| {
         let (mut fabric, mut reference, tiles) = build(s);
         let n = tiles.len();
-        let mut now = Cycle(0);
+        fabric.skip(s.offset);
+        reference.skip(s.offset);
+        let mut now = Cycle(s.offset);
         let mut id = 0u32;
         for step in &s.steps {
             for &(src, dst, flits, unreliable) in &step.injections {

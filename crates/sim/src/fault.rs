@@ -421,6 +421,31 @@ pub struct HangDiagnosis {
     pub cores: Vec<CoreHang>,
     /// Per-engine outstanding state.
     pub engines: Vec<EngineHang>,
+    /// The page fault that ended the run, when the OS could not service
+    /// it (an address outside any lazy region, with no fault plane).
+    pub unserviceable: Option<UnserviceableFault>,
+}
+
+/// A page fault the OS could not service: the faulting address lies
+/// outside every lazily-mapped region.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UnserviceableFault {
+    /// The faulted component kind (`"core"` or `"MAPLE"`).
+    pub component: &'static str,
+    /// The component's index.
+    pub index: usize,
+    /// The faulting virtual address.
+    pub vaddr: u64,
+}
+
+impl std::fmt::Display for UnserviceableFault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} {} faulted outside any lazy region at va:{:#x}",
+            self.component, self.index, self.vaddr
+        )
+    }
 }
 
 impl HangDiagnosis {
@@ -434,6 +459,9 @@ impl HangDiagnosis {
 impl std::fmt::Display for HangDiagnosis {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "hang diagnosis at {}", self.at)?;
+        if let Some(fault) = &self.unserviceable {
+            writeln!(f, "  {fault}")?;
+        }
         for c in &self.cores {
             writeln!(
                 f,
@@ -600,11 +628,17 @@ mod tests {
                 pending_consumes: 4,
                 poisoned: true,
             }],
+            unserviceable: Some(UnserviceableFault {
+                component: "core",
+                index: 0,
+                vaddr: 0x4004_0000,
+            }),
         };
         assert!(d.any_poisoned());
         let text = d.to_string();
         assert!(text.contains("cycle 123"));
         assert!(text.contains("POISONED"));
         assert!(text.contains("waiting-mem"));
+        assert!(text.contains("core 0 faulted outside any lazy region at va:0x40040000"));
     }
 }

@@ -21,8 +21,8 @@ use maple_mem::l2::SharedL2;
 use maple_mem::msg::{MemReq, MemResp};
 use maple_mem::phys::{PAddr, PhysMem, PAGE_SIZE};
 use maple_noc::{Coord, Fabric, MeshConfig, NocFault, XbarFault};
-use maple_sim::fault::{CoreHang, EngineHang, HangDiagnosis, WatchdogConfig};
-use maple_sim::link::DelayQueue;
+use maple_sim::fault::{CoreHang, EngineHang, HangDiagnosis, UnserviceableFault, WatchdogConfig};
+use maple_sim::link::{DelayQueue, Link};
 use maple_sim::stats::Counter;
 use maple_sim::worklist::Worklist;
 use maple_sim::{Cycle, RunOutcome};
@@ -84,7 +84,9 @@ enum FaultTarget {
 #[derive(Debug, Clone, Copy)]
 enum Verdict {
     Finished(Cycle),
-    Retired,
+    /// No further progress is possible: an engine was retired, or a page
+    /// fault could not be serviced.
+    Stuck,
     Budget,
 }
 
@@ -184,12 +186,18 @@ pub struct System {
     desc_pair: Vec<Option<usize>>,
     /// Per-tile outbound path: uncore delay then injection (with retry on
     /// backpressure, order-preserving).
-    out_uncore: Vec<DelayQueue<OutMsg>>,
+    out_uncore: Vec<Link<OutMsg>>,
     out_retry: Vec<VecDeque<OutMsg>>,
-    /// Tiles whose uncore queue or retry queue holds a message.
+    /// `(due cycle, tile)` of every uncore send, in send order. The
+    /// latency is one constant and sends happen in time order, so send
+    /// order is due order: the front is the earliest undelivered send.
+    egress_due: VecDeque<(Cycle, usize)>,
+    /// Tiles holding a backpressured retry.
     egress: Worklist,
     /// Each tile's delivery sink, by tile index (`None`: unused tile).
     sinks: Vec<Option<Sink>>,
+    /// Each tile's coordinate, by tile index.
+    tile_coords: Vec<Coord>,
     /// Scratch buffers reused every cycle so the hub loops never allocate.
     egress_tiles: Vec<usize>,
     arrival_tiles: Vec<Coord>,
@@ -213,6 +221,9 @@ pub struct System {
     /// the one-cycle lag the sequential stepper had, since poisoning
     /// happens at tick time, after the scan.
     poisoned_mirror: Vec<bool>,
+    /// The first page fault the OS could not service with the fault plane
+    /// off; it ends the run as hung.
+    unserviceable: Option<UnserviceableFault>,
     /// Hub-owned trace ring (mesh, L2/DRAM and chaos events); disabled
     /// unless [`SocConfig::with_tracing`] was used.
     tracer: Tracer,
@@ -333,10 +344,14 @@ impl System {
             droplet,
             desc_queues: Vec::new(),
             desc_pair: Vec::new(),
-            out_uncore: (0..nodes).map(|_| DelayQueue::new()).collect(),
+            out_uncore: (0..nodes).map(|_| Link::new(cfg.uncore_latency)).collect(),
             out_retry: (0..nodes).map(|_| VecDeque::new()).collect(),
+            egress_due: VecDeque::new(),
             egress: Worklist::new(nodes),
             sinks,
+            tile_coords: (0..cfg.mesh_height)
+                .flat_map(|y| (0..cfg.mesh_width).map(move |x| Coord::new(x, y)))
+                .collect(),
             egress_tiles: Vec::new(),
             arrival_tiles: Vec::new(),
             arrivals: Vec::new(),
@@ -349,6 +364,7 @@ impl System {
             maple_user_vas: vec![None; cfg.maples],
             chaos,
             poisoned_mirror: vec![false; cfg.maples],
+            unserviceable: None,
             tracer,
             core_rings: Vec::new(),
             engine_rings,
@@ -707,8 +723,9 @@ impl System {
 
     fn queue_out(&mut self, from: Coord, msg: OutMsg) {
         let t = self.tile_index(from);
-        self.out_uncore[t].send(self.now, self.cfg.uncore_latency, msg);
-        self.egress.insert(t);
+        self.out_uncore[t].send(self.now, msg);
+        self.egress_due
+            .push_back((self.now.plus(self.cfg.uncore_latency), t));
     }
 
     /// Queues an outbound memory/MMIO request from `tile`, routing by
@@ -934,7 +951,7 @@ impl System {
         }));
         arrivals.sort_unstable();
         for &(sink, tile) in &arrivals {
-            for payload in self.mesh.take_delivered(tile) {
+            while let Some(payload) = self.mesh.take_one_delivered(tile) {
                 match (sink, payload) {
                     (Sink::Core(i), NocPayload::Resp(resp)) => {
                         if let Some(chaos) = &mut self.chaos {
@@ -973,9 +990,9 @@ impl System {
         // 1b. Complete due fault services. The OS maps the page recorded
         //     at dispatch time; the owning partition resumes (or keeps
         //     stalling) the component when it applies the command. A
-        //     fault outside any lazy region cannot be serviced: under
-        //     chaos it is counted and the component stays stalled;
-        //     without chaos it is still the hard invariant it was.
+        //     fault outside any lazy region cannot be serviced and the
+        //     component stays stalled: under chaos it is counted; without
+        //     chaos the first one is recorded and ends the run as hung.
         while let Some(target) = self.fault_service.recv(now) {
             let (component, index, vaddr) = match target {
                 FaultTarget::Core(i, vaddr) => ("core", i, vaddr),
@@ -986,7 +1003,11 @@ impl System {
                 if let Some(chaos) = &mut self.chaos {
                     chaos.stats.unserviceable_faults.inc();
                 } else {
-                    panic!("{component} {index} faulted outside any lazy region at {vaddr}");
+                    self.unserviceable.get_or_insert(UnserviceableFault {
+                        component,
+                        index,
+                        vaddr: vaddr.0,
+                    });
                 }
             }
             match target {
@@ -1147,17 +1168,21 @@ impl System {
     }
 
     /// Drains the per-tile uncore egress queues into the mesh, preserving
-    /// per-tile order under backpressure. Only tiles holding a message
-    /// are visited, in ascending tile order: under chaos, that is the
-    /// order of the fault plane's RNG draws.
+    /// per-tile order under backpressure. Only tiles with a message due
+    /// or a backpressured retry are visited, in ascending tile order:
+    /// under chaos, that is the order of the fault plane's RNG draws.
     fn inject_outbound(&mut self, now: Cycle) {
+        while let Some(&(due, t)) = self.egress_due.front() {
+            if due > now {
+                break;
+            }
+            self.egress_due.pop_front();
+            self.egress.insert(t);
+        }
         let mut tiles = std::mem::take(&mut self.egress_tiles);
         self.egress.drain_sorted(&mut tiles);
         for &t in &tiles {
-            let src = Coord::new(
-                (t % usize::from(self.cfg.mesh_width)) as u16,
-                (t / usize::from(self.cfg.mesh_width)) as u16,
-            );
+            let src = self.tile_coords[t];
             loop {
                 let msg = if let Some(m) = self.out_retry[t].pop_front() {
                     m
@@ -1208,19 +1233,22 @@ impl System {
                     }
                 }
             }
-            if !self.out_retry[t].is_empty() || !self.out_uncore[t].is_empty() {
+            if !self.out_retry[t].is_empty() {
                 self.egress.insert(t);
             }
         }
         self.egress_tiles = tiles;
     }
 
-    /// Whether any engine was retired (poisoned) under the fault plane —
-    /// the early-exit condition of every run loop.
-    fn retired_any(&self) -> bool {
-        self.chaos
-            .as_ref()
-            .is_some_and(|c| c.retired.iter().any(|&r| r))
+    /// Whether the run can make no further progress — an engine was
+    /// retired (poisoned) under the fault plane, or a page fault could not
+    /// be serviced: the early-exit condition of every run loop.
+    fn stuck(&self) -> bool {
+        self.unserviceable.is_some()
+            || self
+                .chaos
+                .as_ref()
+                .is_some_and(|c| c.retired.iter().any(|&r| r))
     }
 
     /// Earliest cycle at or after `now` at which *any* component could act:
@@ -1263,12 +1291,10 @@ impl System {
             h.observe(d.next_event(now));
         }
         h.observe(self.mesh.next_event(now));
-        for &t in self.egress.as_slice() {
-            if !self.out_retry[t].is_empty() {
-                h.at(now);
-            }
-            h.observe(self.out_uncore[t].next_deadline().map(|d| d.max(now)));
+        if !self.egress.as_slice().is_empty() {
+            h.at(now);
         }
+        h.observe(self.egress_due.front().map(|&(due, _)| due.max(now)));
         h.observe(self.fault_service.next_deadline().map(|d| d.max(now)));
         if let Some(chaos) = &self.chaos {
             h.observe(chaos.next_event(now));
@@ -1411,7 +1437,7 @@ impl System {
     fn finish(&self, verdict: Verdict) -> RunOutcome {
         match verdict {
             Verdict::Finished(at) => RunOutcome::Finished(at),
-            Verdict::Retired | Verdict::Budget => {
+            Verdict::Stuck | Verdict::Budget => {
                 RunOutcome::Hung(Box::new(self.hang_diagnosis()))
             }
         }
@@ -1444,8 +1470,8 @@ impl System {
             if halted == total {
                 break Verdict::Finished(self.now);
             }
-            if self.retired_any() {
-                break Verdict::Retired;
+            if self.stuck() {
+                break Verdict::Stuck;
             }
             // A non-quiescent mesh pins the horizon at `now` (packets move
             // every cycle), so the hub scans below could only confirm
@@ -1584,8 +1610,8 @@ impl System {
                 if halted == total {
                     break Verdict::Finished(self.now);
                 }
-                if self.retired_any() {
-                    break Verdict::Retired;
+                if self.stuck() {
+                    break Verdict::Stuck;
                 }
                 if self.mesh.is_quiescent() {
                     let target = self
@@ -1633,6 +1659,7 @@ impl System {
                         || self.chaos.as_ref().is_some_and(|c| c.retired[e]),
                 })
                 .collect(),
+            unserviceable: self.unserviceable,
         }
     }
 

@@ -5,10 +5,13 @@
 //! exactly on a skipped-to cycle, occupancy sampling across skipped
 //! gaps — and on the sleep contract of the wake sets: a core waiting on a
 //! full MMIO store buffer, a shootdown landing on a waiting core, and an
-//! engine and an L2 bank that only a delivery wakes.
+//! engine and an L2 bank that only a delivery wakes. Uncore egress held
+//! behind a backpressured injection port and chaos MMIO retries queued
+//! from phase 1 must replay exactly too, and a page fault the OS cannot
+//! service ends the run as hung under both steppers.
 
 use maple_isa::builder::ProgramBuilder;
-use maple_sim::fault::FaultPlaneConfig;
+use maple_sim::fault::{FaultPlaneConfig, UnserviceableFault};
 use maple_sim::RunOutcome;
 use maple_soc::compiler::{KernelSpec, ValueOp};
 use maple_soc::config::SocConfig;
@@ -440,5 +443,85 @@ fn engine_and_bank_woken_only_by_deliveries_are_bit_exact() {
         skip_sys.metrics_snapshot().to_json().render(),
         dense_sys.metrics_snapshot().to_json().render(),
         "metrics diverged"
+    );
+}
+
+#[test]
+fn backpressured_egress_and_phase1_mmio_retries_are_bit_exact() {
+    // The fault plane delays a fifth of the fault-eligible packets (the
+    // engine's traffic) by 60 cycles. A delayed packet at the head of the engine tile's
+    // injection queue blocks everything behind it, so the engine's fetch
+    // burst fills the queue and later sends wait in the uncore egress as
+    // backpressured retries. Dropped consume requests time out, and the
+    // MMIO watchdog re-queues them from phase 1. DRAM round trips leave
+    // the mesh quiet, so the skipping run jumps gaps in between, with
+    // sends still waiting out their uncore latency.
+    let plane = || {
+        FaultPlaneConfig::new(3)
+            .with_noc_delay(0.2, 60)
+            .with_noc_drop(0.05)
+    };
+    let (skip_out, skip_sys) =
+        run_pair(SocConfig::fpga_prototype().with_fault_plane(plane()), 512, 5);
+    let (dense_out, dense_sys) = run_pair(
+        SocConfig::fpga_prototype()
+            .with_fault_plane(plane())
+            .with_dense_stepper(),
+        512,
+        5,
+    );
+    assert_eq!(skip_out, dense_out, "outcome diverged");
+    assert_eq!(
+        skip_sys.metrics_snapshot().to_json().render(),
+        dense_sys.metrics_snapshot().to_json().render(),
+        "metrics diverged"
+    );
+    let chaos = skip_sys.chaos_stats().expect("plane installed");
+    assert!(chaos.mmio_retries.get() > 0, "the watchdog must re-queue MMIO");
+    assert!(skip_sys.mesh_stats().delayed.get() > 0, "packets must be held");
+}
+
+#[test]
+fn unserviceable_fault_without_chaos_ends_hung_under_both_steppers() {
+    // A load 64 pages past a one-page lazy region faults at an address
+    // no lazy region covers. With the fault plane off, the run ends hung
+    // rather than panicking, and the diagnosis names the faulted core,
+    // identically under both steppers.
+    const BUDGET: u64 = 1_000_000;
+    let run = |cfg: SocConfig| {
+        let mut sys = System::new(cfg);
+        let lazy = sys.alloc_lazy(4096);
+        let mut b = ProgramBuilder::new();
+        let ptr = b.reg("ptr");
+        let t = b.reg("t");
+        b.ld(t, ptr, 64 * 4096, 8);
+        b.halt();
+        sys.load_program(b.build().unwrap(), &[(ptr, lazy.0)]);
+        let out = sys.run(BUDGET);
+        (out, lazy.0 + 64 * 4096, sys)
+    };
+    let (skip_out, vaddr, skip_sys) = run(SocConfig::fpga_prototype());
+    let (dense_out, _, dense_sys) = run(SocConfig::fpga_prototype().with_dense_stepper());
+    assert_eq!(skip_out, dense_out, "outcome diverged");
+    assert_eq!(
+        skip_sys.metrics_snapshot().to_json().render(),
+        dense_sys.metrics_snapshot().to_json().render(),
+        "metrics diverged"
+    );
+    let d = skip_out.diagnosis().expect("an unserviceable fault ends the run hung");
+    assert!(d.at.0 < BUDGET, "the run ends at the fault, not the budget");
+    assert_eq!(
+        d.unserviceable,
+        Some(UnserviceableFault {
+            component: "core",
+            index: 0,
+            vaddr,
+        })
+    );
+    assert_eq!(d.cores[0].state, "faulted");
+    assert!(
+        d.to_string()
+            .contains(&format!("core 0 faulted outside any lazy region at va:{vaddr:#x}")),
+        "{d}"
     );
 }

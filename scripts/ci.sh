@@ -120,6 +120,29 @@ for TILES in 256 1024; do
     fi
 done
 
+echo "==> perf_counters: maple-perf exact counters must equal results/perf_smoke"
+# One smoke-scale rep of each benchmark workload; `maple-perf compare`
+# diffs the 29 deterministic work counters (cycles, packets, hops,
+# instructions, stalls, cache and serving counts) against the committed
+# goldens. Host timings in the same files are not gated.
+mkdir -p target/perf_smoke
+for W in fabric_1024 flat_spmv_dec kernel_mix serve_mt; do
+    cargo run --offline --release -q -p maple-perf -- --workload "$W" --scale smoke \
+        --reps 1 --out "target/perf_smoke/$W.json" > /dev/null
+done
+cargo run --offline --release -q -p maple-perf -- compare results/perf_smoke target/perf_smoke \
+    | grep '^exact' | tee target/perf_counters.txt
+if grep -q ' -> ' target/perf_counters.txt; then
+    echo "ERROR: maple-perf exact counters differ from results/perf_smoke" >&2
+    exit 1
+fi
+for W in fabric_1024 flat_spmv_dec kernel_mix serve_mt; do
+    if ! grep -Eq "^exact $W: [0-9]+ counters identical over 1 shared seeds" target/perf_counters.txt; then
+        echo "ERROR: no exact-counter verdict for $W" >&2
+        exit 1
+    fi
+done
+
 echo "==> lint: clippy, warnings are errors"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
