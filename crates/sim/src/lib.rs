@@ -146,34 +146,43 @@ pub trait Clocked {
 /// Accumulator folding per-component [`Clocked::next_event`] answers into
 /// the scheduler's horizon: the earliest cycle any component may act.
 ///
-/// Identity is "no event" (`None`), so a fold over zero components yields a
+/// Identity is "no event", so a fold over zero components yields a
 /// fully-quiescent horizon and the driver can jump straight to its budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Horizon(Option<Cycle>);
+/// The fold is a plain `u64` minimum with `u64::MAX` meaning "no event":
+/// runs end at their cycle budget, so no real event sits at `u64::MAX`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Horizon(u64);
+
+impl Default for Horizon {
+    fn default() -> Self {
+        Horizon::IDLE
+    }
+}
 
 impl Horizon {
     /// A horizon with no events observed yet.
-    pub const IDLE: Horizon = Horizon(None);
+    pub const IDLE: Horizon = Horizon(u64::MAX);
 
     /// Folds one component's `next_event` answer into the horizon.
     pub fn observe(&mut self, event: Option<Cycle>) {
-        self.0 = match (self.0, event) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, None) => a,
-            (None, b) => b,
-        };
+        self.fold(event.map_or(u64::MAX, |c| c.0));
     }
 
     /// Folds a definite event at `cycle` into the horizon.
     pub fn at(&mut self, cycle: Cycle) {
-        self.observe(Some(cycle));
+        self.fold(cycle.0);
+    }
+
+    /// Folds a raw due cycle, `u64::MAX` meaning "no event".
+    fn fold(&mut self, due: u64) {
+        self.0 = self.0.min(due);
     }
 
     /// The earliest observed event, or `None` when every component was
     /// quiescent.
     #[must_use]
     pub fn earliest(self) -> Option<Cycle> {
-        self.0
+        (self.0 != u64::MAX).then_some(Cycle(self.0))
     }
 }
 
@@ -287,5 +296,19 @@ mod tests {
     #[test]
     fn cycle_from_u64() {
         assert_eq!(Cycle::from(9), Cycle(9));
+    }
+
+    #[test]
+    fn horizon_folds_the_minimum_and_ignores_absent_events() {
+        let mut h = Horizon::default();
+        assert_eq!(h, Horizon::IDLE);
+        h.observe(None);
+        assert_eq!(h.earliest(), None);
+        h.observe(Some(Cycle(40)));
+        h.fold(u64::MAX);
+        h.at(Cycle(25));
+        h.observe(None);
+        h.fold(30);
+        assert_eq!(h.earliest(), Some(Cycle(25)));
     }
 }

@@ -54,7 +54,7 @@ pub mod system;
 mod wake;
 
 pub use config::{ClusterConfig, SocConfig};
-pub use system::{ChaosStats, System};
+pub use system::{ChaosStats, HostWork, System};
 
 /// Re-export of the MAPLE MMIO encoding, for programs that form engine
 /// addresses at run time (e.g. dynamic queue selection).

@@ -33,7 +33,7 @@ use maple_mem::msg::{MemReq, MemResp};
 use maple_mem::{PhysMem, WriteStage};
 use maple_noc::boundary::BoundaryChannel;
 use maple_sim::stats::Histogram;
-use maple_sim::{Cycle, Horizon};
+use maple_sim::Cycle;
 use maple_vm::{VAddr, VirtPage};
 
 use crate::system::OCCUPANCY_SAMPLE_PERIOD;
@@ -130,10 +130,10 @@ pub(crate) struct PartitionOut {
     /// preserving the one-cycle lag of the sequential stepper; only a
     /// tick changes the flag).
     pub poisoned: Vec<(usize, bool)>,
-    /// Earliest future cycle any local component is due; `None` in the
-    /// dense reference, or when every local component waits for a
-    /// delivery or a command.
-    pub horizon: Option<Cycle>,
+    /// Earliest future cycle any local component is due, as of this
+    /// cycle's phase 2; `u64::MAX` in the dense reference, or when every
+    /// local component waits for a delivery or a command.
+    pub horizon: u64,
 }
 
 impl PartitionOut {
@@ -147,7 +147,19 @@ impl PartitionOut {
         self.engine_fault_dispatch.clear();
         self.halted = 0;
         self.poisoned.clear();
-        self.horizon = None;
+        self.horizon = u64::MAX;
+    }
+
+    /// Whether this cycle's ticks left the hub nothing to do: no request,
+    /// response or fault dispatch, and no engine reporting itself
+    /// poisoned (the chaos scan must see that on the next cycle).
+    pub fn is_quiet(&self) -> bool {
+        self.core_reqs.is_empty()
+            && self.engine_reqs.is_empty()
+            && self.engine_resps.is_empty()
+            && self.core_fault_dispatch.is_empty()
+            && self.engine_fault_dispatch.is_empty()
+            && self.poisoned.iter().all(|&(_, poisoned)| !poisoned)
     }
 }
 
@@ -442,10 +454,7 @@ pub(crate) fn phase2(p: &mut Partition, now: Cycle, mem: &PhysMem) {
 
     // 6. Report.
     p.out.halted = p.halted;
-    let mut h = Horizon::IDLE;
-    h.observe(p.core_wake.horizon());
-    h.observe(p.engine_wake.horizon());
-    p.out.horizon = h.earliest();
+    p.out.horizon = p.core_wake.horizon().min(p.engine_wake.horizon());
 }
 
 #[cfg(test)]

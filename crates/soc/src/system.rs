@@ -119,6 +119,22 @@ pub struct ChaosStats {
     pub unserviceable_faults: Counter,
 }
 
+/// How the run loops spent their host work, summed over every run of a
+/// [`System`]: deterministic counts, kept out of the metrics snapshot
+/// (and so out of every digest and golden) because they describe the
+/// simulator, not the simulated machine.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HostWork {
+    /// Cycles a run loop stepped: phase 2 ran for them.
+    pub stepped: u64,
+    /// Stepped cycles that also ran the hub phases: every stepped cycle
+    /// except the hub-idle ones whose cores and engines emitted nothing
+    /// (under the dense stepper, every stepped cycle).
+    pub hub: u64,
+    /// Cycles a run loop jumped over by advancing time to the horizon.
+    pub skipped: u64,
+}
+
 /// Driver/uncore-level chaos state: scheduled events still to inject,
 /// outstanding MMIO transactions under watchdog, and poison bookkeeping.
 #[derive(Debug)]
@@ -232,6 +248,7 @@ pub struct System {
     core_rings: Vec<Tracer>,
     /// Per-engine trace rings.
     engine_rings: Vec<Tracer>,
+    host_work: HostWork,
     now: Cycle,
 }
 
@@ -368,6 +385,7 @@ impl System {
             tracer,
             core_rings: Vec::new(),
             engine_rings,
+            host_work: HostWork::default(),
             now: Cycle::ZERO,
             cfg,
         }
@@ -1029,15 +1047,21 @@ impl System {
         // 1c. Inject scheduled chaos events and scan the MMIO watchdog.
         self.chaos_stage(now, mem, plan, inboxes);
 
-        // 1d. Publish the fast-path fence: the earliest cycle strictly
-        //     after `now` at which this hub could inject a command into
-        //     any partition — the next scheduled chaos event (reset,
-        //     shootdown, watchdog deadline) or the next fault-service
-        //     completion. Core compute runs split here so chaos replay
-        //     stays bit-exact by construction, not by the (true but
-        //     non-local) argument that today's commands cannot touch a
-        //     Running core's registers. Computed identically by all
-        //     three steppers since they share this phase function.
+        // 1d. Publish the fast-path fence.
+        self.publish_fence(now, inboxes);
+    }
+
+    /// Publishes the fast-path fence for the cycle at `now`: the earliest
+    /// cycle strictly after `now` at which this hub could inject a
+    /// command into any partition — the next scheduled chaos event
+    /// (reset, shootdown, watchdog deadline) or the next fault-service
+    /// completion. Core compute runs split here so chaos replay stays
+    /// bit-exact by construction, not by the (true but non-local)
+    /// argument that today's commands cannot touch a Running core's
+    /// registers. Every stepped cycle publishes a fresh fence, hub-idle
+    /// ones included: the last phase 3 may have queued a fault service or
+    /// an MMIO watch after the previous fence was computed.
+    fn publish_fence(&self, now: Cycle, inboxes: &mut [Inbox]) {
         let fence = if self.cfg.cpu.fast_path {
             let next = now.plus(1);
             let mut h = maple_sim::Horizon::IDLE;
@@ -1056,14 +1080,18 @@ impl System {
 
     /// Phase 3 of one simulated cycle (hub-post): apply every partition's
     /// staged stores and replay its egress in global component order,
-    /// then tick the hub-owned L2/DROPLET/mesh and advance time. Returns
-    /// the number of halted cores reported for this cycle.
+    /// then tick the hub-owned L2/DROPLET/mesh and advance time. A
+    /// `quiet` cycle is hub-idle and its partitions emitted nothing, so
+    /// there is nothing to replay or tick: only the stores, the mirrors,
+    /// the fabric's round-robin rotation and time move. Returns the
+    /// number of halted cores reported for this cycle.
     fn phase3(
         &mut self,
         now: Cycle,
         mem: &mut PhysMem,
         plan: &SplitPlan,
         outs: &mut [PartitionOut],
+        quiet: bool,
     ) -> usize {
         // 3a. Apply staged plain stores in global core order — the same
         //     write order the tick loop produced when stores were live,
@@ -1072,6 +1100,38 @@ impl System {
             out.stage.apply(mem);
         }
 
+        // 3b–3f. Replay egress, tick the hub and the interconnect. An
+        //     idle fabric's tick only rotates its arbitration pointers.
+        self.host_work.stepped += 1;
+        self.host_work.hub += u64::from(!quiet);
+        if quiet {
+            self.mesh.skip(1);
+        } else {
+            self.hub_post(now, mem, plan, outs);
+        }
+
+        // 3g. Refresh the hub mirrors from the partition reports and
+        //     advance time.
+        let mut halted = 0;
+        for (p, out) in outs.iter().enumerate() {
+            halted += out.halted;
+            let base = plan.engine_starts[p];
+            for &(local, poisoned) in &out.poisoned {
+                self.poisoned_mirror[base + local] = poisoned;
+            }
+        }
+        self.now += 1;
+        halted
+    }
+
+    /// Stages 3b–3f of phase 3: the hub's own half of the cycle.
+    fn hub_post(
+        &mut self,
+        now: Cycle,
+        mem: &mut PhysMem,
+        plan: &SplitPlan,
+        outs: &mut [PartitionOut],
+    ) {
         // 3b. Replay egress in global component order (cores ascending,
         //     then engines ascending; per tile, engine requests precede
         //     engine responses — exactly the sequential pop order).
@@ -1152,19 +1212,8 @@ impl System {
         //     backpressure.
         self.inject_outbound(now);
 
-        // 3f. Advance the interconnect, refresh the hub mirrors from the
-        //     partition reports, and advance time.
+        // 3f. Advance the interconnect.
         self.mesh.tick(now);
-        let mut halted = 0;
-        for (p, out) in outs.iter().enumerate() {
-            halted += out.halted;
-            let base = plan.engine_starts[p];
-            for &(local, poisoned) in &out.poisoned {
-                self.poisoned_mirror[base + local] = poisoned;
-            }
-        }
-        self.now += 1;
-        halted
     }
 
     /// Drains the per-tile uncore egress queues into the mesh, preserving
@@ -1251,66 +1300,87 @@ impl System {
                 .is_some_and(|c| c.retired.iter().any(|&r| r))
     }
 
-    /// Earliest cycle at or after `now` at which *any* component could act:
-    /// the event horizon. `None` means no component will ever act again
-    /// without external input — the system is wedged and only the cycle
-    /// budget remains.
-    ///
-    /// Partition components (cores, engines) contributed their terms in
-    /// phase 2 — each [`PartitionOut::horizon`] is the minimum due cycle
-    /// of the partition's wake sets, and the L2 banks' due cycles live in
-    /// the hub's bank wake set. The hub folds in everything else it owns;
-    /// anything omitted here would let a stepper skip over an observable
-    /// mutation and diverge from the dense reference:
+    /// The hub's own next event: the earliest cycle at or after `now` at
+    /// which phase 1 or the hub half of phase 3 could act, as a raw cycle
+    /// (`u64::MAX`: none). Before it, a stepped cycle is *hub-idle*:
+    /// phase 1 has nothing to deliver, complete or inject, and phase 3
+    /// has nothing to tick unless the partitions emit something. Anything
+    /// omitted here would let a stepper pass over an observable mutation
+    /// and diverge from the dense reference:
     ///
     /// - the shared L2 and DRAM (staged requests, completions), through
-    ///   the banks' due cycles,
-    /// - DROPLET decode deadlines,
-    /// - the mesh (pinned to `now` while any packet is in flight),
-    /// - per-tile uncore egress queues and backpressured retries,
-    /// - pending page-fault service completions,
-    /// - the chaos plane (scheduled resets/shootdowns, MMIO watchdog
+    ///   the banks' due cycles, and DROPLET decode deadlines;
+    /// - the fabric, pinned to `now` while any packet is in flight or
+    ///   awaits its phase-1 drain;
+    /// - the uncore egress due queue, and backpressured retries (`now`);
+    /// - pending page-fault service completions;
+    /// - the chaos plane: scheduled resets and shootdowns, MMIO watchdog
     ///   deadlines, and a poisoned-but-not-yet-retired engine, which the
-    ///   next `chaos_stage` must observe — read from the hub mirror),
-    /// - the next queue-occupancy sample (a scheduled event, so sampled
-    ///   cycles are identical to the dense reference).
-    fn hub_horizon(&self, outs: &[PartitionOut]) -> Option<Cycle> {
+    ///   next `chaos_stage` must observe (read from the hub mirror).
+    fn hub_due(&self) -> u64 {
         let now = self.now;
-        let mut h = maple_sim::Horizon::IDLE;
-        for out in outs {
-            h.observe(out.horizon);
+        if !self.mesh.is_quiescent() || !self.egress.as_slice().is_empty() {
+            return now.0;
         }
-        // A core ready to issue this cycle pins the horizon at `now` —
-        // the common case while compute proceeds. Bail before paying for
-        // the hub scans below; the run loop skips nothing either way.
-        if h.earliest() == Some(now) {
-            return Some(now);
-        }
-        h.observe(self.bank_wake.horizon());
-        if let Some(d) = &self.droplet {
-            h.observe(d.next_event(now));
-        }
-        h.observe(self.mesh.next_event(now));
-        if !self.egress.as_slice().is_empty() {
-            h.at(now);
-        }
-        h.observe(self.egress_due.front().map(|&(due, _)| due.max(now)));
-        h.observe(self.fault_service.next_deadline().map(|d| d.max(now)));
+        let raw = |event: Option<Cycle>| event.map_or(u64::MAX, |c| c.0);
+        let mut due = self
+            .bank_wake
+            .horizon()
+            .min(raw(self.droplet.as_ref().and_then(|d| d.next_event(now))))
+            .min(raw(self.egress_due.front().map(|&(d, _)| d.max(now))))
+            .min(raw(self.fault_service.next_deadline().map(|d| d.max(now))));
         if let Some(chaos) = &self.chaos {
-            h.observe(chaos.next_event(now));
+            due = due.min(raw(chaos.next_event(now)));
             if self
                 .poisoned_mirror
                 .iter()
                 .enumerate()
                 .any(|(e, &poisoned)| poisoned && !chaos.retired[e])
             {
-                h.at(now);
+                due = now.0;
             }
         }
+        due
+    }
+
+    /// The next queue-occupancy sample cycle (`u64::MAX` with no
+    /// engines). Phase 2 samples, so the sample bounds a skip — sampled
+    /// cycles are identical to the dense reference — but does not make
+    /// the hub run.
+    fn next_sample(&self) -> u64 {
         if self.cfg.maples > 0 {
-            h.at(Cycle(now.0.next_multiple_of(OCCUPANCY_SAMPLE_PERIOD)));
+            self.now.0.next_multiple_of(OCCUPANCY_SAMPLE_PERIOD)
+        } else {
+            u64::MAX
         }
-        h.earliest()
+    }
+
+    /// Earliest cycle at or after `now` at which *any* component could
+    /// act: the event horizon, as a raw cycle (`u64::MAX`: no component
+    /// will ever act again without external input — the system is wedged
+    /// and only the cycle budget remains). Partition components (cores,
+    /// engines) contributed their terms in phase 2 — each
+    /// [`PartitionOut::horizon`] is the minimum due cycle of the
+    /// partition's wake sets; the hub's own due cycle and the next
+    /// occupancy sample are folded on top.
+    fn horizon(&self, outs: &[PartitionOut], hub_due: u64) -> u64 {
+        outs.iter()
+            .map(|out| out.horizon)
+            .fold(hub_due.min(self.next_sample()), u64::min)
+    }
+
+    /// Advances time to `target` (clamped to `max_cycles`) when it lies
+    /// ahead. Skipping moves time only, plus the fabric's arbitration
+    /// pointers: sleeping components catch their accounting up when next
+    /// touched.
+    fn skip_to(&mut self, target: u64, max_cycles: u64) {
+        let target = target.min(max_cycles);
+        if target > self.now.0 {
+            let gap = target - self.now.0;
+            self.mesh.skip(gap);
+            self.host_work.skipped += gap;
+            self.now = Cycle(target);
+        }
     }
 
     /// Splits the loaded components into `n` contiguous partitions,
@@ -1423,9 +1493,10 @@ impl System {
             .collect();
     }
 
-    /// Hub-side double buffers for the phase handoff: one [`Inbox`] and
-    /// one [`PartitionOut`] per partition, swapped with the partition's
-    /// own pair each cycle so neither side ever reallocates.
+    /// Hub-side double buffers for the partitioned stepper's phase
+    /// handoff: one [`Inbox`] and one [`PartitionOut`] per partition,
+    /// swapped with the partition's own pair each cycle so neither side
+    /// ever reallocates.
     fn fresh_io(parts: &[Partition]) -> (Vec<Inbox>, Vec<PartitionOut>) {
         let inboxes = parts.iter().map(|_| Inbox::default()).collect();
         let outs = parts.iter().map(|_| PartitionOut::default()).collect();
@@ -1449,44 +1520,49 @@ impl System {
     /// skipped, or every component ticks every cycle. It runs the same
     /// three phases as [`System::partitioned_run`] over a one-partition
     /// split, so all steppers are bit-identical by shared code.
+    ///
+    /// The skipping stepper also keeps the hub's own due cycle
+    /// ([`System::hub_due`], refreshed whenever the hub runs). A cycle
+    /// before it is hub-idle: phase 1 only publishes the fast-path fence,
+    /// and unless the cores and engines emit something, phase 3 only
+    /// applies their stores and advances time.
     fn sequential_run(&mut self, max_cycles: u64, skipping: bool) -> RunOutcome {
         assert!(!self.cores.is_empty(), "load programs before running");
         let total = self.cores.len();
         let mut mem = std::mem::take(&mut self.mem);
         let (plan, mut parts) = self.split(1, !skipping);
-        let (mut hub_in, mut hub_out) = Self::fresh_io(&parts);
+        // One partition, whose own inbox and report are the hub's buffers:
+        // phase 2 consumes everything phase 1 queues in the same cycle,
+        // and phase 3 everything phase 2 reports.
+        let part = &mut parts[0];
+        let mut hub_due = self.now.0;
         let verdict = loop {
             if self.now.0 >= max_cycles {
                 break Verdict::Budget;
             }
             let now = self.now;
-            self.phase1(now, &mut mem, &plan, &mut hub_in);
-            for (p, part) in parts.iter_mut().enumerate() {
-                std::mem::swap(&mut hub_in[p], &mut part.inbox);
-                phase2(part, now, &mem);
-                std::mem::swap(&mut hub_out[p], &mut part.out);
+            let hub_idle = skipping && now.0 < hub_due;
+            let inbox = std::slice::from_mut(&mut part.inbox);
+            if hub_idle {
+                self.publish_fence(now, inbox);
+            } else {
+                self.phase1(now, &mut mem, &plan, inbox);
             }
-            let halted = self.phase3(now, &mut mem, &plan, &mut hub_out);
+            phase2(part, now, &mem);
+            let quiet = hub_idle && part.out.is_quiet();
+            let out = std::slice::from_mut(&mut part.out);
+            let halted = self.phase3(now, &mut mem, &plan, out, quiet);
             if halted == total {
                 break Verdict::Finished(self.now);
             }
             if self.stuck() {
                 break Verdict::Stuck;
             }
-            // A non-quiescent mesh pins the horizon at `now` (packets move
-            // every cycle), so the hub scans below could only confirm
-            // there is nothing to skip — don't pay for them. Skipping
-            // moves time only: sleeping components catch their
-            // accounting up when next touched.
-            if skipping && self.mesh.is_quiescent() {
-                let target = self
-                    .hub_horizon(&hub_out)
-                    .map_or(max_cycles, |h| h.0)
-                    .min(max_cycles);
-                if target > self.now.0 {
-                    self.mesh.skip(target - self.now.0);
-                    self.now = Cycle(target);
+            if skipping {
+                if !quiet {
+                    hub_due = self.hub_due();
                 }
+                self.skip_to(self.horizon(out, hub_due), max_cycles);
             }
         };
         self.mem = mem;
@@ -1605,7 +1681,7 @@ impl System {
                 }
                 let halted = {
                     let mut mem = mem_lock.write().expect("memory lock poisoned");
-                    self.phase3(now, &mut mem, &plan, &mut hub_out)
+                    self.phase3(now, &mut mem, &plan, &mut hub_out, false)
                 };
                 if halted == total {
                     break Verdict::Finished(self.now);
@@ -1613,15 +1689,11 @@ impl System {
                 if self.stuck() {
                     break Verdict::Stuck;
                 }
-                if self.mesh.is_quiescent() {
-                    let target = self
-                        .hub_horizon(&hub_out)
-                        .map_or(max_cycles, |h| h.0)
-                        .min(max_cycles);
-                    if target > self.now.0 {
-                        self.mesh.skip(target - self.now.0);
-                        self.now = Cycle(target);
-                    }
+                // A component due right now rules out any skip: bail
+                // before paying for the hub scans.
+                let parts_due = self.horizon(&hub_out, u64::MAX);
+                if parts_due > self.now.0 {
+                    self.skip_to(parts_due.min(self.hub_due()), max_cycles);
                 }
             }
         });
@@ -1667,6 +1739,14 @@ impl System {
     #[must_use]
     pub fn now(&self) -> Cycle {
         self.now
+    }
+
+    /// How the run loops have spent their host work so far: cycles
+    /// stepped, stepped cycles that ran the hub phases, and cycles
+    /// skipped. Deterministic, and not part of [`System::metrics_snapshot`].
+    #[must_use]
+    pub fn host_work(&self) -> HostWork {
+        self.host_work
     }
 
     // --- inspection -------------------------------------------------------

@@ -107,18 +107,16 @@ impl WakeSet {
     }
 
     /// Earliest cycle any component is due, once this cycle's due
-    /// components have settled; `None` when every one waits for a
+    /// components have settled; `u64::MAX` when every one waits for a
     /// delivery or a command, and in a dense set, which skips nothing.
-    pub fn horizon(&self) -> Option<Cycle> {
+    pub fn horizon(&self) -> u64 {
         if self.dense {
-            return None;
+            return u64::MAX;
         }
-        let min = self
-            .due_now
+        self.due_now
             .iter()
             .map(|&i| self.due[i])
-            .fold(self.asleep_min, u64::min);
-        (min != u64::MAX).then_some(Cycle(min))
+            .fold(self.asleep_min, u64::min)
     }
 
     /// Brings every component's accounting up to `now`, calling
@@ -145,12 +143,12 @@ mod tests {
         ws.settle(0, Cycle(10), || Some(Cycle(11)));
         ws.settle(1, Cycle(10), || Some(Cycle(20)));
         ws.settle(2, Cycle(10), || None);
-        assert_eq!(ws.horizon(), Some(Cycle(11)));
+        assert_eq!(ws.horizon(), 11);
 
         ws.collect(Cycle(11));
         assert_eq!(ws.due_now(), &[0]);
         ws.settle(0, Cycle(11), || None);
-        assert_eq!(ws.horizon(), Some(Cycle(20)));
+        assert_eq!(ws.horizon(), 20);
 
         // A delivery at 15 wakes component 2, which owes 11..15.
         let mut owed = 0;
@@ -174,10 +172,10 @@ mod tests {
         ws.settle(1, Cycle(0), || None);
         ws.wake_by(1, || Some(Cycle(30)));
         ws.wake_by(0, || Some(Cycle(70)));
-        assert_eq!(ws.horizon(), Some(Cycle(30)));
+        assert_eq!(ws.horizon(), 30);
         ws.collect(Cycle(30));
         assert_eq!(ws.due_now(), &[1]);
-        assert_eq!(ws.horizon(), Some(Cycle(30)), "not yet settled");
+        assert_eq!(ws.horizon(), 30, "not yet settled");
     }
 
     #[test]
@@ -192,6 +190,6 @@ mod tests {
             }
         }
         ws.wake_by(0, || unreachable!("dense sets never ask"));
-        assert_eq!(ws.horizon(), None);
+        assert_eq!(ws.horizon(), u64::MAX);
     }
 }

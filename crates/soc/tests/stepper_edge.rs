@@ -8,7 +8,12 @@
 //! engine and an L2 bank that only a delivery wakes. Uncore egress held
 //! behind a backpressured injection port and chaos MMIO retries queued
 //! from phase 1 must replay exactly too, and a page fault the OS cannot
-//! service ends the run as hung under both steppers.
+//! service ends the run as hung under both steppers. Hub-idle cycles —
+//! stepped cycles on which the skipping stepper runs only the cores and
+//! engines — must end exactly where the dense run says: at a fault
+//! service the fast-path fence has to see, a halt, the budget, a chaos
+//! event or watchdog deadline, a DeSC pair's first store, and an
+//! occupancy sample.
 
 use maple_isa::builder::ProgramBuilder;
 use maple_sim::fault::{FaultPlaneConfig, UnserviceableFault};
@@ -33,32 +38,65 @@ fn load_starved_consumer(sys: &mut System) {
     sys.load_program(b.build().unwrap(), &[(base, maple_va.0)]);
 }
 
+/// Runs `load` under `cfg` with the skipping stepper and with the dense
+/// reference, asserts both agree on the outcome, the metrics JSON and
+/// the trace records (empty unless `cfg` traces), and returns the
+/// skipping run's outcome and system with what `load` returned.
+fn assert_steppers_agree<T>(
+    cfg: SocConfig,
+    budget: u64,
+    load: impl Fn(&mut System) -> T,
+) -> (RunOutcome, System, T) {
+    assert_steppers_agree_then(cfg, budget, load, |_, _| {})
+}
+
+/// [`assert_steppers_agree`], also running `check` on each finished
+/// system, for state the metrics JSON does not carry (memory contents).
+fn assert_steppers_agree_then<T>(
+    cfg: SocConfig,
+    budget: u64,
+    load: impl Fn(&mut System) -> T,
+    check: impl Fn(&mut System, &T),
+) -> (RunOutcome, System, T) {
+    let run = |cfg: SocConfig| {
+        let mut sys = System::new(cfg);
+        let loaded = load(&mut sys);
+        let out = sys.run(budget);
+        check(&mut sys, &loaded);
+        (out, sys, loaded)
+    };
+    let (skip_out, skip_sys, loaded) = run(cfg.clone());
+    let (dense_out, dense_sys, _) = run(cfg.with_dense_stepper());
+    assert_eq!(skip_out, dense_out, "outcome diverged");
+    assert_eq!(
+        skip_sys.metrics_snapshot().to_json().render(),
+        dense_sys.metrics_snapshot().to_json().render(),
+        "metrics diverged"
+    );
+    assert_eq!(
+        skip_sys.trace_records(),
+        dense_sys.trace_records(),
+        "trace records diverged"
+    );
+    let dense_work = dense_sys.host_work();
+    assert_eq!(dense_work.hub, dense_work.stepped, "dense runs the hub every cycle");
+    assert_eq!(dense_work.skipped, 0, "dense skips nothing");
+    (skip_out, skip_sys, loaded)
+}
+
 #[test]
 fn empty_horizon_hang_is_bit_exact_with_dense() {
     // The skipping loop sees no component with a future event and jumps
     // straight to the cycle budget; the dense loop grinds there one cycle
     // at a time. Outcome, hang diagnosis, and every metric must agree.
     const BUDGET: u64 = 200_000;
-    let run = |cfg: SocConfig| {
-        let mut sys = System::new(cfg);
-        load_starved_consumer(&mut sys);
-        let out = sys.run(BUDGET);
-        (out, sys)
-    };
-    let (skip_out, skip_sys) = run(SocConfig::fpga_prototype());
-    let (dense_out, dense_sys) = run(SocConfig::fpga_prototype().with_dense_stepper());
-
+    let (out, _, ()) =
+        assert_steppers_agree(SocConfig::fpga_prototype(), BUDGET, load_starved_consumer);
     assert!(
-        matches!(skip_out, RunOutcome::Hung(_)),
-        "starved consumer must hang: {skip_out:?}"
+        matches!(out, RunOutcome::Hung(_)),
+        "starved consumer must hang: {out:?}"
     );
-    assert_eq!(skip_out, dense_out, "hang diagnosis diverged");
-    assert_eq!(skip_out.cycle().0, BUDGET, "hang at budget expiry");
-    assert_eq!(
-        skip_sys.metrics_snapshot().to_json().render(),
-        dense_sys.metrics_snapshot().to_json().render(),
-        "metrics diverged on the empty-horizon hang path"
-    );
+    assert_eq!(out.cycle().0, BUDGET, "hang at budget expiry");
 }
 
 #[test]
@@ -68,34 +106,15 @@ fn chaos_reset_fires_exactly_at_skipped_to_cycle() {
     // must advance exactly TO the injection cycle (chaos events fire when
     // `at <= now`), deliver the reset, and then agree with dense on every
     // downstream effect (watchdog retries, poison, final diagnosis).
-    const BUDGET: u64 = 2_000_000;
-    let plane = || FaultPlaneConfig::new(7).with_engine_reset_at(5_000, 0);
-    let run = |cfg: SocConfig| {
-        let mut sys = System::new(cfg.with_fault_plane(plane()));
-        load_starved_consumer(&mut sys);
-        let out = sys.run(BUDGET);
-        (out, sys)
-    };
-    let (skip_out, skip_sys) = run(SocConfig::fpga_prototype());
-    let (dense_out, dense_sys) = run(SocConfig::fpga_prototype().with_dense_stepper());
-
-    let chaos = skip_sys.chaos_stats().expect("plane installed");
+    let plane = FaultPlaneConfig::new(7).with_engine_reset_at(5_000, 0);
+    let cfg = SocConfig::fpga_prototype().with_fault_plane(plane);
+    let (_, sys, ()) = assert_steppers_agree(cfg, 2_000_000, load_starved_consumer);
     assert_eq!(
-        chaos.resets_injected.get(),
+        sys.chaos_stats().expect("plane installed").resets_injected.get(),
         1,
         "the scheduled reset must fire even though cycle 5000 is inside a \
          quiescent gap"
     );
-    assert_eq!(skip_out, dense_out, "post-reset behaviour diverged");
-    assert_eq!(
-        skip_sys.metrics_snapshot().to_json().render(),
-        dense_sys.metrics_snapshot().to_json().render(),
-        "metrics diverged after a reset landing on a skipped-to cycle"
-    );
-    let dense_chaos = dense_sys.chaos_stats().unwrap();
-    assert_eq!(chaos.resets_injected.get(), dense_chaos.resets_injected.get());
-    assert_eq!(chaos.mmio_timeouts.get(), dense_chaos.mmio_timeouts.get());
-    assert_eq!(chaos.mmio_retries.get(), dense_chaos.mmio_retries.get());
 }
 
 /// Runs the MAPLE-decoupled pair kernel and returns the outcome plus the
@@ -394,8 +413,7 @@ fn engine_and_bank_woken_only_by_deliveries_are_bit_exact() {
     // round-trips a value through engine 0. After the first cycle every
     // bank and engine has nothing due: each one that acts afterwards is
     // woken by a delivery alone, and the untouched ones sleep throughout.
-    let run = |cfg: SocConfig| {
-        let mut sys = System::new(cfg);
+    let load = |sys: &mut System| {
         let maple_va = sys.map_maple(0);
         let data = sys.alloc(4 * 64);
         let out = sys.alloc(8);
@@ -425,25 +443,16 @@ fn engine_and_bank_woken_only_by_deliveries_are_bit_exact() {
             b.build().unwrap(),
             &[(base, maple_va.0), (ptr, data.0), (res, out.0)],
         );
-        let outcome = sys.run(1_000_000);
-        let value = sys.read_u64(out);
-        (outcome, value, sys)
+        out
     };
     let cfg = SocConfig::fpga_prototype()
         .with_maples(4)
         .with_clusters(maple_soc::ClusterConfig::new(16, 2, 2));
-    let (skip_out, skip_val, skip_sys) = run(cfg.clone());
-    let (dense_out, dense_val, dense_sys) = run(cfg.with_dense_stepper());
-    assert!(skip_out.is_finished(), "{skip_out:?}");
-    assert_eq!(skip_val, 42, "the value made the round trip");
-    assert_eq!(skip_out, dense_out, "completion cycle diverged");
-    assert_eq!(skip_val, dense_val);
-    assert_eq!(skip_sys.l2_bank_count(), 4);
-    assert_eq!(
-        skip_sys.metrics_snapshot().to_json().render(),
-        dense_sys.metrics_snapshot().to_json().render(),
-        "metrics diverged"
-    );
+    let (out, sys, _) = assert_steppers_agree_then(cfg, 1_000_000, load, |sys, &res| {
+        assert_eq!(sys.read_u64(res), 42, "the value made the round trip");
+    });
+    assert!(out.is_finished(), "{out:?}");
+    assert_eq!(sys.l2_bank_count(), 4);
 }
 
 #[test]
@@ -488,8 +497,7 @@ fn unserviceable_fault_without_chaos_ends_hung_under_both_steppers() {
     // rather than panicking, and the diagnosis names the faulted core,
     // identically under both steppers.
     const BUDGET: u64 = 1_000_000;
-    let run = |cfg: SocConfig| {
-        let mut sys = System::new(cfg);
+    let (out, _, vaddr) = assert_steppers_agree(SocConfig::fpga_prototype(), BUDGET, |sys| {
         let lazy = sys.alloc_lazy(4096);
         let mut b = ProgramBuilder::new();
         let ptr = b.reg("ptr");
@@ -497,18 +505,9 @@ fn unserviceable_fault_without_chaos_ends_hung_under_both_steppers() {
         b.ld(t, ptr, 64 * 4096, 8);
         b.halt();
         sys.load_program(b.build().unwrap(), &[(ptr, lazy.0)]);
-        let out = sys.run(BUDGET);
-        (out, lazy.0 + 64 * 4096, sys)
-    };
-    let (skip_out, vaddr, skip_sys) = run(SocConfig::fpga_prototype());
-    let (dense_out, _, dense_sys) = run(SocConfig::fpga_prototype().with_dense_stepper());
-    assert_eq!(skip_out, dense_out, "outcome diverged");
-    assert_eq!(
-        skip_sys.metrics_snapshot().to_json().render(),
-        dense_sys.metrics_snapshot().to_json().render(),
-        "metrics diverged"
-    );
-    let d = skip_out.diagnosis().expect("an unserviceable fault ends the run hung");
+        lazy.0 + 64 * 4096
+    });
+    let d = out.diagnosis().expect("an unserviceable fault ends the run hung");
     assert!(d.at.0 < BUDGET, "the run ends at the fault, not the budget");
     assert_eq!(
         d.unserviceable,
@@ -524,4 +523,240 @@ fn unserviceable_fault_without_chaos_ends_hung_under_both_steppers() {
             .contains(&format!("core 0 faulted outside any lazy region at va:{vaddr:#x}")),
         "{d}"
     );
+}
+
+/// A core that counts to `iters` in a loop of `body` `addi`s, the
+/// counter's `addi` and a branch, touching no memory; `iters = 0`
+/// loops forever.
+fn load_compute_loop(sys: &mut System, iters: i64, body: usize) {
+    let mut b = ProgramBuilder::new();
+    let i = b.reg("i");
+    let x = b.reg("x");
+    b.li(i, 0);
+    let top = b.here("loop");
+    for _ in 0..body {
+        b.addi(x, x, 1);
+    }
+    b.addi(i, i, 1);
+    if iters > 0 {
+        b.blt(i, iters, top);
+    } else {
+        b.jump(top);
+    }
+    b.halt();
+    sys.load_program(b.build().unwrap(), &[]);
+}
+
+#[test]
+fn fast_path_fence_is_recomputed_on_hub_idle_cycles() {
+    // Core 0 loads from three demand-paged pages, one after another;
+    // each fault is dispatched in a phase 3 and serviced 1,200 cycles
+    // later. Core 1's fast path batches its compute loop up to the fence,
+    // the next fault-service deadline. The cycles after a dispatch are
+    // hub-idle, and a fence left over from the phase 1 before the
+    // dispatch would let core 1 batch straight across the service.
+    let cfg = SocConfig::fpga_prototype().with_fast_path(true);
+    let (out, sys, ()) = assert_steppers_agree(cfg, 1_000_000, |sys| {
+        let lazy = sys.alloc_lazy(3 * 4096);
+        let mut b = ProgramBuilder::new();
+        let ptr = b.reg("ptr");
+        let t = b.reg("t");
+        for page in 0..3 {
+            b.ld(t, ptr, page * 4096, 8);
+        }
+        b.halt();
+        sys.load_program(b.build().unwrap(), &[(ptr, lazy.0)]);
+        load_compute_loop(sys, 2_000, 12);
+    });
+    assert!(out.is_finished(), "{out:?}");
+    assert!(
+        out.cycle().0 > 3 * 1_200,
+        "the loads wait out three fault services"
+    );
+    assert!(sys.core(1).stats().fast_path_runs.get() > 0, "the fast path engaged");
+    let work = sys.host_work();
+    assert!(work.hub < work.stepped, "hub-idle cycles occurred: {work:?}");
+}
+
+#[test]
+fn cores_halting_on_hub_idle_cycles_finish_on_the_dense_cycle() {
+    // Two compute-only cores halt while the uncore is idle: the run must
+    // finish on the cycle the dense loop finishes on, with or without
+    // the fast path.
+    for fast_path in [false, true] {
+        let cfg = SocConfig::fpga_prototype().with_fast_path(fast_path);
+        let (out, sys, ()) = assert_steppers_agree(cfg, 1_000_000, |sys| {
+            load_compute_loop(sys, 300, 3);
+            load_compute_loop(sys, 700, 5);
+        });
+        assert!(out.is_finished(), "{out:?}");
+        let work = sys.host_work();
+        assert!(
+            work.hub * 10 < work.stepped,
+            "almost every stepped cycle is hub-idle: {work:?}"
+        );
+    }
+}
+
+#[test]
+fn budget_expiring_inside_a_hub_idle_window_is_bit_exact() {
+    // A core that computes forever: the budget runs out in the middle of
+    // a hub-idle window, and the hang diagnosis must be the dense one.
+    const BUDGET: u64 = 10_007;
+    for fast_path in [false, true] {
+        let cfg = SocConfig::fpga_prototype().with_fast_path(fast_path);
+        let (out, _, ()) = assert_steppers_agree(cfg, BUDGET, |sys| load_compute_loop(sys, 0, 4));
+        let d = out.diagnosis().expect("the budget ends the run hung");
+        assert_eq!(d.at.0, BUDGET, "the run stops at the budget");
+    }
+}
+
+#[test]
+fn chaos_reset_and_watchdog_deadline_inside_hub_idle_windows_are_bit_exact() {
+    // Core 0 waits on a consume nothing produces, under an MMIO watchdog;
+    // core 1 computes, so the stretches between watchdog deadlines and
+    // the scheduled engine RESET are hub-idle. Each event must still
+    // fire on its own cycle, traced identically to the dense run.
+    let plane = || {
+        FaultPlaneConfig::new(9)
+            .with_engine_reset_at(5_003, 0)
+            .with_watchdogs(
+                maple_sim::fault::WatchdogConfig::default(),
+                maple_sim::fault::WatchdogConfig {
+                    timeout: 2_500,
+                    max_retries: 2,
+                },
+            )
+    };
+    for fast_path in [false, true] {
+        let cfg = SocConfig::fpga_prototype()
+            .with_fault_plane(plane())
+            .with_tracing(maple_trace::TraceConfig::default())
+            .with_fast_path(fast_path);
+        let (_, sys, ()) = assert_steppers_agree(cfg, 200_000, |sys| {
+            load_starved_consumer(sys);
+            load_compute_loop(sys, 3_000, 6);
+        });
+        let chaos = sys.chaos_stats().expect("plane installed");
+        assert_eq!(chaos.resets_injected.get(), 1, "the reset fired");
+        assert!(chaos.mmio_timeouts.get() > 0, "watchdog deadlines fired");
+        assert!(!sys.trace_records().is_empty(), "the run was traced");
+    }
+}
+
+#[test]
+fn desc_pair_trading_before_its_first_store_is_bit_exact() {
+    // A DeSC pair hands 3,000 values through a coupled queue; nothing
+    // leaves either tile until the execute core stores the sum, so the
+    // whole trade runs on hub-idle cycles.
+    const N: i64 = 3_000;
+    let (out, mut sys, res) =
+        assert_steppers_agree(SocConfig::fpga_prototype(), 1_000_000, |sys| {
+            let res = sys.alloc(8);
+            let mut b = ProgramBuilder::new();
+            let i = b.reg("i");
+            b.li(i, 0);
+            let top = b.here("supply");
+            b.desc_produce(0, i);
+            b.addi(i, i, 1);
+            b.blt(i, N, top);
+            b.halt();
+            let access = sys.load_program(b.build().unwrap(), &[]);
+            let mut b = ProgramBuilder::new();
+            let j = b.reg("j");
+            let v = b.reg("v");
+            let sum = b.reg("sum");
+            let out = b.reg("out");
+            b.li(j, 0);
+            let top = b.here("compute");
+            b.desc_consume(v, 0);
+            b.add(sum, sum, v);
+            b.addi(j, j, 1);
+            b.blt(j, N, top);
+            b.st(sum, out, 0, 8);
+            b.halt();
+            let execute = sys.load_program(b.build().unwrap(), &[(out, res.0)]);
+            sys.pair_desc(access, execute, 1);
+            res
+        });
+    assert!(out.is_finished(), "{out:?}");
+    assert_eq!(sys.read_u64(res), (0..N as u64).sum());
+}
+
+#[test]
+fn occupancy_samples_inside_hub_idle_windows_are_bit_exact() {
+    // Core 0 fills engine queue 0, computes for a while and then drains
+    // it: every occupancy sample during the compute loop falls inside a
+    // hub-idle window, where phase 2 samples on its own.
+    const K: i64 = 6;
+    let (out, sys, ()) = assert_steppers_agree(SocConfig::fpga_prototype(), 1_000_000, |sys| {
+        let maple_va = sys.map_maple(0);
+        let mut b = ProgramBuilder::new();
+        let base = b.reg("maple");
+        let i = b.reg("i");
+        let x = b.reg("x");
+        let v = b.reg("v");
+        let api = MapleApi::new(base);
+        b.li(i, 0);
+        let fill = b.here("fill");
+        api.produce(&mut b, 0, i);
+        b.addi(i, i, 1);
+        b.blt(i, K, fill);
+        b.li(i, 0);
+        let idle = b.here("idle");
+        b.addi(x, x, 1);
+        b.addi(i, i, 1);
+        b.blt(i, 2_000, idle);
+        b.li(i, 0);
+        let drain = b.here("drain");
+        api.consume(&mut b, 0, v, 4);
+        b.addi(i, i, 1);
+        b.blt(i, K, drain);
+        b.halt();
+        sys.load_program(b.build().unwrap(), &[(base, maple_va.0)]);
+    });
+    assert!(out.is_finished(), "{out:?}");
+    let occupancy = sys.queue_occupancy(0, 0);
+    assert!(occupancy.count() > 50, "sampled throughout the run");
+    assert_eq!(occupancy.max(), Some(K as u64), "sampled while the queue was full");
+}
+
+#[test]
+fn host_work_counts_hub_cycles_exactly() {
+    // A compute-bound core runs the hub on one stepped cycle, the first.
+    // A core storing to 64 lines back to back keeps a packet in the mesh
+    // or a send in the uncore on every cycle it is stepped, so the hub
+    // runs on all of them but one: the page-table walk's L1 hit before
+    // the first store leaves. Under the dense stepper the hub runs on
+    // every cycle and nothing is skipped.
+    use maple_soc::HostWork;
+    let run = |cfg: SocConfig, load: &dyn Fn(&mut System)| {
+        let mut sys = System::new(cfg);
+        load(&mut sys);
+        assert!(sys.run(1_000_000).is_finished());
+        sys.host_work()
+    };
+    let compute = |sys: &mut System| load_compute_loop(sys, 1_000, 6);
+    let stream = |sys: &mut System| {
+        let lines = sys.alloc(64 * 64);
+        let mut b = ProgramBuilder::new();
+        let ptr = b.reg("ptr");
+        let t = b.reg("t");
+        for line in 0..64 {
+            b.st(t, ptr, line * 64, 8);
+        }
+        b.halt();
+        sys.load_program(b.build().unwrap(), &[(ptr, lines.0)]);
+    };
+    let skipping = SocConfig::fpga_prototype();
+    let dense = SocConfig::fpga_prototype().with_dense_stepper();
+    let work = |stepped, hub, skipped| HostWork {
+        stepped,
+        hub,
+        skipped,
+    };
+    assert_eq!(run(skipping.clone(), &compute), work(8_017, 1, 984));
+    assert_eq!(run(dense.clone(), &compute), work(9_001, 9_001, 0));
+    assert_eq!(run(skipping, &stream), work(67, 66, 88));
+    assert_eq!(run(dense, &stream), work(155, 155, 0));
 }

@@ -21,6 +21,9 @@ if cargo tree --offline --workspace --edges normal,build,dev 2>/dev/null \
     exit 1
 fi
 
+echo "==> scripts: shell syntax check"
+bash -n scripts/perf_ab.sh
+
 echo "==> tier-1 gate: release build"
 cargo build --offline --workspace --release
 
