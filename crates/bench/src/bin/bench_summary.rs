@@ -14,11 +14,11 @@ use std::path::PathBuf;
 use maple_bench::experiments::{decoupling_suite, prefetch_suite, prior_work_suite, FleetLine};
 use maple_bench::rtt::measure_roundtrip;
 use maple_bench::scaling::{scaling_sweep, SCALE_TILES};
-use maple_bench::stepper::{fast_path_comparison, partitioned_sweep, stall_heavy_comparison};
+use maple_bench::stepper::{fast_path_comparison, stall_heavy_comparison};
 use maple_bench::summary::{
     build_json, readme_scaling_table, readme_throughput_table, FastPathLine, HarnessLine,
-    PartitionedLine, ServingLine, StepperLine, README_SCALING_BEGIN, README_SCALING_END,
-    README_TABLE_BEGIN, README_TABLE_END,
+    ServingLine, StepperLine, README_SCALING_BEGIN, README_SCALING_END, README_TABLE_BEGIN,
+    README_TABLE_END,
 };
 use maple_serve::{serve, ServeConfig};
 use maple_soc::config::SocConfig;
@@ -111,31 +111,6 @@ fn main() {
         interpreted_ticks: fp.fast.interpreted_ticks,
     };
 
-    eprintln!("[bench_summary] measuring partitioned stepper throughput...");
-    let sweep = partitioned_sweep(0x57E9, &[2, 4], None);
-    assert!(
-        sweep.divergence().is_none(),
-        "partitioned stepper diverged: {:?}",
-        sweep.divergence()
-    );
-    let partitioned = PartitionedLine {
-        cycles: sweep.skipping.stats.cycles,
-        host_cores,
-        skipping_mcycles_per_sec: sweep.skipping.mcycles_per_sec(),
-        runs: sweep
-            .runs
-            .iter()
-            .map(|r| {
-                let n = r.partitions;
-                (
-                    n,
-                    r.run.mcycles_per_sec(),
-                    sweep.speedup_at(n).unwrap_or(f64::NAN),
-                )
-            })
-            .collect(),
-    };
-
     eprintln!("[bench_summary] measuring hierarchical-fabric scaling sweep...");
     let scaling = scaling_sweep(&SCALE_TILES, 0x5CA1E);
 
@@ -177,7 +152,6 @@ fn main() {
         rtt.mean_rtt,
         &harness,
         Some(&stepper),
-        Some(&partitioned),
         Some(&fast_path),
         Some(&serving),
         Some(&scaling),

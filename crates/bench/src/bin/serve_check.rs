@@ -1,5 +1,5 @@
 //! CI gate for multi-tenant serving: the differential-oracle grid
-//! ({skipping, dense, 4-partition} × fast-path on/off × {clean, one
+//! ({skipping, dense} × fast-path on/off × {clean, one
 //! recoverable chaos schedule}) through the fleet executor, plus the
 //! engine-kill ladder cell. Prints only host-independent lines, so
 //! `scripts/ci.sh` byte-diffs the output across `MAPLE_JOBS` values;

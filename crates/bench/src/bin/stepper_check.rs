@@ -4,80 +4,27 @@
 //! Doubles as the perf smoke: prints simulated Mcycles per host second
 //! for the dense and skipping loops and the resulting speedup.
 //!
-//! With `--partitions N` it instead runs the partitioned determinism
-//! gate: the same stall-heavy shape under MAPLE decoupling, once
-//! single-threaded and once sharded into `N` spatial partitions (worker
-//! count from `MAPLE_JOBS`/host parallelism), printing only
-//! host-independent lines so `ci.sh` can byte-diff the output across
-//! worker counts.
-//!
-//! With `--fast-path` it runs the compiled fast-path determinism gate:
-//! the mixed SPMV MAPLE-decoupled workload and the compute-heavy kernel
-//! under interpreter vs batched micro-op-run dispatch, across steppers
-//! and the recoverable chaos schedules, again printing only
-//! host-independent lines for the cross-worker byte-diff.
+//! With `--fast-path` it instead runs the compiled fast-path
+//! determinism gate: the mixed SPMV MAPLE-decoupled workload and the
+//! compute-heavy kernel under interpreter vs batched micro-op-run
+//! dispatch, across steppers and the recoverable chaos schedules,
+//! printing only host-independent lines for the cross-worker byte-diff.
 //!
 //! With `--scale N` it runs the hierarchical-fabric determinism gate:
 //! an `N`-tile clustered SoC (4×4 crossbar clusters, one L2 bank and
-//! one MAPLE engine per cluster) under the skipping stepper vs a
-//! 4-partition run, printing only host-independent lines for the
-//! cross-worker byte-diff — the scale smoke of `ci.sh`.
-//!
-//! With `--speedup-floor X` it runs the partitioned *throughput*
-//! expectation: the 4-partition sweep must reach `X`× the
-//! single-threaded skipping baseline. This gate is honest about the
-//! host: on a 1-core container the parallel stepper cannot win, so the
-//! expectation is **skipped** (exit 0, with an explicit skip line) —
-//! only the bit-exactness gates above apply there.
+//! one MAPLE engine per cluster) under the skipping stepper vs the dense
+//! reference, printing only host-independent lines for the cross-worker
+//! byte-diff — the scale smoke of `ci.sh`.
 //!
 //! Any other, extra or malformed argument prints usage and exits 2
 //! before any simulation runs.
 
 use maple_bench::report::FigureReport;
 use maple_bench::scaling::{scale_gate, square_cluster_grid};
-use maple_bench::stepper::{
-    fast_path_gate, partitioned_gate, partitioned_sweep, stall_heavy_comparison,
-};
+use maple_bench::stepper::{fast_path_gate, stall_heavy_comparison};
 
-fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// The `--speedup-floor` gate; returns the process exit code.
-fn speedup_floor_gate(floor: f64) -> i32 {
-    let cores = host_cores();
-    if cores <= 1 {
-        println!(
-            "stepper speedup gate SKIPPED: host_cores=1 pins the partitioned \
-             stepper at ~1.0x (bit-exactness gates still enforced)"
-        );
-        return 0;
-    }
-    let sweep = partitioned_sweep(0x57E9, &[4], None);
-    if let Some(msg) = sweep.divergence() {
-        eprintln!("[stepper_check] PARTITIONED STEPPER DIVERGENCE\n{msg}");
-        return 1;
-    }
-    let speedup = sweep.speedup_at(4).expect("4-partition run present");
-    println!(
-        "stepper speedup gate: host_cores={cores}, 4 partitions at {speedup:.2}x \
-         over skipping baseline (floor {floor:.2}x)"
-    );
-    if speedup < floor {
-        eprintln!(
-            "[stepper_check] partitioned speedup {speedup:.2}x below the \
-             {floor:.2}x floor on a {cores}-core host"
-        );
-        return 1;
-    }
-    0
-}
-
-const USAGE: &str = "usage: stepper_check [--partitions N | --fast-path | --scale TILES | \
---speedup-floor X]
-  N        partitions, 1 or more
-  TILES    a square number of 16-tile clusters, at most 1024 (16, 64, 144, 256, ..., 1024)
-  X        a positive speedup floor";
+const USAGE: &str = "usage: stepper_check [--fast-path | --scale TILES]
+  TILES    a square number of 16-tile clusters, at most 1024 (16, 64, 144, 256, ..., 1024)";
 
 /// Largest `--scale` the binary accepts: the biggest fabric the repo runs.
 const MAX_SCALE_TILES: usize = 1024;
@@ -85,10 +32,8 @@ const MAX_SCALE_TILES: usize = 1024;
 /// The gate one invocation runs.
 enum Mode {
     Steppers,
-    Partitions(usize),
     FastPath,
     Scale(usize),
-    SpeedupFloor(f64),
 }
 
 /// Parses the command line (program name excluded); `None` for any
@@ -97,20 +42,11 @@ fn parse(args: &[String]) -> Option<Mode> {
     match args {
         [] => Some(Mode::Steppers),
         [flag] if flag == "--fast-path" => Some(Mode::FastPath),
-        [flag, value] => match flag.as_str() {
-            "--partitions" => value.parse().ok().filter(|&n| n > 0).map(Mode::Partitions),
-            "--scale" => value
-                .parse()
-                .ok()
-                .filter(|&t| t <= MAX_SCALE_TILES && square_cluster_grid(t).is_some())
-                .map(Mode::Scale),
-            "--speedup-floor" => value
-                .parse()
-                .ok()
-                .filter(|f: &f64| f.is_finite() && *f > 0.0)
-                .map(Mode::SpeedupFloor),
-            _ => None,
-        },
+        [flag, value] if flag == "--scale" => value
+            .parse()
+            .ok()
+            .filter(|&t| t <= MAX_SCALE_TILES && square_cluster_grid(t).is_some())
+            .map(Mode::Scale),
         _ => None,
     }
 }
@@ -123,15 +59,10 @@ fn main() {
     };
     match mode {
         Mode::Steppers => stepper_gate(),
-        Mode::SpeedupFloor(floor) => std::process::exit(speedup_floor_gate(floor)),
         Mode::FastPath => print_or_fail(fast_path_gate(0x57E9), "FAST-PATH DIVERGENCE"),
         Mode::Scale(tiles) => print_or_fail(
             scale_gate(0x5CA1E, tiles),
             "HIERARCHICAL FABRIC DIVERGENCE",
-        ),
-        Mode::Partitions(n) => print_or_fail(
-            partitioned_gate(0x57E9, n),
-            "PARTITIONED STEPPER DIVERGENCE",
         ),
     }
 }

@@ -17,9 +17,9 @@
 //!   run, the honest cost of simulating that tile count.
 //!
 //! [`scale_gate`] is the CI face: at one tile count it byte-compares the
-//! skipping stepper against a partitioned run (whose worker count comes
-//! from `MAPLE_JOBS`, so `ci.sh` diffs the printed lines across worker
-//! counts) and prints only host-independent lines.
+//! skipping stepper against the dense reference and prints only
+//! host-independent lines, which `ci.sh` diffs across `MAPLE_JOBS`
+//! values and against a committed golden.
 
 use std::time::Instant;
 
@@ -161,15 +161,15 @@ pub fn scaling_sweep(tile_counts: &[usize], seed: u64) -> Vec<ScaleRow> {
 }
 
 /// The hierarchical determinism gate behind `stepper_check --scale N`:
-/// the `N`-tile clustered fabric under the skipping stepper vs a
-/// 4-partition run whose worker count comes from `MAPLE_JOBS`, rendered
-/// as **host-independent** lines (simulated facts and a content digest
-/// only), so `ci.sh` can byte-diff the output across worker counts.
+/// the `N`-tile clustered fabric under the skipping stepper vs the dense
+/// reference, rendered as **host-independent** lines (simulated facts
+/// and a content digest only), so `ci.sh` can byte-diff the output
+/// across worker counts.
 ///
 /// # Errors
 ///
-/// Returns the rendered divergence when the partitioned run is not
-/// bit-exact with the single-threaded stepper on the clustered fabric.
+/// Returns the rendered divergence when the skipping run is not
+/// bit-exact with the dense reference on the clustered fabric.
 pub fn scale_gate(seed: u64, tiles: usize) -> Result<String, String> {
     let clusters = tiles / CLUSTER_TILES;
     let threads = 2 * clusters;
@@ -177,33 +177,32 @@ pub fn scale_gate(seed: u64, tiles: usize) -> Result<String, String> {
     let a = uniform_sparse(64 * threads, 32 * 1024, 6, seed);
     let x = dense_vector(32 * 1024, seed ^ 0x9);
     let inst = Spmv { a, x };
-    let run = |partitions: usize| {
+    let run = |dense: bool| {
         inst.run_observed(Variant::MapleDecoupled, threads, move |c| {
             let c = scaled_config(c, tiles, engines);
-            if partitions > 1 {
-                c.with_partitions(partitions)
+            if dense {
+                c.with_dense_stepper()
             } else {
                 c
             }
         })
     };
-    let (seq_stats, seq_sys) = run(1);
-    let (part_stats, part_sys) = run(4);
-    if part_stats != seq_stats {
+    let (stats, sys) = run(false);
+    let (dense_stats, dense_sys) = run(true);
+    if stats != dense_stats {
         return Err(format!(
-            "{tiles}-tile run stats diverged under partitioning:\npartitioned: {part_stats:?}\n\
-             single:      {seq_stats:?}"
+            "{tiles}-tile run stats diverged between steppers:\nskipping: {stats:?}\n\
+             dense:    {dense_stats:?}"
         ));
     }
-    let seq_json = seq_sys.metrics_snapshot().to_json().render();
-    let part_json = part_sys.metrics_snapshot().to_json().render();
-    if part_json != seq_json {
+    let json = sys.metrics_snapshot().to_json().render();
+    if json != dense_sys.metrics_snapshot().to_json().render() {
         return Err(format!(
-            "{tiles}-tile metrics snapshot JSON diverged under partitioning"
+            "{tiles}-tile metrics snapshot JSON diverged between steppers"
         ));
     }
     let mut d = maple_fleet::Digest::new(0x5CA1);
-    d.str(&part_json);
+    d.str(&json);
     Ok(format!(
         "scale gate: {tiles} tiles ({clusters} clusters of {CLUSTER_TILES}, \
          {threads} cores, {engines} engines, {clusters} banks)\n\
@@ -211,8 +210,8 @@ pub fn scale_gate(seed: u64, tiles: usize) -> Result<String, String> {
          verified: {}\n\
          metrics digest: {:#018x}\n\
          scale ok: bit-exact at {tiles} tiles",
-        part_stats.cycles,
-        part_stats.verified,
+        stats.cycles,
+        stats.verified,
         d.finish()
     ))
 }

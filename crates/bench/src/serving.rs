@@ -1,7 +1,7 @@
 //! The multi-tenant serving sweep and its CI gate.
 //!
 //! The sweep runs the [`maple_serve`] differential oracle over the full
-//! acceptance grid — {skipping, dense, 4-partition} steppers × compiled
+//! acceptance grid — {skipping, dense} steppers × compiled
 //! fast path on/off × {no chaos, one recoverable seeded chaos schedule}
 //! — dispatching cells through the [`maple_fleet`] batch executor,
 //! four hierarchical cells on a 2×2 crossbar-cluster fabric, plus
@@ -28,14 +28,11 @@ pub fn serve_grid(seed: u64) -> Vec<(String, ServeConfig)> {
         .find(|s| !s.must_degrade)
         .expect("a recoverable schedule exists");
     let mut cells = Vec::new();
-    for (stepper, dense, partitions) in
-        [("skipping", false, 1), ("dense", true, 1), ("part4", false, 4)]
-    {
+    for (stepper, dense) in [("skipping", false), ("dense", true)] {
         for fast in [false, true] {
             for chaos in [false, true] {
                 let mut cfg = ServeConfig::quick(seed);
                 cfg.dense = dense;
-                cfg.partitions = partitions;
                 cfg.fast_path = fast;
                 if chaos {
                     cfg.chaos = Some(schedule.plane.clone());
@@ -50,22 +47,19 @@ pub fn serve_grid(seed: u64) -> Vec<(String, ServeConfig)> {
         }
     }
     // Hierarchical cells: the same tenants on a 2×2 crossbar hierarchy
-    // (banked L2, per-cluster engine pools), skipping and partitioned,
-    // clean and under the recoverable schedule.
-    for (stepper, partitions) in [("skipping", 1), ("part4", 4)] {
-        for chaos in [false, true] {
-            let mut cfg = ServeConfig::quick(seed);
-            cfg.cluster = Some(maple_soc::ClusterConfig::new(9, 2, 2));
-            cfg.partitions = partitions;
-            if chaos {
-                cfg.chaos = Some(schedule.plane.clone());
-            }
-            let label = format!(
-                "clustered2x2/{stepper}/chaos={}",
-                if chaos { schedule.name } else { "none" }
-            );
-            cells.push((label, cfg));
+    // (banked L2, per-cluster engine pools), clean and under the
+    // recoverable schedule.
+    for chaos in [false, true] {
+        let mut cfg = ServeConfig::quick(seed);
+        cfg.cluster = Some(maple_soc::ClusterConfig::new(9, 2, 2));
+        if chaos {
+            cfg.chaos = Some(schedule.plane.clone());
         }
+        let label = format!(
+            "clustered2x2/skipping/chaos={}",
+            if chaos { schedule.name } else { "none" }
+        );
+        cells.push((label, cfg));
     }
     cells
 }

@@ -121,116 +121,12 @@ pub fn stall_heavy_comparison(seed: u64) -> StepperComparison {
     compare_steppers(512, 64 * 1024, seed)
 }
 
-/// One timed run of the partitioned stepper at a given partition count.
-#[derive(Debug)]
-pub struct PartitionedRun {
-    /// Spatial partitions the mesh was sharded into.
-    pub partitions: usize,
-    /// The timed run (simulated content is stepper-independent).
-    pub run: StepperRun,
-}
-
-/// Partitioned-stepper throughput sweep: the single-threaded skipping
-/// baseline plus one partitioned run per requested partition count, all
-/// on the same scaled stall-heavy mesh.
-#[derive(Debug)]
-pub struct PartitionedSweep {
-    /// The single-threaded event-horizon baseline.
-    pub skipping: StepperRun,
-    /// One partitioned measurement per partition count.
-    pub runs: Vec<PartitionedRun>,
-}
-
-impl PartitionedSweep {
-    /// Host-throughput ratio of the run at `partitions` over the
-    /// single-threaded skipping baseline.
-    #[must_use]
-    pub fn speedup_at(&self, partitions: usize) -> Option<f64> {
-        self.runs
-            .iter()
-            .find(|r| r.partitions == partitions)
-            .map(|r| r.run.mcycles_per_sec() / self.skipping.mcycles_per_sec())
-    }
-
-    /// `None` when every partitioned run is bit-exact with the skipping
-    /// baseline; otherwise a rendered description of the first mismatch.
-    #[must_use]
-    pub fn divergence(&self) -> Option<String> {
-        for r in &self.runs {
-            if r.run.stats != self.skipping.stats {
-                return Some(format!(
-                    "run stats diverged at {} partitions:\npartitioned: {:?}\nskipping:    {:?}",
-                    r.partitions, r.run.stats, self.skipping.stats
-                ));
-            }
-            if r.run.metrics_json != self.skipping.metrics_json {
-                return Some(format!(
-                    "metrics snapshot JSON diverged at {} partitions",
-                    r.partitions
-                ));
-            }
-        }
-        None
-    }
-}
-
-/// Runs the scaled stall-heavy config — SPMV under MAPLE decoupling,
-/// 16 threads over 8 engines, a gather far beyond both cache levels —
-/// once single-threaded and once per entry of `partition_counts`.
-/// Workers per partitioned run come from `MAPLE_JOBS`/host parallelism
-/// unless `workers` pins them.
-#[must_use]
-pub fn partitioned_sweep(
-    seed: u64,
-    partition_counts: &[usize],
-    workers: Option<usize>,
-) -> PartitionedSweep {
-    // 8192 rows: ~660k simulated cycles, so each timed run spans whole
-    // seconds of host time and the partitions×workers throughput rows
-    // measure the stepper, not allocator noise (the previous 1024-row
-    // instance finished in 83k cycles, under a quarter-second).
-    let a = uniform_sparse(8192, 128 * 1024, 8, seed);
-    let x = dense_vector(128 * 1024, seed ^ 0x9);
-    let inst = Spmv { a, x };
-    let measure = |partitions: usize| {
-        let t0 = Instant::now();
-        let (stats, sys) = inst.run_observed(Variant::MapleDecoupled, 16, move |c| {
-            let c = c.with_maples(8);
-            let c = if partitions > 1 {
-                c.with_partitions(partitions)
-            } else {
-                c
-            };
-            match workers {
-                Some(w) if partitions > 1 => c.with_partition_workers(w),
-                _ => c,
-            }
-        });
-        let wall_seconds = t0.elapsed().as_secs_f64();
-        assert!(!stats.hung, "benchmark config must complete");
-        StepperRun {
-            metrics_json: sys.metrics_snapshot().to_json().render(),
-            stats,
-            wall_seconds,
-        }
-    };
-    let skipping = measure(1);
-    let runs = partition_counts
-        .iter()
-        .map(|&n| PartitionedRun {
-            partitions: n,
-            run: measure(n),
-        })
-        .collect();
-    PartitionedSweep { skipping, runs }
-}
-
 /// Iterations of the compute-heavy kernel in the checked-in benchmark
 /// row ([`fast_path_comparison`]); the CI gate uses a shorter run.
 pub const COMPUTE_ITERS: u64 = 10_000;
 /// Unrolled ALU slots per loop iteration of the compute-heavy kernel.
 const COMPUTE_UNROLL: usize = 64;
-/// Cores running the compute-heavy kernel (fits a 4-partition split).
+/// Cores running the compute-heavy kernel.
 const COMPUTE_CORES: usize = 4;
 
 /// Per-core accumulator seed: distinct per core so a cross-core register
@@ -448,12 +344,12 @@ fn spmv_observed(
 ///
 /// 1. On the mixed SPMV MAPLE-decoupled workload (memory queues, MMIO,
 ///    engines) the fast path is bit-exact with the interpreter — under
-///    the skipping stepper, the dense stepper, a 4-way partitioned run,
-///    and every recoverable chaos schedule of the fault oracle.
+///    the skipping stepper, the dense stepper and every recoverable chaos
+///    schedule of the fault oracle.
 /// 2. On the compute-heavy kernel the fast path is bit-exact and
 ///    *demonstrably engaged* (a zero run count fails the gate).
-/// 3. Dispatch counters themselves are stepper-invariant: the dense and
-///    partitioned fast-path runs report the same run count as skipping.
+/// 3. Dispatch counters themselves are stepper-invariant: the dense
+///    fast-path run reports the same run count as skipping.
 ///
 /// # Errors
 ///
@@ -471,12 +367,9 @@ pub fn fast_path_gate(seed: u64) -> Result<String, String> {
         spmv_observed(&inst, |c| base(c).with_fast_path(true));
     let (dense_stats, dense_json, dense_runs) =
         spmv_observed(&inst, |c| base(c).with_fast_path(true).with_dense_stepper());
-    let (part_stats, part_json, part_runs) =
-        spmv_observed(&inst, |c| base(c).with_fast_path(true).with_partitions(4));
     for (mode, stats, json) in [
         ("skipping", &fast_stats, &fast_json),
         ("dense", &dense_stats, &dense_json),
-        ("partitioned(4)", &part_stats, &part_json),
     ] {
         if *stats != ref_stats {
             return Err(format!(
@@ -494,12 +387,10 @@ pub fn fast_path_gate(seed: u64) -> Result<String, String> {
     if fast_runs == 0 {
         return Err("fast path never dispatched a run on the SPMV workload".into());
     }
-    for (mode, runs) in [("dense", dense_runs), ("partitioned(4)", part_runs)] {
-        if runs != fast_runs {
-            return Err(format!(
-                "fast-path run count is not stepper-invariant: {mode}={runs} skipping={fast_runs}"
-            ));
-        }
+    if dense_runs != fast_runs {
+        return Err(format!(
+            "fast-path run count is not stepper-invariant: dense={dense_runs} skipping={fast_runs}"
+        ));
     }
 
     // Chaos: the fence must split runs identically whether or not the
@@ -561,59 +452,6 @@ pub fn fast_path_gate(seed: u64) -> Result<String, String> {
         cmp.fast.cycles,
         cmp.fast.fast_path_runs,
         cmp.fast.interpreted_ticks,
-        d.finish()
-    ))
-}
-
-/// The partitioned determinism gate behind `stepper_check --partitions`:
-/// the moderate stall-heavy config, run single-threaded and partitioned,
-/// rendered as **host-independent** lines (simulated facts and a content
-/// digest only — no wall-clock), so `ci.sh` can diff the bytes across
-/// `MAPLE_JOBS` values.
-///
-/// # Errors
-///
-/// Returns the rendered divergence when the partitioned run is not
-/// bit-exact with the single-threaded stepper.
-pub fn partitioned_gate(seed: u64, partitions: usize) -> Result<String, String> {
-    let a = uniform_sparse(512, 64 * 1024, 8, seed);
-    let x = dense_vector(64 * 1024, seed ^ 0x9);
-    let inst = Spmv { a, x };
-    let run = |partitions: usize| {
-        inst.run_observed(Variant::MapleDecoupled, 4, move |c| {
-            let c = c.with_maples(2);
-            if partitions > 1 {
-                c.with_partitions(partitions)
-            } else {
-                c
-            }
-        })
-    };
-    let (seq_stats, seq_sys) = run(1);
-    let (part_stats, part_sys) = run(partitions);
-    if part_stats != seq_stats {
-        return Err(format!(
-            "run stats diverged at {partitions} partitions:\npartitioned: {part_stats:?}\n\
-             single:      {seq_stats:?}"
-        ));
-    }
-    let seq_json = seq_sys.metrics_snapshot().to_json().render();
-    let part_json = part_sys.metrics_snapshot().to_json().render();
-    if part_json != seq_json {
-        return Err(format!(
-            "metrics snapshot JSON diverged at {partitions} partitions"
-        ));
-    }
-    let mut d = maple_fleet::Digest::new(0x5057);
-    d.str(&part_json);
-    Ok(format!(
-        "partitioned gate: {partitions} partitions\n\
-         simulated cycles: {}\n\
-         verified: {}\n\
-         metrics digest: {:#018x}\n\
-         partitioned ok: bit-exact across {partitions} partitions",
-        part_stats.cycles,
-        part_stats.verified,
         d.finish()
     ))
 }

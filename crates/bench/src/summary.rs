@@ -49,8 +49,8 @@ pub struct StepperLine {
 /// Host-throughput line for the compiled core fast path (batched
 /// micro-op-run dispatch vs per-instruction interpretation), measured on
 /// the compute-heavy kernel of `crate::stepper`. Run-to-run varying,
-/// like [`HarnessLine`]. Both sides are single-threaded, so unlike the
-/// partitioned sweep the speedup floor is enforceable on any host.
+/// like [`HarnessLine`]. Both sides are single-threaded, so the speedup
+/// floor is enforceable on any host.
 #[derive(Debug, Clone, Default)]
 pub struct FastPathLine {
     /// Simulated cycles of the kernel (dispatch-mode-independent).
@@ -107,25 +107,6 @@ pub struct ServingLine {
     pub elapsed_vcycles: u64,
 }
 
-/// Host-throughput sweep of the partitioned parallel stepper against the
-/// single-threaded skipping baseline, measured on the scaled stall-heavy
-/// config of `crate::stepper`. Run-to-run varying, like [`HarnessLine`];
-/// `host_cores` is recorded because the achievable speedup is bounded by
-/// the host's parallelism (a 1-core container pins it at ~1.0x no matter
-/// the partition count).
-#[derive(Debug, Clone, Default)]
-pub struct PartitionedLine {
-    /// Simulated cycles of the benchmark config (stepper-independent).
-    pub cycles: u64,
-    /// Host CPUs available to the sweep (`available_parallelism`).
-    pub host_cores: usize,
-    /// Single-threaded skipping-loop simulated Mcycles per host second.
-    pub skipping_mcycles_per_sec: f64,
-    /// Per-partition-count measurements:
-    /// `(partitions, mcycles_per_sec, speedup_over_skipping)`.
-    pub runs: Vec<(usize, f64, f64)>,
-}
-
 /// The (app, dataset) pairs present in `rows`, in first-appearance
 /// order. Derived from the rows (rather than the full evaluation matrix)
 /// so reduced suites — tests, partial reruns — summarize cleanly.
@@ -169,7 +150,6 @@ pub fn build_json(
     consume_rtt: f64,
     harness: &HarnessLine,
     stepper: Option<&StepperLine>,
-    partitioned: Option<&PartitionedLine>,
     fast_path: Option<&FastPathLine>,
     serving: Option<&ServingLine>,
     scaling: Option<&[ScaleRow]>,
@@ -286,47 +266,6 @@ pub fn build_json(
             ]),
         ));
     }
-    if let Some(p) = partitioned {
-        let runs: Vec<Json> = p
-            .runs
-            .iter()
-            .map(|&(partitions, mcy, speedup)| {
-                Json::obj(vec![
-                    ("partitions", Json::from(partitions as u64)),
-                    ("mcycles_per_sec", Json::from(mcy)),
-                    ("speedup_over_skipping", Json::from(speedup)),
-                ])
-            })
-            .collect();
-        members.push((
-            "stepper_partitioned",
-            Json::obj(vec![
-                (
-                    "benchmark",
-                    Json::from("spmv maple-dec 16t/8e, DRAM 300cy"),
-                ),
-                ("simulated_cycles", Json::from(p.cycles)),
-                ("host_cores", Json::from(p.host_cores as u64)),
-                // Honesty tag: on a 1-core host the parallel stepper
-                // cannot beat the single-threaded baseline, so readers
-                // (and ci.sh) must not treat speedup ~1.0x as a
-                // regression there. Bit-exactness is still enforced.
-                (
-                    "speedup_gate",
-                    Json::from(if p.host_cores <= 1 {
-                        "skipped (host_cores=1 pins speedup at ~1.0x)"
-                    } else {
-                        "enforced"
-                    }),
-                ),
-                (
-                    "skipping_mcycles_per_sec",
-                    Json::from(p.skipping_mcycles_per_sec),
-                ),
-                ("runs", Json::Array(runs)),
-            ]),
-        ));
-    }
     if let Some(f) = fast_path {
         members.push((
             "stepper_fast_path",
@@ -337,9 +276,9 @@ pub fn build_json(
                 ),
                 ("simulated_cycles", Json::from(f.cycles)),
                 ("host_cores", Json::from(f.host_cores as u64)),
-                // Unlike the partitioned sweep, both sides of this
-                // ratio are single-threaded, so the floor applies on
-                // any host — the tag records whether this run met it.
+                // Both sides of this ratio are single-threaded, so the
+                // floor applies on any host — the tag records whether
+                // this run met it.
                 ("speedup_floor", Json::from(FAST_PATH_SPEEDUP_FLOOR)),
                 (
                     "speedup_gate",

@@ -22,6 +22,9 @@ fn bad_arguments_print_usage_and_exit_2() {
         &["--bogus"],
         &["--fast-path", "--scale", "256"],
         &["--partitions", "4", "extra"],
+        // Retired with the partitioned stepper: formerly valid, now unknown.
+        &["--partitions", "4"],
+        &["--speedup-floor", "1.2"],
     ];
     for args in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_stepper_check"))
@@ -31,6 +34,10 @@ fn bad_arguments_print_usage_and_exit_2() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.starts_with("usage: stepper_check"), "{args:?}: {stderr}");
+        assert!(
+            !stderr.contains("--partitions") && !stderr.contains("--speedup-floor"),
+            "{args:?}: usage must not offer retired flags: {stderr}"
+        );
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?}: no gate output on a usage error");
     }

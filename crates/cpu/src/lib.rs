@@ -448,8 +448,8 @@ impl Core {
     ///
     /// Memory is read-only during the tick; plain stores are staged into
     /// `stage` and applied by the hub in core order at the end of the
-    /// cycle (see [`WriteStage`]) — which is what lets partitions of cores
-    /// tick in parallel against one shared memory image.
+    /// cycle (see [`WriteStage`]), so another agent sees a store one
+    /// cycle after it was accepted.
     ///
     /// `desc` supplies the coupled queues when this core is half of a DeSC
     /// pair; MAPLE and software configurations pass `None`.

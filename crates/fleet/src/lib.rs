@@ -12,11 +12,6 @@
 //!   order**; a panicking job becomes a typed [`pool::JobError`] without
 //!   poisoning the pool, and every job carries wall-clock and placement
 //!   accounting.
-//! - [`crew`]: a long-lived worker gang for *one* job stepped in many
-//!   synchronized rounds — the execution substrate of the soc crate's
-//!   partitioned parallel stepper. Rounds apply a pure function to
-//!   share-nothing slots, so results are bit-identical at any helper
-//!   count (including zero, the sequential reference).
 //! - [`digest`]: an in-tree FNV-1a/splitmix64 content digest used to form
 //!   cache keys from full case descriptors (workload, dataset, variant,
 //!   thread count, `SocConfig` timing parameters, fault schedule, schema
@@ -43,12 +38,10 @@
 #![deny(missing_docs)]
 
 pub mod cache;
-pub mod crew;
 pub mod digest;
 pub mod pool;
 
 pub use cache::ResultCache;
-pub use crew::{Conductor, Crew};
 pub use digest::Digest;
 pub use pool::{
     jobs_from_env, run_batch, Batch, BatchStats, FleetConfig, JobError, JobOutcome, JobStats,

@@ -172,8 +172,9 @@ enum Slot {
 /// identity while the bound program is alive; callers that drop the bound
 /// program and want to reuse the cache across allocations should start
 /// from a fresh cache. The address is stored as a `usize`, never a
-/// pointer — the cache must stay `Send` (the partitioned stepper moves
-/// cores across worker threads) and is never dereferenced through it.
+/// pointer — the cache must stay `Send` (whole systems, cores included,
+/// run on the fleet pool's worker threads) and is never dereferenced
+/// through it.
 #[derive(Debug, Clone, Default)]
 pub struct BlockCache {
     key: Option<(usize, u64)>,

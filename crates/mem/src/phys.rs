@@ -6,9 +6,9 @@
 //! completion time, stores are staged per core in a [`WriteStage`] and
 //! applied in deterministic core order at the end of the cycle, and atomics
 //! are applied at the shared L2 — the single serialization point — so
-//! parallel kernels compute bit-exact results regardless of cache state and
-//! regardless of how the simulation itself is partitioned across host
-//! threads (cores only ever *read* `PhysMem` while they tick).
+//! parallel kernels compute bit-exact results regardless of cache state.
+//! Cores only ever *read* `PhysMem` while they tick: staging is the
+//! simulator's store-visibility rule, not a host-threading device.
 
 use maple_sim::hash::FxHashMap;
 
@@ -268,8 +268,9 @@ impl PhysMem {
 /// visible to *other* agents exactly one cycle after acceptance, and to
 /// its own core on the next cycle it can possibly issue a load (an
 /// in-order core never loads on the cycle it stores) — identical timing
-/// whether the system is stepped densely, with event-horizon skipping, or
-/// partitioned across worker threads.
+/// whether the system is stepped densely or with event-horizon skipping.
+/// Writing stores live instead would let a core that ticks later in the
+/// same cycle see them a cycle early.
 #[derive(Debug, Default)]
 pub struct WriteStage {
     writes: Vec<(PAddr, u8, u64)>,

@@ -39,7 +39,6 @@
 
 #![deny(missing_docs)]
 
-pub mod boundary;
 pub mod crossbar;
 mod deliveries;
 pub mod fabric;

@@ -11,7 +11,7 @@
 //! shows up as a byte diff on some request.
 //!
 //! The check is stepper-agnostic on purpose: the caller picks dense /
-//! skipping / partitioned and fast-path on or off through
+//! skipping and fast-path on or off through
 //! [`ServeConfig`], and the `serve_check` CI gate byte-diffs the whole
 //! grid across `MAPLE_JOBS` values.
 

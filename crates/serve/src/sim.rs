@@ -106,8 +106,6 @@ pub struct ServeConfig {
     /// Use the dense reference stepper instead of event-horizon
     /// skipping.
     pub dense: bool,
-    /// Spatial partitions (`> 1` selects the parallel stepper).
-    pub partitions: usize,
     /// Enable the compiled core fast path.
     pub fast_path: bool,
     /// Hierarchical fabric: group tiles into crossbar clusters with a
@@ -133,7 +131,6 @@ impl ServeConfig {
             chaos: None,
             kill_engine: None,
             dense: false,
-            partitions: 1,
             fast_path: false,
             cluster: None,
             trace: None,
@@ -167,7 +164,6 @@ impl ServeConfig {
             chaos: None,
             kill_engine: None,
             dense: false,
-            partitions: 1,
             fast_path: false,
             cluster: None,
             trace: None,
@@ -193,9 +189,6 @@ impl ServeConfig {
         }
         if self.dense {
             cfg = cfg.with_dense_stepper();
-        }
-        if self.partitions > 1 {
-            cfg = cfg.with_partitions(self.partitions);
         }
         if let Some(plane) = &self.chaos {
             cfg = cfg.with_fault_plane(plane.clone());
@@ -837,22 +830,19 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_and_fast_path_sessions_match_skipping() {
+    fn fast_path_session_matches_skipping() {
         let base = serve(ServeConfig::quick(21)).1;
-        let mut part = ServeConfig::quick(21);
-        part.partitions = 4;
         let mut fast = ServeConfig::quick(21);
         fast.fast_path = true;
-        for other in [serve(part).1, serve(fast).1] {
-            assert!(other.verified);
-            // Same arrivals and same simulated machine semantics: the
-            // latency digests must agree bit-for-bit.
-            assert_eq!(other.sim_cycles, base.sim_cycles);
-            assert_eq!(other.p50, base.p50);
-            assert_eq!(other.p99, base.p99);
-            assert_eq!(other.max, base.max);
-            assert_eq!(other.context_switches, base.context_switches);
-        }
+        let other = serve(fast).1;
+        assert!(other.verified);
+        // Same arrivals and same simulated machine semantics: the
+        // latency digests must agree bit-for-bit.
+        assert_eq!(other.sim_cycles, base.sim_cycles);
+        assert_eq!(other.p50, base.p50);
+        assert_eq!(other.p99, base.p99);
+        assert_eq!(other.max, base.max);
+        assert_eq!(other.context_switches, base.context_switches);
     }
 
     #[test]

@@ -158,18 +158,6 @@ pub struct SocConfig {
     /// suite); this switch exists for that suite and for host-throughput
     /// comparisons.
     pub dense_stepper: bool,
-    /// Number of spatial partitions `System::run` shards the tile mesh
-    /// into, each stepped by a `maple-fleet` worker with conservative
-    /// synchronization at partition boundaries. `1` (the default) keeps
-    /// the single-threaded steppers; any value is bit-exact with them by
-    /// contract (enforced by the partitions×workers differential grid).
-    /// Takes precedence over `dense_stepper` when greater than one.
-    pub partitions: usize,
-    /// Worker-thread cap for the partitioned stepper. `None` (the
-    /// default) defers to `MAPLE_JOBS` / host parallelism via
-    /// `maple_fleet::jobs_from_env`; tests pin it so a grid cell's worker
-    /// count is independent of the environment.
-    pub partition_workers: Option<usize>,
 }
 
 impl SocConfig {
@@ -197,8 +185,6 @@ impl SocConfig {
             fault: None,
             trace: None,
             dense_stepper: false,
-            partitions: 1,
-            partition_workers: None,
         }
     }
 
@@ -343,23 +329,6 @@ impl SocConfig {
         self
     }
 
-    /// Shards the tile mesh into `n` spatial partitions for
-    /// `System::run`, each stepped by a `maple-fleet` worker with a
-    /// deterministic barrier at partition boundaries. Bit-exact with the
-    /// single-threaded steppers at any partition count and any worker
-    /// count (enforced by the partitions×workers differential grid) —
-    /// only host throughput changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `n` is zero.
-    #[must_use]
-    pub fn with_partitions(mut self, n: usize) -> Self {
-        assert!(n > 0, "at least one partition is required");
-        self.partitions = n;
-        self
-    }
-
     /// Enables the cores' compiled fast-path: straight-line compute runs
     /// execute in one tick with bulk cycle accounting
     /// (`maple_isa::fastpath`, DESIGN.md §12). Bit-exact with the
@@ -368,22 +337,6 @@ impl SocConfig {
     #[must_use]
     pub fn with_fast_path(mut self, enabled: bool) -> Self {
         self.cpu.fast_path = enabled;
-        self
-    }
-
-    /// Pins the partitioned stepper's worker-thread count instead of
-    /// deferring to `MAPLE_JOBS` / host parallelism. Worker count never
-    /// affects simulated results (bit-exact by contract); this exists so
-    /// the differential grid can sweep workers without touching the
-    /// process environment.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `workers` is zero.
-    #[must_use]
-    pub fn with_partition_workers(mut self, workers: usize) -> Self {
-        assert!(workers > 0, "at least one worker is required");
-        self.partition_workers = Some(workers);
         self
     }
 
@@ -396,11 +349,10 @@ impl SocConfig {
     /// overrides and the full fault plane. **Excludes `trace`**: tracing
     /// is pure observation and cycle-identical by construction (asserted
     /// by the trace test suite), so a traced and an untraced run share a
-    /// cache entry. **Excludes `dense_stepper`, `partitions` and
-    /// `partition_workers`** for the same reason: all steppers — dense,
-    /// event-horizon skipping and partitioned-parallel — are bit-exact by
-    /// contract (asserted by the stepper differential suites), so they
-    /// share a cache entry. **Excludes `cpu.fast_path`** likewise: the
+    /// cache entry. **Excludes `dense_stepper`** for the same reason: the
+    /// dense and event-horizon skipping steppers are bit-exact by contract
+    /// (asserted by the stepper differential suites), so they share a
+    /// cache entry. **Excludes `cpu.fast_path`** likewise: the
     /// compiled fast-path is bit-exact with the interpreter (asserted by
     /// the fast-path differential grid), so toggling it must not move the
     /// cache key.
@@ -692,12 +644,6 @@ mod tests {
         let traced = base.clone().with_tracing(TraceConfig::default());
         assert_eq!(key(&base), key(&traced), "tracing is pure observation");
 
-        let partitioned = base.clone().with_partitions(4);
-        assert_eq!(
-            key(&base),
-            key(&partitioned),
-            "the partitioned stepper is bit-exact, so it shares cache keys"
-        );
         let dense = base.clone().with_dense_stepper();
         assert_eq!(key(&base), key(&dense), "steppers share cache keys");
         let fast = base.clone().with_fast_path(true);

@@ -48,7 +48,6 @@
 pub mod compiler;
 pub mod config;
 pub mod os;
-mod partition;
 pub mod runtime;
 pub mod system;
 mod wake;

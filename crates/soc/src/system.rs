@@ -8,18 +8,16 @@
 //! statistics extraction.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
 
 use maple_baselines::droplet::{DropletPrefetcher, IndirectWatch};
 use maple_core::Engine;
 use maple_cpu::desc::DescQueues;
-use maple_cpu::Core;
+use maple_cpu::{Core, CoreState};
 use maple_isa::{Program, Reg};
-use maple_fleet::Crew;
 use maple_mem::l2::SharedL2;
 use maple_mem::msg::{MemReq, MemResp};
 use maple_mem::phys::{PAddr, PhysMem, PAGE_SIZE};
+use maple_mem::WriteStage;
 use maple_noc::{Coord, Fabric, MeshConfig, NocFault, XbarFault};
 use maple_sim::fault::{CoreHang, EngineHang, HangDiagnosis, UnserviceableFault, WatchdogConfig};
 use maple_sim::link::{DelayQueue, Link};
@@ -35,7 +33,6 @@ use maple_vm::{VAddr, VirtPage};
 
 use crate::config::{SocConfig, TileLayout, MAPLE_PA_BASE};
 use crate::os::AddressSpace;
-use crate::partition::{phase2, Command, EngineMsg, Inbox, Partition, PartitionOut, SplitPlan};
 use crate::wake::WakeSet;
 
 /// Messages carried by the NoC.
@@ -68,26 +65,34 @@ enum Sink {
     Engine(usize),
 }
 
-/// A pending OS page-fault service. The faulting address is carried in
-/// the dispatch record (rather than re-read from the component at
-/// service time) because the component lives inside a partition the hub
-/// cannot reach mid-cycle.
+/// A pending OS page-fault service. The faulting address is the one
+/// recorded at dispatch: by service time an engine's fault may have
+/// cleared on its own (a reset), and the OS still maps the page it was
+/// asked for.
 #[derive(Debug, Clone, Copy)]
 enum FaultTarget {
     Core(usize, VAddr),
     Engine(usize, VAddr),
 }
 
-/// Terminal state of a run loop, mapped to a [`RunOutcome`] only after
-/// the partitions are reassembled (a hang diagnosis needs the components
-/// back in place).
+/// A hub decision made in phase 1 and applied at the top of phase 2, in
+/// hub order, after the cycle's deliveries and before its ticks; it
+/// wakes the components it targets. Deliveries wait for phase 2 too, so
+/// a core's memory read in `on_mem_resp` follows phase 1's page mapping.
 #[derive(Debug, Clone, Copy)]
-enum Verdict {
-    Finished(Cycle),
-    /// No further progress is possible: an engine was retired, or a page
-    /// fault could not be serviced.
-    Stuck,
-    Budget,
+enum Command {
+    /// A core page-fault service completed (`ok` = page mapped).
+    CoreFaultServiced { core: usize, ok: bool },
+    /// An engine page-fault service completed.
+    EngineFaultServiced { engine: usize, ok: bool },
+    /// Chaos plane: the driver re-initializes the engine mid-run.
+    EngineReset { engine: usize },
+    /// TLB shootdown of one virtual page on every core and engine (chaos
+    /// injection, or the driver unmapping a retired engine).
+    Shootdown { vpn: VirtPage },
+    /// The MMIO watchdog re-injected a core's transaction; the stall it
+    /// resolves is recovery work and must be attributed as such.
+    NoteFaultRetry { core: usize },
 }
 
 /// One core-issued MMIO transaction under watchdog observation.
@@ -192,11 +197,29 @@ pub struct System {
     /// hold exactly one, and every aggregate over one bank is the
     /// historical value unchanged.
     l2: Vec<SharedL2>,
-    /// Which L2 banks tick each cycle (rebuilt at the start of every
-    /// run). A bank is due on its own `next_event` and no later than the
-    /// next event of a request it accepts; banks keep no per-cycle
-    /// counters, so there is nothing to account while one sleeps.
+    /// Which cores, engines and L2 banks tick each cycle (all three
+    /// rebuilt at the start of every run, and flushed at its end so the
+    /// cores' and engines' slept cycles are accounted before anything
+    /// reads their statistics). A bank is due on its own `next_event` and
+    /// no later than the next event of a request it accepts; banks keep
+    /// no per-cycle counters, so there is nothing to account while one
+    /// sleeps.
+    core_wake: WakeSet,
+    engine_wake: WakeSet,
     bank_wake: WakeSet,
+    /// Loaded cores halted so far in the current run (only a tick halts
+    /// a core).
+    halted: usize,
+    /// Core and engine deliveries phase 1 drained from the fabric, in
+    /// drain order; phase 2 applies them before the ticks.
+    deliveries: Vec<(Sink, NocPayload)>,
+    /// Hub decisions phase 1 queued for phase 2, in hub order.
+    commands: Vec<Command>,
+    /// Fast-path fence for the current cycle (see
+    /// [`System::publish_fence`]).
+    fence: Option<Cycle>,
+    /// Plain stores the cores staged this cycle, applied in phase 3.
+    stage: WriteStage,
     droplet: Option<DropletPrefetcher>,
     desc_queues: Vec<DescQueues>,
     desc_pair: Vec<Option<usize>>,
@@ -231,20 +254,14 @@ pub struct System {
     /// Fault-injection plane state; `None` keeps the run fault-free with
     /// zero timing perturbation.
     chaos: Option<ChaosState>,
-    /// Hub mirror of each engine's poisoned flag, refreshed from the
-    /// partition reports at the end of every cycle. The chaos scan reads
-    /// the mirror (state as of the *previous* cycle's ticks) — exactly
-    /// the one-cycle lag the sequential stepper had, since poisoning
-    /// happens at tick time, after the scan.
-    poisoned_mirror: Vec<bool>,
     /// The first page fault the OS could not service with the fault plane
     /// off; it ends the run as hung.
     unserviceable: Option<UnserviceableFault>,
     /// Hub-owned trace ring (mesh, L2/DRAM and chaos events); disabled
     /// unless [`SocConfig::with_tracing`] was used.
     tracer: Tracer,
-    /// Per-core trace rings (each core emits into its own ring so
-    /// partition workers never contend; merged canonically on read).
+    /// Per-core trace rings (each core emits into its own ring, and the
+    /// fixed ring order gives one canonical merge on read).
     core_rings: Vec<Tracer>,
     /// Per-engine trace rings.
     engine_rings: Vec<Tracer>,
@@ -356,7 +373,14 @@ impl System {
             mesh,
             cores: Vec::new(),
             engines,
-            bank_wake: WakeSet::new(l2.len(), Cycle::ZERO, false),
+            core_wake: WakeSet::new(0, Cycle::ZERO, false),
+            engine_wake: WakeSet::new(0, Cycle::ZERO, false),
+            bank_wake: WakeSet::new(0, Cycle::ZERO, false),
+            halted: 0,
+            deliveries: Vec::new(),
+            commands: Vec::new(),
+            fence: None,
+            stage: WriteStage::default(),
             l2,
             droplet,
             desc_queues: Vec::new(),
@@ -380,7 +404,6 @@ impl System {
                 .collect(),
             maple_user_vas: vec![None; cfg.maples],
             chaos,
-            poisoned_mirror: vec![false; cfg.maples],
             unserviceable: None,
             tracer,
             core_rings: Vec::new(),
@@ -797,9 +820,9 @@ impl System {
     }
 
     /// Retires a poisoned MAPLE instance: the driver unmaps its page and
-    /// broadcasts the matching shootdown to every partition so no further
-    /// operations reach it.
-    fn retire_engine(&mut self, e: usize, mem: &mut PhysMem, inboxes: &mut [Inbox]) {
+    /// broadcasts the matching shootdown so no further operations reach
+    /// it.
+    fn retire_engine(&mut self, e: usize, mem: &mut PhysMem) {
         let Some(chaos) = &mut self.chaos else {
             return;
         };
@@ -811,22 +834,14 @@ impl System {
         let va = chaos.maple_vas[e].take();
         if let Some(va) = va {
             self.aspace.unmap(mem, va);
-            for inbox in inboxes.iter_mut() {
-                inbox.commands.push(Command::Shootdown { vpn: va.page() });
-            }
+            self.commands.push(Command::Shootdown { vpn: va.page() });
         }
     }
 
     /// Injects due scheduled faults and scans the core-MMIO watchdog,
-    /// turning every injection into partition [`Command`]s. No-op (no RNG
-    /// draws, no scans) when the plane is off.
-    fn chaos_stage(
-        &mut self,
-        now: Cycle,
-        mem: &mut PhysMem,
-        plan: &SplitPlan,
-        inboxes: &mut [Inbox],
-    ) {
+    /// turning every injection into [`Command`]s for phase 2. No-op (no
+    /// RNG draws, no scans) when the plane is off.
+    fn chaos_stage(&mut self, now: Cycle, mem: &mut PhysMem) {
         if self.chaos.is_none() {
             return;
         }
@@ -838,13 +853,12 @@ impl System {
             match chaos.resets.front() {
                 Some(&(at, e)) if at <= now.0 => {
                     chaos.resets.pop_front();
-                    if e < plan.total_engines() && !chaos.retired[e] {
+                    if e < self.engines.len() && !chaos.retired[e] {
                         chaos.stats.resets_injected.inc();
                         self.tracer.emit(now, || TraceEvent::FaultRecovered {
                             site: FaultSite::EngineReset,
                         });
-                        let (p, local) = plan.engine_owner(e);
-                        inboxes[p].commands.push(Command::EngineReset { engine: local });
+                        self.commands.push(Command::EngineReset { engine: e });
                     }
                 }
                 _ => break,
@@ -852,7 +866,7 @@ impl System {
         }
 
         // Randomly-timed TLB shootdowns on heap pages (an OS unmap/remap
-        // racing the engines) — broadcast to every partition.
+        // racing the engines) — broadcast to every core and engine.
         loop {
             let chaos = self.chaos.as_mut().expect("checked above");
             match chaos.shootdowns.front() {
@@ -873,20 +887,18 @@ impl System {
                     self.tracer.emit(now, || TraceEvent::FaultRecovered {
                         site: FaultSite::TlbShootdown,
                     });
-                    for inbox in inboxes.iter_mut() {
-                        inbox.commands.push(Command::Shootdown { vpn });
-                    }
+                    self.commands.push(Command::Shootdown { vpn });
                 }
                 _ => break,
             }
         }
 
         // Engines whose own watchdog gave up: the driver retires them.
-        // The scan reads the hub's poisoned mirror (last cycle's tick
-        // state), which is when the sequential stepper observed it too.
-        for e in 0..plan.total_engines() {
-            if self.poisoned_mirror[e] {
-                self.retire_engine(e, mem, inboxes);
+        // Only a tick poisons an engine, so the scan sees the flags as of
+        // the previous cycle's ticks.
+        for e in 0..self.engines.len() {
+            if self.engines[e].is_poisoned() {
+                self.retire_engine(e, mem);
             }
         }
 
@@ -916,8 +928,8 @@ impl System {
                 let req = m.req;
                 chaos.mmio_watch.remove(&key);
                 let e = ((req.addr.0.saturating_sub(MAPLE_PA_BASE)) / PAGE_SIZE) as usize;
-                if e < plan.total_engines() {
-                    self.retire_engine(e, mem, inboxes);
+                if e < self.engines.len() {
+                    self.retire_engine(e, mem);
                 }
             } else {
                 m.retries += 1;
@@ -930,40 +942,30 @@ impl System {
                 // The stall this transaction resolves is now recovery
                 // work; attribute it as such when it ends. The watch entry
                 // was updated in place, so the retry is not re-watched.
-                let (p, local) = plan.core_owner(key.0);
-                inboxes[p].commands.push(Command::NoteFaultRetry { core: local });
+                self.commands.push(Command::NoteFaultRetry { core: key.0 });
                 let tile = self.layout.core_tiles[key.0];
                 self.send_req(tile, req, None);
             }
         }
     }
 
-    /// Phase 1 of one simulated cycle (hub-pre): collect mesh deliveries
-    /// into per-partition inboxes (cut-link flits carry cycle stamps),
-    /// complete due page-fault services, and turn chaos injections into
-    /// partition commands. Component-bound effects become [`Command`]s so
-    /// the owning partition applies them — in hub order — at the start of
-    /// its phase 2.
-    fn phase1(
-        &mut self,
-        now: Cycle,
-        mem: &mut PhysMem,
-        plan: &SplitPlan,
-        inboxes: &mut [Inbox],
-    ) {
-        // 1a. Deliver mesh arrivals: core/engine traffic crosses the cut
-        //     into the owning partition's inbox; L2 traffic stays hub-side.
-        //     Only tiles holding deliveries are drained, in sink order
-        //     (cores, then banks, then engines, each ascending) — the
-        //     order of a full scan over every component tile.
+    /// Phase 1 of one simulated cycle (hub-pre): drain mesh deliveries,
+    /// complete due page-fault services, and inject chaos events.
+    /// Component-bound effects are queued — deliveries and
+    /// [`Command`]s — and applied, in hub order, at the start of phase 2.
+    fn phase1(&mut self, now: Cycle, mem: &mut PhysMem) {
+        // 1a. Deliver mesh arrivals: core/engine traffic is queued for
+        //     phase 2; L2 traffic is accepted here. Only tiles holding
+        //     deliveries are drained, in sink order (cores, then banks,
+        //     then engines, each ascending) — the order of a full scan
+        //     over every component tile.
         let mut tiles = std::mem::take(&mut self.arrival_tiles);
         let mut arrivals = std::mem::take(&mut self.arrivals);
         self.mesh.delivered_tiles(&mut tiles);
         arrivals.clear();
         arrivals.extend(tiles.iter().filter_map(|&tile| {
             match self.sinks[self.tile_index(tile)]? {
-                Sink::Core(i) if i >= plan.total_cores() => None,
-                Sink::Engine(e) if e >= plan.total_engines() => None,
+                Sink::Core(i) if i >= self.cores.len() => None,
                 sink => Some((sink, tile)),
             }
         }));
@@ -975,8 +977,7 @@ impl System {
                         if let Some(chaos) = &mut self.chaos {
                             chaos.mmio_watch.remove(&(i, resp.id));
                         }
-                        let (p, local) = plan.core_owner(i);
-                        inboxes[p].core_resps.export(now, (local, resp));
+                        self.deliveries.push((sink, payload));
                     }
                     (Sink::Core(_), NocPayload::Req(req)) => {
                         unreachable!("request delivered to core tile: {req:?}")
@@ -991,14 +992,7 @@ impl System {
                     (Sink::Bank(_), NocPayload::Resp(_)) => {
                         unreachable!("response delivered to L2 tile")
                     }
-                    (Sink::Engine(e), payload) => {
-                        let (p, local) = plan.engine_owner(e);
-                        let msg = match payload {
-                            NocPayload::Req(req) => EngineMsg::Req(req),
-                            NocPayload::Resp(resp) => EngineMsg::Resp(resp),
-                        };
-                        inboxes[p].engine_msgs.export(now, (local, msg));
-                    }
+                    (Sink::Engine(_), _) => self.deliveries.push((sink, payload)),
                 }
             }
         }
@@ -1006,11 +1000,11 @@ impl System {
         self.arrivals = arrivals;
 
         // 1b. Complete due fault services. The OS maps the page recorded
-        //     at dispatch time; the owning partition resumes (or keeps
-        //     stalling) the component when it applies the command. A
-        //     fault outside any lazy region cannot be serviced and the
-        //     component stays stalled: under chaos it is counted; without
-        //     chaos the first one is recorded and ends the run as hung.
+        //     at dispatch time; phase 2 resumes (or keeps stalling) the
+        //     component when it applies the command. A fault outside any
+        //     lazy region cannot be serviced and the component stays
+        //     stalled: under chaos it is counted; without chaos the first
+        //     one is recorded and ends the run as hung.
         while let Some(target) = self.fault_service.recv(now) {
             let (component, index, vaddr) = match target {
                 FaultTarget::Core(i, vaddr) => ("core", i, vaddr),
@@ -1028,41 +1022,31 @@ impl System {
                     });
                 }
             }
-            match target {
-                FaultTarget::Core(i, _) => {
-                    let (p, local) = plan.core_owner(i);
-                    inboxes[p]
-                        .commands
-                        .push(Command::CoreFaultServiced { core: local, ok });
-                }
-                FaultTarget::Engine(e, _) => {
-                    let (p, local) = plan.engine_owner(e);
-                    inboxes[p]
-                        .commands
-                        .push(Command::EngineFaultServiced { engine: local, ok });
-                }
-            }
+            self.commands.push(match target {
+                FaultTarget::Core(core, _) => Command::CoreFaultServiced { core, ok },
+                FaultTarget::Engine(engine, _) => Command::EngineFaultServiced { engine, ok },
+            });
         }
 
         // 1c. Inject scheduled chaos events and scan the MMIO watchdog.
-        self.chaos_stage(now, mem, plan, inboxes);
+        self.chaos_stage(now, mem);
 
         // 1d. Publish the fast-path fence.
-        self.publish_fence(now, inboxes);
+        self.publish_fence(now);
     }
 
     /// Publishes the fast-path fence for the cycle at `now`: the earliest
-    /// cycle strictly after `now` at which this hub could inject a
-    /// command into any partition — the next scheduled chaos event
-    /// (reset, shootdown, watchdog deadline) or the next fault-service
-    /// completion. Core compute runs split here so chaos replay stays
-    /// bit-exact by construction, not by the (true but non-local)
-    /// argument that today's commands cannot touch a Running core's
-    /// registers. Every stepped cycle publishes a fresh fence, hub-idle
-    /// ones included: the last phase 3 may have queued a fault service or
-    /// an MMIO watch after the previous fence was computed.
-    fn publish_fence(&self, now: Cycle, inboxes: &mut [Inbox]) {
-        let fence = if self.cfg.cpu.fast_path {
+    /// cycle strictly after `now` at which this hub could queue a
+    /// command — the next scheduled chaos event (reset, shootdown,
+    /// watchdog deadline) or the next fault-service completion. Core
+    /// compute runs split here so chaos replay stays bit-exact by
+    /// construction, not by the (true but non-local) argument that
+    /// today's commands cannot touch a Running core's registers. Every
+    /// stepped cycle publishes a fresh fence, hub-idle ones included: the
+    /// last phase 2 may have queued a fault service or an MMIO watch after
+    /// the previous fence was computed.
+    fn publish_fence(&mut self, now: Cycle) {
+        self.fence = if self.cfg.cpu.fast_path {
             let next = now.plus(1);
             let mut h = maple_sim::Horizon::IDLE;
             if let Some(chaos) = &self.chaos {
@@ -1073,113 +1057,198 @@ impl System {
         } else {
             None
         };
-        for inbox in inboxes.iter_mut() {
-            inbox.fence = fence;
+    }
+
+    /// Phase 2 of one simulated cycle, with physical memory read-only:
+    /// phase 1's deliveries and commands, then the due cores and the due
+    /// engines, each ticked in ascending order with its faults dispatched
+    /// and its egress queued as it ticks (plain stores are staged, not
+    /// written), then occupancy sampling. The order of everything the hub
+    /// observes is the order of a loop over every component, which is
+    /// what the dense reference runs.
+    ///
+    /// Returns whether the ticks left the hub anything to do: a request,
+    /// a response, a fault dispatch, or a ticked engine that is poisoned
+    /// (the chaos scan must see it next cycle).
+    fn phase2(&mut self, now: Cycle, mem: &PhysMem) -> bool {
+        // 2a. Apply deliveries in drain order.
+        let mut deliveries = std::mem::take(&mut self.deliveries);
+        for (sink, payload) in deliveries.drain(..) {
+            match (sink, payload) {
+                (Sink::Core(i), NocPayload::Resp(resp)) => {
+                    self.core_wake.wake(i, now, |n| self.cores[i].skip(n));
+                    self.cores[i].on_mem_resp(now, resp, mem);
+                }
+                (Sink::Engine(e), NocPayload::Req(req)) => {
+                    self.engine_wake.wake(e, now, |n| self.engines[e].skip(n));
+                    self.engines[e].accept(now, req);
+                }
+                (Sink::Engine(e), NocPayload::Resp(resp)) => {
+                    self.engine_wake.wake(e, now, |n| self.engines[e].skip(n));
+                    self.engines[e].on_mem_resp(now, resp, mem);
+                }
+                _ => unreachable!("phase 1 queues only core responses and engine traffic"),
+            }
+        }
+        self.deliveries = deliveries;
+
+        // 2b. Apply hub commands in hub execution order.
+        let mut commands = std::mem::take(&mut self.commands);
+        for cmd in commands.drain(..) {
+            self.apply_command(now, cmd);
+        }
+        self.commands = commands;
+
+        // 2c. Tick the due cores. A core faults or halts only in its own
+        //     tick, so only ticked cores need checking.
+        let mut busy = false;
+        self.core_wake.collect(now);
+        for k in 0..self.core_wake.due_now().len() {
+            let i = self.core_wake.due_now()[k];
+            self.core_wake.wake(i, now, |n| self.cores[i].skip(n));
+            let dq = match self.desc_pair[i] {
+                Some(q) => Some(&mut self.desc_queues[q]),
+                None => None,
+            };
+            let core = &mut self.cores[i];
+            let was_halted = core.is_halted();
+            core.tick(now, mem, &mut self.stage, dq, self.fence);
+            if core.is_halted() && !was_halted {
+                self.halted += 1;
+            }
+            if core.state() == CoreState::Faulted && !self.faults_in_service[i] {
+                self.faults_in_service[i] = true;
+                let vaddr = core.fault().expect("Faulted implies a fault").vaddr;
+                let target = FaultTarget::Core(i, vaddr);
+                self.fault_service.send(now, self.cfg.fault_latency, target);
+                busy = true;
+            }
+            let tile = self.layout.core_tiles[i];
+            while let Some(req) = self.cores[i].pop_mem_request() {
+                self.send_req(tile, req, Some(i));
+                busy = true;
+            }
+            self.core_wake.settle(i, now, || self.cores[i].next_event(now.plus(1)));
+        }
+
+        // 2d. Tick the due engines; per engine, requests precede
+        //     responses.
+        self.engine_wake.collect(now);
+        for k in 0..self.engine_wake.due_now().len() {
+            let e = self.engine_wake.due_now()[k];
+            self.engine_wake.wake(e, now, |n| self.engines[e].skip(n));
+            self.engines[e].tick(now, mem);
+            if !self.engine_fault_in_service[e] {
+                if let Some(fault) = self.engines[e].fault() {
+                    self.engine_fault_in_service[e] = true;
+                    let target = FaultTarget::Engine(e, fault.vaddr);
+                    self.fault_service.send(now, self.cfg.fault_latency, target);
+                    busy = true;
+                }
+            }
+            let tile = self.layout.maple_tiles[e];
+            while let Some(req) = self.engines[e].pop_mem_request() {
+                self.send_req(tile, req, None);
+                busy = true;
+            }
+            while let Some(out) = self.engines[e].pop_response(now) {
+                self.send_resp(tile, out);
+                busy = true;
+            }
+            busy |= self.engines[e].is_poisoned();
+            self.engine_wake.settle(e, now, || self.engines[e].next_event(now.plus(1)));
+        }
+
+        // 2e. Occupancy sampling (hub-scheduled cycles; nothing after this
+        //     point in the cycle touches engine data queues, and a
+        //     sleeping engine's queues do not change).
+        if now.0.is_multiple_of(OCCUPANCY_SAMPLE_PERIOD) {
+            for (e, hists) in self.occupancy.iter_mut().enumerate() {
+                for (q, h) in hists.iter_mut().enumerate() {
+                    h.record(self.engines[e].queue(q as u8).occupancy() as u64);
+                }
+            }
+        }
+        busy
+    }
+
+    /// Applies one hub [`Command`] at the top of phase 2, waking the
+    /// components it targets.
+    fn apply_command(&mut self, now: Cycle, cmd: Command) {
+        match cmd {
+            Command::CoreFaultServiced { core, ok } => {
+                self.core_wake.wake(core, now, |n| self.cores[core].skip(n));
+                if self.cores[core].state() == CoreState::Faulted {
+                    if ok {
+                        self.cores[core].resume_from_fault(now, 1);
+                        self.faults_in_service[core] = false;
+                    }
+                    // !ok: the core stays Faulted and in service; the
+                    // hang machinery reports it.
+                } else {
+                    self.faults_in_service[core] = false;
+                }
+            }
+            Command::EngineFaultServiced { engine, ok } => {
+                self.engine_wake.wake(engine, now, |n| self.engines[engine].skip(n));
+                if self.engines[engine].fault().is_some() {
+                    if ok {
+                        self.engines[engine].resolve_fault();
+                        self.engine_fault_in_service[engine] = false;
+                    }
+                } else {
+                    // The fault cleared on its own (reset / MMIO fault
+                    // resume) while the OS was busy.
+                    self.engine_fault_in_service[engine] = false;
+                }
+            }
+            Command::EngineReset { engine } => {
+                self.engine_wake.wake(engine, now, |n| self.engines[engine].skip(n));
+                self.engines[engine].reset();
+            }
+            Command::Shootdown { vpn } => {
+                for i in 0..self.cores.len() {
+                    self.core_wake.wake(i, now, |n| self.cores[i].skip(n));
+                    self.cores[i].tlb_shootdown(vpn);
+                }
+                for e in 0..self.engines.len() {
+                    self.engine_wake.wake(e, now, |n| self.engines[e].skip(n));
+                    self.engines[e].tlb_shootdown(vpn);
+                }
+            }
+            Command::NoteFaultRetry { core } => {
+                self.core_wake.wake(core, now, |n| self.cores[core].skip(n));
+                self.cores[core].note_fault_retry();
+            }
         }
     }
 
-    /// Phase 3 of one simulated cycle (hub-post): apply every partition's
-    /// staged stores and replay its egress in global component order,
-    /// then tick the hub-owned L2/DROPLET/mesh and advance time. A
-    /// `quiet` cycle is hub-idle and its partitions emitted nothing, so
-    /// there is nothing to replay or tick: only the stores, the mirrors,
-    /// the fabric's round-robin rotation and time move. Returns the
-    /// number of halted cores reported for this cycle.
-    fn phase3(
-        &mut self,
-        now: Cycle,
-        mem: &mut PhysMem,
-        plan: &SplitPlan,
-        outs: &mut [PartitionOut],
-        quiet: bool,
-    ) -> usize {
-        // 3a. Apply staged plain stores in global core order — the same
-        //     write order the tick loop produced when stores were live,
+    /// Phase 3 of one simulated cycle (hub-post): apply the cores' staged
+    /// stores, tick the hub-owned L2/DROPLET/mesh and advance time. A
+    /// `quiet` cycle is hub-idle and phase 2 left the hub nothing to do,
+    /// so there is nothing to tick: only the stores, the fabric's
+    /// round-robin rotation and time move.
+    fn phase3(&mut self, now: Cycle, mem: &mut PhysMem, quiet: bool) {
+        // 3a. Apply staged plain stores in core order — the same write
+        //     order the tick loop produced, one cycle after acceptance,
         //     and before the L2 tick so volatile/AMO servicing sees them.
-        for out in outs.iter_mut() {
-            out.stage.apply(mem);
-        }
+        self.stage.apply(mem);
 
-        // 3b–3f. Replay egress, tick the hub and the interconnect. An
-        //     idle fabric's tick only rotates its arbitration pointers.
+        // 3b–3d. Tick the hub and the interconnect. An idle fabric's tick
+        //     only rotates its arbitration pointers.
         self.host_work.stepped += 1;
         self.host_work.hub += u64::from(!quiet);
         if quiet {
             self.mesh.skip(1);
         } else {
-            self.hub_post(now, mem, plan, outs);
-        }
-
-        // 3g. Refresh the hub mirrors from the partition reports and
-        //     advance time.
-        let mut halted = 0;
-        for (p, out) in outs.iter().enumerate() {
-            halted += out.halted;
-            let base = plan.engine_starts[p];
-            for &(local, poisoned) in &out.poisoned {
-                self.poisoned_mirror[base + local] = poisoned;
-            }
+            self.hub_post(now, mem);
         }
         self.now += 1;
-        halted
     }
 
-    /// Stages 3b–3f of phase 3: the hub's own half of the cycle.
-    fn hub_post(
-        &mut self,
-        now: Cycle,
-        mem: &mut PhysMem,
-        plan: &SplitPlan,
-        outs: &mut [PartitionOut],
-    ) {
-        // 3b. Replay egress in global component order (cores ascending,
-        //     then engines ascending; per tile, engine requests precede
-        //     engine responses — exactly the sequential pop order).
-        for (p, out) in outs.iter_mut().enumerate() {
-            let base = plan.core_starts[p];
-            for (local, req) in out.core_reqs.drain(..) {
-                let g = base + local;
-                let tile = self.layout.core_tiles[g];
-                self.send_req(tile, req, Some(g));
-            }
-        }
-        for (p, out) in outs.iter_mut().enumerate() {
-            let base = plan.engine_starts[p];
-            for (local, req) in out.engine_reqs.drain(..) {
-                let tile = self.layout.maple_tiles[base + local];
-                self.send_req(tile, req, None);
-            }
-            for (local, resp) in out.engine_resps.drain(..) {
-                let tile = self.layout.maple_tiles[base + local];
-                self.send_resp(tile, resp);
-            }
-        }
-
-        // 3c. Dispatch newly-raised faults to the OS, cores then engines
-        //     in global order (the service queue is FIFO at equal
-        //     deadlines, so dispatch order is completion order).
-        for (p, out) in outs.iter_mut().enumerate() {
-            let base = plan.core_starts[p];
-            for (local, vaddr) in out.core_fault_dispatch.drain(..) {
-                self.fault_service.send(
-                    now,
-                    self.cfg.fault_latency,
-                    FaultTarget::Core(base + local, vaddr),
-                );
-            }
-        }
-        for (p, out) in outs.iter_mut().enumerate() {
-            let base = plan.engine_starts[p];
-            for (local, vaddr) in out.engine_fault_dispatch.drain(..) {
-                self.fault_service.send(
-                    now,
-                    self.cfg.fault_latency,
-                    FaultTarget::Engine(base + local, vaddr),
-                );
-            }
-        }
-
-        // 3d. Tick the due L2 banks and DROPLET, and collect L2 egress in
+    /// Stages 3b–3d of phase 3: the hub's own half of the cycle.
+    fn hub_post(&mut self, now: Cycle, mem: &mut PhysMem) {
+        // 3b. Tick the due L2 banks and DROPLET, and collect L2 egress in
         //     bank order (one bank replays the historical sequence). Only
         //     a tick fills a bank's outbound queue, so only ticked banks
         //     have egress.
@@ -1208,11 +1277,11 @@ impl System {
             self.bank_wake.settle(b, now, || self.l2[b].next_event(now.plus(1)));
         }
 
-        // 3e. Inject due messages, preserving per-tile order under
+        // 3c. Inject due messages, preserving per-tile order under
         //     backpressure.
         self.inject_outbound(now);
 
-        // 3f. Advance the interconnect.
+        // 3d. Advance the interconnect.
         self.mesh.tick(now);
     }
 
@@ -1304,9 +1373,9 @@ impl System {
     /// which phase 1 or the hub half of phase 3 could act, as a raw cycle
     /// (`u64::MAX`: none). Before it, a stepped cycle is *hub-idle*:
     /// phase 1 has nothing to deliver, complete or inject, and phase 3
-    /// has nothing to tick unless the partitions emit something. Anything
-    /// omitted here would let a stepper pass over an observable mutation
-    /// and diverge from the dense reference:
+    /// has nothing to tick unless the cores and engines emit something.
+    /// Anything omitted here would let a stepper pass over an observable
+    /// mutation and diverge from the dense reference:
     ///
     /// - the shared L2 and DRAM (staged requests, completions), through
     ///   the banks' due cycles, and DROPLET decode deadlines;
@@ -1316,7 +1385,7 @@ impl System {
     /// - pending page-fault service completions;
     /// - the chaos plane: scheduled resets and shootdowns, MMIO watchdog
     ///   deadlines, and a poisoned-but-not-yet-retired engine, which the
-    ///   next `chaos_stage` must observe (read from the hub mirror).
+    ///   next `chaos_stage` must observe.
     fn hub_due(&self) -> u64 {
         let now = self.now;
         if !self.mesh.is_quiescent() || !self.egress.as_slice().is_empty() {
@@ -1332,10 +1401,10 @@ impl System {
         if let Some(chaos) = &self.chaos {
             due = due.min(raw(chaos.next_event(now)));
             if self
-                .poisoned_mirror
+                .engines
                 .iter()
                 .enumerate()
-                .any(|(e, &poisoned)| poisoned && !chaos.retired[e])
+                .any(|(e, engine)| engine.is_poisoned() && !chaos.retired[e])
             {
                 due = now.0;
             }
@@ -1358,15 +1427,15 @@ impl System {
     /// Earliest cycle at or after `now` at which *any* component could
     /// act: the event horizon, as a raw cycle (`u64::MAX`: no component
     /// will ever act again without external input — the system is wedged
-    /// and only the cycle budget remains). Partition components (cores,
-    /// engines) contributed their terms in phase 2 — each
-    /// [`PartitionOut::horizon`] is the minimum due cycle of the
-    /// partition's wake sets; the hub's own due cycle and the next
-    /// occupancy sample are folded on top.
-    fn horizon(&self, outs: &[PartitionOut], hub_due: u64) -> u64 {
-        outs.iter()
-            .map(|out| out.horizon)
-            .fold(hub_due.min(self.next_sample()), u64::min)
+    /// and only the cycle budget remains). The cores' and engines' wake
+    /// sets settled their terms in phase 2; the hub's own due cycle and
+    /// the next occupancy sample are folded on top.
+    fn horizon(&self, hub_due: u64) -> u64 {
+        self.core_wake
+            .horizon()
+            .min(self.engine_wake.horizon())
+            .min(hub_due)
+            .min(self.next_sample())
     }
 
     /// Advances time to `target` (clamped to `max_cycles`) when it lies
@@ -1383,191 +1452,64 @@ impl System {
         }
     }
 
-    /// Splits the loaded components into `n` contiguous partitions,
-    /// draining the per-component vectors out of `self`, and starts the
-    /// run's wake sets (`dense`: every component due every cycle). The
-    /// hub keeps everything else. [`System::reassemble`] is the exact
-    /// inverse; every run loop brackets its cycle loop with this pair so
-    /// that the inspection surface (statistics, traces, hang diagnosis)
-    /// always sees the components back in their global order.
-    fn split(&mut self, n: usize, dense: bool) -> (SplitPlan, Vec<Partition>) {
-        let plan = match self.cfg.fabric_topology() {
-            Some(topo) => {
-                // Partition boundaries snap to cluster boundaries so a
-                // cluster's crossbar traffic and MAPLE pool never straddle
-                // two workers (alignment is locality, not correctness —
-                // the steppers are bit-exact at any split).
-                let cuts = |tiles: &[Coord], count: usize| {
-                    let mut cuts: Vec<usize> = (1..count)
-                        .filter(|&i| {
-                            topo.cluster_index_of(tiles[i])
-                                != topo.cluster_index_of(tiles[i - 1])
-                        })
-                        .collect();
-                    cuts.push(count);
-                    cuts
-                };
-                let core_cuts = cuts(&self.layout.core_tiles, self.cores.len());
-                let engine_cuts = cuts(&self.layout.maple_tiles, self.engines.len());
-                SplitPlan::plan_clustered(
-                    n,
-                    self.cores.len(),
-                    self.engines.len(),
-                    &self.desc_pair,
-                    &core_cuts,
-                    &engine_cuts,
-                )
-            }
-            None => SplitPlan::plan(n, self.cores.len(), self.engines.len(), &self.desc_pair),
-        };
-        let mut cores = std::mem::take(&mut self.cores).into_iter();
-        let mut engines = std::mem::take(&mut self.engines).into_iter();
-        let mut faults = std::mem::take(&mut self.faults_in_service).into_iter();
-        let mut engine_faults = std::mem::take(&mut self.engine_fault_in_service).into_iter();
-        let mut occupancy = std::mem::take(&mut self.occupancy).into_iter();
-        let mut queues: Vec<Option<DescQueues>> = std::mem::take(&mut self.desc_queues)
-            .into_iter()
-            .map(Some)
-            .collect();
-        self.bank_wake = WakeSet::new(self.l2.len(), self.now, dense);
-        let mut parts = Vec::with_capacity(n);
-        for p in 0..plan.partitions() {
-            let nc = plan.core_starts[p + 1] - plan.core_starts[p];
-            let ne = plan.engine_starts[p + 1] - plan.engine_starts[p];
-            // Re-index the DeSC queues this partition's cores share. The
-            // planner guarantees both ends of a pair land here, so the
-            // global queue is moved (not cloned) into the partition.
-            let mut desc_queues = Vec::new();
-            let mut desc_global = Vec::new();
-            let mut desc_pair = Vec::with_capacity(nc);
-            for g in plan.core_starts[p]..plan.core_starts[p + 1] {
-                desc_pair.push(self.desc_pair[g].map(|k| {
-                    desc_global.iter().position(|&seen| seen == k).unwrap_or_else(|| {
-                        desc_global.push(k);
-                        desc_queues.push(queues[k].take().expect("planner never cuts a pair"));
-                        desc_queues.len() - 1
-                    })
-                }));
-            }
-            let cores: Vec<Core> = cores.by_ref().take(nc).collect();
-            parts.push(Partition {
-                halted: cores.iter().filter(|c| c.is_halted()).count(),
-                cores,
-                engines: engines.by_ref().take(ne).collect(),
-                desc_queues,
-                desc_global,
-                desc_pair,
-                faults_in_service: faults.by_ref().take(nc).collect(),
-                engine_fault_in_service: engine_faults.by_ref().take(ne).collect(),
-                occupancy: occupancy.by_ref().take(ne).collect(),
-                core_wake: WakeSet::new(nc, self.now, dense),
-                engine_wake: WakeSet::new(ne, self.now, dense),
-                inbox: Inbox::default(),
-                out: PartitionOut::default(),
-            });
-        }
-        (plan, parts)
-    }
-
-    /// Brings every component's accounting up to `now`, then moves it
-    /// back into the hub vectors in global order (partition spans are
-    /// contiguous, so partition order *is* global order) and restores the
-    /// DeSC queues to their global indices.
-    fn reassemble(&mut self, parts: Vec<Partition>) {
-        let n_queues = self.desc_pair.iter().flatten().max().map_or(0, |&m| m + 1);
-        let mut queues: Vec<Option<DescQueues>> = (0..n_queues).map(|_| None).collect();
-        for mut part in parts {
-            part.flush(self.now);
-            self.cores.extend(part.cores);
-            self.engines.extend(part.engines);
-            self.faults_in_service.extend(part.faults_in_service);
-            self.engine_fault_in_service.extend(part.engine_fault_in_service);
-            self.occupancy.extend(part.occupancy);
-            for (q, k) in part.desc_queues.into_iter().zip(part.desc_global) {
-                queues[k] = Some(q);
-            }
-        }
-        self.desc_queues = queues
-            .into_iter()
-            .map(|q| q.expect("every queue returns from exactly one partition"))
-            .collect();
-    }
-
-    /// Hub-side double buffers for the partitioned stepper's phase
-    /// handoff: one [`Inbox`] and one [`PartitionOut`] per partition,
-    /// swapped with the partition's own pair each cycle so neither side
-    /// ever reallocates.
-    fn fresh_io(parts: &[Partition]) -> (Vec<Inbox>, Vec<PartitionOut>) {
-        let inboxes = parts.iter().map(|_| Inbox::default()).collect();
-        let outs = parts.iter().map(|_| PartitionOut::default()).collect();
-        (inboxes, outs)
-    }
-
-    /// Maps a run loop's terminal [`Verdict`] to the public outcome,
-    /// after reassembly (the hang diagnosis walks the component vectors).
-    fn finish(&self, verdict: Verdict) -> RunOutcome {
-        match verdict {
-            Verdict::Finished(at) => RunOutcome::Finished(at),
-            Verdict::Stuck | Verdict::Budget => {
-                RunOutcome::Hung(Box::new(self.hang_diagnosis()))
-            }
-        }
-    }
-
-    /// The single-threaded run loop: both the skipping stepper (the
-    /// default) and the dense reference are this function, differing only
-    /// in whether components sleep until due and quiescent gaps are
-    /// skipped, or every component ticks every cycle. It runs the same
-    /// three phases as [`System::partitioned_run`] over a one-partition
-    /// split, so all steppers are bit-identical by shared code.
+    /// The run loop: both the skipping stepper (the default) and the
+    /// dense reference are this function, differing only in whether
+    /// components sleep until due and quiescent gaps are skipped, or
+    /// every component ticks every cycle — so the two are bit-identical
+    /// by shared code.
     ///
     /// The skipping stepper also keeps the hub's own due cycle
     /// ([`System::hub_due`], refreshed whenever the hub runs). A cycle
     /// before it is hub-idle: phase 1 only publishes the fast-path fence,
     /// and unless the cores and engines emit something, phase 3 only
     /// applies their stores and advances time.
-    fn sequential_run(&mut self, max_cycles: u64, skipping: bool) -> RunOutcome {
+    fn step_until(&mut self, max_cycles: u64, skipping: bool) -> RunOutcome {
         assert!(!self.cores.is_empty(), "load programs before running");
-        let total = self.cores.len();
         let mut mem = std::mem::take(&mut self.mem);
-        let (plan, mut parts) = self.split(1, !skipping);
-        // One partition, whose own inbox and report are the hub's buffers:
-        // phase 2 consumes everything phase 1 queues in the same cycle,
-        // and phase 3 everything phase 2 reports.
-        let part = &mut parts[0];
+        let dense = !skipping;
+        self.core_wake = WakeSet::new(self.cores.len(), self.now, dense);
+        self.engine_wake = WakeSet::new(self.engines.len(), self.now, dense);
+        self.bank_wake = WakeSet::new(self.l2.len(), self.now, dense);
+        self.halted = self.cores.iter().filter(|c| c.is_halted()).count();
         let mut hub_due = self.now.0;
-        let verdict = loop {
+        let finished = loop {
             if self.now.0 >= max_cycles {
-                break Verdict::Budget;
+                break None;
             }
             let now = self.now;
             let hub_idle = skipping && now.0 < hub_due;
-            let inbox = std::slice::from_mut(&mut part.inbox);
             if hub_idle {
-                self.publish_fence(now, inbox);
+                self.publish_fence(now);
             } else {
-                self.phase1(now, &mut mem, &plan, inbox);
+                self.phase1(now, &mut mem);
             }
-            phase2(part, now, &mem);
-            let quiet = hub_idle && part.out.is_quiet();
-            let out = std::slice::from_mut(&mut part.out);
-            let halted = self.phase3(now, &mut mem, &plan, out, quiet);
-            if halted == total {
-                break Verdict::Finished(self.now);
+            let busy = self.phase2(now, &mem);
+            let quiet = hub_idle && !busy;
+            self.phase3(now, &mut mem, quiet);
+            if self.halted == self.cores.len() {
+                break Some(self.now);
             }
+            // No further progress is possible: an engine was retired, or
+            // a page fault could not be serviced.
             if self.stuck() {
-                break Verdict::Stuck;
+                break None;
             }
             if skipping {
                 if !quiet {
                     hub_due = self.hub_due();
                 }
-                self.skip_to(self.horizon(out, hub_due), max_cycles);
+                self.skip_to(self.horizon(hub_due), max_cycles);
             }
         };
         self.mem = mem;
-        self.reassemble(parts);
-        self.finish(verdict)
+        // Account every slept cycle before anything reads the cores' and
+        // engines' statistics (or diagnoses a hang).
+        self.core_wake.flush(self.now, |i, n| self.cores[i].skip(n));
+        self.engine_wake.flush(self.now, |e, n| self.engines[e].skip(n));
+        match finished {
+            Some(at) => RunOutcome::Finished(at),
+            None => RunOutcome::Hung(Box::new(self.hang_diagnosis())),
+        }
     }
 
     /// Runs until every loaded core halts or `max_cycles` elapse, skipping
@@ -1587,10 +1529,6 @@ impl System {
     /// early with the same diagnosis instead of burning the full budget.
     ///
     /// When the configuration selects
-    /// [`SocConfig::with_partitions`](crate::config::SocConfig::with_partitions)
-    /// with more than one partition, dispatches to
-    /// [`System::partitioned_run`] with the worker count from
-    /// `MAPLE_JOBS` (host parallelism by default); when it selects
     /// [`SocConfig::with_dense_stepper`](crate::config::SocConfig::with_dense_stepper),
     /// dispatches to [`System::dense_run`] instead.
     ///
@@ -1598,17 +1536,7 @@ impl System {
     ///
     /// Panics if no program was loaded.
     pub fn run(&mut self, max_cycles: u64) -> RunOutcome {
-        if self.cfg.partitions > 1 {
-            let workers = self
-                .cfg
-                .partition_workers
-                .unwrap_or_else(maple_fleet::jobs_from_env);
-            return self.partitioned_run(max_cycles, workers);
-        }
-        if self.cfg.dense_stepper {
-            return self.dense_run(max_cycles);
-        }
-        self.sequential_run(max_cycles, true)
+        self.step_until(max_cycles, !self.cfg.dense_stepper)
     }
 
     /// The dense reference stepper: advances one cycle at a time with no
@@ -1620,86 +1548,7 @@ impl System {
     ///
     /// Panics if no program was loaded.
     pub fn dense_run(&mut self, max_cycles: u64) -> RunOutcome {
-        self.sequential_run(max_cycles, false)
-    }
-
-    /// The partitioned parallel stepper: splits the mesh into
-    /// [`SocConfig::partitions`](crate::config::SocConfig::partitions)
-    /// spatial partitions, each stepped by a [`Crew`] worker against a
-    /// read-only view of physical memory, with a conservative barrier at
-    /// partition boundaries every cycle. Flits crossing a cut carry cycle
-    /// stamps and are exchanged at the barrier; the NoC's own link
-    /// latency is the lookahead that makes the one-cycle barrier safe.
-    ///
-    /// Bit-exact with [`System::run`] and [`System::dense_run`] at any
-    /// partition count and any worker count — identical cycle counts,
-    /// metrics, trace streams and hang diagnoses — because all three
-    /// steppers execute the same three phase functions; only the degree
-    /// of overlap differs. `workers` caps the threads actually used
-    /// (helpers beyond `partitions - 1` would have nothing to claim);
-    /// `workers = 1` degenerates to the hub stepping every partition
-    /// itself, the sequential reference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no program was loaded or `workers` is zero.
-    pub fn partitioned_run(&mut self, max_cycles: u64, workers: usize) -> RunOutcome {
-        assert!(!self.cores.is_empty(), "load programs before running");
-        assert!(workers > 0, "at least one worker is required");
-        let total = self.cores.len();
-        let n = self.cfg.partitions.max(1);
-        let (plan, parts) = self.split(n, false);
-        let (mut hub_in, mut hub_out) = Self::fresh_io(&parts);
-        let mem_lock = RwLock::new(std::mem::take(&mut self.mem));
-        let now_cell = AtomicU64::new(self.now.0);
-        let helpers = workers.saturating_sub(1).min(n.saturating_sub(1));
-        let crew = Crew::new(parts);
-        let work = |_: usize, part: &mut Partition| {
-            let mem = mem_lock.read().expect("memory lock poisoned");
-            phase2(part, Cycle(now_cell.load(Ordering::Acquire)), &mem);
-        };
-        let verdict = crew.run(helpers, &work, |conductor| {
-            loop {
-                if self.now.0 >= max_cycles {
-                    break Verdict::Budget;
-                }
-                let now = self.now;
-                now_cell.store(now.0, Ordering::Release);
-                {
-                    let mut mem = mem_lock.write().expect("memory lock poisoned");
-                    self.phase1(now, &mut mem, &plan, &mut hub_in);
-                }
-                // Publish the inboxes, then open the barrier round. The
-                // helpers only observe partition state through the slot
-                // mutexes, so the swap is ordered before their claims.
-                for (p, inbox) in hub_in.iter_mut().enumerate() {
-                    std::mem::swap(inbox, &mut conductor.slot(p).inbox);
-                }
-                conductor.round();
-                for (p, out) in hub_out.iter_mut().enumerate() {
-                    std::mem::swap(out, &mut conductor.slot(p).out);
-                }
-                let halted = {
-                    let mut mem = mem_lock.write().expect("memory lock poisoned");
-                    self.phase3(now, &mut mem, &plan, &mut hub_out, false)
-                };
-                if halted == total {
-                    break Verdict::Finished(self.now);
-                }
-                if self.stuck() {
-                    break Verdict::Stuck;
-                }
-                // A component due right now rules out any skip: bail
-                // before paying for the hub scans.
-                let parts_due = self.horizon(&hub_out, u64::MAX);
-                if parts_due > self.now.0 {
-                    self.skip_to(parts_due.min(self.hub_due()), max_cycles);
-                }
-            }
-        });
-        self.mem = mem_lock.into_inner().expect("memory lock poisoned");
-        self.reassemble(crew.into_slots());
-        self.finish(verdict)
+        self.step_until(max_cycles, false)
     }
 
     /// Snapshot of why the system is not making progress.
@@ -1850,8 +1699,8 @@ impl System {
     /// The hub-side observability tracer handle (disabled unless
     /// [`SocConfig::with_tracing`] was used). Mesh, L2/DRAM and chaos
     /// events emit here; core and engine events live in per-component
-    /// rings so partition workers never contend — read the canonical
-    /// combined stream through [`System::trace_records`].
+    /// rings — read the canonical combined stream through
+    /// [`System::trace_records`].
     #[must_use]
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
@@ -1859,7 +1708,7 @@ impl System {
 
     /// Canonical merge of every trace ring: cores ascending, engines
     /// ascending, hub last — a fixed order, so the merged stream is
-    /// byte-identical across steppers and worker counts. Returns the
+    /// byte-identical across steppers. Returns the
     /// records plus the total overflow count.
     fn merged_trace(&self) -> (Vec<TraceRecord>, u64) {
         let mut rings: Vec<&Tracer> = Vec::with_capacity(self.core_rings.len() + self.engine_rings.len() + 1);

@@ -2,8 +2,9 @@
 //! dense run loops must stay bit-exact on the paths where skipping is
 //! most aggressive — a permanently-stalled system whose horizon is empty
 //! (the run jumps straight to the cycle budget), a chaos event landing
-//! exactly on a skipped-to cycle, occupancy sampling across skipped
-//! gaps — and on the sleep contract of the wake sets: a core waiting on a
+//! exactly on a skipped-to cycle or racing in-flight MMIO, MMIO and fill
+//! deliveries handed from phase 1 to phase 2, occupancy sampling across
+//! skipped gaps — and on the sleep contract of the wake sets: a core waiting on a
 //! full MMIO store buffer, a shootdown landing on a waiting core, and an
 //! engine and an L2 bank that only a delivery wakes. Uncore egress held
 //! behind a backpressured injection port and chaos MMIO retries queued
@@ -12,8 +13,8 @@
 //! stepped cycles on which the skipping stepper runs only the cores and
 //! engines — must end exactly where the dense run says: at a fault
 //! service the fast-path fence has to see, a halt, the budget, a chaos
-//! event or watchdog deadline, a DeSC pair's first store, and an
-//! occupancy sample.
+//! event or watchdog deadline, an engine poisoning itself, a DeSC pair's
+//! first store, and an occupancy sample.
 
 use maple_isa::builder::ProgramBuilder;
 use maple_sim::fault::{FaultPlaneConfig, UnserviceableFault};
@@ -117,9 +118,9 @@ fn chaos_reset_fires_exactly_at_skipped_to_cycle() {
     );
 }
 
-/// Runs the MAPLE-decoupled pair kernel and returns the outcome plus the
-/// finished system (for occupancy/metrics inspection).
-fn run_pair(cfg: SocConfig, n: usize, seed: u64) -> (RunOutcome, System) {
+/// Loads the MAPLE-decoupled pair kernel over `n` elements: core 0
+/// produces through engine 0, core 1 consumes and stores.
+fn load_pair(sys: &mut System, n: usize, seed: u64) {
     let spec = KernelSpec {
         with_stream: true,
         op: ValueOp::Mul,
@@ -129,7 +130,6 @@ fn run_pair(cfg: SocConfig, n: usize, seed: u64) -> (RunOutcome, System) {
     let a: Vec<u32> = (0..1024).map(|_| rng.below(1000) as u32).collect();
     let b: Vec<u32> = (0..n).map(|_| rng.below(1024) as u32).collect();
     let c: Vec<u32> = (0..n).map(|_| rng.below(100) as u32).collect();
-    let mut sys = System::new(cfg);
     let maple_va = sys.map_maple(0);
     let va_a = sys.alloc((a.len() * 4) as u64);
     let va_b = sys.alloc((b.len() * 4) as u64);
@@ -157,113 +157,43 @@ fn run_pair(cfg: SocConfig, n: usize, seed: u64) -> (RunOutcome, System) {
             (pair.execute_maple, maple_va.0),
         ],
     );
+}
+
+/// Runs the pair kernel and returns the outcome plus the finished system
+/// (for occupancy/metrics inspection).
+fn run_pair(cfg: SocConfig, n: usize, seed: u64) -> (RunOutcome, System) {
+    let mut sys = System::new(cfg);
+    load_pair(&mut sys, n, seed);
     let out = sys.run(5_000_000);
     (out, sys)
 }
 
 #[test]
-fn zero_engine_partitions_are_bit_exact() {
-    // fpga_prototype has 2 cores + 1 MAPLE; 4 partitions leave at least
-    // two partitions with no engine (and two with no core). Empty spans
-    // must tick as no-ops and the cut between the producer core and the
-    // engine must carry every flit at its stamped cycle.
-    let (part_out, part_sys) = run_pair(
-        SocConfig::fpga_prototype()
-            .with_partitions(4)
-            .with_partition_workers(4),
-        256,
-        11,
-    );
-    let (dense_out, dense_sys) =
-        run_pair(SocConfig::fpga_prototype().with_dense_stepper(), 256, 11);
-    assert!(part_out.is_finished(), "{part_out:?}");
-    assert_eq!(part_out, dense_out, "completion cycle diverged");
-    assert_eq!(
-        part_sys.metrics_snapshot().to_json().render(),
-        dense_sys.metrics_snapshot().to_json().render(),
-        "metrics diverged with zero-engine partitions"
-    );
+fn mmio_and_fill_traffic_between_tiles_is_bit_exact() {
+    // Core 0 produces into the engine's queue, core 1 consumes from it,
+    // and the engine fills from L2: every MMIO produce/consume and every
+    // fill reaches its tile as a delivery drained in phase 1 and applied
+    // at the top of the same cycle's phase 2, so any off-by-one in that
+    // handoff shifts the completion cycle.
+    let (out, _, ()) = assert_steppers_agree(SocConfig::fpga_prototype(), 5_000_000, |sys| {
+        load_pair(sys, 256, 23)
+    });
+    assert!(out.is_finished(), "{out:?}");
 }
 
 #[test]
-fn cross_partition_flit_on_barrier_cycle_is_bit_exact() {
-    // With 2 partitions over 2 cores + 1 engine the planner puts core 0
-    // and the engine on opposite sides of the cut, so every MMIO
-    // produce/consume and every fill crosses a partition boundary. Each
-    // crossing flit is exported with the cycle stamp of its mesh
-    // delivery and imported in the very same cycle's phase 2 — the
-    // barrier cycle itself — so any off-by-one in the exchange protocol
-    // shifts the completion cycle.
-    let (part_out, part_sys) = run_pair(
-        SocConfig::fpga_prototype()
-            .with_partitions(2)
-            .with_partition_workers(2),
-        256,
-        23,
-    );
-    let (skip_out, skip_sys) = run_pair(SocConfig::fpga_prototype(), 256, 23);
-    assert!(part_out.is_finished(), "{part_out:?}");
-    assert_eq!(part_out, skip_out, "completion cycle diverged");
-    assert_eq!(
-        part_sys.metrics_snapshot().to_json().render(),
-        skip_sys.metrics_snapshot().to_json().render(),
-        "metrics diverged on the cross-partition path"
-    );
-}
-
-#[test]
-fn chaos_reset_straddling_a_partition_boundary_is_bit_exact() {
-    // The scheduled RESET targets engine 0, which lives in a different
-    // partition than the core issuing MMIO against it: the injection is
-    // decided hub-side and must cross the cut as a command, then every
-    // downstream effect (watchdog retries, poison, diagnosis) must
+fn chaos_reset_racing_another_cores_mmio_is_bit_exact() {
+    // The scheduled RESET hits engine 0 while both cores of the pair
+    // have MMIO traffic in flight against it: the hub decides the
+    // injection in phase 1 and applies it as a command at the top of
+    // phase 2, before the cores tick, and every downstream effect
+    // (dropped queue state, watchdog retries, poison, diagnosis) must
     // replay exactly as in the dense run.
-    const BUDGET: u64 = 2_000_000;
-    let plane = || FaultPlaneConfig::new(7).with_engine_reset_at(5_000, 0);
-    let run = |cfg: SocConfig| {
-        let mut sys = System::new(cfg.with_fault_plane(plane()));
-        load_starved_consumer(&mut sys);
-        let out = sys.run(BUDGET);
-        (out, sys)
-    };
-    let (part_out, part_sys) = run(SocConfig::fpga_prototype()
-        .with_partitions(2)
-        .with_partition_workers(2));
-    let (dense_out, dense_sys) = run(SocConfig::fpga_prototype().with_dense_stepper());
-
-    let chaos = part_sys.chaos_stats().expect("plane installed");
-    assert_eq!(chaos.resets_injected.get(), 1, "reset must cross the cut");
-    assert_eq!(part_out, dense_out, "post-reset behaviour diverged");
-    assert_eq!(
-        part_sys.metrics_snapshot().to_json().render(),
-        dense_sys.metrics_snapshot().to_json().render(),
-        "metrics diverged after a boundary-straddling reset"
-    );
-}
-
-#[test]
-fn one_partition_run_degenerates_to_the_skipping_stepper() {
-    // `partitioned_run` with a single partition (and however many
-    // workers) is the skipping stepper with extra idle helpers: same
-    // outcome, same metrics, byte for byte.
-    let spec_run = |partitioned: bool| {
-        let mut sys = System::new(SocConfig::fpga_prototype());
-        load_starved_consumer(&mut sys);
-        let out = if partitioned {
-            sys.partitioned_run(200_000, 4)
-        } else {
-            sys.run(200_000)
-        };
-        (out, sys)
-    };
-    let (part_out, part_sys) = spec_run(true);
-    let (skip_out, skip_sys) = spec_run(false);
-    assert_eq!(part_out, skip_out, "degenerate partitioned run diverged");
-    assert_eq!(
-        part_sys.metrics_snapshot().to_json().render(),
-        skip_sys.metrics_snapshot().to_json().render(),
-        "metrics diverged on the one-partition degeneration"
-    );
+    let plane = FaultPlaneConfig::new(7).with_engine_reset_at(3_000, 0);
+    let cfg = SocConfig::fpga_prototype().with_fault_plane(plane);
+    let (_, sys, ()) = assert_steppers_agree(cfg, 2_000_000, |sys| load_pair(sys, 256, 23));
+    let chaos = sys.chaos_stats().expect("plane installed");
+    assert_eq!(chaos.resets_injected.get(), 1, "the reset must fire mid-run");
 }
 
 #[test]
@@ -759,4 +689,19 @@ fn host_work_counts_hub_cycles_exactly() {
     assert_eq!(run(dense.clone(), &compute), work(9_001, 9_001, 0));
     assert_eq!(run(skipping, &stream), work(67, 66, 88));
     assert_eq!(run(dense, &stream), work(155, 155, 0));
+}
+
+#[test]
+fn engine_poisoned_on_a_hub_idle_cycle_is_retired_on_the_dense_cycle() {
+    // Every engine fetch is dropped, so the engine's watchdog gives up
+    // and poisons it on a tick that emits nothing, while the hub has no
+    // event due. Phase 2 must still report that tick as busy: the chaos
+    // scan has to run on the next cycle, as under the dense stepper, or
+    // the skipping run retires the engine (and ends) one cycle late.
+    let plane = FaultPlaneConfig::new(3).with_noc_drop(1.0);
+    let cfg = SocConfig::fpga_prototype().with_fault_plane(plane);
+    let (out, sys, ()) = assert_steppers_agree(cfg, 2_000_000, |sys| load_pair(sys, 16, 5));
+    assert!(matches!(out, RunOutcome::Hung(_)), "{out:?}");
+    let chaos = sys.chaos_stats().expect("plane installed");
+    assert_eq!(chaos.engines_poisoned.get(), 1, "the engine must be retired");
 }

@@ -8,13 +8,14 @@
 //! A [`System`](../../maple_soc/system/struct.System.html) gives each
 //! independently-stepped component (every core, every engine, plus one
 //! ring for the hub-owned uncore) its *own* ring and merges them into one
-//! canonical stream with [`merge_rings`]. Per-component rings are what
-//! make the partitioned parallel stepper possible — a worker thread only
-//! ever touches the rings of the components it owns — and the canonical
-//! merge order is what keeps the exported stream byte-identical across
-//! the dense, skipping and partitioned steppers. The handle is therefore
-//! `Send + Sync` (an `Arc<Mutex>` under the hood); uncontended lock cost
-//! is a few nanoseconds per emitted record and zero when disabled.
+//! canonical stream with [`merge_rings`]. Per-component rings give the
+//! stream one fixed merge order, independent of the order in which a
+//! stepper happens to tick components within a cycle, which is what keeps
+//! the exported stream byte-identical across the dense and skipping
+//! steppers. The handle is `Send + Sync` (an `Arc<Mutex>` under the hood)
+//! because whole systems run on the fleet pool's worker threads;
+//! uncontended lock cost is a few nanoseconds per emitted record and zero
+//! when disabled.
 //!
 //! The ring bounds memory: once `capacity` records are held, the oldest
 //! record is dropped per push and counted, so long runs keep the *tail* of

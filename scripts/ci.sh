@@ -86,18 +86,11 @@ cargo run --offline --release -q -p maple-bench --bin stepper_check \
     | tee target/stepper_check.txt | tail -n 1
 grep -q "stepper ok: bit-exact" target/stepper_check.txt
 
-echo "==> stepper: partitioned run must be bit-exact at any worker count"
-# The partitioned parallel stepper shards one System into 4 spatial
-# partitions; the gate compares it against the single-threaded stepper
-# and prints only host-independent lines (simulated facts + a metrics
-# digest).
-gate partitioned_gate "partitioned ok: bit-exact" stepper_check --partitions 4
-
 echo "==> stepper: compiled fast path must be bit-exact with the interpreter"
 # The fast-path gate crosses dispatch modes (batched micro-op runs vs
-# per-instruction interpretation) against steppers, a 4-way partitioned
-# run and the recoverable chaos schedules, then proves the path engages
-# on a compute-heavy kernel. Host-independent lines only.
+# per-instruction interpretation) against both steppers and the
+# recoverable chaos schedules, then proves the path engages on a
+# compute-heavy kernel. Host-independent lines only.
 gate fast_path_gate "fast-path ok: bit-exact" stepper_check --fast-path
 
 echo "==> serving: multi-tenant oracle grid must be bit-exact at any worker count"
@@ -111,8 +104,8 @@ gate serve_gate "serve ok: bit-exact" serve_check
 echo "==> scale smoke: 256- and 1024-tile hierarchical fabrics, bit-exact and golden"
 # MemPool-scale configurations (16 or 64 crossbar clusters of 16 tiles,
 # two cores, one engine and one interleaved L2 bank per cluster) through
-# the skipping and 4-partition steppers. The wall-clock budget guards
-# against large fabrics becoming accidentally quadratic to simulate.
+# the skipping and dense steppers. The wall-clock budget guards against
+# large fabrics becoming accidentally quadratic to simulate.
 SCALE_BUDGET=120
 for TILES in 256 1024; do
     gate "scale_gate_${TILES}" "scale ok: bit-exact at ${TILES} tiles" \
@@ -166,17 +159,5 @@ for ph in ("B", "E", "X", "C", "M"):
     assert ph in phases, f"missing phase {ph}"
 print(f"    trace ok: {len(events)} events, phases {sorted(phases)}")
 PY
-
-echo "==> stepper: partitioned throughput floor (skipped honestly on 1-core hosts)"
-# The speedup expectation is host-dependent: a 1-core container pins the
-# parallel stepper at ~1.0x no matter the partition count, so the gate
-# skips itself there (with an explicit message) instead of faking a
-# pass or failing spuriously. Bit-exactness above is never skipped.
-# This stage runs last: on 2-core hosts the partitioned stepper stays
-# below the floor, and every host-independent stage above must still
-# get to report.
-cargo run --offline --release -q -p maple-bench --bin stepper_check \
-    -- --speedup-floor 1.2 | tee target/stepper_speedup.txt
-grep -Eq "stepper speedup gate" target/stepper_speedup.txt
 
 echo "==> CI gate passed"
