@@ -89,10 +89,10 @@ impl SwProducer {
     }
 
     /// Emits code pushing the value in `v` into the ring, spinning while
-    /// full. Fast path: 6 instructions.
+    /// full. Common case (room in the ring): 6 instructions.
     pub fn emit_produce(&self, b: &mut ProgramBuilder, v: Reg) {
         let ok = b.label("swq_prod_ok");
-        // Fast-path check against the cached head.
+        // Common case: room against the cached head.
         b.sub(self.tmp, self.my_tail, self.head_cache);
         b.blt(self.tmp, self.capacity as i64, ok);
         // Slow path: refresh head from the coherence point and spin.

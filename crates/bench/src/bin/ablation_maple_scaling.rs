@@ -11,6 +11,7 @@ use maple_bench::{print_banner, SpeedupTable};
 use maple_workloads::Variant;
 
 fn main() {
+    maple_bench::cli::no_arguments("ablation_maple_scaling");
     print_banner(
         "Ablation — 8 threads, scaling MAPLE instances",
         "tiled MAPLE units recover the decoupling speedup at high thread counts",

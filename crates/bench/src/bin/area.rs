@@ -9,6 +9,7 @@ use maple_core::area::{engine_area, ARIANE_CORE_MM2};
 use maple_core::MapleConfig;
 
 fn main() {
+    maple_bench::cli::no_arguments("area");
     print_banner(
         "Section 5.4 — area analysis (12 nm model)",
         "MAPLE (8 queues, 1 KB scratchpad) ≈ 1.1% of one Ariane core",

@@ -14,11 +14,10 @@ use std::path::PathBuf;
 use maple_bench::experiments::{decoupling_suite, prefetch_suite, prior_work_suite, FleetLine};
 use maple_bench::rtt::measure_roundtrip;
 use maple_bench::scaling::{scaling_sweep, SCALE_TILES};
-use maple_bench::stepper::{fast_path_comparison, stall_heavy_comparison};
+use maple_bench::stepper::stall_heavy_comparison;
 use maple_bench::summary::{
-    build_json, readme_scaling_table, readme_throughput_table, FastPathLine, HarnessLine,
-    ServingLine, StepperLine, README_SCALING_BEGIN, README_SCALING_END, README_TABLE_BEGIN,
-    README_TABLE_END,
+    build_json, readme_scaling_table, readme_throughput_table, HarnessLine, ServingLine,
+    StepperLine, README_SCALING_BEGIN, README_SCALING_END, README_TABLE_BEGIN, README_TABLE_END,
 };
 use maple_serve::{serve, ServeConfig};
 use maple_soc::config::SocConfig;
@@ -66,6 +65,7 @@ fn rewrite_readme_table(readme: &PathBuf, doc: &maple_trace::Json) {
 }
 
 fn main() {
+    maple_bench::cli::no_arguments("bench_summary");
     let t0 = std::time::Instant::now();
     let fig08 = decoupling_suite();
     let fig09 = prefetch_suite();
@@ -92,23 +92,6 @@ fn main() {
         dense_mcycles_per_sec: cmp.dense.mcycles_per_sec(),
         skipping_mcycles_per_sec: cmp.skipping.mcycles_per_sec(),
         speedup: cmp.speedup(),
-    };
-
-    eprintln!("[bench_summary] measuring compiled fast-path throughput...");
-    let fp = fast_path_comparison(0x57E9);
-    assert!(
-        fp.divergence().is_none(),
-        "fast path diverged: {:?}",
-        fp.divergence()
-    );
-    let fast_path = FastPathLine {
-        cycles: fp.fast.cycles,
-        host_cores,
-        interpreted_mcycles_per_sec: fp.interpreted.mcycles_per_sec(),
-        fast_path_mcycles_per_sec: fp.fast.mcycles_per_sec(),
-        speedup: fp.speedup(),
-        fast_path_runs: fp.fast.fast_path_runs,
-        interpreted_ticks: fp.fast.interpreted_ticks,
     };
 
     eprintln!("[bench_summary] measuring hierarchical-fabric scaling sweep...");
@@ -152,7 +135,6 @@ fn main() {
         rtt.mean_rtt,
         &harness,
         Some(&stepper),
-        Some(&fast_path),
         Some(&serving),
         Some(&scaling),
     );

@@ -15,6 +15,7 @@ use maple_workloads::spmv::Spmv;
 use maple_workloads::Variant;
 
 fn main() {
+    maple_bench::cli::no_arguments("counters");
     print_banner(
         "Section 4.4 — MAPLE performance counters (debug operations)",
         "queue runahead and engine activity observed through the API",

@@ -8,6 +8,7 @@ use maple_bench::experiments::{decoupling_suite, find, stall_rows_by_variant};
 use maple_bench::{FigureReport, SpeedupTable};
 
 fn main() {
+    maple_bench::cli::no_arguments("fig08");
     let run = decoupling_suite();
     let rows = run.rows;
     let mut report = FigureReport::new(

@@ -9,6 +9,7 @@ use maple_bench::experiments::{find, prefetch_suite, stall_rows_by_variant};
 use maple_bench::{FigureReport, SpeedupTable};
 
 fn main() {
+    maple_bench::cli::no_arguments("fig10");
     let run = prefetch_suite();
     let rows = run.rows;
     let mut report = FigureReport::new(

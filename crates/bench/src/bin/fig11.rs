@@ -9,6 +9,7 @@ use maple_bench::{FigureReport, SpeedupTable};
 use maple_sim::stats::geomean;
 
 fn main() {
+    maple_bench::cli::no_arguments("fig11");
     let run = prefetch_suite();
     let rows = run.rows;
     let mut report = FigureReport::new(

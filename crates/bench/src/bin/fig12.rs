@@ -11,6 +11,7 @@ use maple_bench::{FigureReport, SpeedupTable};
 use maple_sim::stats::geomean;
 
 fn main() {
+    maple_bench::cli::no_arguments("fig12");
     let run = prior_work_suite();
     let rows = run.rows;
     let mut report = FigureReport::new(

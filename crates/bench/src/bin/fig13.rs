@@ -10,6 +10,7 @@ use maple_trace::StallRow;
 use maple_workloads::{RunStats, Variant};
 
 fn main() {
+    maple_bench::cli::no_arguments("fig13");
     let mut report = FigureReport::new(
         "fig13",
         "Figure 13 — scaling threads over one shared MAPLE",

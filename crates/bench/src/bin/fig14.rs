@@ -10,6 +10,7 @@ use maple_bench::FigureReport;
 use maple_soc::config::SocConfig;
 
 fn main() {
+    maple_bench::cli::no_arguments("fig14");
     let mut report = FigureReport::new(
         "fig14",
         "Figure 14 — core-to-MAPLE round-trip latency breakdown",

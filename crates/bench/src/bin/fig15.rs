@@ -9,6 +9,7 @@ use maple_trace::StallRow;
 use maple_workloads::Variant;
 
 fn main() {
+    maple_bench::cli::no_arguments("fig15");
     let mut report = FigureReport::new(
         "fig15",
         "Figure 15 — speedup vs core-to-MAPLE round-trip latency",

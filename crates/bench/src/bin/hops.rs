@@ -49,6 +49,7 @@ fn measure(placement: (u16, u16)) -> f64 {
 }
 
 fn main() {
+    maple_bench::cli::no_arguments("hops");
     print_banner(
         "Placement study — consume round trip vs hop distance",
         "≈25 cycles + 1 per hop (Figure 14); OS maps a nearby instance",

@@ -95,10 +95,7 @@ fn check_kernel(kernel: &str, rows: &[RunStats]) {
 }
 
 fn main() {
-    if std::env::args().len() > 1 {
-        eprintln!("usage: oracle_grid (no arguments; MAPLE_JOBS sets the worker count)");
-        std::process::exit(2);
-    }
+    maple_bench::cli::no_arguments("oracle_grid");
     let jobs = maple_fleet::pool::jobs_from_env();
     eprintln!("[oracle_grid] running with {jobs} workers");
     let t0 = std::time::Instant::now();

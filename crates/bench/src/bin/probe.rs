@@ -3,6 +3,7 @@ use maple_workloads::bfs::Bfs;
 use maple_workloads::data::Dataset;
 use maple_workloads::Variant;
 fn main() {
+    maple_bench::cli::no_arguments("probe");
     let inst = Bfs::new(Dataset::WikiLike, 99);
     for (name, v) in [("doall", Variant::Doall), ("maple", Variant::MapleDecoupled)] {
         let s = inst.run(v, 2);

@@ -8,6 +8,7 @@ use maple_bench::{print_banner, SpeedupTable};
 use maple_workloads::Variant;
 
 fn main() {
+    maple_bench::cli::no_arguments("queue_sweep");
     print_banner(
         "Section 5.3 — queue-size sweep (entries per queue, 4 B each)",
         "32 entries suffice; 16 entries cost 5-10%",

@@ -4,13 +4,7 @@
 //! Doubles as the perf smoke: prints simulated Mcycles per host second
 //! for the dense and skipping loops and the resulting speedup.
 //!
-//! With `--fast-path` it instead runs the compiled fast-path
-//! determinism gate: the mixed SPMV MAPLE-decoupled workload and the
-//! compute-heavy kernel under interpreter vs batched micro-op-run
-//! dispatch, across steppers and the recoverable chaos schedules,
-//! printing only host-independent lines for the cross-worker byte-diff.
-//!
-//! With `--scale N` it runs the hierarchical-fabric determinism gate:
+//! With `--scale N` it instead runs the hierarchical-fabric determinism gate:
 //! an `N`-tile clustered SoC (4×4 crossbar clusters, one L2 bank and
 //! one MAPLE engine per cluster) under the skipping stepper vs the dense
 //! reference, printing only host-independent lines for the cross-worker
@@ -21,9 +15,9 @@
 
 use maple_bench::report::FigureReport;
 use maple_bench::scaling::{scale_gate, square_cluster_grid};
-use maple_bench::stepper::{fast_path_gate, stall_heavy_comparison};
+use maple_bench::stepper::stall_heavy_comparison;
 
-const USAGE: &str = "usage: stepper_check [--fast-path | --scale TILES]
+const USAGE: &str = "usage: stepper_check [--scale TILES]
   TILES    a square number of 16-tile clusters, at most 1024 (16, 64, 144, 256, ..., 1024)";
 
 /// Largest `--scale` the binary accepts: the biggest fabric the repo runs.
@@ -32,7 +26,6 @@ const MAX_SCALE_TILES: usize = 1024;
 /// The gate one invocation runs.
 enum Mode {
     Steppers,
-    FastPath,
     Scale(usize),
 }
 
@@ -41,7 +34,6 @@ enum Mode {
 fn parse(args: &[String]) -> Option<Mode> {
     match args {
         [] => Some(Mode::Steppers),
-        [flag] if flag == "--fast-path" => Some(Mode::FastPath),
         [flag, value] if flag == "--scale" => value
             .parse()
             .ok()
@@ -59,7 +51,6 @@ fn main() {
     };
     match mode {
         Mode::Steppers => stepper_gate(),
-        Mode::FastPath => print_or_fail(fast_path_gate(0x57E9), "FAST-PATH DIVERGENCE"),
         Mode::Scale(tiles) => print_or_fail(
             scale_gate(0x5CA1E, tiles),
             "HIERARCHICAL FABRIC DIVERGENCE",

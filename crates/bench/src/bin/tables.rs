@@ -16,6 +16,7 @@ fn print_config(cfg: &SocConfig) {
 }
 
 fn main() {
+    maple_bench::cli::no_arguments("tables");
     print_banner(
         "Table 2 — SoC configuration (FPGA prototype equivalent)",
         "OpenPiton + Ariane, 2 cores, 1 MAPLE, Linux-style VM services",

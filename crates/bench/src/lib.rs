@@ -9,6 +9,7 @@
 
 #![deny(missing_docs)]
 
+pub mod cli;
 pub mod experiments;
 pub mod instances;
 pub mod report;

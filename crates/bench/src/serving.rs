@@ -1,10 +1,10 @@
 //! The multi-tenant serving sweep and its CI gate.
 //!
 //! The sweep runs the [`maple_serve`] differential oracle over the full
-//! acceptance grid — {skipping, dense} steppers × compiled
-//! fast path on/off × {no chaos, one recoverable seeded chaos schedule}
-//! — dispatching cells through the [`maple_fleet`] batch executor,
-//! four hierarchical cells on a 2×2 crossbar-cluster fabric, plus
+//! acceptance grid — {skipping, dense} steppers × {no chaos, one
+//! recoverable seeded chaos schedule} — dispatching cells through the
+//! [`maple_fleet`] batch executor, two hierarchical cells on a 2×2
+//! crossbar-cluster fabric, plus
 //! one engine-kill cell proving the maple-dec → sw-dec → do-all ladder
 //! degrades a failing engine mid-tenant without a single corrupted
 //! byte. The gate output contains only host-independent lines (request
@@ -17,7 +17,7 @@ use maple_serve::oracle::differential_check;
 use maple_serve::{serve, ServeConfig, ServingSummary};
 use maple_workloads::oracle::chaos_schedules;
 
-/// The acceptance grid: every stepper × fast-path × chaos combination,
+/// The acceptance grid: every stepper × chaos combination,
 /// each as a labelled serving config over the same seeded tenants.
 #[must_use]
 pub fn serve_grid(seed: u64) -> Vec<(String, ServeConfig)> {
@@ -29,21 +29,17 @@ pub fn serve_grid(seed: u64) -> Vec<(String, ServeConfig)> {
         .expect("a recoverable schedule exists");
     let mut cells = Vec::new();
     for (stepper, dense) in [("skipping", false), ("dense", true)] {
-        for fast in [false, true] {
-            for chaos in [false, true] {
-                let mut cfg = ServeConfig::quick(seed);
-                cfg.dense = dense;
-                cfg.fast_path = fast;
-                if chaos {
-                    cfg.chaos = Some(schedule.plane.clone());
-                }
-                let label = format!(
-                    "{stepper}/fast={}/chaos={}",
-                    u8::from(fast),
-                    if chaos { schedule.name } else { "none" }
-                );
-                cells.push((label, cfg));
+        for chaos in [false, true] {
+            let mut cfg = ServeConfig::quick(seed);
+            cfg.dense = dense;
+            if chaos {
+                cfg.chaos = Some(schedule.plane.clone());
             }
+            let label = format!(
+                "{stepper}/chaos={}",
+                if chaos { schedule.name } else { "none" }
+            );
+            cells.push((label, cfg));
         }
     }
     // Hierarchical cells: the same tenants on a 2×2 crossbar hierarchy

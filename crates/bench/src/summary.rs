@@ -46,34 +46,6 @@ pub struct StepperLine {
     pub speedup: f64,
 }
 
-/// Host-throughput line for the compiled core fast path (batched
-/// micro-op-run dispatch vs per-instruction interpretation), measured on
-/// the compute-heavy kernel of `crate::stepper`. Run-to-run varying,
-/// like [`HarnessLine`]. Both sides are single-threaded, so the speedup
-/// floor is enforceable on any host.
-#[derive(Debug, Clone, Default)]
-pub struct FastPathLine {
-    /// Simulated cycles of the kernel (dispatch-mode-independent).
-    pub cycles: u64,
-    /// Host CPUs available to the run (`available_parallelism`).
-    pub host_cores: usize,
-    /// Interpreter-dispatch simulated Mcycles per host second.
-    pub interpreted_mcycles_per_sec: f64,
-    /// Fast-path-dispatch simulated Mcycles per host second.
-    pub fast_path_mcycles_per_sec: f64,
-    /// `fast_path / interpreted` host-throughput ratio.
-    pub speedup: f64,
-    /// Micro-op runs dispatched by the fast path (simulated, proves the
-    /// path engaged).
-    pub fast_path_runs: u64,
-    /// Remaining single-instruction interpreter dispatches (simulated).
-    pub interpreted_ticks: u64,
-}
-
-/// The acceptance floor for the fast-path speedup recorded in
-/// `BENCH_maple.json` and checked by its `speedup_gate` tag.
-pub const FAST_PATH_SPEEDUP_FLOOR: f64 = 5.0;
-
 /// Tail-latency and virtualization-overhead line for the multi-tenant
 /// serving driver, measured on `maple_serve::ServeConfig::standard`.
 /// Unlike the host-throughput lines every number here is simulated, so
@@ -150,7 +122,6 @@ pub fn build_json(
     consume_rtt: f64,
     harness: &HarnessLine,
     stepper: Option<&StepperLine>,
-    fast_path: Option<&FastPathLine>,
     serving: Option<&ServingLine>,
     scaling: Option<&[ScaleRow]>,
 ) -> Json {
@@ -263,42 +234,6 @@ pub fn build_json(
                     Json::from(s.skipping_mcycles_per_sec),
                 ),
                 ("speedup", Json::from(s.speedup)),
-            ]),
-        ));
-    }
-    if let Some(f) = fast_path {
-        members.push((
-            "stepper_fast_path",
-            Json::obj(vec![
-                (
-                    "benchmark",
-                    Json::from("compute-heavy ALU kernel, 4 cores, no engines"),
-                ),
-                ("simulated_cycles", Json::from(f.cycles)),
-                ("host_cores", Json::from(f.host_cores as u64)),
-                // Both sides of this ratio are single-threaded, so the
-                // floor applies on any host — the tag records whether
-                // this run met it.
-                ("speedup_floor", Json::from(FAST_PATH_SPEEDUP_FLOOR)),
-                (
-                    "speedup_gate",
-                    Json::from(if f.speedup >= FAST_PATH_SPEEDUP_FLOOR {
-                        "met"
-                    } else {
-                        "MISSED"
-                    }),
-                ),
-                (
-                    "interpreted_mcycles_per_sec",
-                    Json::from(f.interpreted_mcycles_per_sec),
-                ),
-                (
-                    "fast_path_mcycles_per_sec",
-                    Json::from(f.fast_path_mcycles_per_sec),
-                ),
-                ("speedup", Json::from(f.speedup)),
-                ("fast_path_runs", Json::from(f.fast_path_runs)),
-                ("interpreted_ticks", Json::from(f.interpreted_ticks)),
             ]),
         ));
     }
@@ -464,24 +399,6 @@ pub fn readme_throughput_table(doc: &Json) -> String {
             ]);
         }
     }
-    if let Some(f) = doc.get("stepper_fast_path") {
-        let interp = f.get("interpreted_mcycles_per_sec").and_then(Json::as_f64);
-        let fast = f.get("fast_path_mcycles_per_sec").and_then(Json::as_f64);
-        if let (Some(interp), Some(fast)) = (interp, fast) {
-            rows.push([
-                "skipping, per-instruction interpreter".into(),
-                "compute-heavy ALU".into(),
-                mcy(interp),
-                "1.0×".into(),
-            ]);
-            rows.push([
-                "skipping + compiled fast path".into(),
-                "compute-heavy ALU".into(),
-                mcy(fast),
-                format!("≈ {:.1}×", fast / interp),
-            ]);
-        }
-    }
     if let Some(v) = doc.get("serving") {
         let p50 = v.get("latency_p50_cycles").and_then(Json::as_f64);
         let p99 = v.get("latency_p99_cycles").and_then(Json::as_f64);
@@ -502,7 +419,7 @@ pub fn readme_throughput_table(doc: &Json) -> String {
     }
     let header = [
         [
-            "stepper / dispatch".to_string(),
+            "configuration".to_string(),
             "benchmark".into(),
             "host throughput".into(),
             "speedup".into(),

@@ -20,12 +20,16 @@ fn bad_arguments_print_usage_and_exit_2() {
         &["--scale", "2048"],
         &["--scale"],
         &["--bogus"],
-        &["--fast-path", "--scale", "256"],
+        &["--scale", "256", "--bogus"],
         &["--partitions", "4", "extra"],
         // Retired with the partitioned stepper: formerly valid, now unknown.
         &["--partitions", "4"],
         &["--speedup-floor", "1.2"],
+        // Retired with the compiled core dispatch path.
+        &["--fast-path"],
+        &["--fast-path", "--scale", "256"],
     ];
+    let retired = ["--partitions", "--speedup-floor", "--fast-path"];
     for args in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_stepper_check"))
             .args(*args)
@@ -35,7 +39,7 @@ fn bad_arguments_print_usage_and_exit_2() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.starts_with("usage: stepper_check"), "{args:?}: {stderr}");
         assert!(
-            !stderr.contains("--partitions") && !stderr.contains("--speedup-floor"),
+            retired.iter().all(|flag| !stderr.contains(flag)),
             "{args:?}: usage must not offer retired flags: {stderr}"
         );
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");

@@ -23,29 +23,15 @@
 //! 2. returns early if the core is halted, faulted, blocked on memory,
 //!    or simply not yet due (`now < next_ready`) — accruing the matching
 //!    stall counter;
-//! 3. otherwise **dispatches** the instruction at `pc`, through one of
-//!    two paths:
-//!    - the **compiled fast-path** (opt-in via [`CpuConfig::fast_path`]):
-//!      if the instruction starts a straight-line compute run
-//!      ([`maple_isa::fastpath`]), the whole run executes in this one
-//!      call — registers updated in program order, `pc` advanced past
-//!      the run, `next_ready` charged the run's total latency in bulk —
-//!      counted in [`CpuStats::fast_path_runs`]/
-//!      [`CpuStats::fast_path_insts`]. A run never contains a memory,
-//!      MMIO, queue, or control-flow instruction, and it splits at the
-//!      caller-supplied *fence* (the next cycle the hub could inject a
-//!      command: a fault service completing or a scheduled chaos event),
-//!      so batching is unobservable to the rest of the SoC.
-//!    - the **interpreter**: a single instruction executes
-//!      (counted in [`CpuStats::interpreted_ticks`]); memory
-//!      instructions translate through the TLB and issue into the owned
-//!      L1, control flow resolves the next `pc`, and dynamic-latency
-//!      outcomes (cache misses, queue backpressure, page faults) park
-//!      the core in the matching [`CoreState`].
+//! 3. otherwise **interprets** the instruction at `pc`: a single
+//!    instruction executes (counted in [`CpuStats::interpreted_ticks`]);
+//!    memory instructions translate through the TLB and issue into the
+//!    owned L1, control flow resolves the next `pc`, and dynamic-latency
+//!    outcomes (cache misses, queue backpressure, page faults) park the
+//!    core in the matching [`CoreState`].
 //!
-//! Both paths charge identical cycles for identical instructions — the
-//! fast-path is a host-throughput optimization, bit-exact by
-//! construction (DESIGN.md §12).
+//! The interpreter is the core's one dispatch path (DESIGN.md §12 records
+//! why the compiled alternative was retired).
 //!
 //! # Observability
 //!
@@ -61,7 +47,6 @@
 
 pub mod desc;
 
-use maple_isa::fastpath::{BlockCache, MicroOp};
 use maple_isa::{AtomicOp, Inst, LdClass, Operand, Program, Reg, NUM_REGS};
 use maple_mem::l1::{CoreOp, CoreReq, L1Cache, L1Config, L1Reject};
 use maple_mem::msg::{MemReq, MemResp, ServedBy};
@@ -98,12 +83,6 @@ pub struct CpuConfig {
     /// this many acks are pending, exactly like ordinary stores in a
     /// store buffer).
     pub mmio_store_outstanding: usize,
-    /// Enables the compiled fast-path: straight-line compute runs
-    /// ([`maple_isa::fastpath`]) execute in one tick with bulk cycle
-    /// accounting instead of one instruction per tick. Bit-exact with
-    /// the interpreter (DESIGN.md §12) and therefore excluded from
-    /// `SocConfig::digest_into`, like the stepper knobs.
-    pub fast_path: bool,
 }
 
 impl Default for CpuConfig {
@@ -116,7 +95,6 @@ impl Default for CpuConfig {
             desc_outstanding: 16,
             desc_queue_latency: 2,
             mmio_store_outstanding: 8,
-            fast_path: false,
         }
     }
 }
@@ -173,13 +151,6 @@ pub struct CpuStats {
     /// Memory-stall cycles attributed by cause once each blocking access
     /// completed (the serving level rides back on the response).
     pub stall: StallBreakdown,
-    /// Compute runs executed by the compiled fast-path (one per tick
-    /// that dispatched a [`maple_isa::fastpath::Run`]). Zero unless
-    /// [`CpuConfig::fast_path`] is set.
-    pub fast_path_runs: Counter,
-    /// Instructions retired through the fast-path (also counted in
-    /// [`CpuStats::instructions`] — this is the dispatch-side split).
-    pub fast_path_insts: Counter,
     /// Ticks dispatched through the interpreter (one instruction each;
     /// includes retried issues that made no progress, e.g. an L1 reject).
     pub interpreted_ticks: Counter,
@@ -200,9 +171,6 @@ pub struct Core {
     pub id: usize,
     cfg: CpuConfig,
     program: Program,
-    /// Lazily-decoded compute runs for the fast-path dispatcher; unused
-    /// (and empty) unless [`CpuConfig::fast_path`] is set.
-    block_cache: BlockCache,
     pc: usize,
     regs: [u64; NUM_REGS],
     state: CoreState,
@@ -245,7 +213,6 @@ impl Core {
         Core {
             id,
             program,
-            block_cache: BlockCache::new(),
             pc: 0,
             regs: [0; NUM_REGS],
             state: CoreState::Running,
@@ -453,20 +420,12 @@ impl Core {
     ///
     /// `desc` supplies the coupled queues when this core is half of a DeSC
     /// pair; MAPLE and software configurations pass `None`.
-    ///
-    /// `fence`, when present, is the earliest future cycle at which the
-    /// caller might inject state the core could observe (a fault service
-    /// completing, a scheduled chaos event): the compiled fast-path never
-    /// batches an instruction whose issue cycle would land at or past it.
-    /// Interpreter dispatch ignores the fence — one instruction per tick
-    /// can never cross a future cycle. `None` means "no boundary".
     pub fn tick(
         &mut self,
         now: Cycle,
         mem: &PhysMem,
         stage: &mut WriteStage,
         mut desc: Option<&mut DescQueues>,
-        fence: Option<Cycle>,
     ) {
         self.mmio_wait = None;
         // 1. Retire arrived memory responses.
@@ -523,63 +482,6 @@ impl Core {
         }
         if now < self.next_ready {
             return;
-        }
-
-        // 2b. Compiled fast-path: when the instruction at `pc` starts a
-        //     straight-line compute run, execute the whole run now and
-        //     charge its cycles in bulk — the compute-side dual of the
-        //     event-horizon stall skipping. Runs touch only `regs`/`pc`,
-        //     so executing the ops "early" (all at this tick instead of
-        //     one per cycle) is unobservable outside the core; the fence
-        //     check keeps any op whose issue cycle lands at or past the
-        //     next hub-injection boundary for a later tick.
-        if self.cfg.fast_path {
-            if let Some(run) = self.block_cache.run_for(&self.program, self.pc) {
-                let mut executed: u64 = 0;
-                let mut elapsed: u64 = 0;
-                for &op in run.ops() {
-                    // `elapsed` is the issue offset of `op`: the cycle
-                    // the interpreter would have dispatched it.
-                    if fence.is_some_and(|f| now.plus(elapsed) >= f) {
-                        break;
-                    }
-                    match op {
-                        MicroOp::Li { rd, imm } => {
-                            if rd.0 != 0 {
-                                self.regs[usize::from(rd.0)] = imm;
-                            }
-                        }
-                        MicroOp::AluRR { op, rd, rs1, rs2 } => {
-                            let v = op
-                                .apply(self.regs[usize::from(rs1.0)], self.regs[usize::from(rs2.0)]);
-                            if rd.0 != 0 {
-                                self.regs[usize::from(rd.0)] = v;
-                            }
-                        }
-                        MicroOp::AluRI { op, rd, rs1, imm } => {
-                            let v = op.apply(self.regs[usize::from(rs1.0)], imm);
-                            if rd.0 != 0 {
-                                self.regs[usize::from(rd.0)] = v;
-                            }
-                        }
-                        MicroOp::Nop => {}
-                    }
-                    executed += 1;
-                    elapsed += op.latency();
-                }
-                // A fence at `now + 1` still admits the first op (it
-                // issues at `now`, strictly before any valid fence), so
-                // a non-empty run always makes progress; the guard only
-                // protects against a (contract-violating) fence <= now.
-                if executed > 0 {
-                    self.pc += executed as usize;
-                    self.stats.instructions.add(executed);
-                    self.stats.fast_path_runs.inc();
-                    self.stats.fast_path_insts.add(executed);
-                    self.next_ready = now.plus(elapsed);
-                    return;
-                }
-            }
         }
 
         let Some(&inst) = self.program.fetch(self.pc) else {
@@ -888,10 +790,7 @@ impl Core {
     ///
     /// A running core acts when `next_ready` arrives (immediately if it is
     /// already due); pending L1 traffic and staged responses carry their
-    /// own deadlines. After a fast-path run, `next_ready` already carries
-    /// the whole run's bulk latency, so the horizon accounts for the run
-    /// length with no extra term: the core simply stops pinning the
-    /// horizon until the run retires. A core blocked in [`CoreState::WaitingMem`] or
+    /// own deadlines. A core blocked in [`CoreState::WaitingMem`] or
     /// [`CoreState::Faulted`] reports no event of its own — the response
     /// or the OS fault service that unblocks it is tracked by another
     /// component's horizon — but accrues per-cycle stall counters, which
@@ -1002,11 +901,10 @@ impl maple_sim::Clocked for Core {
         &'a PhysMem,
         &'a mut WriteStage,
         Option<&'a mut DescQueues>,
-        Option<Cycle>,
     );
 
-    fn tick(&mut self, now: Cycle, (mem, stage, desc, fence): Self::Ctx<'_>) {
-        Core::tick(self, now, mem, stage, desc, fence);
+    fn tick(&mut self, now: Cycle, (mem, stage, desc): Self::Ctx<'_>) {
+        Core::tick(self, now, mem, stage, desc);
     }
 
     fn next_event(&self, now: Cycle) -> Option<Cycle> {

@@ -86,7 +86,7 @@ impl Bench {
             }
             let mut stage = WriteStage::new();
             for c in &mut self.cores {
-                c.tick(now, &self.mem, &mut stage, None, None);
+                c.tick(now, &self.mem, &mut stage, None);
             }
             stage.apply(&mut self.mem);
             for ci in 0..self.cores.len() {
@@ -245,7 +245,7 @@ fn unmapped_access_faults_and_resumes() {
     let mut now = Cycle::ZERO;
     let mut stage = WriteStage::new();
     for _ in 0..200 {
-        bench.cores[0].tick(now, &bench.mem, &mut stage, None, None);
+        bench.cores[0].tick(now, &bench.mem, &mut stage, None);
         stage.apply(&mut bench.mem);
         if bench.cores[0].state() == CoreState::Faulted {
             break;
@@ -369,7 +369,7 @@ fn mmio_stores_run_ahead_until_the_buffer_fills() {
     let mut now = Cycle::ZERO;
     let mut stage = WriteStage::new();
     for _ in 0..500 {
-        core.tick(now, &mem, &mut stage, None, None);
+        core.tick(now, &mem, &mut stage, None);
         stage.apply(&mut mem);
         while let Some(req) = core.pop_mem_request() {
             assert!(req.expects_response(), "MMIO store expects an ack");
@@ -386,7 +386,7 @@ fn mmio_stores_run_ahead_until_the_buffer_fills() {
         core.on_mem_resp(now, MemResp { id: req.id, data: 0, served_by: ServedBy::Dram }, &mem);
     }
     for _ in 0..500 {
-        core.tick(now, &mem, &mut stage, None, None);
+        core.tick(now, &mem, &mut stage, None);
         stage.apply(&mut mem);
         while let Some(req) = core.pop_mem_request() {
             core.on_mem_resp(now.plus(10), MemResp { id: req.id, data: 0, served_by: ServedBy::Dram }, &mem);
@@ -460,8 +460,8 @@ fn desc_pair_produces_and_consumes() {
     let mut now = Cycle::ZERO;
     for _ in 0..100_000 {
         let mut stage = WriteStage::new();
-        access.tick(now, &mem, &mut stage, Some(&mut queues), None);
-        execute.tick(now, &mem, &mut stage, Some(&mut queues), None);
+        access.tick(now, &mem, &mut stage, Some(&mut queues));
+        execute.tick(now, &mem, &mut stage, Some(&mut queues));
         stage.apply(&mut mem);
         while let Some(req) = access.pop_mem_request() {
             l2.accept(now, req);
@@ -479,162 +479,6 @@ fn desc_pair_produces_and_consumes() {
     let expected: u64 = (0..8u64).map(|i| 100 + i).sum();
     assert_eq!(execute.reg(acc_reg), expected);
     assert!(queues.is_empty());
-}
-
-/// Minimal compute-only fixture: a fresh memory/page-table pair and a
-/// core with the compiled fast path enabled.
-fn fast_path_core(b: ProgramBuilder) -> (Core, PhysMem) {
-    let mut mem = PhysMem::new();
-    let mut frames = FrameAllocator::new(PAddr(0x10_0000), 4 << 20);
-    let pt = PageTable::new(&mut mem, &mut frames);
-    let cfg = CpuConfig {
-        fast_path: true,
-        ..CpuConfig::default()
-    };
-    (Core::new(0, cfg, b.build().unwrap(), pt), mem)
-}
-
-#[test]
-fn fast_path_fence_splits_run_at_exact_boundary() {
-    // Six 1-cycle ops; a fence at cycle 3 must admit exactly the ops
-    // issuing at cycles 0, 1 and 2, and park the core ready at the
-    // fence — the precise cycle the interpreter would issue op 3.
-    let mut b = ProgramBuilder::new();
-    let x = b.reg("x");
-    for _ in 0..6 {
-        b.addi(x, x, 1);
-    }
-    b.halt();
-    let (mut core, mem) = fast_path_core(b);
-    let mut stage = WriteStage::new();
-    core.tick(Cycle::ZERO, &mem, &mut stage, None, Some(Cycle(3)));
-    assert_eq!(core.stats().instructions.get(), 3, "split at the fence");
-    assert_eq!(core.stats().fast_path_runs.get(), 1);
-    // Before the fence the core is busy; ticking does nothing.
-    core.tick(Cycle(2), &mem, &mut stage, None, Some(Cycle(3)));
-    assert_eq!(core.stats().instructions.get(), 3);
-    // At the fence the rest of the block runs to the halt.
-    core.tick(Cycle(3), &mem, &mut stage, None, None);
-    assert_eq!(core.stats().instructions.get(), 6);
-    core.tick(Cycle(6), &mem, &mut stage, None, None);
-    assert!(core.is_halted());
-    assert_eq!(core.reg(x), 6);
-}
-
-#[test]
-fn fast_path_run_ending_exactly_on_fence_is_not_split() {
-    // Three 1-cycle ops and a fence at exactly the run's natural end
-    // (cycle 3): every op issues strictly before the fence, so the whole
-    // run completes in one dispatch with no artificial split.
-    let mut b = ProgramBuilder::new();
-    let x = b.reg("x");
-    for _ in 0..3 {
-        b.addi(x, x, 1);
-    }
-    b.halt();
-    let (mut core, mem) = fast_path_core(b);
-    let mut stage = WriteStage::new();
-    core.tick(Cycle::ZERO, &mem, &mut stage, None, Some(Cycle(3)));
-    assert_eq!(core.stats().instructions.get(), 3, "whole run dispatched");
-    assert_eq!(core.stats().fast_path_runs.get(), 1, "no split needed");
-    assert_eq!(core.reg(x), 3);
-}
-
-#[test]
-fn fast_path_fence_at_next_cycle_still_makes_progress() {
-    // The tightest legal fence (now + 1) admits exactly the first op —
-    // dispatch can never wedge. A 3-cycle multiply still charges its
-    // full latency even though it retires past the fence, exactly as
-    // the interpreter issues it at `now` and occupies the core after.
-    let mut b = ProgramBuilder::new();
-    let x = b.reg("x");
-    b.addi(x, x, 2);
-    b.mul(x, x, 5i64);
-    b.halt();
-    let (mut core, mem) = fast_path_core(b);
-    let mut stage = WriteStage::new();
-    core.tick(Cycle::ZERO, &mem, &mut stage, None, Some(Cycle(1)));
-    assert_eq!(core.stats().instructions.get(), 1, "first op always runs");
-    core.tick(Cycle(1), &mem, &mut stage, None, Some(Cycle(2)));
-    assert_eq!(core.stats().instructions.get(), 2, "multiply dispatched");
-    // The multiply occupies cycles 1-3; ticks before 4 are idle.
-    core.tick(Cycle(2), &mem, &mut stage, None, Some(Cycle(3)));
-    core.tick(Cycle(3), &mem, &mut stage, None, Some(Cycle(4)));
-    assert_eq!(core.stats().instructions.get(), 2, "latency respected");
-    core.tick(Cycle(4), &mem, &mut stage, None, None);
-    assert!(core.is_halted());
-    assert_eq!(core.reg(x), 10);
-}
-
-#[test]
-fn fast_path_matches_interpreter_cycle_for_cycle() {
-    // The same branchy compute loop on a fast-path core and an
-    // interpreter core, ticked in lockstep: they must halt on the same
-    // cycle with the same registers and instruction count.
-    let program = || {
-        let mut b = ProgramBuilder::new();
-        let i = b.reg("i");
-        let n = b.reg("n");
-        let acc = b.reg("acc");
-        b.li(i, 0);
-        b.li(n, 25);
-        b.li(acc, 7);
-        let top = b.here("top");
-        b.mul(acc, acc, 3i64);
-        b.add(acc, acc, i);
-        b.addi(i, i, 1);
-        b.bne(i, n, top);
-        b.halt();
-        (b.build().unwrap(), acc)
-    };
-    let mut mem = PhysMem::new();
-    let mut frames = FrameAllocator::new(PAddr(0x10_0000), 4 << 20);
-    let (prog, acc) = program();
-    let mut fast = Core::new(
-        0,
-        CpuConfig {
-            fast_path: true,
-            ..CpuConfig::default()
-        },
-        prog,
-        PageTable::new(&mut mem, &mut frames),
-    );
-    let (prog, _) = program();
-    let mut interp = Core::new(
-        1,
-        CpuConfig::default(),
-        prog,
-        PageTable::new(&mut mem, &mut frames),
-    );
-    let mut halted_at = [None, None];
-    let mut stage = WriteStage::new();
-    for c in 0..10_000u64 {
-        let now = Cycle(c);
-        fast.tick(now, &mem, &mut stage, None, None);
-        interp.tick(now, &mem, &mut stage, None, None);
-        if halted_at[0].is_none() && fast.is_halted() {
-            halted_at[0] = Some(c);
-        }
-        if halted_at[1].is_none() && interp.is_halted() {
-            halted_at[1] = Some(c);
-        }
-        if halted_at.iter().all(Option::is_some) {
-            break;
-        }
-    }
-    assert_eq!(halted_at[0], halted_at[1], "halt cycle diverged");
-    assert!(halted_at[0].is_some(), "both cores halted");
-    assert_eq!(fast.reg(acc), interp.reg(acc), "results diverged");
-    assert_eq!(
-        fast.stats().instructions.get(),
-        interp.stats().instructions.get()
-    );
-    assert!(fast.stats().fast_path_runs.get() > 0, "fast path engaged");
-    assert_eq!(
-        interp.stats().fast_path_runs.get(),
-        0,
-        "interpreter core never batches"
-    );
 }
 
 #[test]

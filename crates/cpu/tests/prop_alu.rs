@@ -127,7 +127,7 @@ fn core_matches_host_model() {
         let mut now = Cycle::ZERO;
         let mut stage = maple_mem::WriteStage::new();
         for _ in 0..(insts.len() * 8 + 100) {
-            core.tick(now, &mem, &mut stage, None, None);
+            core.tick(now, &mem, &mut stage, None);
             stage.apply(&mut mem);
             if core.is_halted() {
                 break;

@@ -28,33 +28,25 @@
 //!
 //! The in-order core executes one instruction per cycle gated by each
 //! instruction's latency; from the simulator's perspective the IR splits
-//! into three classes, and the split is what makes the compiled fast-path
-//! ([`fastpath`]) sound:
+//! into three classes:
 //!
 //! - **Compute** — [`Inst::Li`], [`Inst::Alu`], [`Inst::Nop`]. Read and
 //!   write only the core-private register file (`r0` hardwired to zero)
 //!   and advance `pc` by one. Latency is static ([`AluOp::latency`]:
-//!   3 cycles for `Mul`, 1 otherwise). These are the only *run-eligible*
-//!   instructions: a straight-line stretch of them can be pre-decoded
-//!   into a [`fastpath::Run`] and executed in one `tick`.
+//!   3 cycles for `Mul`, 1 otherwise).
 //! - **Memory / queue** — [`Inst::Ld`], [`Inst::St`], [`Inst::Amo`],
 //!   [`Inst::Prefetch`], and the DeSC baseline ops
 //!   ([`Inst::DescProduce`], [`Inst::DescConsume`],
 //!   [`Inst::DescTryConsume`], [`Inst::DescProduceLoad`]). Latency is
 //!   dynamic (cache state, NoC contention, device occupancy, queue
 //!   backpressure), and whether an access is plain memory or a MAPLE
-//!   MMIO command is decided by page flags at translation time — so
-//!   every one of these **terminates a run** and goes through the
-//!   interpreter.
+//!   MMIO command is decided by page flags at translation time.
 //! - **Control** — [`Inst::Branch`], [`Inst::Jump`], [`Inst::Halt`].
-//!   The next pc is data-dependent (or execution stops), so these also
-//!   terminate runs; the interpreter resolves them and the next run
-//!   starts at the resolved target.
+//!   The next pc is data-dependent (or execution stops).
 
 #![deny(missing_docs)]
 
 pub mod builder;
-pub mod fastpath;
 
 /// Number of architectural registers.
 pub const NUM_REGS: usize = 64;

@@ -10,10 +10,9 @@
 //! hit, a leaked queue entry, a stale MMIO translation after a remap)
 //! shows up as a byte diff on some request.
 //!
-//! The check is stepper-agnostic on purpose: the caller picks dense /
-//! skipping and fast-path on or off through
-//! [`ServeConfig`], and the `serve_check` CI gate byte-diffs the whole
-//! grid across `MAPLE_JOBS` values.
+//! The check is stepper-agnostic on purpose: the caller picks dense or
+//! skipping through [`ServeConfig`], and the `serve_check` CI gate
+//! byte-diffs the whole grid across `MAPLE_JOBS` values.
 
 use crate::sim::{serve, ServeConfig, ServingSummary};
 

@@ -106,8 +106,6 @@ pub struct ServeConfig {
     /// Use the dense reference stepper instead of event-horizon
     /// skipping.
     pub dense: bool,
-    /// Enable the compiled core fast path.
-    pub fast_path: bool,
     /// Hierarchical fabric: group tiles into crossbar clusters with a
     /// banked L2 (`None` keeps the flat mesh).
     pub cluster: Option<maple_soc::ClusterConfig>,
@@ -131,7 +129,6 @@ impl ServeConfig {
             chaos: None,
             kill_engine: None,
             dense: false,
-            fast_path: false,
             cluster: None,
             trace: None,
         }
@@ -164,7 +161,6 @@ impl ServeConfig {
             chaos: None,
             kill_engine: None,
             dense: false,
-            fast_path: false,
             cluster: None,
             trace: None,
         }
@@ -182,8 +178,7 @@ impl ServeConfig {
     pub fn soc_config(&self) -> SocConfig {
         let mut cfg = SocConfig::fpga_prototype()
             .with_cores(2 * self.lanes())
-            .with_maples(self.maples)
-            .with_fast_path(self.fast_path);
+            .with_maples(self.maples);
         if let Some(shape) = self.cluster {
             cfg = cfg.with_clusters(shape);
         }
@@ -827,22 +822,6 @@ mod tests {
             assert!(report.tenant.is_some(), "descent names its tenant");
             assert!(report.ladder_rung >= 1);
         }
-    }
-
-    #[test]
-    fn fast_path_session_matches_skipping() {
-        let base = serve(ServeConfig::quick(21)).1;
-        let mut fast = ServeConfig::quick(21);
-        fast.fast_path = true;
-        let other = serve(fast).1;
-        assert!(other.verified);
-        // Same arrivals and same simulated machine semantics: the
-        // latency digests must agree bit-for-bit.
-        assert_eq!(other.sim_cycles, base.sim_cycles);
-        assert_eq!(other.p50, base.p50);
-        assert_eq!(other.p99, base.p99);
-        assert_eq!(other.max, base.max);
-        assert_eq!(other.context_switches, base.context_switches);
     }
 
     #[test]

@@ -329,17 +329,6 @@ impl SocConfig {
         self
     }
 
-    /// Enables the cores' compiled fast-path: straight-line compute runs
-    /// execute in one tick with bulk cycle accounting
-    /// (`maple_isa::fastpath`, DESIGN.md §12). Bit-exact with the
-    /// interpreter on every stepper (enforced by the fast-path
-    /// differential grid) — only host throughput changes.
-    #[must_use]
-    pub fn with_fast_path(mut self, enabled: bool) -> Self {
-        self.cpu.fast_path = enabled;
-        self
-    }
-
     /// Content digest over every timing-relevant parameter of the
     /// configuration, for use as (part of) a fleet cache key.
     ///
@@ -352,10 +341,7 @@ impl SocConfig {
     /// cache entry. **Excludes `dense_stepper`** for the same reason: the
     /// dense and event-horizon skipping steppers are bit-exact by contract
     /// (asserted by the stepper differential suites), so they share a
-    /// cache entry. **Excludes `cpu.fast_path`** likewise: the
-    /// compiled fast-path is bit-exact with the interpreter (asserted by
-    /// the fast-path differential grid), so toggling it must not move the
-    /// cache key.
+    /// cache entry.
     pub fn digest_into(&self, d: &mut maple_fleet::Digest) {
         d.u64(u64::from(self.mesh_width))
             .u64(u64::from(self.mesh_height))
@@ -646,12 +632,6 @@ mod tests {
 
         let dense = base.clone().with_dense_stepper();
         assert_eq!(key(&base), key(&dense), "steppers share cache keys");
-        let fast = base.clone().with_fast_path(true);
-        assert_eq!(
-            key(&base),
-            key(&fast),
-            "the compiled fast-path is bit-exact, so it shares cache keys"
-        );
     }
 
     #[test]

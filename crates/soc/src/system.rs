@@ -215,9 +215,6 @@ pub struct System {
     deliveries: Vec<(Sink, NocPayload)>,
     /// Hub decisions phase 1 queued for phase 2, in hub order.
     commands: Vec<Command>,
-    /// Fast-path fence for the current cycle (see
-    /// [`System::publish_fence`]).
-    fence: Option<Cycle>,
     /// Plain stores the cores staged this cycle, applied in phase 3.
     stage: WriteStage,
     droplet: Option<DropletPrefetcher>,
@@ -379,7 +376,6 @@ impl System {
             halted: 0,
             deliveries: Vec::new(),
             commands: Vec::new(),
-            fence: None,
             stage: WriteStage::default(),
             l2,
             droplet,
@@ -1030,33 +1026,6 @@ impl System {
 
         // 1c. Inject scheduled chaos events and scan the MMIO watchdog.
         self.chaos_stage(now, mem);
-
-        // 1d. Publish the fast-path fence.
-        self.publish_fence(now);
-    }
-
-    /// Publishes the fast-path fence for the cycle at `now`: the earliest
-    /// cycle strictly after `now` at which this hub could queue a
-    /// command — the next scheduled chaos event (reset, shootdown,
-    /// watchdog deadline) or the next fault-service completion. Core
-    /// compute runs split here so chaos replay stays bit-exact by
-    /// construction, not by the (true but non-local) argument that
-    /// today's commands cannot touch a Running core's registers. Every
-    /// stepped cycle publishes a fresh fence, hub-idle ones included: the
-    /// last phase 2 may have queued a fault service or an MMIO watch after
-    /// the previous fence was computed.
-    fn publish_fence(&mut self, now: Cycle) {
-        self.fence = if self.cfg.cpu.fast_path {
-            let next = now.plus(1);
-            let mut h = maple_sim::Horizon::IDLE;
-            if let Some(chaos) = &self.chaos {
-                h.observe(chaos.next_event(next));
-            }
-            h.observe(self.fault_service.next_deadline().map(|d| d.max(next)));
-            h.earliest()
-        } else {
-            None
-        };
     }
 
     /// Phase 2 of one simulated cycle, with physical memory read-only:
@@ -1112,7 +1081,7 @@ impl System {
             };
             let core = &mut self.cores[i];
             let was_halted = core.is_halted();
-            core.tick(now, mem, &mut self.stage, dq, self.fence);
+            core.tick(now, mem, &mut self.stage, dq);
             if core.is_halted() && !was_halted {
                 self.halted += 1;
             }
@@ -1460,9 +1429,9 @@ impl System {
     ///
     /// The skipping stepper also keeps the hub's own due cycle
     /// ([`System::hub_due`], refreshed whenever the hub runs). A cycle
-    /// before it is hub-idle: phase 1 only publishes the fast-path fence,
-    /// and unless the cores and engines emit something, phase 3 only
-    /// applies their stores and advances time.
+    /// before it is hub-idle: phase 1 does not run, and unless the cores
+    /// and engines emit something, phase 3 only applies their stores and
+    /// advances time.
     fn step_until(&mut self, max_cycles: u64, skipping: bool) -> RunOutcome {
         assert!(!self.cores.is_empty(), "load programs before running");
         let mut mem = std::mem::take(&mut self.mem);
@@ -1478,9 +1447,7 @@ impl System {
             }
             let now = self.now;
             let hub_idle = skipping && now.0 < hub_due;
-            if hub_idle {
-                self.publish_fence(now);
-            } else {
+            if !hub_idle {
                 self.phase1(now, &mut mem);
             }
             let busy = self.phase2(now, &mem);
@@ -1823,11 +1790,6 @@ impl System {
             for (label, cycles) in st.stall.buckets() {
                 m.counter(format!("{p}/stall/{label}"), cycles);
             }
-            m.counter(format!("{p}/dispatch/fast_path_runs"), st.fast_path_runs.get());
-            m.counter(
-                format!("{p}/dispatch/fast_path_insts"),
-                st.fast_path_insts.get(),
-            );
             m.counter(
                 format!("{p}/dispatch/interpreted_ticks"),
                 st.interpreted_ticks.get(),

@@ -3,18 +3,19 @@
 //! most aggressive — a permanently-stalled system whose horizon is empty
 //! (the run jumps straight to the cycle budget), a chaos event landing
 //! exactly on a skipped-to cycle or racing in-flight MMIO, MMIO and fill
-//! deliveries handed from phase 1 to phase 2, occupancy sampling across
-//! skipped gaps — and on the sleep contract of the wake sets: a core waiting on a
-//! full MMIO store buffer, a shootdown landing on a waiting core, and an
+//! deliveries handed from phase 1 to phase 2 (and applied before a reset
+//! landing on the same cycle), occupancy sampling across skipped gaps —
+//! and on the sleep contract of the wake sets: a core waiting on a full
+//! MMIO store buffer, a shootdown landing on a waiting core, and an
 //! engine and an L2 bank that only a delivery wakes. Uncore egress held
 //! behind a backpressured injection port and chaos MMIO retries queued
 //! from phase 1 must replay exactly too, and a page fault the OS cannot
 //! service ends the run as hung under both steppers. Hub-idle cycles —
 //! stepped cycles on which the skipping stepper runs only the cores and
 //! engines — must end exactly where the dense run says: at a fault
-//! service the fast-path fence has to see, a halt, the budget, a chaos
-//! event or watchdog deadline, an engine poisoning itself, a DeSC pair's
-//! first store, and an occupancy sample.
+//! service, a halt, the budget, a chaos event or watchdog deadline, an
+//! engine poisoning itself, a DeSC pair's first store, and an occupancy
+//! sample.
 
 use maple_isa::builder::ProgramBuilder;
 use maple_sim::fault::{FaultPlaneConfig, UnserviceableFault};
@@ -194,6 +195,44 @@ fn chaos_reset_racing_another_cores_mmio_is_bit_exact() {
     let (_, sys, ()) = assert_steppers_agree(cfg, 2_000_000, |sys| load_pair(sys, 256, 23));
     let chaos = sys.chaos_stats().expect("plane installed");
     assert_eq!(chaos.resets_injected.get(), 1, "the reset must fire mid-run");
+}
+
+#[test]
+fn fill_delivered_on_a_reset_cycle_reaches_the_engine_before_the_reset() {
+    // Phase 2 applies the cycle's deliveries before its hub commands. A
+    // fill reaching engine 0 on the cycle a scheduled RESET lands is
+    // therefore consumed (and traced) by the engine that issued it, and
+    // only then wiped with the rest of its state. Applying the reset
+    // first would hand the fill to a fresh engine, which drops it as a
+    // stale response without tracing it.
+    let traced = || SocConfig::fpga_prototype().with_tracing(maple_trace::TraceConfig::default());
+    let is_fill = |r: &maple_trace::TraceRecord| {
+        matches!(r.event, maple_trace::TraceEvent::EngineFetchFill { .. })
+    };
+    let (_, clean) = run_pair(traced(), 64, 23);
+    let fill_at = clean
+        .trace_records()
+        .into_iter()
+        .find(is_fill)
+        .expect("the engine fetches from L2")
+        .ts;
+    let plane = FaultPlaneConfig::new(7).with_engine_reset_at(fill_at.0, 0);
+    let (_, sys, ()) = assert_steppers_agree(traced().with_fault_plane(plane), 2_000_000, |sys| {
+        load_pair(sys, 64, 23)
+    });
+    let chaos = sys.chaos_stats().expect("plane installed");
+    assert_eq!(chaos.resets_injected.get(), 1, "the reset fired");
+    let up_to_reset = |sys: &System| -> Vec<_> {
+        sys.trace_records()
+            .into_iter()
+            .filter(|r| r.ts <= fill_at && is_fill(r))
+            .collect()
+    };
+    assert_eq!(
+        up_to_reset(&sys),
+        up_to_reset(&clean),
+        "every fill up to and including the reset cycle reached the engine"
+    );
 }
 
 #[test]
@@ -478,14 +517,13 @@ fn load_compute_loop(sys: &mut System, iters: i64, body: usize) {
 }
 
 #[test]
-fn fast_path_fence_is_recomputed_on_hub_idle_cycles() {
+fn fault_services_ending_hub_idle_windows_are_bit_exact() {
     // Core 0 loads from three demand-paged pages, one after another;
     // each fault is dispatched in a phase 3 and serviced 1,200 cycles
-    // later. Core 1's fast path batches its compute loop up to the fence,
-    // the next fault-service deadline. The cycles after a dispatch are
-    // hub-idle, and a fence left over from the phase 1 before the
-    // dispatch would let core 1 batch straight across the service.
-    let cfg = SocConfig::fpga_prototype().with_fast_path(true);
+    // later. Core 1 computes throughout, so the cycles between a
+    // dispatch and its service are hub-idle, and each service must
+    // still land on the dense run's cycle.
+    let cfg = SocConfig::fpga_prototype();
     let (out, sys, ()) = assert_steppers_agree(cfg, 1_000_000, |sys| {
         let lazy = sys.alloc_lazy(3 * 4096);
         let mut b = ProgramBuilder::new();
@@ -503,7 +541,6 @@ fn fast_path_fence_is_recomputed_on_hub_idle_cycles() {
         out.cycle().0 > 3 * 1_200,
         "the loads wait out three fault services"
     );
-    assert!(sys.core(1).stats().fast_path_runs.get() > 0, "the fast path engaged");
     let work = sys.host_work();
     assert!(work.hub < work.stepped, "hub-idle cycles occurred: {work:?}");
 }
@@ -511,21 +548,17 @@ fn fast_path_fence_is_recomputed_on_hub_idle_cycles() {
 #[test]
 fn cores_halting_on_hub_idle_cycles_finish_on_the_dense_cycle() {
     // Two compute-only cores halt while the uncore is idle: the run must
-    // finish on the cycle the dense loop finishes on, with or without
-    // the fast path.
-    for fast_path in [false, true] {
-        let cfg = SocConfig::fpga_prototype().with_fast_path(fast_path);
-        let (out, sys, ()) = assert_steppers_agree(cfg, 1_000_000, |sys| {
-            load_compute_loop(sys, 300, 3);
-            load_compute_loop(sys, 700, 5);
-        });
-        assert!(out.is_finished(), "{out:?}");
-        let work = sys.host_work();
-        assert!(
-            work.hub * 10 < work.stepped,
-            "almost every stepped cycle is hub-idle: {work:?}"
-        );
-    }
+    // finish on the cycle the dense loop finishes on.
+    let (out, sys, ()) = assert_steppers_agree(SocConfig::fpga_prototype(), 1_000_000, |sys| {
+        load_compute_loop(sys, 300, 3);
+        load_compute_loop(sys, 700, 5);
+    });
+    assert!(out.is_finished(), "{out:?}");
+    let work = sys.host_work();
+    assert!(
+        work.hub * 10 < work.stepped,
+        "almost every stepped cycle is hub-idle: {work:?}"
+    );
 }
 
 #[test]
@@ -533,12 +566,11 @@ fn budget_expiring_inside_a_hub_idle_window_is_bit_exact() {
     // A core that computes forever: the budget runs out in the middle of
     // a hub-idle window, and the hang diagnosis must be the dense one.
     const BUDGET: u64 = 10_007;
-    for fast_path in [false, true] {
-        let cfg = SocConfig::fpga_prototype().with_fast_path(fast_path);
-        let (out, _, ()) = assert_steppers_agree(cfg, BUDGET, |sys| load_compute_loop(sys, 0, 4));
-        let d = out.diagnosis().expect("the budget ends the run hung");
-        assert_eq!(d.at.0, BUDGET, "the run stops at the budget");
-    }
+    let (out, _, ()) = assert_steppers_agree(SocConfig::fpga_prototype(), BUDGET, |sys| {
+        load_compute_loop(sys, 0, 4)
+    });
+    let d = out.diagnosis().expect("the budget ends the run hung");
+    assert_eq!(d.at.0, BUDGET, "the run stops at the budget");
 }
 
 #[test]
@@ -558,20 +590,17 @@ fn chaos_reset_and_watchdog_deadline_inside_hub_idle_windows_are_bit_exact() {
                 },
             )
     };
-    for fast_path in [false, true] {
-        let cfg = SocConfig::fpga_prototype()
-            .with_fault_plane(plane())
-            .with_tracing(maple_trace::TraceConfig::default())
-            .with_fast_path(fast_path);
-        let (_, sys, ()) = assert_steppers_agree(cfg, 200_000, |sys| {
-            load_starved_consumer(sys);
-            load_compute_loop(sys, 3_000, 6);
-        });
-        let chaos = sys.chaos_stats().expect("plane installed");
-        assert_eq!(chaos.resets_injected.get(), 1, "the reset fired");
-        assert!(chaos.mmio_timeouts.get() > 0, "watchdog deadlines fired");
-        assert!(!sys.trace_records().is_empty(), "the run was traced");
-    }
+    let cfg = SocConfig::fpga_prototype()
+        .with_fault_plane(plane())
+        .with_tracing(maple_trace::TraceConfig::default());
+    let (_, sys, ()) = assert_steppers_agree(cfg, 200_000, |sys| {
+        load_starved_consumer(sys);
+        load_compute_loop(sys, 3_000, 6);
+    });
+    let chaos = sys.chaos_stats().expect("plane installed");
+    assert_eq!(chaos.resets_injected.get(), 1, "the reset fired");
+    assert!(chaos.mmio_timeouts.get() > 0, "watchdog deadlines fired");
+    assert!(!sys.trace_records().is_empty(), "the run was traced");
 }
 
 #[test]

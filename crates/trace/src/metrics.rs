@@ -266,10 +266,8 @@ impl MetricsSnapshot {
     }
 
     /// Keeps only the entries whose name satisfies `pred`, preserving
-    /// registration order. Differential comparisons use this to strip
-    /// metrics that are legitimately mode-dependent (e.g. the
-    /// fast-path/interpreter dispatch split) before asserting byte
-    /// equality on everything else.
+    /// registration order (e.g. one namespace such as `serve/` before
+    /// rendering a table of it).
     pub fn retain(&mut self, mut pred: impl FnMut(&str) -> bool) {
         self.entries.retain(|(name, _)| pred(name));
     }

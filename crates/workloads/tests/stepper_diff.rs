@@ -109,147 +109,27 @@ fn chaos_grid_bit_exact() {
     }
 }
 
-/// Strips the per-core `/dispatch/` counters, which legitimately differ
-/// between interpreter and fast-path dispatch, from a rendered snapshot.
-fn comparable_metrics(sys: &maple_soc::System) -> String {
-    let mut snap = sys.metrics_snapshot();
-    snap.retain(|name| !name.contains("/dispatch/"));
-    snap.to_json().render()
-}
-
 #[test]
-fn fast_path_grid_bit_exact() {
-    // The compiled fast path batches straight-line compute into micro-op
-    // runs; every variant (each mixes compute with a different memory
-    // path) must replay identically with the path on — under both the
-    // skipping and the dense stepper — against the interpreter-only
-    // dense reference.
-    let a = uniform_sparse(24, 4 * 1024, 5, SEED ^ 0x41);
-    let x = dense_vector(4 * 1024, SEED ^ 0x411);
-    let inst = Spmv { a, x };
-    let grid: Vec<(Variant, usize)> = ORACLE_VARIANTS
-        .iter()
-        .copied()
-        .chain([(Variant::MapleLima, 1), (Variant::SwPrefetch { dist: 4 }, 1)])
-        .collect();
-    for (v, t) in grid {
-        let dense = inst.run_tuned(v, t, |c| c.with_dense_stepper());
-        let fast_skip = inst.run_tuned(v, t, |c| c.with_fast_path(true));
-        let fast_dense = inst.run_tuned(v, t, |c| c.with_fast_path(true).with_dense_stepper());
-        assert_eq!(
-            fast_skip, dense,
-            "spmv {v:?} x{t}: fast-path skipping diverged from interpreter dense\n\
-             replay: SEED={SEED:#x}"
-        );
-        assert_eq!(
-            fast_dense, dense,
-            "spmv {v:?} x{t}: fast-path dense diverged from interpreter dense\n\
-             replay: SEED={SEED:#x}"
-        );
-        assert!(fast_skip.verified, "spmv {v:?} x{t}: wrong result");
-    }
-}
-
-#[test]
-fn fast_path_chaos_grid_bit_exact() {
-    // Chaos injections are exactly what the dispatch fence guards: a run
-    // must never execute past a cycle where the hub could act. Every
-    // schedule — including the unrecoverable ack blackout — must tell
-    // the same story with the fast path on.
-    let a = uniform_sparse(24, 4 * 1024, 5, SEED ^ 0x4C);
-    let x = dense_vector(4 * 1024, SEED ^ 0x4C1);
-    let inst = Spmv { a, x };
-    for schedule in chaos_schedules(SEED ^ 0xFA57) {
-        let plane = schedule.plane.clone();
-        let reference = inst.run_tuned(Variant::MapleDecoupled, 2, {
-            let p = plane.clone();
-            move |c| c.with_fault_plane(p).with_dense_stepper()
-        });
-        let fast = inst.run_tuned(Variant::MapleDecoupled, 2, move |c| {
-            c.with_fault_plane(plane).with_fast_path(true)
-        });
-        assert_eq!(
-            fast, reference,
-            "chaos schedule `{}`: fast path diverged from interpreter\nreplay: SEED={SEED:#x}",
-            schedule.name
-        );
-        assert_eq!(fast.hung, reference.hung);
-    }
-}
-
-#[test]
-fn fast_path_dispatch_counters_are_stepper_invariant() {
-    // Four cores and two engines with the fast path on: run stats and
-    // the dispatch-stripped metrics snapshot must match the
-    // interpreter-only dense reference under both steppers, and the
-    // fast-path run count itself must be identical under both (dispatch
-    // is decided by phase-1 state the steppers share).
+fn two_engine_metrics_bit_exact() {
+    // Four cores sharing two engines on the flat mesh: run stats and the
+    // full metrics snapshot (per-core dispatch counters included) must
+    // match between the steppers.
     let a = uniform_sparse(32, 4 * 1024, 5, SEED ^ 0x47);
     let x = dense_vector(4 * 1024, SEED ^ 0x471);
     let inst = Spmv { a, x };
     let tune = |c: maple_soc::SocConfig| c.with_maples(2);
     let (dense_stats, dense_sys) =
         inst.run_observed(Variant::MapleDecoupled, 4, |c| tune(c).with_dense_stepper());
-    let dense_json = comparable_metrics(&dense_sys);
-    let mut run_counts: Vec<String> = Vec::new();
-    for dense in [false, true] {
-        let (stats, sys) = inst.run_observed(Variant::MapleDecoupled, 4, move |c| {
-            let c = tune(c).with_fast_path(true);
-            if dense {
-                c.with_dense_stepper()
-            } else {
-                c
-            }
-        });
-        assert_eq!(
-            stats, dense_stats,
-            "fast path, dense={dense}: diverged from interpreter dense\n\
-             replay: SEED={SEED:#x}"
-        );
-        assert_eq!(
-            comparable_metrics(&sys),
-            dense_json,
-            "fast path, dense={dense}: metrics JSON diverged"
-        );
-        let snap = sys.metrics_snapshot();
-        let dispatch: String = snap
-            .entries()
-            .iter()
-            .filter(|(name, _)| name.contains("/dispatch/"))
-            .map(|(name, v)| format!("{name}={v:?};"))
-            .collect();
-        run_counts.push(dispatch);
-    }
+    assert!(dense_stats.verified, "two-engine run computed a wrong result");
+    let (skip_stats, skip_sys) = inst.run_observed(Variant::MapleDecoupled, 4, tune);
     assert_eq!(
-        run_counts[0], run_counts[1],
-        "dispatch counters are not stepper-invariant"
-    );
-}
-
-#[test]
-fn fast_path_traced_streams_identical() {
-    // The core traces stall spans and MMIO transactions, never compute
-    // retirement, so batched dispatch must leave the trace stream
-    // byte-identical to the interpreter's.
-    let a = uniform_sparse(16, 2048, 4, SEED ^ 0x4F);
-    let x = dense_vector(2048, SEED ^ 0x4F1);
-    let inst = Spmv { a, x };
-    let (fast_stats, fast_sys) = inst.run_observed(Variant::MapleDecoupled, 2, |c| {
-        c.with_tracing(TraceConfig::default()).with_fast_path(true)
-    });
-    let (ref_stats, ref_sys) = inst.run_observed(Variant::MapleDecoupled, 2, |c| {
-        c.with_tracing(TraceConfig::default())
-    });
-    assert_eq!(fast_stats, ref_stats, "stats diverged on traced run");
-    assert_eq!(
-        fast_sys.trace_records(),
-        ref_sys.trace_records(),
-        "trace stream diverged under fast-path dispatch"
+        skip_stats, dense_stats,
+        "two engines: skipping diverged from dense\nreplay: SEED={SEED:#x}"
     );
     assert_eq!(
-        comparable_metrics(&fast_sys),
-        comparable_metrics(&ref_sys),
-        "metrics snapshot diverged under fast-path dispatch"
+        skip_sys.metrics_snapshot().to_json().render(),
+        dense_sys.metrics_snapshot().to_json().render(),
+        "two engines: skipping metrics JSON diverged"
     );
 }
 
@@ -273,7 +153,7 @@ fn one_cluster_grid_bit_identical_to_flat() {
     // The tentpole's anchor: a hierarchical configuration with a single
     // cluster shaped like the flat mesh must be byte-identical to the
     // flat configuration — run stats AND the full metrics snapshot —
-    // across every oracle variant, both steppers, and the fast path.
+    // across every oracle variant and both steppers.
     let a = uniform_sparse(24, 4 * 1024, 5, SEED ^ 0x61);
     let x = dense_vector(4 * 1024, SEED ^ 0x611);
     let inst = Spmv { a, x };
@@ -297,7 +177,7 @@ fn one_cluster_grid_bit_identical_to_flat() {
             "spmv {v:?} x{t}: 1-cluster metrics JSON diverged from flat"
         );
     }
-    // The remaining steppers and dispatch modes, on the richest variant.
+    // The dense stepper, on the richest variant.
     let (flat_stats, flat_sys) = inst.run_observed(Variant::MapleDecoupled, 2, |c| c);
     let flat_json = flat_sys.metrics_snapshot().to_json().render();
     let (dense_stats, dense_sys) =
@@ -310,12 +190,6 @@ fn one_cluster_grid_bit_identical_to_flat() {
         dense_sys.metrics_snapshot().to_json().render(),
         flat_json,
         "1-cluster dense metrics JSON diverged"
-    );
-    let fast_flat = inst.run_tuned(Variant::MapleDecoupled, 2, |c| c.with_fast_path(true));
-    let fast_one = inst.run_tuned(Variant::MapleDecoupled, 2, |c| one_cluster(c).with_fast_path(true));
-    assert_eq!(
-        fast_one, fast_flat,
-        "1-cluster fast path diverged from flat fast path\nreplay: SEED={SEED:#x}"
     );
 }
 
@@ -367,12 +241,6 @@ fn clustered_fabric_steppers_bit_exact() {
         skip_sys.metrics_snapshot().to_json().render(),
         dense_json,
         "clustered: skipping metrics JSON diverged"
-    );
-    // Fast path on the clustered fabric, dispatch counters stripped.
-    let fast = inst.run_tuned(Variant::MapleDecoupled, 4, |c| tune(c).with_fast_path(true));
-    assert_eq!(
-        fast, dense_stats,
-        "clustered fast path diverged from interpreter dense\nreplay: SEED={SEED:#x}"
     );
 }
 

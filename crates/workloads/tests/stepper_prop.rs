@@ -1,7 +1,6 @@
-//! Property suite for the steppers: for ANY generated mesh size, data,
-//! (optional) chaos schedule and dispatch mode, the event-horizon
-//! skipping stepper must be bit-identical to the dense reference, and
-//! the compiled fast path to the interpreter — run statistics,
+//! Property suite for the steppers: for ANY generated mesh size, data
+//! and (optional) chaos schedule, the event-horizon skipping stepper
+//! must be bit-identical to the dense reference — run statistics,
 //! metrics-snapshot JSON, and full `RunOutcome::Hung` diagnoses
 //! included.
 //!
@@ -42,10 +41,9 @@ fn random_plane(seed: u64) -> FaultPlaneConfig {
 
 #[test]
 fn skipping_equals_dense_on_random_meshes() {
-    // Random mesh (threads × engines), random data, optional chaos, fast
-    // path on or off: the skipping stepper must reproduce the dense
-    // reference byte-for-byte. The only property that compares the
-    // steppers under random chaos.
+    // Random mesh (threads × engines), random data, optional chaos: the
+    // skipping stepper must reproduce the dense reference byte-for-byte.
+    // The only property that compares the steppers under random chaos.
     let inputs = (
         (
             gen::choice(vec![2usize, 4]), // threads (decoupling runs in pairs)
@@ -56,17 +54,16 @@ fn skipping_equals_dense_on_random_meshes() {
             gen::u64_any(),       // data seed
             gen::bools(),         // chaos on/off
             gen::u64_any(),       // chaos seed
-            gen::bools(),         // compiled fast path on/off
         ),
     );
     let cfg = Config::new("skipping_equals_dense_on_random_meshes").with_cases(12);
-    check(&cfg, &inputs, |&((threads, maples), (rows, data_seed, chaos, chaos_seed, fast))| {
+    check(&cfg, &inputs, |&((threads, maples), (rows, data_seed, chaos, chaos_seed))| {
         let a = uniform_sparse(rows, 2 * 1024, 5, data_seed);
         let x = dense_vector(2 * 1024, data_seed ^ 0x51);
         let inst = Spmv { a, x };
         let plane = chaos.then(|| random_plane(chaos_seed));
         let tune = |c: SocConfig| {
-            let c = c.with_maples(maples).with_fast_path(fast);
+            let c = c.with_maples(maples);
             match plane.clone() {
                 Some(p) => c.with_fault_plane(p),
                 None => c,
@@ -79,78 +76,17 @@ fn skipping_equals_dense_on_random_meshes() {
         maple_testkit::tk_assert_eq!(
             skip_stats,
             dense_stats,
-            "threads={threads} maples={maples} chaos={chaos} fast={fast}: \
+            "threads={threads} maples={maples} chaos={chaos}: \
              skipping stats diverged from dense"
         );
         maple_testkit::tk_assert_eq!(
             skip_sys.metrics_snapshot().to_json().render(),
             dense_sys.metrics_snapshot().to_json().render(),
-            "threads={threads} maples={maples} chaos={chaos} fast={fast}: \
+            "threads={threads} maples={maples} chaos={chaos}: \
              metrics JSON diverged"
         );
         Ok(())
     });
-}
-
-#[test]
-fn fast_path_equals_interpreter_on_random_meshes() {
-    // The cross-mode property: the compiled fast path (batched micro-op
-    // runs) on a random mesh, with or without chaos, must
-    // reproduce the per-instruction interpreter under the plain skipping
-    // stepper — run stats and the metrics snapshot with the
-    // mode-dependent `/dispatch/` counters stripped.
-    let inputs = (
-        (
-            gen::choice(vec![2usize, 4]), // threads (decoupling runs in pairs)
-            gen::usize_in(1..3),          // MAPLE engines
-        ),
-        (
-            gen::usize_in(8..24), // rows
-            gen::u64_any(),       // data seed
-            gen::bools(),         // chaos on/off
-            gen::u64_any(),       // chaos seed
-        ),
-    );
-    let cfg = Config::new("fast_path_equals_interpreter_on_random_meshes").with_cases(12);
-    check(
-        &cfg,
-        &inputs,
-        |&((threads, maples), (rows, data_seed, chaos, chaos_seed))| {
-            let a = uniform_sparse(rows, 2 * 1024, 5, data_seed);
-            let x = dense_vector(2 * 1024, data_seed ^ 0x51);
-            let inst = Spmv { a, x };
-            let plane = chaos.then(|| random_plane(chaos_seed));
-            let tune = |c: SocConfig| {
-                let c = c.with_maples(maples);
-                match plane.clone() {
-                    Some(p) => c.with_fault_plane(p),
-                    None => c,
-                }
-            };
-            let (fast_stats, fast_sys) = inst.run_observed(Variant::MapleDecoupled, threads, |c| {
-                tune(c).with_fast_path(true)
-            });
-            let (ref_stats, ref_sys) = inst.run_observed(Variant::MapleDecoupled, threads, tune);
-            let stripped = |sys: &System| {
-                let mut snap = sys.metrics_snapshot();
-                snap.retain(|name| !name.contains("/dispatch/"));
-                snap.to_json().render()
-            };
-            maple_testkit::tk_assert_eq!(
-                fast_stats,
-                ref_stats,
-                "threads={threads} maples={maples} chaos={chaos}: \
-                 fast-path stats diverged from the interpreter"
-            );
-            maple_testkit::tk_assert_eq!(
-                stripped(&fast_sys),
-                stripped(&ref_sys),
-                "threads={threads} maples={maples} chaos={chaos}: \
-                 fast-path metrics JSON diverged from the interpreter"
-            );
-            Ok(())
-        },
-    );
 }
 
 #[test]

@@ -133,7 +133,6 @@ fn suite_rows_and_summary_json_identical_across_worker_counts() {
             None,
             None,
             None,
-            None,
         )
         .render_pretty();
         match &reference {

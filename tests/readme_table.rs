@@ -48,7 +48,6 @@ fn rendered_table_has_a_row_per_recorded_section() {
     let table = readme_throughput_table(&doc);
     for (section, label) in [
         ("stepper", "event-horizon skipping"),
-        ("stepper_fast_path", "skipping + compiled fast path"),
         ("serving", "multi-tenant serving"),
     ] {
         assert_eq!(
