@@ -3,15 +3,14 @@
 //! Writes `BENCH_maple.json` at the repository root: per-figure geomean
 //! speedups (Figures 8, 9, 12), the mean load latency view (Figure 11),
 //! the consume round trip (Figure 14), and the harness accounting (jobs,
-//! total sweep wall-clock, fleet-cache traffic). All measurement content
-//! comes from the same content-addressed cache the `fig*` binaries use;
-//! only the `harness` section varies run to run. Diff the JSON against a
-//! previous checkout to spot regressions.
+//! total sweep wall-clock). The suites are the ones the `fig*` binaries
+//! run, simulated fresh; only the `harness` section varies run to run.
+//! Diff the JSON against a previous checkout to spot regressions.
 
 use std::fs;
 use std::path::PathBuf;
 
-use maple_bench::experiments::{decoupling_suite, prefetch_suite, prior_work_suite, FleetLine};
+use maple_bench::experiments::{decoupling_suite, prefetch_suite, prior_work_suite};
 use maple_bench::rtt::measure_roundtrip;
 use maple_bench::scaling::{scaling_sweep, SCALE_TILES};
 use maple_bench::stepper::stall_heavy_comparison;
@@ -19,6 +18,7 @@ use maple_bench::summary::{
     build_json, readme_scaling_table, readme_throughput_table, HarnessLine, ServingLine,
     StepperLine, README_SCALING_BEGIN, README_SCALING_END, README_TABLE_BEGIN, README_TABLE_END,
 };
+use maple_fleet::FleetConfig;
 use maple_serve::{serve, ServeConfig};
 use maple_soc::config::SocConfig;
 
@@ -70,10 +70,6 @@ fn main() {
     let fig08 = decoupling_suite();
     let fig09 = prefetch_suite();
     let fig12 = prior_work_suite();
-    let mut totals = FleetLine::default();
-    totals.absorb(&fig08.fleet);
-    totals.absorb(&fig09.fleet);
-    totals.absorb(&fig12.fleet);
 
     eprintln!("[bench_summary] measuring consume round trip...");
     let rtt = measure_roundtrip(SocConfig::fpga_prototype());
@@ -123,15 +119,13 @@ fn main() {
     eprintln!("{}", serve_metrics.render_table());
 
     let harness = HarnessLine {
-        jobs: totals.jobs,
+        jobs: FleetConfig::from_env().workers,
         wall_seconds: t0.elapsed().as_secs_f64(),
-        cache_hits: totals.cache_hits,
-        cache_misses: totals.cache_misses,
     };
     let doc = build_json(
-        &fig08.rows,
-        &fig09.rows,
-        &fig12.rows,
+        &fig08,
+        &fig09,
+        &fig12,
         rtt.mean_rtt,
         &harness,
         Some(&stepper),
@@ -146,13 +140,9 @@ fn main() {
     readme.push("../../README.md");
     rewrite_readme_table(&readme, &doc);
     eprintln!(
-        "[bench_summary] sweep {} (total wall {:.2}s)",
-        totals.render(),
-        harness.wall_seconds
+        "[bench_summary] jobs={}, total wall {:.2}s",
+        harness.jobs, harness.wall_seconds
     );
-    let mut metrics = maple_trace::MetricsSnapshot::new();
-    totals.to_metrics("fleet", &mut metrics);
-    eprintln!("{}", metrics.render_table());
     println!("wrote {}", path.display());
     println!("{}", doc.render_pretty());
 }

@@ -9,8 +9,7 @@ use maple_bench::{FigureReport, SpeedupTable};
 
 fn main() {
     maple_bench::cli::no_arguments("fig08");
-    let run = decoupling_suite();
-    let rows = run.rows;
+    let rows = decoupling_suite();
     let mut report = FigureReport::new(
         "fig08",
         "Figure 8 — decoupling (1 Access + 1 Execute) vs 2-thread do-all",
@@ -42,6 +41,5 @@ fn main() {
     report.line("MAPLE over doall (geomean)", g[2], "x", "1.51x");
     report.table = Some(table);
     report.stalls = stall_rows_by_variant(&rows, &["doall", "sw-dec", "maple-dec"]);
-    report.fleet = Some(run.fleet);
     report.emit();
 }

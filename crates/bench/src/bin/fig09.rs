@@ -8,8 +8,7 @@ use maple_bench::{FigureReport, SpeedupTable};
 
 fn main() {
     maple_bench::cli::no_arguments("fig09");
-    let run = prefetch_suite();
-    let rows = run.rows;
+    let rows = prefetch_suite();
     let mut report = FigureReport::new(
         "fig09",
         "Figure 9 — prefetching IMAs, single thread",
@@ -41,6 +40,5 @@ fn main() {
     );
     report.table = Some(table);
     report.stalls = stall_rows_by_variant(&rows, &["doall", "sw-pref", "maple-lima"]);
-    report.fleet = Some(run.fleet);
     report.emit();
 }

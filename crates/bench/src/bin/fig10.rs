@@ -10,8 +10,7 @@ use maple_bench::{FigureReport, SpeedupTable};
 
 fn main() {
     maple_bench::cli::no_arguments("fig10");
-    let run = prefetch_suite();
-    let rows = run.rows;
+    let rows = prefetch_suite();
     let mut report = FigureReport::new(
         "fig10",
         "Figure 10 — normalized load-instruction count (single thread)",
@@ -36,6 +35,5 @@ fn main() {
     report.line("MAPLE load count (geomean)", g[2], "x", "slightly < 1x");
     report.table = Some(table);
     report.stalls = stall_rows_by_variant(&rows, &["doall", "sw-pref", "maple-lima"]);
-    report.fleet = Some(run.fleet);
     report.emit();
 }

@@ -10,8 +10,7 @@ use maple_sim::stats::geomean;
 
 fn main() {
     maple_bench::cli::no_arguments("fig11");
-    let run = prefetch_suite();
-    let rows = run.rows;
+    let rows = prefetch_suite();
     let mut report = FigureReport::new(
         "fig11",
         "Figure 11 — average load latency in cycles (single thread)",
@@ -38,6 +37,5 @@ fn main() {
     );
     report.table = Some(table);
     report.stalls = stall_rows_by_variant(&rows, &["doall", "sw-pref", "maple-lima"]);
-    report.fleet = Some(run.fleet);
     report.emit();
 }

@@ -12,8 +12,7 @@ use maple_sim::stats::geomean;
 
 fn main() {
     maple_bench::cli::no_arguments("fig12");
-    let run = prior_work_suite();
-    let rows = run.rows;
+    let rows = prior_work_suite();
     let mut report = FigureReport::new(
         "fig12",
         "Figure 12 — prior-work comparison (2 threads)",
@@ -48,6 +47,5 @@ fn main() {
     report.table = Some(table);
     report.stalls =
         stall_rows_by_variant(&rows, &["doall", "droplet", "desc", "maple-dec"]);
-    report.fleet = Some(run.fleet);
     report.emit();
 }

@@ -7,14 +7,15 @@
 //!   app      sdhp | spmm | spmv | bfs
 //!   dataset  a label from `--list` (e.g. riscv-s, wiki, suitesparse)
 //!   variant  doall | sw-dec | maple-dec | desc | sw-pref | maple-lima | droplet
-//!   threads  default 2 (1 for the prefetch variants)
+//!   threads  at least 1; default 2 (1 for the prefetch variants)
 //! ```
 //!
-//! `run_workload --list` prints the available (app, dataset) pairs.
+//! `run_workload --list` prints the available (app, dataset) pairs. Any
+//! missing, extra or malformed argument prints usage and exits 2 before
+//! any simulation runs.
 
-use maple_bench::experiments::app_datasets;
-use maple_bench::instances;
-use maple_workloads::{RunStats, Variant};
+use maple_bench::experiments::{app_datasets, run_case};
+use maple_workloads::Variant;
 
 fn parse_variant(s: &str) -> Option<Variant> {
     Some(match s {
@@ -29,65 +30,52 @@ fn parse_variant(s: &str) -> Option<Variant> {
     })
 }
 
-fn run(app: &str, ds: &str, variant: Variant, threads: usize) -> Option<RunStats> {
-    match app {
-        "sdhp" => instances::sdhp()
-            .into_iter()
-            .find(|(l, _)| *l == ds)
-            .map(|(_, i)| i.run(variant, threads)),
-        "spmm" => instances::spmm()
-            .into_iter()
-            .find(|(l, _)| *l == ds)
-            .map(|(_, i)| i.run(variant, threads)),
-        "spmv" => instances::spmv()
-            .into_iter()
-            .find(|(l, _)| *l == ds)
-            .map(|(_, i)| i.run(variant, threads)),
-        "bfs" => instances::bfs()
-            .into_iter()
-            .find(|(l, _)| *l == ds)
-            .map(|(_, i)| i.run(variant, threads)),
-        _ => None,
-    }
-}
-
 fn usage() -> ! {
     eprintln!("usage: run_workload <app> <dataset> <variant> [threads]");
     eprintln!("       run_workload --list");
     eprintln!("variants: doall sw-dec maple-dec desc sw-pref maple-lima droplet");
+    eprintln!("threads: at least 1");
     std::process::exit(2);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--list") {
-        for (app, ds) in app_datasets() {
-            println!("{app:<6} {ds}");
+    let (app, ds, variant, threads) = match args.as_slice() {
+        [flag] if flag == "--list" => {
+            for (app, ds) in app_datasets() {
+                println!("{app:<6} {ds}");
+            }
+            return;
         }
-        return;
-    }
-    if args.len() < 3 {
-        usage();
-    }
-    let Some(variant) = parse_variant(&args[2]) else {
-        eprintln!("unknown variant `{}`", args[2]);
+        [app, ds, variant] => (app, ds, variant, None),
+        [app, ds, variant, threads] => (app, ds, variant, Some(threads)),
+        _ => usage(),
+    };
+    let Some(variant) = parse_variant(variant) else {
+        eprintln!("unknown variant `{variant}`");
         usage();
     };
-    let default_threads = match variant {
-        Variant::SwPrefetch { .. } | Variant::MapleLima => 1,
-        _ => 2,
+    let threads = match threads {
+        None => match variant {
+            Variant::SwPrefetch { .. } | Variant::MapleLima => 1,
+            _ => 2,
+        },
+        Some(t) => t
+            .parse()
+            .ok()
+            .filter(|&t: &usize| t >= 1)
+            .unwrap_or_else(|| {
+                eprintln!("bad thread count `{t}`");
+                usage()
+            }),
     };
-    let threads: usize = args
-        .get(3)
-        .map(|t| t.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or(default_threads);
 
-    let Some(stats) = run(&args[0], &args[1], variant, threads) else {
-        eprintln!("unknown app/dataset `{} {}` (try --list)", args[0], args[1]);
-        std::process::exit(2);
+    let Some(stats) = run_case(app, ds, variant, threads) else {
+        eprintln!("unknown app/dataset `{app} {ds}` (try --list)");
+        usage();
     };
-    println!("app       {}", args[0]);
-    println!("dataset   {}", args[1]);
+    println!("app       {app}");
+    println!("dataset   {ds}");
     println!("variant   {}", variant.label());
     println!("threads   {threads}");
     println!("verified  {}", stats.verified);

@@ -13,7 +13,6 @@
 //! Any other, extra or malformed argument prints usage and exits 2
 //! before any simulation runs.
 
-use maple_bench::report::FigureReport;
 use maple_bench::scaling::{scale_gate, square_cluster_grid};
 use maple_bench::stepper::stall_heavy_comparison;
 
@@ -69,39 +68,14 @@ fn print_or_fail(result: Result<String, String>, divergence: &str) {
     }
 }
 
-/// The default gate: dense vs skipping on the stall-heavy SPMV, plus the
-/// host-throughput smoke (rewrites `results/stepper.json`).
+/// The default gate: dense vs skipping on the stall-heavy SPMV; the
+/// closing `stepper ok:` line is the host-throughput smoke.
 fn stepper_gate() {
     let cmp = stall_heavy_comparison(0x57E9);
     if let Some(msg) = cmp.divergence() {
         eprintln!("[stepper_check] STEPPER DIVERGENCE\n{msg}");
         std::process::exit(1);
     }
-    let mut rep = FigureReport::new(
-        "stepper",
-        "Event-horizon stepper vs dense reference (SPMV do-all, DRAM 300cy)",
-        "n/a — host throughput, bit-exact by construction",
-    );
-    rep.line(
-        "simulated cycles",
-        cmp.dense.stats.cycles as f64,
-        " cy",
-        "—",
-    );
-    rep.line(
-        "dense host throughput",
-        cmp.dense.mcycles_per_sec(),
-        " Mcy/s",
-        "—",
-    );
-    rep.line(
-        "skipping host throughput",
-        cmp.skipping.mcycles_per_sec(),
-        " Mcy/s",
-        "—",
-    );
-    rep.line("stepper speedup", cmp.speedup(), "x", ">=2x acceptance");
-    rep.emit();
     println!(
         "stepper ok: bit-exact at {} cycles; dense {:.2} Mcy/s, skipping {:.2} Mcy/s ({:.1}x)",
         cmp.dense.stats.cycles,

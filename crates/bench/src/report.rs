@@ -11,8 +11,6 @@ use std::path::PathBuf;
 use maple_sim::stats::geomean;
 use maple_trace::{stall_json, stall_table, Json, StallRow};
 
-use crate::experiments::FleetLine;
-
 /// Prints the figure banner.
 pub fn print_banner(figure: &str, paper_claim: &str) {
     println!("================================================================");
@@ -172,9 +170,6 @@ pub struct FigureReport {
     pub lines: Vec<SummaryLine>,
     /// Stall-attribution rows (ours; not in the paper), when available.
     pub stalls: Vec<StallRow>,
-    /// Fleet execution accounting (`jobs=N, wall=…s, cache hits/misses`),
-    /// when the figure ran a suite.
-    pub fleet: Option<FleetLine>,
 }
 
 impl FigureReport {
@@ -219,9 +214,6 @@ impl FigureReport {
             println!("\nStall attribution (ours):");
             print!("{}", stall_table(&self.stalls));
         }
-        if let Some(fleet) = &self.fleet {
-            println!("\n{}", fleet.render());
-        }
     }
 
     /// The JSON view backing the sidecar and the aggregate summary.
@@ -255,17 +247,6 @@ impl FigureReport {
         }
         if !self.stalls.is_empty() {
             members.push(("stall_attribution", stall_json(&self.stalls)));
-        }
-        if let Some(fleet) = &self.fleet {
-            members.push((
-                "fleet",
-                Json::obj(vec![
-                    ("jobs", Json::from(fleet.jobs as u64)),
-                    ("wall_seconds", Json::from(fleet.wall_seconds)),
-                    ("cache_hits", Json::from(fleet.cache_hits as u64)),
-                    ("cache_misses", Json::from(fleet.cache_misses as u64)),
-                ]),
-            ));
         }
         Json::obj(members)
     }

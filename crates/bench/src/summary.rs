@@ -14,17 +14,13 @@ use crate::experiments::{find, Measurement};
 use crate::scaling::ScaleRow;
 
 /// Run-to-run harness accounting included in the document: the total
-/// sweep wall-clock, the worker count, and the cache traffic.
+/// sweep wall-clock and the worker count.
 #[derive(Debug, Clone, Default)]
 pub struct HarnessLine {
     /// Worker threads the sweep ran with.
     pub jobs: usize,
     /// Total sweep wall-clock in seconds.
     pub wall_seconds: f64,
-    /// Cases served from the fleet cache.
-    pub cache_hits: usize,
-    /// Cases that were simulated.
-    pub cache_misses: usize,
 }
 
 /// Host-throughput line for the two simulation steppers (dense reference
@@ -213,8 +209,6 @@ pub fn build_json(
             Json::obj(vec![
                 ("jobs", Json::from(harness.jobs as u64)),
                 ("sweep_wall_seconds", Json::from(harness.wall_seconds)),
-                ("cache_hits", Json::from(harness.cache_hits as u64)),
-                ("cache_misses", Json::from(harness.cache_misses as u64)),
             ]),
         ),
     ];

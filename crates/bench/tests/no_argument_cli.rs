@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// The binaries and their `CARGO_BIN_EXE_*` paths.
-const BINARIES: [(&str, &str); 18] = [
+const BINARIES: [(&str, &str); 17] = [
     (
         "ablation_maple_scaling",
         env!("CARGO_BIN_EXE_ablation_maple_scaling"),
@@ -25,7 +25,6 @@ const BINARIES: [(&str, &str); 18] = [
     ("fig15", env!("CARGO_BIN_EXE_fig15")),
     ("hops", env!("CARGO_BIN_EXE_hops")),
     ("oracle_grid", env!("CARGO_BIN_EXE_oracle_grid")),
-    ("probe", env!("CARGO_BIN_EXE_probe")),
     ("queue_sweep", env!("CARGO_BIN_EXE_queue_sweep")),
     ("serve_check", env!("CARGO_BIN_EXE_serve_check")),
     ("tables", env!("CARGO_BIN_EXE_tables")),

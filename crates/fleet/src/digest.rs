@@ -1,7 +1,8 @@
 //! In-tree content digest: an FNV-1a accumulator with a splitmix64
 //! finalizer.
 //!
-//! Cache keys must be (a) a pure function of the full case descriptor and
+//! The `metrics digest` lines of the serve and scale gates are committed
+//! goldens, so a digest must be (a) a pure function of what it is fed and
 //! (b) stable across runs, platforms and worker counts — which rules out
 //! `std::hash` (`RandomState` is seeded per process) and any derive-based
 //! hashing of types we do not own. A [`Digest`] is fed explicit, typed
@@ -9,8 +10,8 @@
 //! adjacent fields can never alias (`("ab","c")` vs `("a","bc")`).
 //!
 //! FNV-1a mixes each byte cheaply; the splitmix64 finalizer scrambles the
-//! final state so that near-identical descriptors (e.g. a single timing
-//! parameter bumped by one) land far apart in key space.
+//! final state so that near-identical inputs (e.g. one counter bumped by
+//! one) land far apart in key space.
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
@@ -70,11 +71,6 @@ impl Digest {
     /// Feeds a `usize` (widened to `u64` so 32- and 64-bit hosts agree).
     pub fn usize(&mut self, v: usize) -> &mut Self {
         self.u64(v as u64)
-    }
-
-    /// Feeds a `bool` as one byte.
-    pub fn bool(&mut self, v: bool) -> &mut Self {
-        self.bytes(&[u8::from(v)])
     }
 
     /// Feeds an `f64` by its IEEE-754 bit pattern (bit-exact, including

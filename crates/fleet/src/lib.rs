@@ -12,19 +12,13 @@
 //!   order**; a panicking job becomes a typed [`pool::JobError`] without
 //!   poisoning the pool, and every job carries wall-clock and placement
 //!   accounting.
-//! - [`digest`]: an in-tree FNV-1a/splitmix64 content digest used to form
-//!   cache keys from full case descriptors (workload, dataset, variant,
-//!   thread count, `SocConfig` timing parameters, fault schedule, schema
-//!   version).
-//! - [`cache`]: a content-addressed result cache on disk, rooted under
-//!   the workspace `target/` directory (honoring `CARGO_TARGET_DIR`), so
-//!   editing a configuration or timing table invalidates exactly the
-//!   affected entries instead of requiring a manual cache wipe. Entries
-//!   carry an integrity header: truncated or bit-rotted files are
-//!   evicted misses, never panics.
+//! - [`digest`]: an in-tree FNV-1a/splitmix64 content digest, stable
+//!   across runs and hosts, behind the `metrics digest` lines of the
+//!   serve and scale gates.
 //!
-//! The crate is hermetic by design: std-only, zero dependencies (not even
-//! on other workspace crates — `maple-sim` itself builds on it).
+//! The crate is hermetic by design: std-only, zero dependencies. The
+//! simulator crates do not depend on it; the workload, testkit and bench
+//! layers use it to run their case matrices.
 //!
 //! # Determinism contract
 //!
@@ -37,11 +31,9 @@
 
 #![deny(missing_docs)]
 
-pub mod cache;
 pub mod digest;
 pub mod pool;
 
-pub use cache::ResultCache;
 pub use digest::Digest;
 pub use pool::{
     jobs_from_env, run_batch, Batch, BatchStats, FleetConfig, JobError, JobOutcome, JobStats,

@@ -217,32 +217,6 @@ impl FaultPlaneConfig {
         self
     }
 
-    /// Feeds every field of the plane into a content digest, in
-    /// declaration order. Part of the fleet cache key: two plane configs
-    /// digest equal iff a chaos run under them is bit-identical.
-    pub fn digest_into(&self, d: &mut maple_fleet::Digest) {
-        d.u64(self.seed)
-            .f64(self.noc_drop_rate)
-            .f64(self.noc_delay_rate)
-            .u64(self.noc_delay_cycles)
-            .f64(self.dram_spike_rate)
-            .u64(self.dram_spike_cycles)
-            .f64(self.mmio_ack_loss)
-            .f64(self.xbar_drop_rate)
-            .f64(self.xbar_delay_rate)
-            .u64(self.xbar_delay_cycles);
-        d.usize(self.engine_resets.len());
-        for &(cycle, engine) in &self.engine_resets {
-            d.u64(cycle).usize(engine);
-        }
-        d.u64(u64::from(self.tlb_shootdowns))
-            .u64(self.shootdown_window)
-            .u64(self.engine_watchdog.timeout)
-            .u64(u64::from(self.engine_watchdog.max_retries))
-            .u64(self.mmio_watchdog.timeout)
-            .u64(u64::from(self.mmio_watchdog.max_retries));
-    }
-
     /// The NoC packet-drop schedule for this plane.
     #[must_use]
     pub fn noc_drop_schedule(&self) -> FaultSchedule {
@@ -531,38 +505,6 @@ mod tests {
         }
         assert_eq!(s.rng, pristine, "zero-rate schedule must not draw");
         assert_eq!(s.struck.get(), 0);
-    }
-
-    #[test]
-    fn digest_covers_every_fault_knob() {
-        let key = |cfg: &FaultPlaneConfig| {
-            let mut d = maple_fleet::Digest::new(0);
-            cfg.digest_into(&mut d);
-            d.finish()
-        };
-        let base = FaultPlaneConfig::new(42);
-        assert_eq!(key(&base), key(&base.clone()), "digest is deterministic");
-        let edits: Vec<FaultPlaneConfig> = vec![
-            FaultPlaneConfig::new(43),
-            base.clone().with_noc_drop(0.1),
-            base.clone().with_noc_delay(0.1, 10),
-            base.clone().with_dram_spikes(0.1, 10),
-            base.clone().with_mmio_ack_loss(0.1),
-            base.clone().with_xbar_drop(0.1),
-            base.clone().with_xbar_delay(0.1, 10),
-            base.clone().with_engine_reset_at(100, 0),
-            base.clone().with_tlb_shootdowns(1, 100),
-            base.clone().with_watchdogs(
-                WatchdogConfig {
-                    timeout: 1,
-                    max_retries: 1,
-                },
-                WatchdogConfig::default(),
-            ),
-        ];
-        for (i, edited) in edits.iter().enumerate() {
-            assert_ne!(key(&base), key(edited), "edit {i} must move the key");
-        }
     }
 
     #[test]

@@ -329,87 +329,6 @@ impl SocConfig {
         self
     }
 
-    /// Content digest over every timing-relevant parameter of the
-    /// configuration, for use as (part of) a fleet cache key.
-    ///
-    /// Covers the mesh shape, component counts, every `CpuConfig` /
-    /// `L2Config` / `DramConfig` / `MapleConfig` / `DropletConfig` field,
-    /// the SoC-level latencies, the queue capacity, tile placement
-    /// overrides and the full fault plane. **Excludes `trace`**: tracing
-    /// is pure observation and cycle-identical by construction (asserted
-    /// by the trace test suite), so a traced and an untraced run share a
-    /// cache entry. **Excludes `dense_stepper`** for the same reason: the
-    /// dense and event-horizon skipping steppers are bit-exact by contract
-    /// (asserted by the stepper differential suites), so they share a
-    /// cache entry.
-    pub fn digest_into(&self, d: &mut maple_fleet::Digest) {
-        d.u64(u64::from(self.mesh_width))
-            .u64(u64::from(self.mesh_height))
-            .usize(self.cores)
-            .usize(self.maples);
-        // CpuConfig, including the embedded L1.
-        d.u64(self.cpu.l1.size_bytes)
-            .usize(self.cpu.l1.ways)
-            .u64(self.cpu.l1.hit_latency)
-            .usize(self.cpu.l1.mshrs)
-            .usize(self.cpu.l1.store_buffer)
-            .usize(self.cpu.tlb_entries)
-            .u64(self.cpu.ptw_read_latency)
-            .u64(self.cpu.taken_branch_penalty)
-            .usize(self.cpu.desc_outstanding)
-            .u64(self.cpu.desc_queue_latency)
-            .usize(self.cpu.mmio_store_outstanding);
-        // L2Config.
-        d.u64(self.l2.size_bytes)
-            .usize(self.l2.ways)
-            .u64(self.l2.latency)
-            .u64(self.l2.uncached_decode_latency);
-        // DramConfig.
-        d.u64(self.dram.latency)
-            .usize(self.dram.issue_per_cycle)
-            .usize(self.dram.max_outstanding);
-        // MapleConfig.
-        d.usize(self.maple.queues)
-            .u64(self.maple.scratchpad_bytes)
-            .usize(self.maple.default_entries)
-            .u64(u64::from(self.maple.default_entry_bytes))
-            .u64(self.maple.decode_latency)
-            .u64(self.maple.respond_latency)
-            .usize(self.maple.tlb_entries)
-            .u64(self.maple.ptw_read_latency)
-            .usize(self.maple.lima_cmd_depth)
-            .usize(self.maple.lima_chunks_inflight)
-            .usize(self.maple.lima_rate);
-        // SoC-level knobs.
-        d.u64(self.uncore_latency)
-            .u64(self.maple_extra_latency)
-            .u64(self.fault_latency)
-            .usize(self.desc_queue_capacity);
-        d.bool(self.droplet.is_some());
-        if let Some(droplet) = &self.droplet {
-            d.u64(droplet.decode_delay).usize(droplet.max_per_line);
-        }
-        d.bool(self.maple_tile_override.is_some());
-        if let Some(placement) = &self.maple_tile_override {
-            d.usize(placement.len());
-            for &(x, y) in placement {
-                d.u64(u64::from(x)).u64(u64::from(y));
-            }
-        }
-        d.bool(self.cluster.is_some());
-        if let Some(cluster) = &self.cluster {
-            d.usize(cluster.tiles_per_cluster)
-                .u64(u64::from(cluster.clusters_x))
-                .u64(u64::from(cluster.clusters_y))
-                .u64(cluster.xbar_latency)
-                .usize(cluster.l2_banks);
-        }
-        d.bool(self.fault.is_some());
-        if let Some(fault) = &self.fault {
-            fault.digest_into(d);
-        }
-    }
-
     /// Total tiles used by this configuration (every L2 bank occupies a
     /// tile; flat configurations have exactly one).
     #[must_use]
@@ -601,40 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn digest_tracks_timing_edits_but_not_tracing() {
-        let key = |c: &SocConfig| {
-            let mut d = maple_fleet::Digest::new(0);
-            c.digest_into(&mut d);
-            d.finish()
-        };
-        let base = SocConfig::fpga_prototype();
-        assert_eq!(key(&base), key(&base.clone()), "digest is deterministic");
-
-        let mut dram_bumped = base.clone();
-        dram_bumped.dram.latency += 1;
-        assert_ne!(key(&base), key(&dram_bumped), "DRAM latency participates");
-
-        let edits: Vec<SocConfig> = vec![
-            base.clone().with_cores(4),
-            base.clone().with_maples(2),
-            base.clone().with_maple_extra_latency(32),
-            base.clone().with_queue_entries(16),
-            base.clone().with_droplet(DropletConfig::default()),
-            base.clone()
-                .with_fault_plane(FaultPlaneConfig::new(1).with_noc_drop(0.1)),
-        ];
-        for (i, edited) in edits.iter().enumerate() {
-            assert_ne!(key(&base), key(edited), "edit {i} must move the key");
-        }
-
-        let traced = base.clone().with_tracing(TraceConfig::default());
-        assert_eq!(key(&base), key(&traced), "tracing is pure observation");
-
-        let dense = base.clone().with_dense_stepper();
-        assert_eq!(key(&base), key(&dense), "steppers share cache keys");
-    }
-
-    #[test]
     fn one_cluster_layout_matches_flat() {
         // The degenerate hierarchy: one cluster shaped exactly like the
         // flat mesh places every component on the same tile, so the two
@@ -679,30 +564,6 @@ mod tests {
         for (b, t) in l.l2_tiles.iter().enumerate() {
             assert_eq!(topo.cluster_index_of(*t), b);
         }
-    }
-
-    #[test]
-    fn digest_tracks_cluster_knobs() {
-        let key = |c: &SocConfig| {
-            let mut d = maple_fleet::Digest::new(0);
-            c.digest_into(&mut d);
-            d.finish()
-        };
-        let mut base = SocConfig::fpga_prototype();
-        base.cores = 8;
-        base.maples = 4;
-        let clustered = base.clone().with_clusters(ClusterConfig::new(4, 2, 2));
-        assert_ne!(key(&base), key(&clustered), "clustering participates");
-        let fewer_banks = base
-            .clone()
-            .with_clusters(ClusterConfig::new(4, 2, 2).with_l2_banks(2));
-        assert_ne!(key(&clustered), key(&fewer_banks), "bank count participates");
-        let slower_xbar = base
-            .clone()
-            .with_clusters(ClusterConfig::new(4, 2, 2).with_xbar_latency(3));
-        assert_ne!(key(&clustered), key(&slower_xbar), "xbar latency participates");
-        let wider = base.clone().with_clusters(ClusterConfig::new(4, 4, 1));
-        assert_ne!(key(&clustered), key(&wider), "cluster grid participates");
     }
 
     #[test]
