@@ -18,7 +18,6 @@ use maple_bench::summary::{
     build_json, readme_scaling_table, readme_throughput_table, HarnessLine, ServingLine,
     StepperLine, README_SCALING_BEGIN, README_SCALING_END, README_TABLE_BEGIN, README_TABLE_END,
 };
-use maple_fleet::FleetConfig;
 use maple_serve::{serve, ServeConfig};
 use maple_soc::config::SocConfig;
 
@@ -119,7 +118,7 @@ fn main() {
     eprintln!("{}", serve_metrics.render_table());
 
     let harness = HarnessLine {
-        jobs: FleetConfig::from_env().workers,
+        jobs: maple_sim::par::jobs_from_env(),
         wall_seconds: t0.elapsed().as_secs_f64(),
     };
     let doc = build_json(

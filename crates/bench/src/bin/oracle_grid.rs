@@ -3,7 +3,7 @@
 //! Runs the differential oracle grid (every oracle variant × three fixed
 //! tiny kernel instances), the fixed-seed chaos grid, and the
 //! hierarchical-fabric rows (flat vs 1-cluster bit-identity, a live 2×2
-//! crossbar hierarchy) on the local `maple-fleet` pool, and prints one
+//! crossbar hierarchy) on `MAPLE_JOBS` worker threads, and prints one
 //! line per measurement to stdout. Every printed value is a pure function
 //! of the fixed seeds and the simulator — **independent of `MAPLE_JOBS`**:
 //! ci.sh diffs the output at `MAPLE_JOBS=1` and `=4` and against
@@ -12,7 +12,7 @@
 //! The binary takes no arguments. Progress/accounting (which varies with
 //! wall-clock) goes to stderr only.
 
-use maple_fleet::FleetConfig;
+use maple_sim::par::{jobs_from_env, par_map};
 use maple_sim::rng::SimRng;
 use maple_workloads::bfs::Bfs;
 use maple_workloads::data::{dense_vector, uniform_sparse, Csr};
@@ -96,19 +96,16 @@ fn check_kernel(kernel: &str, rows: &[RunStats]) {
 
 fn main() {
     maple_bench::cli::no_arguments("oracle_grid");
-    let jobs = maple_fleet::pool::jobs_from_env();
+    let jobs = jobs_from_env();
     eprintln!("[oracle_grid] running with {jobs} workers");
     let t0 = std::time::Instant::now();
 
-    // Differential grid: one fleet batch per kernel.
+    // Differential grid: one parallel map per kernel.
     for kernel in GRID_KERNELS {
-        let cells: Vec<_> = ORACLE_VARIANTS
-            .iter()
-            .map(|&(v, t)| move || run_grid_cell(kernel, v, t))
-            .collect();
-        let rows = maple_fleet::run_batch(&FleetConfig::from_env(), cells)
-            .into_results()
-            .unwrap_or_else(|(i, e)| panic!("{kernel}/{}: {e}", ORACLE_VARIANTS[i].0.label()));
+        let rows = par_map(jobs, &ORACLE_VARIANTS, |&(v, t)| {
+            run_grid_cell(kernel, v, t)
+        })
+        .unwrap_or_else(|(i, e)| panic!("{kernel}/{}: {e}", ORACLE_VARIANTS[i].0.label()));
         for (&(v, t), s) in ORACLE_VARIANTS.iter().zip(&rows) {
             emit(kernel, v.label(), t, s);
         }
@@ -116,8 +113,8 @@ fn main() {
     }
 
     // Chaos grid: each schedule through the degradation ladder (the
-    // doall baseline and the faulted MAPLE attempt run as a fleet batch
-    // inside chaos_check). The instance is big enough that every run
+    // doall baseline and the faulted MAPLE attempt run in parallel inside
+    // chaos_check). The instance is big enough that every run
     // comfortably outlives the scheduled mid-run reset at cycle 5000.
     let chaos_inst = Spmv {
         a: uniform_sparse(32, 8 * 1024, 6, GRID_SEED ^ 0x06),

@@ -11,8 +11,9 @@
 //! ```
 //!
 //! `run_workload --list` prints the available (app, dataset) pairs. Any
-//! missing, extra or malformed argument prints usage and exits 2 before
-//! any simulation runs.
+//! missing, extra or malformed argument, and any thread count the kernel
+//! does not run the variant on, prints usage and exits 2 before any
+//! simulation runs.
 
 use maple_bench::experiments::{app_datasets, run_case};
 use maple_workloads::Variant;
@@ -70,10 +71,10 @@ fn main() {
             }),
     };
 
-    let Some(stats) = run_case(app, ds, variant, threads) else {
-        eprintln!("unknown app/dataset `{app} {ds}` (try --list)");
-        usage();
-    };
+    let stats = run_case(app, ds, variant, threads).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    });
     println!("app       {app}");
     println!("dataset   {ds}");
     println!("variant   {}", variant.label());

@@ -1,6 +1,6 @@
 //! CI gate for multi-tenant serving: the differential-oracle grid
 //! ({skipping, dense} × {clean, one recoverable chaos schedule}, plus
-//! two clustered-fabric cells) through the fleet executor, and the
+//! two clustered-fabric cells) through `par_map`, and the
 //! engine-kill ladder cell. Prints only host-independent lines, so
 //! `scripts/ci.sh` byte-diffs the output across `MAPLE_JOBS` values;
 //! any isolation violation or unverified request exits nonzero.

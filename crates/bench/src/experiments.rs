@@ -1,14 +1,18 @@
 //! Shared experiment execution for the figure binaries.
 //!
-//! Suites run the workload/variant matrices of Section 5 through the
-//! `maple-fleet` pool: every case of a suite is one job of one
-//! work-stealing batch (worker count from `MAPLE_JOBS`), simulated fresh
-//! on every run. Rows come back in case order, bit-identical at every
-//! worker count, and `scripts/ci.sh` byte-diffs every figure built from
-//! them against `results/`.
+//! Suites run the workload/variant matrices of Section 5 through
+//! [`par_map`]: every case of a suite is one item of one ordered map
+//! (worker count from `MAPLE_JOBS`), simulated fresh on every run. Rows
+//! come back in case order, bit-identical at every worker count, and
+//! `scripts/ci.sh` byte-diffs every figure built from them against
+//! `results/`.
 
-use maple_fleet::FleetConfig;
+use maple_sim::par::{jobs_from_env, par_map};
 use maple_trace::{StallBreakdown, StallRow};
+use maple_workloads::bfs::Bfs;
+use maple_workloads::sdhp::Sdhp;
+use maple_workloads::spmm::Spmm;
+use maple_workloads::spmv::Spmv;
 use maple_workloads::{RunStats, Variant};
 
 use crate::instances;
@@ -65,35 +69,31 @@ pub struct CaseSpec {
     pub threads: usize,
 }
 
-/// Runs a suite of cases as one fleet batch and returns one
+/// Runs a suite of cases on `workers` threads and returns one
 /// [`Measurement`] per case, in case order — bit-identical at every
 /// worker count. `run` executes one case. Reports `[name] jobs=N,
 /// wall=…s` on stderr.
 ///
 /// # Panics
 ///
-/// Panics when a job panics or a case fails verification.
+/// Panics when a case panics or fails verification.
 pub fn suite_with(
-    pool: &FleetConfig,
+    workers: usize,
     name: &str,
     cases: &[CaseSpec],
     run: impl Fn(&CaseSpec) -> RunStats + Sync,
 ) -> Vec<Measurement> {
     let t0 = std::time::Instant::now();
-    let run = &run;
-    let jobs: Vec<_> = cases.iter().map(|spec| move || run(spec)).collect();
-    let stats = maple_fleet::run_batch(pool, jobs)
-        .into_results()
-        .unwrap_or_else(|(j, e)| {
-            let spec = &cases[j];
-            panic!(
-                "[{name}] {}/{}/{} t={}: {e}",
-                spec.app,
-                spec.dataset,
-                spec.variant.label(),
-                spec.threads
-            )
-        });
+    let stats = par_map(workers, cases, run).unwrap_or_else(|(j, e)| {
+        let spec = &cases[j];
+        panic!(
+            "[{name}] {}/{}/{} t={}: {e}",
+            spec.app,
+            spec.dataset,
+            spec.variant.label(),
+            spec.threads
+        )
+    });
     let rows = cases
         .iter()
         .zip(&stats)
@@ -109,8 +109,7 @@ pub fn suite_with(
         })
         .collect();
     eprintln!(
-        "[{name}] jobs={}, wall={:.2}s",
-        pool.workers,
+        "[{name}] jobs={workers}, wall={:.2}s",
         t0.elapsed().as_secs_f64()
     );
     rows
@@ -119,36 +118,44 @@ pub fn suite_with(
 /// [`suite_with`] at the `MAPLE_JOBS` worker count, running real
 /// workload cases.
 fn suite(name: &str, cases: Vec<CaseSpec>) -> Vec<Measurement> {
-    suite_with(&FleetConfig::from_env(), name, &cases, |c| {
-        run_case(&c.app, &c.dataset, c.variant, c.threads)
-            .expect("suite cases name evaluation datasets")
+    suite_with(jobs_from_env(), name, &cases, |c| {
+        run_case(&c.app, &c.dataset, c.variant, c.threads).unwrap_or_else(|e| panic!("{e}"))
     })
 }
 
 /// Runs one evaluation instance — `app` is `sdhp`, `spmm`, `spmv` or
 /// `bfs`, `ds` a dataset label of [`app_datasets`] — under `variant` on
-/// `threads` threads; `None` when the app or dataset is unknown.
-#[must_use]
-pub fn run_case(app: &str, ds: &str, variant: Variant, threads: usize) -> Option<RunStats> {
-    match app {
-        "sdhp" => instances::sdhp()
-            .into_iter()
-            .find(|(l, _)| *l == ds)
-            .map(|(_, i)| i.run(variant, threads)),
-        "spmm" => instances::spmm()
-            .into_iter()
-            .find(|(l, _)| *l == ds)
-            .map(|(_, i)| i.run(variant, threads)),
-        "spmv" => instances::spmv()
-            .into_iter()
-            .find(|(l, _)| *l == ds)
-            .map(|(_, i)| i.run(variant, threads)),
-        "bfs" => instances::bfs()
-            .into_iter()
-            .find(|(l, _)| *l == ds)
-            .map(|(_, i)| i.run(variant, threads)),
-        _ => None,
+/// `threads` threads.
+///
+/// # Errors
+///
+/// Says why when the app or dataset is unknown or the kernel does not
+/// run `variant` on `threads` threads (its `check_threads` rule);
+/// nothing is simulated then.
+pub fn run_case(app: &str, ds: &str, variant: Variant, threads: usize) -> Result<RunStats, String> {
+    fn pick<T>(set: Vec<(&str, T)>, ds: &str) -> Option<T> {
+        set.into_iter().find(|(l, _)| *l == ds).map(|(_, i)| i)
     }
+    let stats = match app {
+        "sdhp" => {
+            Sdhp::check_threads(variant, threads)?;
+            pick(instances::sdhp(), ds).map(|i| i.run(variant, threads))
+        }
+        "spmm" => {
+            Spmm::check_threads(variant, threads)?;
+            pick(instances::spmm(), ds).map(|i| i.run(variant, threads))
+        }
+        "spmv" => {
+            Spmv::check_threads(variant, threads)?;
+            pick(instances::spmv(), ds).map(|i| i.run(variant, threads))
+        }
+        "bfs" => {
+            Bfs::check_threads(variant, threads)?;
+            pick(instances::bfs(), ds).map(|i| i.run(variant, threads))
+        }
+        _ => None,
+    };
+    stats.ok_or_else(|| format!("unknown app/dataset `{app} {ds}` (try --list)"))
 }
 
 /// Every (app, dataset) pair of the evaluation.

@@ -201,7 +201,7 @@ pub fn scale_gate(seed: u64, tiles: usize) -> Result<String, String> {
             "{tiles}-tile metrics snapshot JSON diverged between steppers"
         ));
     }
-    let mut d = maple_fleet::Digest::new(0x5CA1);
+    let mut d = maple_sim::hash::Digest::new(0x5CA1);
     d.str(&json);
     Ok(format!(
         "scale gate: {tiles} tiles ({clusters} clusters of {CLUSTER_TILES}, \

@@ -2,8 +2,8 @@
 //!
 //! The sweep runs the [`maple_serve`] differential oracle over the full
 //! acceptance grid — {skipping, dense} steppers × {no chaos, one
-//! recoverable seeded chaos schedule} — dispatching cells through the
-//! [`maple_fleet`] batch executor, two hierarchical cells on a 2×2
+//! recoverable seeded chaos schedule} — mapping cells over `MAPLE_JOBS`
+//! worker threads with [`par_map`], two hierarchical cells on a 2×2
 //! crossbar-cluster fabric, plus
 //! one engine-kill cell proving the maple-dec → sw-dec → do-all ladder
 //! degrades a failing engine mid-tenant without a single corrupted
@@ -12,9 +12,10 @@
 //! digest), so `scripts/ci.sh` byte-diffs it across `MAPLE_JOBS`
 //! values.
 
-use maple_fleet::{Digest, FleetConfig};
 use maple_serve::oracle::differential_check;
 use maple_serve::{serve, ServeConfig, ServingSummary};
+use maple_sim::hash::Digest;
+use maple_sim::par::{jobs_from_env, par_map};
 use maple_workloads::oracle::chaos_schedules;
 
 /// The acceptance grid: every stepper × chaos combination,
@@ -76,7 +77,7 @@ fn cell_line(label: &str, s: &ServingSummary) -> String {
 }
 
 /// The serving determinism gate behind the `serve_check` binary: the
-/// full grid through the fleet executor, the engine-kill ladder cell,
+/// full grid through [`par_map`], the engine-kill ladder cell,
 /// and a metrics digest — all host-independent lines.
 ///
 /// # Errors
@@ -85,16 +86,10 @@ fn cell_line(label: &str, s: &ServingSummary) -> String {
 /// isolation failure, unverified request, or missing degradation.
 pub fn serve_gate(seed: u64) -> Result<String, String> {
     let cells = serve_grid(seed);
-    let jobs: Vec<_> = cells
-        .iter()
-        .map(|(label, cfg)| {
-            let (label, cfg) = (label.clone(), cfg.clone());
-            move || differential_check(&cfg).map_err(|e| format!("{label}: {e}"))
-        })
-        .collect();
-    let grid = maple_fleet::run_batch(&FleetConfig::from_env(), jobs)
-        .into_results()
-        .map_err(|(i, e)| format!("{}: executor failed: {e}", cells[i].0))?;
+    let grid = par_map(jobs_from_env(), &cells, |(label, cfg)| {
+        differential_check(cfg).map_err(|e| format!("{label}: {e}"))
+    })
+    .map_err(|(i, e)| format!("{}: panicked: {e}", cells[i].0))?;
     let mut out = String::from("serve gate\n");
     let mut d = Digest::new(0x5E12);
     for ((label, _), res) in cells.iter().zip(grid) {

@@ -1,7 +1,8 @@
 //! Every harness binary that takes no arguments rejects any argument
-//! with a usage line and exit code 2, before it simulates anything or
-//! rewrites a committed file (figure sidecars, `BENCH_maple.json`, the
-//! README tables).
+//! with a usage line, and a `MAPLE_JOBS` value that is not a positive
+//! integer with one line, both with exit code 2 and before it simulates
+//! anything or rewrites a committed file (figure sidecars,
+//! `BENCH_maple.json`, the README tables).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -50,22 +51,39 @@ fn committed_outputs(root: &Path) -> Vec<(PathBuf, Vec<u8>)> {
         .collect()
 }
 
+/// Bad invocations — an argument, or a `MAPLE_JOBS` value that is not
+/// a positive integer — and the start of the one stderr line each must
+/// print (`NAME` stands for the binary).
+const BAD: [(Option<&str>, Option<&str>, &str); 4] = [
+    (Some("--bogus"), None, "usage: NAME "),
+    (None, Some("abc"), "NAME: MAPLE_JOBS="),
+    (None, Some("0"), "NAME: MAPLE_JOBS="),
+    (None, Some(""), "NAME: MAPLE_JOBS="),
+];
+
 #[test]
 fn unknown_arguments_print_usage_and_exit_2() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let before = committed_outputs(&root);
     for (name, exe) in BINARIES {
-        let out = Command::new(exe)
-            .arg("--bogus")
-            .output()
-            .unwrap_or_else(|e| panic!("spawn {name}: {e}"));
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
-        assert!(
-            stderr.starts_with(&format!("usage: {name} ")),
-            "{name}: {stderr}"
-        );
-        assert!(out.stdout.is_empty(), "{name}: no output on a usage error");
+        for (arg, jobs, start) in BAD {
+            let mut cmd = Command::new(exe);
+            cmd.args(arg);
+            if let Some(jobs) = jobs {
+                cmd.env("MAPLE_JOBS", jobs);
+            }
+            let out = cmd.output().unwrap_or_else(|e| panic!("spawn {name}: {e}"));
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let case = format!("{name} {arg:?} MAPLE_JOBS={jobs:?}");
+            assert_eq!(out.status.code(), Some(2), "{case}: {stderr}");
+            assert!(
+                stderr.starts_with(&start.replace("NAME", name)),
+                "{case}: {stderr}"
+            );
+            assert_eq!(stderr.lines().count(), 1, "{case}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+            assert!(out.stdout.is_empty(), "{case}: no output on a usage error");
+        }
     }
     assert!(
         committed_outputs(&root) == before,

@@ -1,5 +1,6 @@
 //! `run_workload` rejects every missing, extra, malformed or unknown
-//! argument with usage and exit code 2, before any simulation runs.
+//! argument, and every thread count the kernel does not run the variant
+//! on, with usage and exit code 2, before any simulation runs.
 
 use std::process::Command;
 
@@ -24,6 +25,9 @@ fn bad_arguments_print_usage_and_exit_2() {
         &["nosuchapp", "riscv-s", "doall"],
         &["spmv", "nosuchdataset", "doall"],
         &["spmv", "riscv-s", "nosuchvariant"],
+        &["spmv", "riscv-s", "maple-dec", "3"],
+        &["spmv", "riscv-s", "maple-lima", "2"],
+        &["bfs", "wiki", "doall", "3"],
     ];
     for args in cases {
         let out = run_workload(args);

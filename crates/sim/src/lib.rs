@@ -20,7 +20,12 @@
 //!   and fast-forwards the clock across provably-quiescent gaps.
 //! - [`worklist::Worklist`]: the index set activity-driven loops visit in
 //!   ascending order, so per-cycle cost tracks work, not component count.
-//! - [`hash::FxHashMap`]: the fast deterministic hasher for hot-path maps.
+//! - [`hash::FxHashMap`]: the fast deterministic hasher for hot-path maps,
+//!   and [`hash::Digest`], the stable content digest behind the gates'
+//!   `metrics digest` lines.
+//! - [`par::par_map`]: the ordered parallel map every experiment matrix
+//!   runs on (worker count from `MAPLE_JOBS`), bit-identical at any
+//!   worker count.
 //!
 //! # Example
 //!
@@ -38,6 +43,7 @@
 pub mod fault;
 pub mod hash;
 pub mod link;
+pub mod par;
 pub mod rng;
 pub mod stats;
 pub mod worklist;

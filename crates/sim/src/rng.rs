@@ -15,9 +15,10 @@
 /// One step of the splitmix64 sequence; used to expand a 64-bit seed into
 /// the 256-bit xoshiro state (the initialization recommended by the
 /// xoshiro authors, which guarantees a non-zero state for every seed).
+/// [`crate::hash::Digest`] finalizes with the same scramble.
 #[inline]
 #[must_use]
-fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

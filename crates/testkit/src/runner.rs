@@ -3,6 +3,7 @@
 //! report.
 
 use crate::gen::Gen;
+use maple_sim::par::{jobs_from_env, par_map};
 use maple_sim::rng::SimRng;
 use std::collections::HashSet;
 use std::panic::{self, AssertUnwindSafe};
@@ -120,8 +121,8 @@ where
     }
 }
 
-/// [`check`] with the case evaluations dispatched as one fleet batch
-/// (worker count from `MAPLE_JOBS`).
+/// [`check`] with the case evaluations mapped over `MAPLE_JOBS` worker
+/// threads by [`par_map`].
 ///
 /// Each case's value is a pure function of `(seed, case index)` — the
 /// generator is re-run inside the job — so parallel evaluation observes
@@ -140,24 +141,18 @@ where
     F: Fn(&G::Value) -> Result<(), String> + Sync,
 {
     let prop = &prop;
-    let jobs: Vec<_> = (0..cfg.cases)
-        .map(|case| {
-            let cs = case_seed(cfg.seed, case);
-            move || {
-                let value = gen.generate(&mut SimRng::seed(cs));
-                run_case(prop, &value)
-            }
-        })
-        .collect();
-    let verdicts = maple_fleet::run_batch(&maple_fleet::FleetConfig::from_env(), jobs)
-        .into_results()
-        .unwrap_or_else(|(i, e)| {
-            panic!(
-                "[maple-testkit] property '{}' case {i} escaped run_case: {e}",
-                cfg.name
-            )
-        });
-    // Outcomes are in submission order, so "first Some" is the same case
+    let cases: Vec<u64> = (0..cfg.cases).collect();
+    let verdicts = par_map(jobs_from_env(), &cases, |&case| {
+        let value = gen.generate(&mut SimRng::seed(case_seed(cfg.seed, case)));
+        run_case(prop, &value)
+    })
+    .unwrap_or_else(|(i, e)| {
+        panic!(
+            "[maple-testkit] property '{}' case {i} escaped run_case: {e}",
+            cfg.name
+        )
+    });
+    // Verdicts are in case order, so "first Some" is the same case
     // the serial runner would have stopped at.
     if let Some((case, first_msg)) = verdicts
         .into_iter()

@@ -13,7 +13,7 @@
 //! stepper happens to tick components within a cycle, which is what keeps
 //! the exported stream byte-identical across the dense and skipping
 //! steppers. The handle is `Send + Sync` (an `Arc<Mutex>` under the hood)
-//! because whole systems run on the fleet pool's worker threads;
+//! because whole systems run on `par_map`'s worker threads;
 //! uncontended lock cost is a few nanoseconds per emitted record and zero
 //! when disabled.
 //!

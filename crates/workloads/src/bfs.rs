@@ -75,7 +75,40 @@ impl Bfs {
         dist
     }
 
+    /// The thread counts BFS runs on under `variant`: frontier
+    /// partitioning divides by shifts, so workers (threads, or pairs
+    /// when decoupled) come in powers of two.
+    ///
+    /// # Errors
+    ///
+    /// Names the rule `threads` breaks.
+    pub fn check_threads(variant: Variant, threads: usize) -> Result<(), String> {
+        let rule = match variant {
+            Variant::Doall | Variant::Droplet | Variant::SwPrefetch { .. }
+                if !threads.is_power_of_two() =>
+            {
+                "partitioning uses shifts (a power-of-two thread count)"
+            }
+            Variant::MapleDecoupled | Variant::SwDecoupled
+                if threads < 2 || !threads.is_power_of_two() =>
+            {
+                "decoupled pairs partition by shifts (a power-of-two thread count of at least 2)"
+            }
+            Variant::Desc if threads != 2 => "DeSC runs one Supply/Compute pair",
+            Variant::MapleLima if threads != 1 => "LIMA runs single-threaded",
+            _ => return Ok(()),
+        };
+        Err(format!(
+            "bfs {}: {rule}, not {threads} threads",
+            variant.label()
+        ))
+    }
+
     /// Runs a variant on `threads` hardware threads.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a thread count [`Bfs::check_threads`] rejects.
     #[must_use]
     pub fn run(&self, variant: Variant, threads: usize) -> RunStats {
         self.run_tuned(variant, threads, |c| c)
@@ -89,6 +122,7 @@ impl Bfs {
         threads: usize,
         tune: impl FnOnce(maple_soc::SocConfig) -> maple_soc::SocConfig,
     ) -> RunStats {
+        Self::check_threads(variant, threads).unwrap_or_else(|e| panic!("{e}"));
         let mut cfg = config_for(variant, threads);
         if matches!(variant, Variant::MapleDecoupled) {
             // Fewer, larger queues (Section 3.4): each pair uses one
@@ -135,13 +169,10 @@ impl Bfs {
             Variant::SwPrefetch { dist } => {
                 self.load_doall(&mut sys, &dev, threads, Some(dist), false);
             }
-            Variant::MapleLima => {
-                assert_eq!(threads, 1);
-                self.load_doall(&mut sys, &dev, 1, None, true);
-            }
+            Variant::MapleLima => self.load_doall(&mut sys, &dev, 1, None, true),
             Variant::MapleDecoupled => self.load_maple_dec(&mut sys, &dev, threads),
             Variant::SwDecoupled => self.load_sw_dec(&mut sys, &dev, threads),
-            Variant::Desc => self.load_desc(&mut sys, &dev, threads),
+            Variant::Desc => self.load_desc(&mut sys, &dev),
         }
 
         let outcome = sys.run(MAX_CYCLES);
@@ -158,7 +189,6 @@ impl Bfs {
         prefetch: Option<u32>,
         lima: bool,
     ) {
-        assert!(threads.is_power_of_two(), "partitioning uses shifts");
         let maple_va = lima.then(|| sys.map_maple(0));
         for w in 0..threads {
             let mut b = ProgramBuilder::new();
@@ -258,9 +288,7 @@ impl Bfs {
     // --- MAPLE decoupling --------------------------------------------------
 
     fn load_maple_dec(&self, sys: &mut System, dev: &Dev, threads: usize) {
-        assert!(threads.is_multiple_of(2));
         let pairs = threads / 2;
-        assert!(pairs.is_power_of_two());
         let maple_va = sys.map_maple(0);
         /// Vertices of row-bound runahead on the Access side.
         const RUNAHEAD: i64 = 6;
@@ -387,9 +415,7 @@ impl Bfs {
     // --- software decoupling -----------------------------------------------
 
     fn load_sw_dec(&self, sys: &mut System, dev: &Dev, threads: usize) {
-        assert!(threads.is_multiple_of(2));
         let pairs = threads / 2;
-        assert!(pairs.is_power_of_two());
         let layout = SwQueueLayout::new(64);
         for p in 0..pairs {
             let qva = sys.alloc(layout.bytes());
@@ -469,9 +495,7 @@ impl Bfs {
 
     // --- DeSC ----------------------------------------------------------------
 
-    fn load_desc(&self, sys: &mut System, dev: &Dev, threads: usize) {
-        assert_eq!(threads, 2);
-
+    fn load_desc(&self, sys: &mut System, dev: &Dev) {
         // Supply: walks, terminal-loads dist[v], and — because Compute has
         // no memory access — performs every atomic update itself, draining
         // the decision queue opportunistically.

@@ -365,7 +365,7 @@ pub fn run_with_fallback_for_tenant(
 
 /// The tail of [`run_with_fallback`] with the first rung's result
 /// optionally precomputed — callers that evaluate the requested variant
-/// in a fleet batch (e.g. the chaos oracle running it alongside the
+/// in parallel (e.g. the chaos oracle running it alongside the
 /// fault-free baseline) hand that result in as `first` and the ladder
 /// continues from rung 1 only if it did not verify.
 pub fn continue_fallback(

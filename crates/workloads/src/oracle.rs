@@ -9,8 +9,8 @@
 //! `tests/diff_oracle.rs` for the randomized drivers).
 
 use crate::harness::{continue_fallback, FallbackOutcome, RunStats, Variant};
-use maple_fleet::FleetConfig;
 use maple_sim::fault::FaultPlaneConfig;
+use maple_sim::par::{jobs_from_env, par_map};
 
 /// The variant/thread-count grid the oracle exercises on every instance.
 pub const ORACLE_VARIANTS: [(Variant, usize); 5] = [
@@ -90,10 +90,10 @@ pub fn check_cross(doall: &RunStats, label: &str, other: &RunStats) -> Result<()
 /// Runs the full variant grid on one instance and checks every per-run
 /// and cross-variant invariant.
 ///
-/// The grid cells are independent simulations, so they are dispatched as
-/// one fleet batch (worker count from `MAPLE_JOBS`); the batch returns
-/// stats in grid order, so the check sequence — and therefore which
-/// violation is reported first — is identical at every worker count.
+/// The grid cells are independent simulations, so they run as one
+/// [`par_map`] (worker count from `MAPLE_JOBS`); it returns stats in
+/// grid order, so the check sequence — and therefore which violation is
+/// reported first — is identical at every worker count.
 ///
 /// # Errors
 ///
@@ -104,14 +104,10 @@ pub fn differential_check(
     run: impl Fn(Variant, usize) -> RunStats + Sync,
 ) -> Result<(), String> {
     debug_assert!(matches!(ORACLE_VARIANTS[0].0, Variant::Doall));
-    let run = &run;
-    let jobs: Vec<_> = ORACLE_VARIANTS
-        .iter()
-        .map(|&(variant, threads)| move || run(variant, threads))
-        .collect();
-    let grid = maple_fleet::run_batch(&FleetConfig::from_env(), jobs)
-        .into_results()
-        .map_err(|(i, e)| format!("{kernel}/{}: {e}", ORACLE_VARIANTS[i].0.label()))?;
+    let grid = par_map(jobs_from_env(), &ORACLE_VARIANTS, |&(variant, threads)| {
+        run(variant, threads)
+    })
+    .map_err(|(i, e)| format!("{kernel}/{}: {e}", ORACLE_VARIANTS[i].0.label()))?;
     let doall = &grid[0];
     check_run(&format!("{kernel}/{}", ORACLE_VARIANTS[0].0.label()), doall)?;
     for (&(variant, _), stats) in ORACLE_VARIANTS[1..].iter().zip(&grid[1..]) {
@@ -200,22 +196,19 @@ pub fn chaos_check(
 ) -> Result<(), String> {
     let label = format!("{kernel}/{}", schedule.name);
     // The clean do-all baseline and the faulted MAPLE attempt are
-    // independent runs on fresh systems: dispatch them as one fleet
-    // batch, then walk the rest of the degradation ladder serially (each
-    // further rung depends on the previous one failing).
-    let run = &run;
-    let first_two: Vec<Box<dyn Fn() -> RunStats + Send + '_>> = vec![
-        Box::new(move || run(Variant::Doall, 2, None)),
-        Box::new(move || run(Variant::MapleDecoupled, 2, Some(&schedule.plane))),
+    // independent runs on fresh systems: map them in parallel, then walk
+    // the rest of the degradation ladder serially (each further rung
+    // depends on the previous one failing).
+    let first_two = [
+        ("doall-baseline", Variant::Doall, None),
+        ("maple", Variant::MapleDecoupled, Some(&schedule.plane)),
     ];
-    let mut batch = maple_fleet::run_batch(&FleetConfig::from_env(), first_two)
-        .into_results()
-        .map_err(|(i, e)| {
-            let which = if i == 0 { "doall-baseline" } else { "maple" };
-            format!("{label}/{which}: {e}")
-        })?;
-    let maple_first = batch.pop().expect("two jobs submitted");
-    let doall = batch.pop().expect("two jobs submitted");
+    let mut pair = par_map(jobs_from_env(), &first_two, |&(_, v, plane)| {
+        run(v, 2, plane)
+    })
+    .map_err(|(i, e)| format!("{label}/{}: {e}", first_two[i].0))?;
+    let maple_first = pair.pop().expect("two runs");
+    let doall = pair.pop().expect("two runs");
     check_run(&format!("{label}/doall-baseline"), &doall)?;
 
     // Degraded software attempts run clean: the driver has already

@@ -75,7 +75,33 @@ impl Sdhp {
             .collect()
     }
 
+    /// The thread counts SDHP runs on under `variant`.
+    ///
+    /// # Errors
+    ///
+    /// Names the rule `threads` breaks.
+    pub fn check_threads(variant: Variant, threads: usize) -> Result<(), String> {
+        let rule = match variant {
+            Variant::MapleDecoupled | Variant::SwDecoupled if !threads.is_multiple_of(2) => {
+                "decoupling needs pairs (an even thread count)"
+            }
+            Variant::Desc if threads != 2 => "DeSC runs one Supply/Compute pair",
+            Variant::SwPrefetch { .. } | Variant::MapleLima if threads != 1 => {
+                "the prefetch study runs single-threaded"
+            }
+            _ => return Ok(()),
+        };
+        Err(format!(
+            "sdhp {}: {rule}, not {threads} threads",
+            variant.label()
+        ))
+    }
+
     /// Runs a variant and verifies against the reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a thread count [`Sdhp::check_threads`] rejects.
     #[must_use]
     pub fn run(&self, variant: Variant, threads: usize) -> RunStats {
         self.run_tuned(variant, threads, |c| c)
@@ -89,6 +115,7 @@ impl Sdhp {
         threads: usize,
         tune: impl FnOnce(maple_soc::SocConfig) -> maple_soc::SocConfig,
     ) -> RunStats {
+        Self::check_threads(variant, threads).unwrap_or_else(|e| panic!("{e}"));
         let mut sys = System::new(tune(config_for(variant, threads)));
         let a = upload_u32(&mut sys, &self.dense);
         let bb = upload_u32(&mut sys, &self.lin);
@@ -121,7 +148,6 @@ impl Sdhp {
                 }
             }
             Variant::MapleDecoupled => {
-                assert!(threads.is_multiple_of(2));
                 let maple_va = sys.map_maple(0);
                 for (pair, (lo, hi)) in
                     partition(self.n(), threads / 2).into_iter().enumerate()
@@ -148,7 +174,6 @@ impl Sdhp {
                 }
             }
             Variant::Desc => {
-                assert_eq!(threads, 2);
                 let p = spec.gen_desc_pair();
                 let supply = sys.load_program(
                     p.access,
@@ -165,14 +190,8 @@ impl Sdhp {
                 sys.pair_desc(supply, compute, 3);
             }
             Variant::SwDecoupled => self.load_swdec(&mut sys, a, bb, c, res, threads),
-            Variant::SwPrefetch { dist } => {
-                assert_eq!(threads, 1);
-                self.load_swpref(&mut sys, a, bb, c, res, dist);
-            }
-            Variant::MapleLima => {
-                assert_eq!(threads, 1);
-                self.load_lima(&mut sys, a, bb, c, res);
-            }
+            Variant::SwPrefetch { dist } => self.load_swpref(&mut sys, a, bb, c, res, dist),
+            Variant::MapleLima => self.load_lima(&mut sys, a, bb, c, res),
         }
 
         let outcome = sys.run(MAX_CYCLES);
@@ -188,7 +207,6 @@ impl Sdhp {
         res: VAddr,
         threads: usize,
     ) {
-        assert!(threads.is_multiple_of(2));
         let layout = SwQueueLayout::new(64);
         for (lo, hi) in partition(self.n(), threads / 2) {
             let qva = sys.alloc(layout.bytes());

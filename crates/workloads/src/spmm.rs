@@ -79,9 +79,33 @@ impl Spmm {
         c
     }
 
+    /// The thread counts SPMM runs on under `variant`.
+    ///
+    /// # Errors
+    ///
+    /// Names the rule `threads` breaks.
+    pub fn check_threads(variant: Variant, threads: usize) -> Result<(), String> {
+        let rule = match variant {
+            Variant::SwDecoupled if !threads.is_multiple_of(2) => {
+                "partial decoupling needs pairs (an even thread count)"
+            }
+            Variant::MapleLima if threads != 1 => "LIMA runs single-threaded",
+            _ => return Ok(()),
+        };
+        Err(format!(
+            "spmm {}: {rule}, not {threads} threads",
+            variant.label()
+        ))
+    }
+
     /// Runs a variant and verifies the dense output.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a thread count [`Spmm::check_threads`] rejects.
     #[must_use]
     pub fn run(&self, variant: Variant, threads: usize) -> RunStats {
+        Self::check_threads(variant, threads).unwrap_or_else(|e| panic!("{e}"));
         let mut sys = System::new(config_for(variant, threads));
         let arrays = Arrays {
             acp: upload_u32(&mut sys, &self.a.row_ptr),
@@ -123,7 +147,7 @@ impl Spmm {
                 }
             }
             Variant::SwDecoupled => self.load_sw_partial(&mut sys, &arrays, threads),
-            Variant::MapleLima => self.load_lima(&mut sys, &arrays, threads),
+            Variant::MapleLima => self.load_lima(&mut sys, &arrays),
         }
 
         let outcome = sys.run(MAX_CYCLES);
@@ -324,7 +348,6 @@ impl Spmm {
 
     /// Software partial decoupling through a shared-memory ring.
     fn load_sw_partial(&self, sys: &mut System, arrays: &Arrays, threads: usize) {
-        assert!(threads.is_multiple_of(2));
         let layout = SwQueueLayout::new(64);
         for (lo, hi) in partition(self.m, threads / 2) {
             let qva = sys.alloc(layout.bytes());
@@ -401,8 +424,7 @@ impl Spmm {
 
     /// Speculative LIMA: prefetch the next A-column segment's accumulator
     /// lines into the LLC while the current segment's RMWs execute.
-    fn load_lima(&self, sys: &mut System, arrays: &Arrays, threads: usize) {
-        assert_eq!(threads, 1);
+    fn load_lima(&self, sys: &mut System, arrays: &Arrays) {
         let maple_va = sys.map_maple(0);
         let (lo, hi) = (0usize, self.m);
 

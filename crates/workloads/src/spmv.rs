@@ -75,13 +75,34 @@ impl Spmv {
         }
     }
 
+    /// The thread counts SPMV runs on under `variant`.
+    ///
+    /// # Errors
+    ///
+    /// Names the rule `threads` breaks.
+    pub fn check_threads(variant: Variant, threads: usize) -> Result<(), String> {
+        let rule = match variant {
+            Variant::SwDecoupled | Variant::MapleDecoupled
+                if threads < 2 || !threads.is_multiple_of(2) =>
+            {
+                "decoupling needs pairs (an even thread count)"
+            }
+            Variant::Desc if threads != 2 => "the DeSC comparison runs one Supply/Compute pair",
+            Variant::MapleLima if threads != 1 => "the prefetch study runs single-threaded",
+            _ => return Ok(()),
+        };
+        Err(format!(
+            "spmv {}: {rule}, not {threads} threads",
+            variant.label()
+        ))
+    }
+
     /// Runs the given variant on `threads` hardware threads and verifies
     /// the result against the host reference.
     ///
     /// # Panics
     ///
-    /// Panics on unsupported combinations (e.g. DeSC with more than two
-    /// threads).
+    /// Panics on a thread count [`Spmv::check_threads`] rejects.
     #[must_use]
     pub fn run(&self, variant: Variant, threads: usize) -> RunStats {
         self.run_tuned(variant, threads, |c| c)
@@ -110,6 +131,7 @@ impl Spmv {
         threads: usize,
         tune: impl FnOnce(maple_soc::SocConfig) -> maple_soc::SocConfig,
     ) -> (RunStats, System) {
+        Self::check_threads(variant, threads).unwrap_or_else(|e| panic!("{e}"));
         let mut sys = System::new(tune(config_for(variant, threads)));
         let arrays = self.upload(&mut sys);
         let expected = self.reference();
@@ -131,8 +153,8 @@ impl Spmv {
             }
             Variant::SwDecoupled => self.load_swdec(&mut sys, &arrays, threads),
             Variant::MapleDecoupled => self.load_maple_dec(&mut sys, &arrays, threads),
-            Variant::Desc => self.load_desc(&mut sys, &arrays, threads),
-            Variant::MapleLima => self.load_lima(&mut sys, &arrays, threads),
+            Variant::Desc => self.load_desc(&mut sys, &arrays),
+            Variant::MapleLima => self.load_lima(&mut sys, &arrays),
         }
 
         let outcome = sys.run(MAX_CYCLES);
@@ -336,7 +358,6 @@ impl Spmv {
     // --- MAPLE decoupling --------------------------------------------------
 
     fn load_maple_dec(&self, sys: &mut System, arrays: &DeviceArrays, threads: usize) {
-        assert!(threads >= 2 && threads.is_multiple_of(2), "decoupling needs pairs");
         let pairs = threads / 2;
         // Pairs are distributed round-robin over the configured MAPLE
         // instances (the paper's tiled scaling: "more units can be
@@ -432,7 +453,6 @@ impl Spmv {
     // --- software decoupling ----------------------------------------------
 
     fn load_swdec(&self, sys: &mut System, arrays: &DeviceArrays, threads: usize) {
-        assert!(threads >= 2 && threads.is_multiple_of(2), "decoupling needs pairs");
         let pairs = threads / 2;
         let layout = SwQueueLayout::new(64);
         for (lo, hi) in partition(self.a.nrows, pairs) {
@@ -516,8 +536,7 @@ impl Spmv {
 
     // --- DeSC ---------------------------------------------------------------
 
-    fn load_desc(&self, sys: &mut System, arrays: &DeviceArrays, threads: usize) {
-        assert_eq!(threads, 2, "the DeSC comparison runs one Supply/Compute pair");
+    fn load_desc(&self, sys: &mut System, arrays: &DeviceArrays) {
         let (lo, hi) = (0, self.a.nrows);
 
         // Supply: streams structure, terminal-loads x and values; row
@@ -620,8 +639,7 @@ impl Spmv {
 
     // --- MAPLE LIMA ----------------------------------------------------------
 
-    fn load_lima(&self, sys: &mut System, arrays: &DeviceArrays, threads: usize) {
-        assert_eq!(threads, 1, "the prefetch study runs single-threaded");
+    fn load_lima(&self, sys: &mut System, arrays: &DeviceArrays) {
         let maple_va = sys.map_maple(0);
         let (lo, hi) = (0usize, self.a.nrows);
 

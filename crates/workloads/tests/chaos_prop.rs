@@ -7,7 +7,7 @@
 //! ladder always terminates).
 //!
 //! Case count scales with `MAPLE_CHAOS_CASES` (the CI chaos stage sets
-//! it); cases dispatch through the `maple-fleet` pool (`MAPLE_JOBS`);
+//! it); cases run in parallel through `maple_sim::par` (`MAPLE_JOBS`);
 //! failures print a `MAPLE_TESTKIT_SEED` reproduction line.
 
 use maple_sim::fault::FaultPlaneConfig;

@@ -6,8 +6,8 @@
 //!
 //! Instances are deliberately tiny — the point is input-space coverage
 //! (empty rows, single rows, duplicate columns, skewed shapes,
-//! disconnected graphs), not throughput. Cases dispatch through the
-//! `maple-fleet` pool (`MAPLE_JOBS` controls the worker count; the
+//! disconnected graphs), not throughput. Cases run in parallel through
+//! `maple_sim::par` (`MAPLE_JOBS` controls the worker count; the
 //! failure report is identical at any setting). Failures shrink toward
 //! the smallest instance that still violates an invariant and print a
 //! `MAPLE_TESTKIT_SEED` reproduction line.

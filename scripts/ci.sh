@@ -22,6 +22,9 @@ if cargo tree --offline --workspace --edges normal,build,dev 2>/dev/null \
 fi
 
 echo "==> scripts: shell syntax check"
+# This script too, so a syntax error near its end fails here in seconds
+# instead of after the full run.
+bash -n scripts/ci.sh
 bash -n scripts/perf_ab.sh
 
 echo "==> tier-1 gate: release build"
@@ -80,8 +83,8 @@ gate() {
     echo "    $(tail -n 1 "target/${name}_jobs1.txt"), identical at 1 and 4 workers and to results/${name}.txt (${GATE_WALL}s)"
 }
 
-echo "==> fleet: oracle grid must be bit-identical across worker counts"
-# The determinism contract of the maple-fleet executor: the full oracle
+echo "==> determinism: oracle grid must be bit-identical across worker counts"
+# The determinism contract of maple_sim::par::par_map: the full oracle
 # grid (differential variants x kernels + fixed-seed chaos schedules)
 # prints the same bytes no matter how many workers run it.
 gate oracle_grid "" oracle_grid
@@ -101,7 +104,7 @@ echo "==> serving: multi-tenant oracle grid must be bit-exact at any worker coun
 # ladder cell,
 # printing only host-independent lines (percentiles, fairness, switch
 # counters, a metrics digest), so tenant isolation holds regardless of
-# fleet parallelism.
+# the worker count.
 gate serve_gate "serve ok: bit-exact" serve_check
 
 echo "==> scale smoke: 256- and 1024-tile hierarchical fabrics, bit-exact and golden"

@@ -1,7 +1,8 @@
-//! Acceptance tests for the `maple-fleet` execution runtime as wired
-//! into the bench harness: results are bit-identical at every worker
-//! count and a panicking job is isolated into a typed error. The
-//! `oracle_grid` binary's stdout matches its committed golden output.
+//! Acceptance tests for parallel execution as wired into the bench
+//! harness: suite results are bit-identical at every worker count, and a
+//! panicking case is reported by index and message without disturbing
+//! the next map. The `oracle_grid` binary's stdout matches its committed
+//! golden output.
 
 use std::fs;
 use std::path::PathBuf;
@@ -9,14 +10,14 @@ use std::process::Command;
 
 use maple_bench::experiments::{suite_with, CaseSpec, Measurement};
 use maple_bench::summary::{build_json, HarnessLine};
-use maple_fleet::{run_batch, FleetConfig};
+use maple_sim::par::par_map;
 use maple_trace::StallBreakdown;
 use maple_workloads::harness::FaultReport;
 use maple_workloads::{RunStats, Variant};
 
 /// A deterministic synthetic "simulation": stats are a pure function of
 /// the case descriptor, so any cross-worker-count divergence can only
-/// come from the fleet plumbing under test.
+/// come from the parallel plumbing under test.
 fn synthetic_run(spec: &CaseSpec) -> RunStats {
     let mut h: u64 = 0xfeed;
     for b in spec
@@ -95,10 +96,9 @@ fn suite_rows_and_summary_json_identical_across_worker_counts() {
     let harness = HarnessLine::default();
     let mut reference: Option<(Vec<Measurement>, String)> = None;
     for workers in [1usize, 2, 8] {
-        let pool = FleetConfig::from_env().with_workers(workers);
-        let fig08 = suite_with(&pool, "t08", &fig08_cases, synthetic_run);
-        let fig09 = suite_with(&pool, "t09", &fig09_cases, synthetic_run);
-        let fig12 = suite_with(&pool, "t12", &fig12_cases, synthetic_run);
+        let fig08 = suite_with(workers, "t08", &fig08_cases, synthetic_run);
+        let fig09 = suite_with(workers, "t09", &fig09_cases, synthetic_run);
+        let fig12 = suite_with(workers, "t12", &fig12_cases, synthetic_run);
         assert_eq!(fig08.len(), fig08_cases.len());
 
         let json =
@@ -119,28 +119,17 @@ fn suite_rows_and_summary_json_identical_across_worker_counts() {
 
 #[test]
 fn panicking_job_is_isolated_while_others_complete() {
-    let cfg = FleetConfig::from_env().with_workers(4);
-    let jobs: Vec<Box<dyn Fn() -> u64 + Send>> = (0u64..6)
-        .map(|i| {
-            Box::new(move || {
-                assert!(i != 2, "synthetic failure in job two");
-                i * 7
-            }) as Box<dyn Fn() -> u64 + Send>
-        })
-        .collect();
-    let batch = run_batch(&cfg, jobs);
-    assert_eq!(batch.outcomes.len(), 6);
-    for (i, o) in batch.outcomes.iter().enumerate() {
-        if i == 2 {
-            let err = o.result.as_ref().expect_err("job two must fail");
-            assert!(err.message.contains("synthetic failure"), "{err}");
-        } else {
-            assert_eq!(*o.result.as_ref().expect("healthy job"), i as u64 * 7);
-        }
-    }
-    // The pool survives: a follow-up batch runs clean.
-    let again = run_batch(&cfg, (0u64..4).map(|i| move || i).collect::<Vec<_>>());
-    assert!(again.outcomes.iter().all(|o| o.result.is_ok()));
+    let items: Vec<u64> = (0..6).collect();
+    let (i, err) = par_map(4, &items, |&i| {
+        assert!(i != 2, "synthetic failure in job two");
+        i * 7
+    })
+    .expect_err("job two must fail");
+    assert_eq!(i, 2);
+    assert!(err.contains("synthetic failure"), "{err}");
+    // Nothing is poisoned: the next map runs clean.
+    let again = par_map(4, &items, |&i| i * 7).expect("healthy jobs");
+    assert_eq!(again, items.iter().map(|i| i * 7).collect::<Vec<_>>());
 }
 
 #[test]
