@@ -158,19 +158,6 @@ impl DropletPrefetcher {
     }
 }
 
-impl maple_sim::Clocked for DropletPrefetcher {
-    type Ctx<'a> = ();
-
-    /// No-op: the owning L2 tile drives the inherent [`DropletPrefetcher::tick`]
-    /// (which returns the prefetch requests to inject); this impl exists so
-    /// the prefetcher participates in the event-horizon computation.
-    fn tick(&mut self, _now: Cycle, (): ()) {}
-
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        DropletPrefetcher::next_event(self, now)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,7 +18,7 @@ use maple_core::engine::{Engine, MapleConfig};
 use maple_core::mmio::{store_offset, StoreOp};
 use maple_mem::msg::{MemReq, MemReqKind};
 use maple_mem::phys::{PAddr, PhysMem};
-use maple_noc::{Coord, Mesh, MeshConfig};
+use maple_noc::{Coord, Fabric, MeshConfig};
 use maple_sim::Cycle;
 use maple_workloads::data::uniform_sparse;
 use maple_workloads::sdhp::Sdhp;
@@ -56,7 +56,7 @@ fn run_sdhp_lima_1t(inst: &Sdhp) -> u64 {
 }
 
 fn run_noc_4x4_saturated_1k_ticks() -> u64 {
-    let mut mesh: Mesh<u32> = Mesh::new(MeshConfig::new(4, 4));
+    let mut mesh: Fabric<u32> = Fabric::flat(MeshConfig::new(4, 4));
     let mut now = Cycle::ZERO;
     let mut delivered = 0u64;
     for step in 0..1000u64 {

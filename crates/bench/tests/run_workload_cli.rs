@@ -28,6 +28,10 @@ fn bad_arguments_print_usage_and_exit_2() {
         &["spmv", "riscv-s", "maple-dec", "3"],
         &["spmv", "riscv-s", "maple-lima", "2"],
         &["bfs", "wiki", "doall", "3"],
+        // More MAPLE queues than the configuration has.
+        &["spmv", "riscv-s", "maple-dec", "18"],
+        &["sdhp", "suitesparse", "maple-dec", "18"],
+        &["bfs", "wiki", "maple-dec", "16"],
     ];
     for args in cases {
         let out = run_workload(args);

@@ -1532,18 +1532,6 @@ impl Engine {
     }
 }
 
-impl maple_sim::Clocked for Engine {
-    type Ctx<'a> = &'a PhysMem;
-
-    fn tick(&mut self, now: Cycle, mem: &PhysMem) {
-        Engine::tick(self, now, mem);
-    }
-
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        Engine::next_event(self, now)
-    }
-}
-
 fn head_elem(active: &LimaActive) -> u8 {
     active.cmd.b_elem
 }

@@ -896,22 +896,6 @@ impl Core {
     }
 }
 
-impl maple_sim::Clocked for Core {
-    type Ctx<'a> = (
-        &'a PhysMem,
-        &'a mut WriteStage,
-        Option<&'a mut DescQueues>,
-    );
-
-    fn tick(&mut self, now: Cycle, (mem, stage, desc): Self::Ctx<'_>) {
-        Core::tick(self, now, mem, stage, desc);
-    }
-
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        Core::next_event(self, now)
-    }
-}
-
 enum Translate {
     Ok(Translation),
     PtwStarted(Cycle, bool, VAddr),

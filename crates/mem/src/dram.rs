@@ -179,18 +179,6 @@ impl<T> Dram<T> {
     }
 }
 
-impl<T> maple_sim::Clocked for Dram<T> {
-    type Ctx<'a> = ();
-
-    fn tick(&mut self, now: Cycle, (): ()) {
-        Dram::tick(self, now);
-    }
-
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        Dram::next_event(self, now)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -517,18 +517,6 @@ impl L1Cache {
     }
 }
 
-impl maple_sim::Clocked for L1Cache {
-    type Ctx<'a> = ();
-
-    /// The L1 is passive: its owning core drains responses and the host
-    /// tile drains outgoing traffic; there is no per-cycle work of its own.
-    fn tick(&mut self, _now: Cycle, (): ()) {}
-
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        L1Cache::next_event(self, now)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -341,18 +341,6 @@ impl SharedL2 {
     }
 }
 
-impl maple_sim::Clocked for SharedL2 {
-    type Ctx<'a> = &'a mut PhysMem;
-
-    fn tick(&mut self, now: Cycle, mem: &mut PhysMem) {
-        SharedL2::tick(self, now, mem);
-    }
-
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        SharedL2::next_event(self, now)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,37 +1,40 @@
-//! The two-level hierarchical fabric: clusters of tiles on single-cycle
-//! local crossbars, clusters connected by the global mesh.
+//! The interconnect a SoC holds: one router grid, optionally fronted by
+//! clusters of tiles on single-cycle local crossbars.
 //!
-//! This is the MemPool-style topology that lets the model reach 256–1024
-//! tiles: a flat mesh at that scale would charge tens of cycles for what
-//! physically is a neighbourhood access. Here every tile sits in a
-//! cluster served by a [`Crossbar`]; traffic that stays in the cluster
-//! takes one switch traversal, and traffic that leaves goes
-//! crossbar → global [`Mesh`] (one router per *cluster*) → crossbar.
+//! A flat fabric is one [`Mesh`] router per tile: the OpenPiton-style
+//! P-Mesh. A clustered fabric is the MemPool-style two-level topology
+//! that lets the model reach 256–1024 tiles, where a flat mesh would
+//! charge tens of cycles for what physically is a neighbourhood access.
+//! There every tile sits in a cluster served by a [`Crossbar`]; traffic
+//! that stays in the cluster takes one switch traversal, and traffic that
+//! leaves goes crossbar → global [`Mesh`] (one router per *cluster*) →
+//! crossbar.
 //!
-//! [`Fabric`] is the dispatch point the SoC holds: a flat configuration
-//! (one cluster, or no cluster config at all) uses the untouched
-//! [`Mesh`] code path, which is what makes the degenerate hierarchical
-//! config byte-identical to the historical flat mesh — identity by
-//! shared code, not by re-derived timing.
+//! Both shapes are one [`Fabric`] whose crossbar layer is optional; only
+//! admission and the tick tell them apart. A flat fabric's packets enter
+//! the mesh at their tile's router and are delivered as the mesh ejects
+//! them, so a 1×1-cluster configuration (which builds a flat fabric) is
+//! byte-identical to the historical flat mesh.
 //!
 //! # Fault sites
 //!
-//! The fabric keeps the flat mesh's injection-time drop/delay semantics
-//! ([`NocFault`]) and adds a crossbar-local site pair ([`XbarFault`]):
-//! a clustered fabric draws the NoC schedules first (the packet's
-//! end-to-end traversal), then the crossbar schedules (the local switch
-//! leg). Flat fabrics never construct the crossbar schedules, so chaos
-//! replay of every existing configuration is unchanged.
+//! Packets injected through [`Fabric::inject_unreliable`] are subject to
+//! the plane installed by [`Fabric::set_fault_plane`]: the NoC drop/delay
+//! pair ([`NocFault`], the packet's end-to-end traversal) draws first,
+//! then, on a clustered fabric, the crossbar pair ([`XbarFault`], the
+//! local switch leg). Flat fabrics never construct the crossbar
+//! schedules, so their chaos replay streams are unchanged.
 
 use std::collections::VecDeque;
 
+use maple_sim::fault::{FaultPlaneConfig, FaultSchedule};
 use maple_sim::worklist::Worklist;
 use maple_sim::Cycle;
 use maple_trace::{FaultSite, TraceEvent, Tracer};
 
 use crate::crossbar::{Crossbar, CrossbarConfig};
 use crate::deliveries::Deliveries;
-use crate::{Backpressure, Coord, Mesh, MeshConfig, MeshStats, NocFault};
+use crate::{Backpressure, Coord, Mesh, MeshConfig, MeshStats};
 
 /// Geometry of the two-level hierarchy: a `clusters_x` × `clusters_y`
 /// grid of clusters, each a `cluster_width` × `cluster_height` sub-grid
@@ -156,22 +159,43 @@ impl ClusterTopology {
     }
 }
 
+/// The NoC slice of the fault plane: drop and extra-delay schedules drawn
+/// at injection for a packet's end-to-end traversal.
+#[derive(Debug, Clone)]
+pub struct NocFault {
+    /// Packet-drop schedule.
+    pub drop: FaultSchedule,
+    /// Extra-delay schedule (magnitude = extra cycles).
+    pub delay: FaultSchedule,
+}
+
+impl NocFault {
+    /// Builds the NoC fault state from a plane configuration.
+    #[must_use]
+    pub fn from_plane(cfg: &FaultPlaneConfig) -> Self {
+        NocFault {
+            drop: cfg.noc_drop_schedule(),
+            delay: cfg.noc_delay_schedule(),
+        }
+    }
+}
+
 /// The crossbar slice of the fault plane: drop and extra-delay schedules
 /// drawn at injection for the local-switch leg of clustered traversals.
-/// Flat fabrics never construct one, so existing chaos replay streams
-/// are untouched.
+/// Flat fabrics never construct one, so their chaos replay streams are
+/// untouched.
 #[derive(Debug, Clone)]
 pub struct XbarFault {
     /// Packet-drop schedule.
-    pub drop: maple_sim::fault::FaultSchedule,
+    pub drop: FaultSchedule,
     /// Extra-delay schedule (magnitude = extra cycles).
-    pub delay: maple_sim::fault::FaultSchedule,
+    pub delay: FaultSchedule,
 }
 
 impl XbarFault {
     /// Builds the crossbar fault state from a plane configuration.
     #[must_use]
-    pub fn from_plane(cfg: &maple_sim::fault::FaultPlaneConfig) -> Self {
+    pub fn from_plane(cfg: &FaultPlaneConfig) -> Self {
         XbarFault {
             drop: cfg.xbar_drop_schedule(),
             delay: cfg.xbar_delay_schedule(),
@@ -179,9 +203,9 @@ impl XbarFault {
     }
 }
 
-/// Envelope carried through crossbars and the global mesh: the final
-/// destination tile (row-major index) plus the accounting the
-/// fabric-level stats need.
+/// Envelope carried through the router grid and the crossbars: the final
+/// destination tile (row-major index) plus the accounting the end-to-end
+/// stats need.
 #[derive(Debug)]
 struct Env<T> {
     dst: usize,
@@ -189,6 +213,14 @@ struct Env<T> {
     injected_at: Cycle,
     hops: u64,
     payload: T,
+}
+
+/// Records a final delivery at tile `env.dst` during the tick at `now`.
+fn deliver<T>(stats: &mut MeshStats, delivered: &mut Deliveries<T>, now: Cycle, env: Env<T>) {
+    stats.delivered.inc();
+    stats.hops.add(env.hops);
+    stats.latency.record(now.since(env.injected_at));
+    delivered.push(env.dst, env.payload);
 }
 
 /// Where a global tile sits in the hierarchy.
@@ -200,268 +232,125 @@ struct Slot {
     port: usize,
 }
 
-/// The clustered two-level interconnect. Most callers hold a [`Fabric`]
-/// instead, which dispatches between this and the flat [`Mesh`].
+/// The crossbar layer of a clustered fabric: one crossbar per cluster,
+/// whose extra port (one past the tiles) faces the cluster's router.
 #[derive(Debug)]
-pub struct ClusteredNoc<T> {
-    topo: ClusterTopology,
+struct XbarLayer<T> {
+    /// The mesh port of every cluster crossbar (one past the tiles).
+    mesh_port: usize,
     xbars: Vec<Crossbar<Env<T>>>,
     /// Round-robin pointer shared by every crossbar: all of them rotate
     /// once per tick, so one pointer is the whole state.
-    xbar_rr: usize,
+    rr: usize,
     /// Clusters whose crossbar holds a packet or whose mesh-port staging
     /// queue is non-empty.
     active: Worklist,
     /// Scratch index buffers, reused so ticks never allocate.
-    clusters: Vec<usize>,
+    busy: Vec<usize>,
     ejecting: Vec<usize>,
+    /// Per cluster: packets the router ejected, waiting (under
+    /// backpressure) to enter the crossbar through its mesh port.
+    arrived: Deliveries<Env<T>>,
     /// Per cluster: packets the crossbar switched to its mesh port,
-    /// waiting (under backpressure) to enter the global mesh.
+    /// waiting (under backpressure) to enter the router grid.
     staged: Vec<VecDeque<Env<T>>>,
     /// Packets across every staging queue.
     staged_len: usize,
-    /// Global mesh: one router per cluster.
-    mesh: Mesh<Env<T>>,
-    /// Final deliveries per global tile (row-major).
-    delivered: Deliveries<T>,
     /// Lookup tables built once, so no packet pays a division: each
-    /// tile's cluster and port, each tile's and each cluster's grid
-    /// coordinate.
+    /// tile's cluster and port, and each cluster's grid coordinate.
     slots: Vec<Slot>,
-    tile_coords: Vec<Coord>,
     cluster_coords: Vec<Coord>,
-    stats: MeshStats,
-    fault: Option<NocFault>,
-    xbar_fault: Option<XbarFault>,
-    tracer: Tracer,
+    fault: Option<XbarFault>,
 }
 
-impl<T> ClusteredNoc<T> {
-    /// Builds an idle clustered fabric. `xbar_latency` is the crossbar
-    /// grant-to-delivery latency (1 = single-cycle local switch).
-    #[must_use]
-    pub fn new(topo: ClusterTopology, xbar_latency: u64) -> Self {
+impl<T> XbarLayer<T> {
+    fn new(topo: ClusterTopology, xbar_latency: u64, tiles: &[Coord]) -> Self {
         let xcfg = CrossbarConfig::new(topo.tiles_per_cluster() + 1).with_latency(xbar_latency);
-        let tile_coords: Vec<Coord> = (0..topo.total_height())
-            .flat_map(|y| (0..topo.total_width()).map(move |x| Coord::new(x, y)))
-            .collect();
-        let slots: Vec<Slot> = tile_coords
-            .iter()
-            .map(|&t| Slot {
-                cluster: topo.cluster_index_of(t),
-                port: topo.local_port(t),
-            })
-            .collect();
-        ClusteredNoc {
-            topo,
+        XbarLayer {
+            mesh_port: topo.tiles_per_cluster(),
             xbars: (0..topo.clusters()).map(|_| Crossbar::new(xcfg)).collect(),
-            xbar_rr: 0,
+            rr: 0,
             active: Worklist::new(topo.clusters()),
-            clusters: Vec::new(),
+            busy: Vec::new(),
             ejecting: Vec::new(),
+            arrived: Deliveries::new(topo.clusters()),
             staged: (0..topo.clusters()).map(|_| VecDeque::new()).collect(),
             staged_len: 0,
-            mesh: Mesh::new(MeshConfig::new(topo.clusters_x, topo.clusters_y)),
-            delivered: Deliveries::new(topo.total_tiles()),
-            slots,
-            tile_coords,
+            slots: tiles
+                .iter()
+                .map(|&t| Slot {
+                    cluster: topo.cluster_index_of(t),
+                    port: topo.local_port(t),
+                })
+                .collect(),
             cluster_coords: (0..topo.clusters())
                 .map(|c| topo.cluster_coord(c))
                 .collect(),
-            stats: MeshStats::default(),
             fault: None,
-            xbar_fault: None,
-            tracer: Tracer::disabled(),
         }
     }
 
-    /// The topology.
-    #[must_use]
-    pub fn topology(&self) -> &ClusterTopology {
-        &self.topo
-    }
-
-    /// Installs the end-to-end NoC fault schedules (same site semantics
-    /// as [`Mesh::set_fault`]).
-    pub fn set_fault(&mut self, fault: NocFault) {
-        self.fault = Some(fault);
-    }
-
-    /// Installs the crossbar-local fault schedules.
-    pub fn set_xbar_fault(&mut self, fault: XbarFault) {
-        self.xbar_fault = Some(fault);
-    }
-
-    /// Installs an observability tracer. Global-mesh hops are traced
-    /// with cluster coordinates; fault injections with their site.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.mesh.set_tracer(tracer.clone());
-        self.tracer = tracer;
-    }
-
-    fn tile_index(&self, tile: Coord) -> usize {
-        usize::from(tile.y) * usize::from(self.topo.total_width()) + usize::from(tile.x)
-    }
-
-    /// The mesh port of every cluster crossbar (one past the tiles).
-    fn mesh_port(&self) -> usize {
-        self.topo.tiles_per_cluster()
-    }
-
-    /// Whether a new packet can currently be injected at `src`.
-    #[must_use]
-    pub fn can_inject(&self, src: Coord) -> bool {
-        let slot = self.slots[self.tile_index(src)];
+    fn can_inject(&self, src: usize) -> bool {
+        let slot = self.slots[src];
         self.xbars[slot.cluster].can_inject(slot.port)
     }
 
+    /// Queues `env` at tile `src`'s crossbar input: one switch traversal
+    /// intra-cluster; switch + mesh hops + switch when the route crosses
+    /// clusters.
     fn admit(
         &mut self,
         ready_at: Cycle,
-        now: Cycle,
-        src: Coord,
-        dst: Coord,
-        flits: u8,
-        payload: T,
-    ) -> Result<(), Backpressure<T>> {
-        let from = self.slots[self.tile_index(src)];
-        let dst = self.tile_index(dst);
-        let to = self.slots[dst];
-        // One switch traversal intra-cluster; switch + mesh hops + switch
-        // when the route crosses clusters.
-        let (out_port, hops) = if from.cluster == to.cluster {
-            (to.port, 1)
+        src: usize,
+        mut env: Env<T>,
+    ) -> Result<(), Backpressure<Env<T>>> {
+        let (from, to) = (self.slots[src], self.slots[env.dst]);
+        let out_port = if from.cluster == to.cluster {
+            env.hops = 1;
+            to.port
         } else {
             let (sc, dc) = (self.cluster_coords[from.cluster], self.cluster_coords[to.cluster]);
-            (self.mesh_port(), 2 + sc.hops_to(dc))
+            env.hops = 2 + sc.hops_to(dc);
+            self.mesh_port
         };
-        let env = Env {
-            dst,
-            flits,
-            injected_at: now,
-            hops,
-            payload,
-        };
-        self.xbars[from.cluster]
-            .inject(ready_at, from.port, out_port, flits, env)
-            .map_err(|Backpressure(e)| Backpressure(e.payload))?;
+        let flits = env.flits;
+        self.xbars[from.cluster].inject(ready_at, from.port, out_port, flits, env)?;
         self.active.insert(from.cluster);
-        self.stats.injected.inc();
         Ok(())
     }
 
-    /// Injects a packet of `flits` flits at tile `src` for tile `dst`.
+    /// One cycle of the clustered fabric, in a fixed deterministic order:
+    /// router ejections feed crossbar mesh ports, crossbars switch, staged
+    /// mesh-side packets feed the router grid, and the grid routes. A
+    /// switch traversal that lands on a tile port is a final delivery on
+    /// the spot; one that lands on the mesh port joins its cluster's
+    /// staging queue.
     ///
-    /// # Errors
-    ///
-    /// Returns [`Backpressure`] carrying the payload when the source
-    /// tile's crossbar input is full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either coordinate is off the global grid or
-    /// `flits == 0`.
-    pub fn inject(
+    /// Steps 1–3 visit only the clusters with ejections waiting, packets
+    /// in their crossbar or packets staged, in ascending cluster order; an
+    /// idle cluster's only per-cycle state is the round-robin pointer,
+    /// which every crossbar shares. Step 4 is [`Mesh::tick`], which visits
+    /// only routers holding packets.
+    fn tick(
         &mut self,
         now: Cycle,
-        src: Coord,
-        dst: Coord,
-        flits: u8,
-        payload: T,
-    ) -> Result<(), Backpressure<T>> {
-        assert!(self.topo.in_bounds(src), "inject: src {src} out of bounds");
-        assert!(self.topo.in_bounds(dst), "inject: dst {dst} out of bounds");
-        assert!(flits > 0, "inject: packets need at least one flit");
-        self.admit(now, now, src, dst, flits, payload)
-    }
-
-    /// Like [`ClusteredNoc::inject`], but subject to the installed
-    /// fault schedules: the end-to-end [`NocFault`] draws first (drop,
-    /// then delay), then the crossbar-local [`XbarFault`] pair. Draws
-    /// happen only after admission, so a backpressured retry never
-    /// consumes randomness.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Backpressure`] as [`ClusteredNoc::inject`] does.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`ClusteredNoc::inject`].
-    pub fn inject_unreliable(
-        &mut self,
-        now: Cycle,
-        src: Coord,
-        dst: Coord,
-        flits: u8,
-        payload: T,
-    ) -> Result<(), Backpressure<T>> {
-        assert!(self.topo.in_bounds(src), "inject: src {src} out of bounds");
-        assert!(self.topo.in_bounds(dst), "inject: dst {dst} out of bounds");
-        assert!(flits > 0, "inject: packets need at least one flit");
-        if !self.can_inject(src) {
-            return Err(Backpressure(payload));
-        }
-        let mut ready_at = now;
-        if let Some(f) = &mut self.fault {
-            if f.drop.strike() {
-                self.stats.injected.inc();
-                self.stats.dropped.inc();
-                self.tracer
-                    .emit(now, || TraceEvent::FaultInjected { site: FaultSite::NocDrop });
-                return Ok(());
-            }
-            if f.delay.strike() {
-                self.stats.delayed.inc();
-                ready_at = ready_at.plus(f.delay.magnitude());
-                self.tracer
-                    .emit(now, || TraceEvent::FaultInjected { site: FaultSite::NocDelay });
-            }
-        }
-        if let Some(f) = &mut self.xbar_fault {
-            if f.drop.strike() {
-                self.stats.injected.inc();
-                self.stats.dropped.inc();
-                self.tracer
-                    .emit(now, || TraceEvent::FaultInjected { site: FaultSite::XbarDrop });
-                return Ok(());
-            }
-            if f.delay.strike() {
-                self.stats.delayed.inc();
-                ready_at = ready_at.plus(f.delay.magnitude());
-                self.tracer
-                    .emit(now, || TraceEvent::FaultInjected { site: FaultSite::XbarDelay });
-            }
-        }
-        self.admit(ready_at, now, src, dst, flits, payload)
-    }
-
-    /// Advances the whole fabric one cycle, in a fixed deterministic
-    /// order: global-mesh arrivals feed crossbar mesh ports, crossbars
-    /// switch, staged mesh-side packets feed the global mesh, and the
-    /// mesh routes. A switch traversal that lands on a tile port is a
-    /// final delivery on the spot; one that lands on the mesh port joins
-    /// its cluster's staging queue.
-    ///
-    /// Steps 1–3 visit only the clusters with mesh ejections waiting,
-    /// packets in their crossbar or packets staged, in ascending cluster
-    /// order; an idle cluster's only per-cycle state is the round-robin
-    /// pointer, which every crossbar shares. Step 4 is [`Mesh::tick`],
-    /// which visits only routers holding packets.
-    pub fn tick(&mut self, now: Cycle) {
-        let mesh_port = self.mesh_port();
-        let start = self.xbar_rr;
-        self.xbar_rr = (start + 1) % (mesh_port + 1);
-        // 1. Mesh ejections enter the destination cluster's crossbar
+        mesh: &mut Mesh<Env<T>>,
+        stats: &mut MeshStats,
+        delivered: &mut Deliveries<T>,
+    ) {
+        let mesh_port = self.mesh_port;
+        let start = self.rr;
+        self.rr = (start + 1) % (mesh_port + 1);
+        // 1. Earlier ejections enter the destination cluster's crossbar
         //    through its mesh port (order-preserving; anything the
         //    crossbar cannot take stays queued on the mesh side). The
-        //    mesh router index is the cluster index.
+        //    router index is the cluster index.
         let mut ejecting = std::mem::take(&mut self.ejecting);
-        self.mesh.pending_nodes(&mut ejecting);
+        self.arrived.pending(&mut ejecting);
         for &ci in &ejecting {
             self.active.insert(ci);
             while self.xbars[ci].can_inject(mesh_port) {
-                let Some(env) = self.mesh.take_one_at(ci) else {
+                let Some(env) = self.arrived.take_one(ci) else {
                     break;
                 };
                 let out = self.slots[env.dst].port;
@@ -473,13 +362,13 @@ impl<T> ClusteredNoc<T> {
             }
         }
         self.ejecting = ejecting;
-        let mut clusters = std::mem::take(&mut self.clusters);
-        self.active.drain_sorted(&mut clusters);
+        let mut busy = std::mem::take(&mut self.busy);
+        self.active.drain_sorted(&mut busy);
         // 2. Switch every busy cluster. Landed traversals go to their
         //    tile's deliveries or the cluster's staging queue.
-        for &ci in &clusters {
-            let (delivered, stats, slots) = (&mut self.delivered, &mut self.stats, &self.slots);
-            let (staged, staged_len) = (&mut self.staged[ci], &mut self.staged_len);
+        for &ci in &busy {
+            let (staged, staged_len, slots) =
+                (&mut self.staged[ci], &mut self.staged_len, &self.slots);
             self.xbars[ci].step(now, start, |out, env| {
                 if out == mesh_port {
                     staged.push_back(env);
@@ -487,25 +376,21 @@ impl<T> ClusteredNoc<T> {
                     return;
                 }
                 debug_assert_eq!(slots[env.dst].port, out, "crossbar delivered to wrong tile");
-                stats.delivered.inc();
-                stats.hops.add(env.hops);
-                stats.latency.record(now.since(env.injected_at));
-                delivered.push(env.dst, env.payload);
+                deliver(stats, delivered, now, env);
             });
         }
-        // 3. Staged packets enter the global mesh, with backpressure.
-        for &ci in &clusters {
+        // 3. Staged packets enter the router grid, with backpressure.
+        for &ci in &busy {
             let cc = self.cluster_coords[ci];
             while let Some(env) = self.staged[ci].front() {
-                if !self.mesh.can_inject(cc) {
+                if !mesh.can_inject(cc) {
                     break;
                 }
                 let dst_cluster = self.cluster_coords[self.slots[env.dst].cluster];
                 let env = self.staged[ci].pop_front().expect("peeked");
                 self.staged_len -= 1;
                 let flits = env.flits;
-                self.mesh
-                    .inject(now, cc, dst_cluster, flits, env)
+                mesh.inject(now, cc, dst_cluster, flits, env)
                     .ok()
                     .expect("can_inject checked");
             }
@@ -513,14 +398,263 @@ impl<T> ClusteredNoc<T> {
                 self.active.insert(ci);
             }
         }
-        self.clusters = clusters;
-        // 4. Route the global mesh.
-        self.mesh.tick(now);
+        self.busy = busy;
+        // 4. Route the grid; ejections wait for step 1 of a later tick.
+        let arrived = &mut self.arrived;
+        mesh.tick(now, |ci, env| arrived.push(ci, env));
     }
 
-    /// Earliest cycle at or after `now` at which ticking could matter.
-    /// Conservative like [`Mesh::next_event`]: any in-flight packet
-    /// pins the horizon to `now`.
+    /// Packets in the layer: ejected by the grid and waiting at a full
+    /// crossbar mesh port, in a crossbar, or staged for the grid. Every
+    /// cluster whose crossbar holds a packet is on the worklist, so this
+    /// costs O(busy clusters).
+    fn in_flight(&self) -> usize {
+        self.arrived.len()
+            + self.staged_len
+            + self
+                .active
+                .as_slice()
+                .iter()
+                .map(|&ci| self.xbars[ci].in_flight())
+                .sum::<usize>()
+    }
+
+    fn visits(&self) -> u64 {
+        self.xbars.iter().map(Crossbar::visits).sum()
+    }
+
+    fn skip(&mut self, cycles: u64) {
+        let ports = self.mesh_port + 1;
+        self.rr = (self.rr + (cycles % ports as u64) as usize) % ports;
+    }
+}
+
+/// The interconnect a SoC holds. See the module docs for the two shapes.
+#[derive(Debug)]
+pub struct Fabric<T> {
+    /// Tile-grid width and height.
+    width: u16,
+    height: u16,
+    /// The router grid: one router per tile when flat, one per cluster
+    /// when clustered.
+    mesh: Mesh<Env<T>>,
+    /// The crossbar layer; `None` for a flat fabric.
+    xbar: Option<XbarLayer<T>>,
+    /// Final deliveries per tile (row-major).
+    delivered: Deliveries<T>,
+    /// Each tile's grid coordinate, built once so polling never divides.
+    tile_coords: Vec<Coord>,
+    /// Scratch index buffer, reused so polling never allocates.
+    scratch: Vec<usize>,
+    /// End-to-end statistics (inject to final delivery).
+    stats: MeshStats,
+    fault: Option<NocFault>,
+    /// Observability tracer for fault events; the grid traces its hops.
+    tracer: Tracer,
+}
+
+impl<T> Fabric<T> {
+    fn build(mesh: Mesh<Env<T>>, width: u16, height: u16) -> Self {
+        let tile_coords: Vec<Coord> = (0..height)
+            .flat_map(|y| (0..width).map(move |x| Coord::new(x, y)))
+            .collect();
+        Fabric {
+            width,
+            height,
+            mesh,
+            xbar: None,
+            delivered: Deliveries::new(tile_coords.len()),
+            tile_coords,
+            scratch: Vec::new(),
+            stats: MeshStats::default(),
+            fault: None,
+            tracer: Tracer::disabled(),
+        }
+    }
+
+    /// A flat fabric: one router per tile of the given mesh.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Mesh::new`] rejects the configuration.
+    #[must_use]
+    pub fn flat(cfg: MeshConfig) -> Self {
+        Self::build(Mesh::new(cfg), cfg.width, cfg.height)
+    }
+
+    /// A clustered fabric over the given topology. `xbar_latency` is the
+    /// crossbar grant-to-delivery latency (1 = single-cycle local switch).
+    #[must_use]
+    pub fn clustered(topo: ClusterTopology, xbar_latency: u64) -> Self {
+        let grid = Mesh::new(MeshConfig::new(topo.clusters_x, topo.clusters_y));
+        let mut f = Self::build(grid, topo.total_width(), topo.total_height());
+        f.xbar = Some(XbarLayer::new(topo, xbar_latency, &f.tile_coords));
+        f
+    }
+
+    /// Installs the fault plane's interconnect schedules: the NoC pair
+    /// always, the crossbar pair only on a clustered fabric. Only packets
+    /// injected through [`Fabric::inject_unreliable`] are subject to them.
+    pub fn set_fault_plane(&mut self, cfg: &FaultPlaneConfig) {
+        self.fault = Some(NocFault::from_plane(cfg));
+        if let Some(x) = &mut self.xbar {
+            x.fault = Some(XbarFault::from_plane(cfg));
+        }
+    }
+
+    /// Installs an observability tracer: router hops (with router
+    /// coordinates) and fault-plane actions are recorded through it.
+    /// Tracing never changes routing or timing.
+    pub fn set_tracer(&mut self, tracer: Tracer) {
+        self.mesh.set_tracer(tracer.clone());
+        self.tracer = tracer;
+    }
+
+    fn tile_index(&self, tile: Coord) -> usize {
+        usize::from(tile.y) * usize::from(self.width) + usize::from(tile.x)
+    }
+
+    fn check(&self, src: Coord, dst: Coord, flits: u8) {
+        let on_grid = |c: Coord| c.x < self.width && c.y < self.height;
+        assert!(on_grid(src), "inject: src {src} out of bounds");
+        assert!(on_grid(dst), "inject: dst {dst} out of bounds");
+        assert!(flits > 0, "inject: packets need at least one flit");
+    }
+
+    /// Queues a packet at its entry point: the crossbar input of a
+    /// clustered tile, or the tile's own router (XY routing is minimal,
+    /// so the hop count is the Manhattan distance).
+    fn admit(
+        &mut self,
+        ready_at: Cycle,
+        now: Cycle,
+        src: Coord,
+        dst: Coord,
+        flits: u8,
+        payload: T,
+    ) -> Result<(), Backpressure<T>> {
+        let from = self.tile_index(src);
+        let env = Env {
+            dst: self.tile_index(dst),
+            flits,
+            injected_at: now,
+            hops: src.hops_to(dst),
+            payload,
+        };
+        match &mut self.xbar {
+            None => self.mesh.inject(ready_at, src, dst, flits, env),
+            Some(x) => x.admit(ready_at, from, env),
+        }
+        .map_err(|Backpressure(e)| Backpressure(e.payload))?;
+        self.stats.injected.inc();
+        Ok(())
+    }
+
+    /// Injects a packet of `flits` flits at tile `src` for tile `dst`.
+    /// The packet may leave its entry buffer on the next tick.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Backpressure`] carrying the payload when the source's
+    /// entry buffer is full; callers retry on a later cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either coordinate is off the tile grid or `flits == 0`.
+    pub fn inject(
+        &mut self,
+        now: Cycle,
+        src: Coord,
+        dst: Coord,
+        flits: u8,
+        payload: T,
+    ) -> Result<(), Backpressure<T>> {
+        self.check(src, dst, flits);
+        self.admit(now, now, src, dst, flits, payload)
+    }
+
+    /// Like [`Fabric::inject`], but subject to the installed fault plane:
+    /// each installed slice, NoC then crossbar, draws drop and then delay.
+    /// A dropped packet counts as injected and in [`MeshStats::dropped`];
+    /// delays add up. Draws happen only after the backpressure check, so
+    /// a refused retry never consumes randomness. Without an installed
+    /// plane this is exactly [`Fabric::inject`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Backpressure`] as [`Fabric::inject`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`Fabric::inject`].
+    pub fn inject_unreliable(
+        &mut self,
+        now: Cycle,
+        src: Coord,
+        dst: Coord,
+        flits: u8,
+        payload: T,
+    ) -> Result<(), Backpressure<T>> {
+        self.check(src, dst, flits);
+        if !self.can_inject(src) {
+            return Err(Backpressure(payload));
+        }
+        let noc = self.fault.as_mut().map(|f| {
+            (&mut f.drop, &mut f.delay, FaultSite::NocDrop, FaultSite::NocDelay)
+        });
+        let xbar = self.xbar.as_mut().and_then(|x| x.fault.as_mut()).map(|f| {
+            (&mut f.drop, &mut f.delay, FaultSite::XbarDrop, FaultSite::XbarDelay)
+        });
+        let mut ready_at = now;
+        for (drop, delay, drop_site, delay_site) in noc.into_iter().chain(xbar) {
+            if drop.strike() {
+                // The packet entered the network and died there.
+                self.stats.injected.inc();
+                self.stats.dropped.inc();
+                self.tracer
+                    .emit(now, || TraceEvent::FaultInjected { site: drop_site });
+                return Ok(());
+            }
+            if delay.strike() {
+                self.stats.delayed.inc();
+                ready_at = ready_at.plus(delay.magnitude());
+                self.tracer
+                    .emit(now, || TraceEvent::FaultInjected { site: delay_site });
+            }
+        }
+        self.admit(ready_at, now, src, dst, flits, payload)
+    }
+
+    /// Whether a new packet can currently be injected at `src`.
+    #[must_use]
+    pub fn can_inject(&self, src: Coord) -> bool {
+        match &self.xbar {
+            None => self.mesh.can_inject(src),
+            Some(x) => x.can_inject(self.tile_index(src)),
+        }
+    }
+
+    /// Advances the fabric one cycle. The host cost is proportional to
+    /// the packets in flight: only routers and clusters holding packets
+    /// are visited. A flat fabric delivers each packet in the tick its
+    /// router ejects it; a clustered one runs the crossbar layer around
+    /// the grid's tick.
+    pub fn tick(&mut self, now: Cycle) {
+        let (stats, delivered) = (&mut self.stats, &mut self.delivered);
+        match &mut self.xbar {
+            None => self.mesh.tick(now, |_, env| deliver(stats, delivered, now, env)),
+            Some(x) => x.tick(now, &mut self.mesh, stats, delivered),
+        }
+    }
+
+    /// Earliest cycle at or after `now` at which ticking the fabric could
+    /// have an observable effect, for the event-horizon scheduler.
+    ///
+    /// Conservative: any packet in flight or undrained delivery pins the
+    /// horizon to `now`, because arbitration, serialization and
+    /// backpressure interact per cycle. An empty fabric is quiescent; its
+    /// only per-cycle state, the round-robin pointers, is caught up in
+    /// bulk by [`Fabric::skip`].
     #[must_use]
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         if self.is_quiescent() {
@@ -530,12 +664,15 @@ impl<T> ClusteredNoc<T> {
         }
     }
 
-    /// Catches arbitration pointers up over skipped quiescent cycles:
-    /// one modular add each for the mesh and the shared crossbar pointer.
+    /// Catches per-cycle arbitration state up over skipped quiescent
+    /// cycles: the shared round-robin pointers of the grid and of the
+    /// crossbars advance by one modular add each, so the first
+    /// arbitration after a gap matches ticking through it.
     pub fn skip(&mut self, cycles: u64) {
         self.mesh.skip(cycles);
-        let ports = self.mesh_port() + 1;
-        self.xbar_rr = (self.xbar_rr + (cycles % ports as u64) as usize) % ports;
+        if let Some(x) = &mut self.xbar {
+            x.skip(cycles);
+        }
     }
 
     /// Removes and returns every payload delivered at tile `node`.
@@ -553,263 +690,45 @@ impl<T> ClusteredNoc<T> {
     /// Fills `into` (cleared first) with every tile holding undrained
     /// deliveries, in row-major order. Costs O(such tiles), not O(fabric).
     pub fn delivered_tiles(&mut self, into: &mut Vec<Coord>) {
-        let mut tiles = std::mem::take(&mut self.clusters);
+        let mut tiles = std::mem::take(&mut self.scratch);
         self.delivered.pending(&mut tiles);
         into.clear();
         into.extend(tiles.iter().map(|&t| self.tile_coords[t]));
-        self.clusters = tiles;
+        self.scratch = tiles;
     }
 
-    /// Packets inside the fabric, not yet delivered to a tile: in the
-    /// global mesh, ejected from it but waiting at a full crossbar mesh
-    /// port, in a crossbar, or staged for the mesh. Every cluster whose
-    /// crossbar holds a packet is on the worklist, so this costs
-    /// O(busy clusters).
+    /// Packets inside the fabric, not yet delivered to a tile.
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.mesh.in_flight()
-            + self.mesh.undrained()
-            + self.staged_len
-            + self
-                .active
-                .as_slice()
-                .iter()
-                .map(|&ci| self.xbars[ci].in_flight())
-                .sum::<usize>()
+        self.mesh.in_flight() + self.xbar.as_ref().map_or(0, XbarLayer::in_flight)
     }
 
-    /// Whether the fabric holds no packets anywhere.
+    /// Whether the fabric holds no packets anywhere, delivered or not.
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
         self.delivered.len() == 0 && self.in_flight() == 0
     }
 
-    /// Router and crossbar arbitrations performed since construction:
-    /// [`Mesh::visits`] plus one per crossbar per tick in which one of
-    /// its inputs held a packet.
+    /// Router and crossbar arbitrations performed since construction: one
+    /// per router or crossbar per tick in which it held a packet. A
+    /// deterministic measure of the fabric's host work, proportional to
+    /// packets in flight rather than to tiles.
     #[must_use]
     pub fn visits(&self) -> u64 {
-        self.mesh.visits() + self.xbars.iter().map(Crossbar::visits).sum::<u64>()
+        self.mesh.visits() + self.xbar.as_ref().map_or(0, XbarLayer::visits)
     }
 
-    /// Fabric-level aggregate statistics (inject-to-final-delivery).
+    /// End-to-end aggregate statistics (inject to final delivery).
     #[must_use]
     pub fn stats(&self) -> &MeshStats {
         &self.stats
     }
 
-    /// Statistics of the inter-cluster mesh alone (cluster-granular).
-    #[must_use]
-    pub fn global_mesh_stats(&self) -> &MeshStats {
-        self.mesh.stats()
-    }
-}
-
-/// The interconnect a SoC holds: either the historical flat mesh or the
-/// clustered two-level fabric. Flat configurations (no cluster config,
-/// or a 1×1 cluster grid) take the [`Fabric::Flat`] arm and run the
-/// untouched [`Mesh`] code — byte-identical to every pre-hierarchy
-/// simulation by construction.
-#[derive(Debug)]
-pub enum Fabric<T> {
-    /// One flat W×H mesh over all tiles (the historical topology).
-    Flat(Box<Mesh<T>>),
-    /// Clusters on local crossbars, bridged by the global mesh.
-    Clustered(Box<ClusteredNoc<T>>),
-}
-// Both variants are boxed: each holds hundreds of bytes of queue and
-// stats state, and the SoC embeds one `Fabric` per system, so the enum
-// should cost a pointer, not the larger of the two footprints.
-
-impl<T> Fabric<T> {
-    /// A flat fabric over the given mesh configuration.
-    #[must_use]
-    pub fn flat(cfg: MeshConfig) -> Self {
-        Fabric::Flat(Box::new(Mesh::new(cfg)))
-    }
-
-    /// A clustered fabric over the given topology.
-    #[must_use]
-    pub fn clustered(topo: ClusterTopology, xbar_latency: u64) -> Self {
-        Fabric::Clustered(Box::new(ClusteredNoc::new(topo, xbar_latency)))
-    }
-
-    /// Whether this fabric is the clustered variant.
-    #[must_use]
-    pub fn is_clustered(&self) -> bool {
-        matches!(self, Fabric::Clustered(_))
-    }
-
-    /// Installs the end-to-end NoC fault schedules.
-    pub fn set_fault(&mut self, fault: NocFault) {
-        match self {
-            Fabric::Flat(m) => m.set_fault(fault),
-            Fabric::Clustered(c) => c.set_fault(fault),
-        }
-    }
-
-    /// Installs the crossbar-local fault schedules (no-op on a flat
-    /// fabric, which has no crossbars).
-    pub fn set_xbar_fault(&mut self, fault: XbarFault) {
-        if let Fabric::Clustered(c) = self {
-            c.set_xbar_fault(fault);
-        }
-    }
-
-    /// Installs an observability tracer.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        match self {
-            Fabric::Flat(m) => m.set_tracer(tracer),
-            Fabric::Clustered(c) => c.set_tracer(tracer),
-        }
-    }
-
-    /// Injects a packet at tile `src` for tile `dst`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Backpressure`] when the source's injection queue is
-    /// full; callers retry on a later cycle.
-    pub fn inject(
-        &mut self,
-        now: Cycle,
-        src: Coord,
-        dst: Coord,
-        flits: u8,
-        payload: T,
-    ) -> Result<(), Backpressure<T>> {
-        match self {
-            Fabric::Flat(m) => m.inject(now, src, dst, flits, payload),
-            Fabric::Clustered(c) => c.inject(now, src, dst, flits, payload),
-        }
-    }
-
-    /// Injects subject to the installed fault schedules.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Backpressure`] as [`Fabric::inject`] does.
-    pub fn inject_unreliable(
-        &mut self,
-        now: Cycle,
-        src: Coord,
-        dst: Coord,
-        flits: u8,
-        payload: T,
-    ) -> Result<(), Backpressure<T>> {
-        match self {
-            Fabric::Flat(m) => m.inject_unreliable(now, src, dst, flits, payload),
-            Fabric::Clustered(c) => c.inject_unreliable(now, src, dst, flits, payload),
-        }
-    }
-
-    /// Whether a new packet can currently be injected at `src`.
-    #[must_use]
-    pub fn can_inject(&self, src: Coord) -> bool {
-        match self {
-            Fabric::Flat(m) => m.can_inject(src),
-            Fabric::Clustered(c) => c.can_inject(src),
-        }
-    }
-
-    /// Advances the fabric one cycle. The host cost is proportional to
-    /// the packets in flight: only routers and clusters holding packets
-    /// are visited (see [`Mesh::tick`] and [`ClusteredNoc::tick`]).
-    pub fn tick(&mut self, now: Cycle) {
-        match self {
-            Fabric::Flat(m) => m.tick(now),
-            Fabric::Clustered(c) => c.tick(now),
-        }
-    }
-
-    /// Event horizon: `None` when quiescent, else `now`.
-    #[must_use]
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        match self {
-            Fabric::Flat(m) => m.next_event(now),
-            Fabric::Clustered(c) => c.next_event(now),
-        }
-    }
-
-    /// Catches per-cycle arbitration state up over skipped cycles: the
-    /// shared round-robin pointers advance by one modular add each.
-    pub fn skip(&mut self, cycles: u64) {
-        match self {
-            Fabric::Flat(m) => m.skip(cycles),
-            Fabric::Clustered(c) => c.skip(cycles),
-        }
-    }
-
-    /// Removes and returns every payload delivered at tile `node`.
-    pub fn take_delivered(&mut self, node: Coord) -> Vec<T> {
-        match self {
-            Fabric::Flat(m) => m.take_delivered(node),
-            Fabric::Clustered(c) => c.take_delivered(node),
-        }
-    }
-
-    /// Removes and returns at most one delivered payload at `node`.
-    pub fn take_one_delivered(&mut self, node: Coord) -> Option<T> {
-        match self {
-            Fabric::Flat(m) => m.take_one_delivered(node),
-            Fabric::Clustered(c) => c.take_one_delivered(node),
-        }
-    }
-
-    /// Fills `into` (cleared first) with every tile holding undrained
-    /// deliveries, in row-major order.
-    pub fn delivered_tiles(&mut self, into: &mut Vec<Coord>) {
-        match self {
-            Fabric::Flat(m) => m.delivered_tiles(into),
-            Fabric::Clustered(c) => c.delivered_tiles(into),
-        }
-    }
-
-    /// Router and crossbar arbitrations performed since construction: a
-    /// deterministic measure of the fabric's host work, proportional to
-    /// packets in flight rather than to tiles.
-    #[must_use]
-    pub fn visits(&self) -> u64 {
-        match self {
-            Fabric::Flat(m) => m.visits(),
-            Fabric::Clustered(c) => c.visits(),
-        }
-    }
-
-    /// Packets currently buffered anywhere in the fabric.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        match self {
-            Fabric::Flat(m) => m.in_flight(),
-            Fabric::Clustered(c) => c.in_flight(),
-        }
-    }
-
-    /// Whether the fabric holds no packets anywhere.
-    #[must_use]
-    pub fn is_quiescent(&self) -> bool {
-        match self {
-            Fabric::Flat(m) => m.is_quiescent(),
-            Fabric::Clustered(c) => c.is_quiescent(),
-        }
-    }
-
-    /// End-to-end aggregate statistics.
-    #[must_use]
-    pub fn stats(&self) -> &MeshStats {
-        match self {
-            Fabric::Flat(m) => m.stats(),
-            Fabric::Clustered(c) => c.stats(),
-        }
-    }
-
-    /// Inter-cluster mesh statistics, when clustered.
+    /// Statistics of the inter-cluster router grid alone
+    /// (cluster-granular); `None` for a flat fabric.
     #[must_use]
     pub fn global_mesh_stats(&self) -> Option<&MeshStats> {
-        match self {
-            Fabric::Flat(_) => None,
-            Fabric::Clustered(c) => Some(c.global_mesh_stats()),
-        }
+        self.xbar.as_ref().map(|_| self.mesh.stats())
     }
 }
 
@@ -822,11 +741,10 @@ mod tests {
         ClusterTopology::new(2, 2, 2, 2)
     }
 
-    fn drain_all(f: &mut ClusteredNoc<u32>, now: Cycle) -> Vec<(Coord, u32)> {
+    fn drain_all(f: &mut Fabric<u32>) -> Vec<(Coord, u32)> {
         let mut out = Vec::new();
-        let _ = now;
-        for y in 0..f.topology().total_height() {
-            for x in 0..f.topology().total_width() {
+        for y in 0..4 {
+            for x in 0..4 {
                 let c = Coord::new(x, y);
                 for v in f.take_delivered(c) {
                     out.push((c, v));
@@ -854,7 +772,7 @@ mod tests {
 
     #[test]
     fn intra_cluster_delivery_is_one_switch_traversal() {
-        let mut f: ClusteredNoc<u32> = ClusteredNoc::new(topo2x2(), 1);
+        let mut f: Fabric<u32> = Fabric::clustered(topo2x2(), 1);
         let src = Coord::new(0, 0);
         let dst = Coord::new(1, 1); // same cluster
         f.inject(Cycle(0), src, dst, 1, 7).unwrap();
@@ -868,7 +786,7 @@ mod tests {
 
     #[test]
     fn inter_cluster_delivery_crosses_the_global_mesh() {
-        let mut f: ClusteredNoc<u32> = ClusteredNoc::new(topo2x2(), 1);
+        let mut f: Fabric<u32> = Fabric::clustered(topo2x2(), 1);
         let src = Coord::new(0, 0); // cluster (0,0)
         let dst = Coord::new(3, 3); // cluster (1,1)
         f.inject(Cycle(0), src, dst, 1, 42).unwrap();
@@ -891,8 +809,7 @@ mod tests {
 
     #[test]
     fn all_pairs_delivered_exactly_once() {
-        let t = topo2x2();
-        let mut f: ClusteredNoc<u32> = ClusteredNoc::new(t, 1);
+        let mut f: Fabric<u32> = Fabric::clustered(topo2x2(), 1);
         let mut now = Cycle(0);
         let mut expected = std::collections::HashMap::new();
         let mut id = 0u32;
@@ -920,7 +837,7 @@ mod tests {
         let mut got = 0usize;
         for _ in 0..4000 {
             f.tick(now);
-            for (c, v) in drain_all(&mut f, now) {
+            for (c, v) in drain_all(&mut f) {
                 assert_eq!(expected[&v], c, "packet {v} delivered to wrong tile");
                 got += 1;
             }
@@ -937,7 +854,7 @@ mod tests {
 
     #[test]
     fn same_pair_traffic_is_never_reordered() {
-        let mut f: ClusteredNoc<u32> = ClusteredNoc::new(topo2x2(), 1);
+        let mut f: Fabric<u32> = Fabric::clustered(topo2x2(), 1);
         let src = Coord::new(0, 0);
         let dst = Coord::new(2, 0); // other cluster
         let mut now = Cycle(0);
@@ -965,8 +882,8 @@ mod tests {
 
     #[test]
     fn skip_matches_dense_idle_rotation() {
-        let mut dense: ClusteredNoc<u32> = ClusteredNoc::new(topo2x2(), 1);
-        let mut skipped: ClusteredNoc<u32> = ClusteredNoc::new(topo2x2(), 1);
+        let mut dense: Fabric<u32> = Fabric::clustered(topo2x2(), 1);
+        let mut skipped: Fabric<u32> = Fabric::clustered(topo2x2(), 1);
         for t in 0..11u64 {
             dense.tick(Cycle(t));
         }
@@ -1026,7 +943,7 @@ mod tests {
     }
 
     #[test]
-    fn fabric_flat_arm_is_the_plain_mesh() {
+    fn flat_fabric_has_no_global_mesh() {
         let mut f: Fabric<u32> = Fabric::flat(MeshConfig::new(2, 1));
         let src = Coord::new(0, 0);
         let dst = Coord::new(1, 0);
@@ -1034,18 +951,16 @@ mod tests {
         f.tick(Cycle(0));
         f.tick(Cycle(1));
         assert_eq!(f.take_delivered(dst), vec![5]);
-        assert!(!f.is_clustered());
         assert!(f.global_mesh_stats().is_none());
     }
 
     #[test]
     fn xbar_fault_drops_only_clustered_traffic() {
-        use maple_sim::fault::FaultPlaneConfig;
         let plane = FaultPlaneConfig::new(9).with_xbar_drop(1.0);
-        let mut f: Fabric<u32> = Fabric::clustered(topo2x2(), 1);
-        f.set_xbar_fault(XbarFault::from_plane(&plane));
         let src = Coord::new(0, 0);
         let dst = Coord::new(1, 0);
+        let mut f: Fabric<u32> = Fabric::clustered(topo2x2(), 1);
+        f.set_fault_plane(&plane);
         for k in 0..5u64 {
             f.inject_unreliable(Cycle(k), src, dst, 1, k as u32).unwrap();
         }
@@ -1056,11 +971,27 @@ mod tests {
         assert_eq!(f.stats().dropped.get(), 5);
         assert_eq!(f.stats().injected.get(), 5);
         assert!(f.is_quiescent());
+        // A flat fabric has no switch, so the same plane drops nothing.
+        let mut f: Fabric<u32> = Fabric::flat(MeshConfig::new(4, 4));
+        f.set_fault_plane(&plane);
+        for k in 0..5u64 {
+            f.inject_unreliable(Cycle(k), src, dst, 1, k as u32).unwrap();
+            f.tick(Cycle(k));
+        }
+        let mut got = Vec::new();
+        for t in 5..40u64 {
+            f.tick(Cycle(t));
+            got.extend(f.take_delivered(dst));
+        }
+        assert_eq!(got, [0, 1, 2, 3, 4], "every flat packet delivered");
+        assert_eq!(f.stats().dropped.get(), 0);
+        assert_eq!(f.stats().delivered.get(), 5);
+        assert!(f.is_quiescent());
     }
 
     #[test]
     fn backpressure_returns_payload() {
-        let mut f: ClusteredNoc<u32> = ClusteredNoc::new(topo2x2(), 1);
+        let mut f: Fabric<u32> = Fabric::clustered(topo2x2(), 1);
         let src = Coord::new(0, 0);
         let dst = Coord::new(3, 3);
         let mut refused = 0;

@@ -1,34 +1,39 @@
-//! A packet-level 2-D mesh Network-on-Chip model.
+//! A packet-level Network-on-Chip model.
 //!
 //! This models the OpenPiton-style P-Mesh interconnect the paper integrates
-//! MAPLE into (Section 3.7): a grid of routers with dimension-ordered XY
-//! routing, one cycle of latency per hop, per-output-port serialization by
-//! packet size, and credit-based backpressure between adjacent routers.
+//! MAPLE into (Section 3.7): a grid of routers ([`Mesh`]) with
+//! dimension-ordered XY routing, one cycle of latency per hop,
+//! per-output-port serialization by packet size, and credit-based
+//! backpressure between adjacent routers. For 256–1024 tiles a
+//! [`Fabric`] puts MemPool-style clusters of tiles on single-cycle
+//! [`Crossbar`]s in front of a grid with one router per cluster.
 //!
-//! The mesh is generic over its payload type so the memory system, the cores
-//! and the MAPLE engines can all exchange their own message enums through a
-//! single interconnect.
+//! [`Fabric`] is the one interconnect the SoC holds, flat or clustered:
+//! it admits packets, draws the fault plane's drops and delays, and
+//! queues final deliveries per tile. It is generic over its payload type
+//! so the memory system, the cores and the MAPLE engines can all exchange
+//! their own message enums through a single interconnect.
 //!
 //! # Observability
 //!
-//! [`Mesh::set_tracer`] attaches a [`maple_trace::Tracer`]; the mesh then
-//! emits a hop event per router traversal and fault markers for injected
-//! packet drops/delays. Tracing never alters routing or timing.
+//! [`Fabric::set_tracer`] attaches a [`maple_trace::Tracer`]; the fabric
+//! then emits a hop event per router traversal and fault markers for
+//! injected packet drops/delays. Tracing never alters routing or timing.
 //!
 //! # Example
 //!
 //! ```
-//! use maple_noc::{Coord, Mesh, MeshConfig};
+//! use maple_noc::{Coord, Fabric, MeshConfig};
 //! use maple_sim::Cycle;
 //!
-//! let mut mesh: Mesh<&str> = Mesh::new(MeshConfig::new(2, 2));
+//! let mut noc: Fabric<&str> = Fabric::flat(MeshConfig::new(2, 2));
 //! let src = Coord::new(0, 0);
 //! let dst = Coord::new(1, 1);
-//! mesh.inject(Cycle(0), src, dst, 1, "ping").unwrap();
+//! noc.inject(Cycle(0), src, dst, 1, "ping").unwrap();
 //! let mut now = Cycle(0);
 //! loop {
-//!     mesh.tick(now);
-//!     let got = mesh.take_delivered(dst);
+//!     noc.tick(now);
+//!     let got = noc.take_delivered(dst);
 //!     if !got.is_empty() {
 //!         assert_eq!(got, ["ping"]);
 //!         break;
@@ -44,15 +49,14 @@ mod deliveries;
 pub mod fabric;
 
 pub use crossbar::{Crossbar, CrossbarConfig};
-pub use fabric::{ClusterTopology, ClusteredNoc, Fabric, XbarFault};
+pub use fabric::{ClusterTopology, Fabric, NocFault, XbarFault};
 
 use std::collections::VecDeque;
 
-use deliveries::Deliveries;
 use maple_sim::stats::{Counter, Histogram};
 use maple_sim::worklist::Worklist;
 use maple_sim::Cycle;
-use maple_trace::{FaultSite, TraceEvent, Tracer};
+use maple_trace::{TraceEvent, Tracer};
 
 /// A router position in the mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -149,7 +153,7 @@ impl MeshConfig {
     }
 }
 
-/// Error returned by [`Mesh::inject`] when the local input buffer is full.
+/// Error returned by an injection whose entry buffer is full.
 ///
 /// The payload is handed back so the caller can retry next cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,7 +167,8 @@ impl<T> std::fmt::Display for Backpressure<T> {
 
 impl<T: std::fmt::Debug> std::error::Error for Backpressure<T> {}
 
-/// Aggregate mesh statistics.
+/// Aggregate interconnect statistics: a [`Fabric`]'s end to end, or one
+/// [`Mesh`]'s own (which never drops or delays).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MeshStats {
     /// Packets injected successfully.
@@ -181,28 +186,6 @@ pub struct MeshStats {
     pub delayed: Counter,
 }
 
-/// The NoC's slice of the fault plane: independent drop and extra-delay
-/// schedules. Installed with [`Mesh::set_fault`]; only packets injected
-/// through [`Mesh::inject_unreliable`] are subject to it.
-#[derive(Debug, Clone)]
-pub struct NocFault {
-    /// Packet-drop schedule.
-    pub drop: maple_sim::fault::FaultSchedule,
-    /// Extra-delay schedule (magnitude = extra cycles).
-    pub delay: maple_sim::fault::FaultSchedule,
-}
-
-impl NocFault {
-    /// Builds the NoC fault state from a plane configuration.
-    #[must_use]
-    pub fn from_plane(cfg: &maple_sim::fault::FaultPlaneConfig) -> Self {
-        NocFault {
-            drop: cfg.noc_drop_schedule(),
-            delay: cfg.noc_delay_schedule(),
-        }
-    }
-}
-
 const PORTS: usize = 5;
 const LOCAL: usize = 0;
 const NORTH: usize = 1;
@@ -214,13 +197,15 @@ const WEST: usize = 4;
 struct Packet<T> {
     dst: Coord,
     flits: u8,
-    injected_at: Cycle,
+    /// First cycle the packet could leave its source router.
+    entered: Cycle,
     ready_at: Cycle,
     hops: u64,
     payload: T,
 }
 
-/// The mesh interconnect. See the crate docs for an example.
+/// The router grid. Ejected packets go to the caller's sink in
+/// [`Mesh::tick`]; [`Fabric`] holds one and owns the delivery queues.
 #[derive(Debug)]
 pub struct Mesh<T> {
     cfg: MeshConfig,
@@ -241,15 +226,12 @@ pub struct Mesh<T> {
     active: Worklist,
     /// Scratch index buffer, reused so ticks never allocate.
     scratch: Vec<usize>,
-    delivered: Deliveries<T>,
     /// Packets buffered in routers (injected, not yet ejected or dropped).
     in_flight: usize,
     /// Router arbitrations performed (see [`Mesh::visits`]).
     visits: u64,
     stats: MeshStats,
-    /// Fault plane slice; `None` (the default) means perfectly reliable.
-    fault: Option<NocFault>,
-    /// Observability tracer (disabled by default; hop and fault events).
+    /// Observability tracer (disabled by default; hop events).
     tracer: Tracer,
 }
 
@@ -281,25 +263,15 @@ impl<T> Mesh<T> {
             rr: 0,
             active: Worklist::new(n),
             scratch: Vec::new(),
-            delivered: Deliveries::new(n),
             in_flight: 0,
             visits: 0,
             stats: MeshStats::default(),
-            fault: None,
             tracer: Tracer::disabled(),
         }
     }
 
-    /// Installs the fault plane's NoC schedules. Fault-free operation is
-    /// the default; installing schedules only affects packets injected
-    /// through [`Mesh::inject_unreliable`].
-    pub fn set_fault(&mut self, fault: NocFault) {
-        self.fault = Some(fault);
-    }
-
-    /// Installs an observability tracer; every router hop and fault-plane
-    /// action is recorded through it. Tracing never changes routing or
-    /// timing.
+    /// Installs an observability tracer; every router hop is recorded
+    /// through it. Tracing never changes routing or timing.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
@@ -318,19 +290,11 @@ impl<T> Mesh<T> {
         c.x < self.cfg.width && c.y < self.cfg.height
     }
 
-    /// Buffers an admitted packet at router `i`'s local input port.
-    fn admit(&mut self, i: usize, pkt: Packet<T>) {
-        self.buffers[i][LOCAL].push_back(pkt);
-        self.occupied[i] |= 1 << LOCAL;
-        self.active.insert(i);
-        self.in_flight += 1;
-        self.stats.injected.inc();
-    }
-
     /// Injects a packet of `flits` flits at `src` destined for `dst`.
     ///
-    /// The packet becomes routable on the next cycle. Returns the payload
-    /// wrapped in [`Backpressure`] if the local input buffer is full.
+    /// `ready_at` is the first cycle the packet may leave `src`: the
+    /// injection cycle for fresh traffic, later for a fault-delayed
+    /// packet. The mesh's own latency statistic counts from it.
     ///
     /// # Errors
     ///
@@ -342,7 +306,7 @@ impl<T> Mesh<T> {
     /// Panics if `src` or `dst` lies outside the mesh, or `flits == 0`.
     pub fn inject(
         &mut self,
-        now: Cycle,
+        ready_at: Cycle,
         src: Coord,
         dst: Coord,
         flits: u8,
@@ -355,78 +319,18 @@ impl<T> Mesh<T> {
         if self.buffers[i][LOCAL].len() >= self.cfg.buffer_depth {
             return Err(Backpressure(payload));
         }
-        self.admit(
-            i,
-            Packet {
-                dst,
-                flits,
-                injected_at: now,
-                ready_at: now,
-                hops: 0,
-                payload,
-            },
-        );
-        Ok(())
-    }
-
-    /// Like [`Mesh::inject`], but the packet is subject to the installed
-    /// [`NocFault`] schedules: it may be silently dropped (counted as
-    /// injected and in [`MeshStats::dropped`]) or held for extra cycles.
-    ///
-    /// Fault draws happen only after the packet is admitted, so a
-    /// backpressured retry does not consume randomness. Without an
-    /// installed fault state this is exactly [`Mesh::inject`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Backpressure`] as [`Mesh::inject`] does.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Mesh::inject`].
-    pub fn inject_unreliable(
-        &mut self,
-        now: Cycle,
-        src: Coord,
-        dst: Coord,
-        flits: u8,
-        payload: T,
-    ) -> Result<(), Backpressure<T>> {
-        assert!(self.in_bounds(src), "inject: src {src} out of bounds");
-        assert!(self.in_bounds(dst), "inject: dst {dst} out of bounds");
-        assert!(flits > 0, "inject: packets need at least one flit");
-        let i = self.idx(src);
-        if self.buffers[i][LOCAL].len() >= self.cfg.buffer_depth {
-            return Err(Backpressure(payload));
-        }
-        let mut ready_at = now;
-        if let Some(f) = &mut self.fault {
-            if f.drop.strike() {
-                // The packet entered the network and died there.
-                self.stats.injected.inc();
-                self.stats.dropped.inc();
-                self.tracer
-                    .emit(now, || TraceEvent::FaultInjected { site: FaultSite::NocDrop });
-                return Ok(());
-            }
-            if f.delay.strike() {
-                self.stats.delayed.inc();
-                ready_at = now.plus(f.delay.magnitude());
-                self.tracer
-                    .emit(now, || TraceEvent::FaultInjected { site: FaultSite::NocDelay });
-            }
-        }
-        self.admit(
-            i,
-            Packet {
-                dst,
-                flits,
-                injected_at: now,
-                ready_at,
-                hops: 0,
-                payload,
-            },
-        );
+        self.buffers[i][LOCAL].push_back(Packet {
+            dst,
+            flits,
+            entered: ready_at,
+            ready_at,
+            hops: 0,
+            payload,
+        });
+        self.occupied[i] |= 1 << LOCAL;
+        self.active.insert(i);
+        self.in_flight += 1;
+        self.stats.injected.inc();
         Ok(())
     }
 
@@ -475,7 +379,8 @@ impl<T> Mesh<T> {
         }
     }
 
-    /// Advances the mesh by one cycle.
+    /// Advances the mesh by one cycle, handing each packet that reaches
+    /// its destination router to `eject` as `(router index, payload)`.
     ///
     /// Each router considers its five input ports in round-robin order and
     /// forwards at most one packet per *output* port per cycle; forwarding a
@@ -490,13 +395,13 @@ impl<T> Mesh<T> {
     /// skipping it changes nothing. A packet forwarded this cycle is not
     /// ready before the next (hop latency is at least one cycle), so its
     /// new router joins the worklist for the next tick.
-    pub fn tick(&mut self, now: Cycle) {
+    pub fn tick(&mut self, now: Cycle, mut eject: impl FnMut(usize, T)) {
         let start = self.rr;
         self.rr = (start + 1) % PORTS;
         let mut routers = std::mem::take(&mut self.scratch);
         self.active.drain_sorted(&mut routers);
         for &r in &routers {
-            self.arbitrate(r, start, now);
+            self.arbitrate(r, start, now, &mut eject);
             if self.occupied[r] != 0 {
                 self.active.insert(r);
             }
@@ -506,7 +411,7 @@ impl<T> Mesh<T> {
 
     /// One router's arbitration for cycle `now`, starting at input
     /// `start` and visiting only occupied inputs, in round-robin order.
-    fn arbitrate(&mut self, r: usize, start: usize, now: Cycle) {
+    fn arbitrate(&mut self, r: usize, start: usize, now: Cycle, eject: &mut impl FnMut(usize, T)) {
         self.visits += 1;
         let here = self.coords[r];
         // Rotate the occupancy mask so bit k is input `(start + k) % 5`.
@@ -532,8 +437,8 @@ impl<T> Mesh<T> {
                 self.in_flight -= 1;
                 self.stats.delivered.inc();
                 self.stats.hops.add(pkt.hops);
-                self.stats.latency.record(now.since(pkt.injected_at));
-                self.delivered.push(r, pkt.payload);
+                self.stats.latency.record(now.since(pkt.entered));
+                eject(r, pkt.payload);
                 continue;
             }
             let next_idx = self.neighbor(r, out);
@@ -566,23 +471,6 @@ impl<T> Mesh<T> {
         pkt
     }
 
-    /// Earliest cycle at or after `now` at which ticking the mesh could
-    /// have an observable effect, for the event-horizon scheduler.
-    ///
-    /// Conservative: any buffered packet or undrained delivery pins the
-    /// horizon to `now` — the mesh never skips while traffic is in flight
-    /// (arbitration, serialization and backpressure interact per cycle).
-    /// An empty mesh is quiescent; its only per-cycle state, the
-    /// round-robin pointer, is caught up in bulk by [`Mesh::skip`].
-    #[must_use]
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if self.is_quiescent() {
-            None
-        } else {
-            Some(now)
-        }
-    }
-
     /// Catches the mesh up over `cycles` skipped (quiescent) cycles.
     ///
     /// Every tick rotates the shared round-robin arbitration pointer once
@@ -593,54 +481,10 @@ impl<T> Mesh<T> {
         self.rr = (self.rr + (cycles % PORTS as u64) as usize) % PORTS;
     }
 
-    /// Removes and returns every payload delivered at `node` so far.
-    pub fn take_delivered(&mut self, node: Coord) -> Vec<T> {
-        let i = self.idx(node);
-        self.delivered.take_all(i)
-    }
-
-    /// Removes and returns at most one delivered payload at `node`.
-    pub fn take_one_delivered(&mut self, node: Coord) -> Option<T> {
-        let i = self.idx(node);
-        self.delivered.take_one(i)
-    }
-
-    /// Removes and returns at most one payload delivered at router `i`.
-    pub(crate) fn take_one_at(&mut self, i: usize) -> Option<T> {
-        self.delivered.take_one(i)
-    }
-
-    /// Fills `into` with the routers holding undrained deliveries, in
-    /// ascending router index.
-    pub(crate) fn pending_nodes(&mut self, into: &mut Vec<usize>) {
-        self.delivered.pending(into);
-    }
-
-    /// Delivered payloads not yet taken, across every router.
-    pub(crate) fn undrained(&self) -> usize {
-        self.delivered.len()
-    }
-
-    /// Fills `into` (cleared first) with every node holding undrained
-    /// deliveries, in row-major order. Costs O(such nodes), not O(mesh).
-    pub fn delivered_tiles(&mut self, into: &mut Vec<Coord>) {
-        let mut nodes = std::mem::take(&mut self.scratch);
-        self.delivered.pending(&mut nodes);
-        into.clear();
-        into.extend(nodes.iter().map(|&n| self.coords[n]));
-        self.scratch = nodes;
-    }
-
     /// Number of packets currently buffered anywhere in the mesh.
     #[must_use]
     pub fn in_flight(&self) -> usize {
         self.in_flight
-    }
-
-    /// Whether the mesh holds no packets (in routers or awaiting ejection).
-    #[must_use]
-    pub fn is_quiescent(&self) -> bool {
-        self.in_flight == 0 && self.delivered.len() == 0
     }
 
     /// Router arbitrations performed since construction: one per router
@@ -658,24 +502,12 @@ impl<T> Mesh<T> {
     }
 }
 
-impl<T> maple_sim::Clocked for Mesh<T> {
-    type Ctx<'a> = ();
-
-    fn tick(&mut self, now: Cycle, (): ()) {
-        Mesh::tick(self, now);
-    }
-
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        Mesh::next_event(self, now)
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::explicit_counter_loop)]
 mod tests {
     use super::*;
 
-    fn drive<T>(mesh: &mut Mesh<T>, from: Cycle, cycles: u64) -> Cycle {
+    fn drive<T>(mesh: &mut Fabric<T>, from: Cycle, cycles: u64) -> Cycle {
         let mut now = from;
         for _ in 0..cycles {
             mesh.tick(now);
@@ -694,7 +526,7 @@ mod tests {
 
     #[test]
     fn single_hop_delivery_latency() {
-        let mut mesh: Mesh<u32> = Mesh::new(MeshConfig::new(2, 1));
+        let mut mesh: Fabric<u32> = Fabric::flat(MeshConfig::new(2, 1));
         let src = Coord::new(0, 0);
         let dst = Coord::new(1, 0);
         mesh.inject(Cycle(0), src, dst, 1, 99).unwrap();
@@ -709,7 +541,7 @@ mod tests {
 
     #[test]
     fn self_delivery() {
-        let mut mesh: Mesh<u32> = Mesh::new(MeshConfig::new(1, 1));
+        let mut mesh: Fabric<u32> = Fabric::flat(MeshConfig::new(1, 1));
         let c = Coord::new(0, 0);
         mesh.inject(Cycle(0), c, c, 1, 7).unwrap();
         mesh.tick(Cycle(0));
@@ -719,7 +551,7 @@ mod tests {
 
     #[test]
     fn latency_scales_with_hops() {
-        let mut mesh: Mesh<u32> = Mesh::new(MeshConfig::new(8, 8));
+        let mut mesh: Fabric<u32> = Fabric::flat(MeshConfig::new(8, 8));
         let src = Coord::new(0, 0);
         let dst = Coord::new(7, 7);
         mesh.inject(Cycle(0), src, dst, 1, 1).unwrap();
@@ -732,7 +564,7 @@ mod tests {
 
     #[test]
     fn xy_routing_no_reordering_same_pair() {
-        let mut mesh: Mesh<u32> = Mesh::new(MeshConfig::new(4, 4));
+        let mut mesh: Fabric<u32> = Fabric::flat(MeshConfig::new(4, 4));
         let src = Coord::new(0, 3);
         let dst = Coord::new(3, 0);
         let mut now = Cycle(0);
@@ -764,7 +596,7 @@ mod tests {
     fn serialization_throttles_big_packets() {
         // Two 8-flit packets from the same source: second must wait for the
         // first to serialize onto the east port.
-        let mut mesh: Mesh<u32> = Mesh::new(MeshConfig::new(2, 1));
+        let mut mesh: Fabric<u32> = Fabric::flat(MeshConfig::new(2, 1));
         let src = Coord::new(0, 0);
         let dst = Coord::new(1, 0);
         mesh.inject(Cycle(0), src, dst, 8, 0).unwrap();
@@ -788,7 +620,7 @@ mod tests {
     #[test]
     fn all_pairs_delivery() {
         let cfg = MeshConfig::new(3, 3);
-        let mut mesh: Mesh<(Coord, Coord)> = Mesh::new(cfg);
+        let mut mesh: Fabric<(Coord, Coord)> = Fabric::flat(cfg);
         let mut expected = 0;
         let mut now = Cycle(0);
         for sy in 0..3 {
@@ -838,7 +670,7 @@ mod tests {
 
     #[test]
     fn visits_track_packets_not_routers() {
-        let mut mesh: Mesh<u32> = Mesh::new(MeshConfig::new(8, 8));
+        let mut mesh: Fabric<u32> = Fabric::flat(MeshConfig::new(8, 8));
         let now = drive(&mut mesh, Cycle(0), 1000);
         assert_eq!(mesh.visits(), 0, "idle ticks visit nothing");
         mesh.inject(now, Coord::new(0, 0), Coord::new(7, 7), 1, 1)
@@ -862,7 +694,7 @@ mod tests {
     #[test]
     fn hop_latency_config_respected() {
         let cfg = MeshConfig::new(3, 1).with_hop_latency(4);
-        let mut mesh: Mesh<u32> = Mesh::new(cfg);
+        let mut mesh: Fabric<u32> = Fabric::flat(cfg);
         let src = Coord::new(0, 0);
         let dst = Coord::new(2, 0);
         mesh.inject(Cycle(0), src, dst, 1, 5).unwrap();
@@ -882,7 +714,7 @@ mod tests {
 
     #[test]
     fn take_one_delivered() {
-        let mut mesh: Mesh<u32> = Mesh::new(MeshConfig::new(1, 1));
+        let mut mesh: Fabric<u32> = Fabric::flat(MeshConfig::new(1, 1));
         let c = Coord::new(0, 0);
         mesh.inject(Cycle(0), c, c, 1, 1).unwrap();
         mesh.inject(Cycle(1), c, c, 1, 2).unwrap();
@@ -895,10 +727,8 @@ mod tests {
     #[test]
     fn fault_plane_drops_unreliable_packets() {
         use maple_sim::fault::FaultPlaneConfig;
-        let mut mesh: Mesh<u32> = Mesh::new(MeshConfig::new(2, 2));
-        mesh.set_fault(NocFault::from_plane(
-            &FaultPlaneConfig::new(3).with_noc_drop(1.0),
-        ));
+        let mut mesh: Fabric<u32> = Fabric::flat(MeshConfig::new(2, 2));
+        mesh.set_fault_plane(&FaultPlaneConfig::new(3).with_noc_drop(1.0));
         let src = Coord::new(0, 0);
         let dst = Coord::new(1, 1);
         for k in 0..8 {
@@ -916,10 +746,8 @@ mod tests {
     fn fault_plane_delays_but_delivers() {
         use maple_sim::fault::FaultPlaneConfig;
         let extra = 40;
-        let mut mesh: Mesh<u32> = Mesh::new(MeshConfig::new(2, 1));
-        mesh.set_fault(NocFault::from_plane(
-            &FaultPlaneConfig::new(5).with_noc_delay(1.0, extra),
-        ));
+        let mut mesh: Fabric<u32> = Fabric::flat(MeshConfig::new(2, 1));
+        mesh.set_fault_plane(&FaultPlaneConfig::new(5).with_noc_delay(1.0, extra));
         let src = Coord::new(0, 0);
         let dst = Coord::new(1, 0);
         mesh.inject_unreliable(Cycle(0), src, dst, 1, 77).unwrap();
@@ -940,7 +768,7 @@ mod tests {
 
     #[test]
     fn inject_unreliable_without_fault_state_is_reliable() {
-        let mut mesh: Mesh<u32> = Mesh::new(MeshConfig::new(2, 1));
+        let mut mesh: Fabric<u32> = Fabric::flat(MeshConfig::new(2, 1));
         let src = Coord::new(0, 0);
         let dst = Coord::new(1, 0);
         mesh.inject_unreliable(Cycle(0), src, dst, 1, 9).unwrap();

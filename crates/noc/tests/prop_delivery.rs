@@ -5,7 +5,7 @@
 
 #![allow(clippy::explicit_counter_loop)]
 
-use maple_noc::{Coord, Mesh, MeshConfig};
+use maple_noc::{Coord, Fabric, MeshConfig};
 use maple_sim::Cycle;
 use maple_testkit::{check, gen, tk_assert, tk_assert_eq, Config, Gen, SimRng};
 
@@ -77,7 +77,7 @@ impl Gen for TrafficGen {
 fn every_packet_delivered_exactly_once() {
     let cfg = Config::new("every_packet_delivered_exactly_once").with_cases(64);
     check(&cfg, &TrafficGen, |t| {
-        let mut mesh: Mesh<usize> = Mesh::new(MeshConfig::new(t.width, t.height));
+        let mut mesh: Fabric<usize> = Fabric::flat(MeshConfig::new(t.width, t.height));
         let mut now = Cycle(0);
         let mut expected_at: Vec<Coord> = Vec::new();
         for (id, &(sx, sy, dx, dy, flits)) in t.packets.iter().enumerate() {
@@ -142,7 +142,7 @@ fn latency_lower_bound_is_hop_count() {
         |&(w, h, sx, sy, dx, dy)| {
             let s = Coord::new(u16::from(sx % w), u16::from(sy % h));
             let d = Coord::new(u16::from(dx % w), u16::from(dy % h));
-            let mut mesh: Mesh<u8> = Mesh::new(MeshConfig::new(w.into(), h.into()));
+            let mut mesh: Fabric<u8> = Fabric::flat(MeshConfig::new(w.into(), h.into()));
             mesh.inject(Cycle(0), s, d, 1, 0).unwrap();
             let mut now = Cycle(0);
             let mut arrived = None;

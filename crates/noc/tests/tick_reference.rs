@@ -183,8 +183,7 @@ fn build(s: &Scenario) -> (Fabric<u32>, RefFabric<u32>, Vec<Coord>) {
             .with_noc_delay(delay, 7)
             .with_xbar_drop(drop)
             .with_xbar_delay(delay, 3);
-        fabric.set_fault(NocFault::from_plane(&plane));
-        fabric.set_xbar_fault(XbarFault::from_plane(&plane));
+        fabric.set_fault_plane(&plane);
         match &mut reference {
             RefFabric::Flat(m) => m.set_fault(NocFault::from_plane(&plane)),
             RefFabric::Clustered(c) => {

@@ -13,11 +13,11 @@
 //!   occupancy).
 //! - [`rng`]: a deterministic, seedable random-number source so every
 //!   experiment is reproducible bit-for-bit.
-//! - [`Clocked`] and [`Horizon`]: the uniform component interface the
-//!   event-horizon scheduler is built on. Every timing component exposes
-//!   `tick` (advance one cycle) and `next_event` (earliest future cycle at
-//!   which it could act); the driver folds the answers into a [`Horizon`]
-//!   and fast-forwards the clock across provably-quiescent gaps.
+//! - [`Horizon`]: the fold the event-horizon scheduler is built on. Every
+//!   timing component has an inherent `next_event` (earliest cycle at
+//!   which ticking it could act); the driver folds the answers into a
+//!   [`Horizon`] and fast-forwards the clock across provably-quiescent
+//!   gaps.
 //! - [`worklist::Worklist`]: the index set activity-driven loops visit in
 //!   ascending order, so per-cycle cost tracks work, not component count.
 //! - [`hash::FxHashMap`]: the fast deterministic hasher for hot-path maps,
@@ -113,44 +113,15 @@ impl From<u64> for Cycle {
     }
 }
 
-/// The uniform interface between timing components and the scheduler.
+/// Accumulator folding per-component `next_event` answers into the
+/// scheduler's horizon: the earliest cycle any component may act.
 ///
-/// A clocked component does two things:
-///
-/// - [`tick`](Clocked::tick) advances it across one cycle boundary, with
-///   whatever external context it needs threaded in through the generic
-///   associated [`Ctx`](Clocked::Ctx) type (backing memory, descriptor
-///   queues, …). Components with no external needs use `Ctx<'a> = ()`.
-/// - [`next_event`](Clocked::next_event) reports the earliest cycle at or
-///   after `now` at which ticking the component could have *any* observable
-///   effect: state transitions, message deliveries, and also pure
-///   bookkeeping such as per-cycle stall counters. `None` means the
-///   component is quiescent forever absent external input.
-///
-/// The contract that makes quiescence skipping bit-exact: `next_event` may
-/// be conservatively **early** (the driver ticks a component that then does
-/// nothing — wasted host work, still correct) but must never be **late** (a
-/// skipped cycle in which the component would have acted diverges from the
-/// dense reference). Answers earlier than `now` are treated as `now`.
-///
-/// Everything is statically dispatched: the SoC driver folds the per-field
-/// `next_event` answers into a [`Horizon`] without any `&mut dyn` objects.
-pub trait Clocked {
-    /// External context `tick` borrows for one cycle (e.g. the backing
-    /// physical memory). `()` when the component is self-contained.
-    type Ctx<'a>;
-
-    /// Advances the component across the cycle boundary at `now`.
-    fn tick(&mut self, now: Cycle, ctx: Self::Ctx<'_>);
-
-    /// Earliest cycle at or after `now` at which ticking could have an
-    /// observable effect, or `None` when the component is quiescent until
-    /// external input arrives.
-    fn next_event(&self, now: Cycle) -> Option<Cycle>;
-}
-
-/// Accumulator folding per-component [`Clocked::next_event`] answers into
-/// the scheduler's horizon: the earliest cycle any component may act.
+/// The contract that makes quiescence skipping bit-exact: a component's
+/// `next_event` may be conservatively **early** (the driver ticks a
+/// component that then does nothing — wasted host work, still correct)
+/// but must never be **late** (a skipped cycle in which the component
+/// would have acted diverges from the dense reference). `None` means the
+/// component is quiescent until external input arrives.
 ///
 /// Identity is "no event", so a fold over zero components yields a
 /// fully-quiescent horizon and the driver can jump straight to its budget.

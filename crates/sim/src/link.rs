@@ -249,20 +249,6 @@ impl<T> DelayQueue<T> {
     }
 }
 
-impl<T> crate::Clocked for DelayQueue<T> {
-    type Ctx<'a> = ();
-
-    /// Delivery queues advance passively — the owner pulls due messages
-    /// with [`DelayQueue::recv`]; there is no per-cycle work.
-    fn tick(&mut self, _now: Cycle, (): ()) {}
-
-    /// The earliest in-flight delivery, clamped to `now` (an overdue
-    /// message is receivable immediately).
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        self.next_deadline().map(|d| d.max(now))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,7 +18,7 @@ use maple_mem::l2::SharedL2;
 use maple_mem::msg::{MemReq, MemResp};
 use maple_mem::phys::{PAddr, PhysMem, PAGE_SIZE};
 use maple_mem::WriteStage;
-use maple_noc::{Coord, Fabric, MeshConfig, NocFault, XbarFault};
+use maple_noc::{Coord, Fabric, MeshConfig};
 use maple_sim::fault::{CoreHang, EngineHang, HangDiagnosis, UnserviceableFault, WatchdogConfig};
 use maple_sim::link::{DelayQueue, Link};
 use maple_sim::stats::Counter;
@@ -188,8 +188,8 @@ pub struct System {
     mem: PhysMem,
     frames: FrameAllocator,
     aspace: AddressSpace,
-    /// The interconnect: the historical flat mesh, or the two-level
-    /// clustered fabric when the configuration asks for >1 cluster.
+    /// The interconnect: one router per tile, or the two-level clustered
+    /// fabric when the configuration asks for >1 cluster.
     mesh: Fabric<NocPayload>,
     cores: Vec<Core>,
     engines: Vec<Engine>,
@@ -288,9 +288,9 @@ impl System {
         // Frames live above the first 16 MB (reserved) within 1 GB DRAM.
         let mut frames = FrameAllocator::new(PAddr(0x100_0000), (1 << 30) - 0x100_0000);
         let aspace = AddressSpace::new(&mut mem, &mut frames);
-        // A 1×1 (or absent) cluster grid takes the flat arm and runs the
-        // untouched mesh code — the degenerate hierarchy is byte-identical
-        // to the historical topology by construction, not by re-derivation.
+        // A 1×1 (or absent) cluster grid builds a flat fabric, one router
+        // per tile with no crossbar layer — the degenerate hierarchy is
+        // byte-identical to the historical topology by construction.
         let mut mesh = match cfg.fabric_topology() {
             Some(topo) => {
                 let cluster = cfg.cluster.expect("topology implies a cluster config");
@@ -336,10 +336,7 @@ impl System {
         // chaos state. All of this is skipped — and no RNG stream is ever
         // created or drawn — when `cfg.fault` is `None`.
         let chaos = cfg.fault.as_ref().map(|f| {
-            mesh.set_fault(NocFault::from_plane(f));
-            if mesh.is_clustered() {
-                mesh.set_xbar_fault(XbarFault::from_plane(f));
-            }
+            mesh.set_fault_plane(f);
             // Bank 0 draws the historical DRAM stream; further banks get
             // independent streams, so single-bank chaos replay is
             // bit-for-bit the pre-hierarchy one.
@@ -1485,9 +1482,9 @@ impl System {
     /// advances time straight to it; within stepped cycles, only the
     /// cores, engines and L2 banks that are due tick. Produces
     /// bit-identical cycle counts, statistics, traces and occupancy
-    /// samples to [`System::dense_run`] — a component's untouched cycles
-    /// are exactly those on which the dense loop would only have
-    /// performed the accounting its `skip` applies in bulk.
+    /// samples to the dense stepper — a component's untouched cycles are
+    /// exactly those on which the dense loop would only have performed
+    /// the accounting its `skip` applies in bulk.
     ///
     /// On expiry the outcome is [`RunOutcome::Hung`] carrying a
     /// structured [`HangDiagnosis`] (per-core stall reason, per-engine
@@ -1497,25 +1494,15 @@ impl System {
     ///
     /// When the configuration selects
     /// [`SocConfig::with_dense_stepper`](crate::config::SocConfig::with_dense_stepper),
-    /// dispatches to [`System::dense_run`] instead.
+    /// runs the dense reference stepper instead: one cycle at a time with
+    /// no quiescence skipping, the differential oracle for the
+    /// event-horizon scheduler.
     ///
     /// # Panics
     ///
     /// Panics if no program was loaded.
     pub fn run(&mut self, max_cycles: u64) -> RunOutcome {
         self.step_until(max_cycles, !self.cfg.dense_stepper)
-    }
-
-    /// The dense reference stepper: advances one cycle at a time with no
-    /// quiescence skipping. Semantically identical to [`System::run`] —
-    /// kept as the differential oracle for the event-horizon scheduler and
-    /// as the baseline for host-throughput comparisons.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no program was loaded.
-    pub fn dense_run(&mut self, max_cycles: u64) -> RunOutcome {
-        self.step_until(max_cycles, false)
     }
 
     /// Snapshot of why the system is not making progress.

@@ -18,10 +18,13 @@ use maple_isa::builder::ProgramBuilder;
 use maple_isa::{AtomicOp, Reg, ZERO};
 use maple_soc::runtime::{Barrier, MapleApi, BARRIER_BYTES};
 use maple_soc::system::System;
+use maple_soc::SocConfig;
 use maple_vm::VAddr;
 
 use crate::data::{Csr, Dataset};
-use crate::harness::{alloc_u32, config_for, finish, upload_u32, RunStats, Variant, MAX_CYCLES};
+use crate::harness::{
+    alloc_u32, check_maple_queues, config_for, finish, upload_u32, RunStats, Variant, MAX_CYCLES,
+};
 
 /// Unvisited marker.
 const UNVISITED: u32 = u32::MAX;
@@ -77,12 +80,19 @@ impl Bfs {
 
     /// The thread counts BFS runs on under `variant`: frontier
     /// partitioning divides by shifts, so workers (threads, or pairs
-    /// when decoupled) come in powers of two.
+    /// when decoupled) come in powers of two, and MAPLE-decoupled pairs
+    /// must fit the queues of [`config_for`]`(variant, threads)`.
     ///
     /// # Errors
     ///
     /// Names the rule `threads` breaks.
     pub fn check_threads(variant: Variant, threads: usize) -> Result<(), String> {
+        Self::check_threads_on(&config_for(variant, threads), variant, threads)
+    }
+
+    /// [`Bfs::check_threads`] against a tuned configuration: every pair
+    /// takes two queues of MAPLE instance 0.
+    fn check_threads_on(cfg: &SocConfig, variant: Variant, threads: usize) -> Result<(), String> {
         let rule = match variant {
             Variant::Doall | Variant::Droplet | Variant::SwPrefetch { .. }
                 if !threads.is_power_of_two() =>
@@ -96,6 +106,9 @@ impl Bfs {
             }
             Variant::Desc if threads != 2 => "DeSC runs one Supply/Compute pair",
             Variant::MapleLima if threads != 1 => "LIMA runs single-threaded",
+            Variant::MapleDecoupled => {
+                return check_maple_queues("bfs", variant, threads, threads, cfg.maple.queues);
+            }
             _ => return Ok(()),
         };
         Err(format!(
@@ -122,7 +135,6 @@ impl Bfs {
         threads: usize,
         tune: impl FnOnce(maple_soc::SocConfig) -> maple_soc::SocConfig,
     ) -> RunStats {
-        Self::check_threads(variant, threads).unwrap_or_else(|e| panic!("{e}"));
         let mut cfg = config_for(variant, threads);
         if matches!(variant, Variant::MapleDecoupled) {
             // Fewer, larger queues (Section 3.4): each pair uses one
@@ -132,7 +144,9 @@ impl Bfs {
             let entries = (1024 / (pairs * 2 * 4)).min(256);
             cfg = cfg.with_queue_entries(entries);
         }
-        let mut sys = System::new(tune(cfg));
+        let cfg = tune(cfg);
+        Self::check_threads_on(&cfg, variant, threads).unwrap_or_else(|e| panic!("{e}"));
+        let mut sys = System::new(cfg);
         let n = self.graph.nrows;
         let dev = Dev {
             rp: upload_u32(&mut sys, &self.graph.row_ptr),

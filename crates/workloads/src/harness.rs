@@ -183,6 +183,31 @@ pub fn config_for(variant: Variant, threads: usize) -> SocConfig {
     cfg
 }
 
+/// Rejects a MAPLE-decoupled run of `threads` threads that needs `need`
+/// hardware queues when the MAPLE instances its loader maps provide only
+/// `have`, so a caller can refuse it before the loader's MMIO encoding
+/// panics.
+///
+/// # Errors
+///
+/// Returns the rule, prefixed with `kernel` and the variant label, when
+/// `need` exceeds `have`.
+pub fn check_maple_queues(
+    kernel: &str,
+    variant: Variant,
+    threads: usize,
+    need: usize,
+    have: usize,
+) -> Result<(), String> {
+    if need <= have {
+        return Ok(());
+    }
+    Err(format!(
+        "{kernel} {}: {threads} threads need {need} MAPLE queues, but the configuration provides {have}",
+        variant.label()
+    ))
+}
+
 /// Uploads a `u32` slice into freshly allocated device memory.
 pub fn upload_u32(sys: &mut System, data: &[u32]) -> VAddr {
     let va = sys.alloc((data.len().max(1) * 4) as u64);

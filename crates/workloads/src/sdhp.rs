@@ -13,11 +13,13 @@ use maple_isa::builder::ProgramBuilder;
 use maple_soc::compiler::{KernelSpec, ValueOp};
 use maple_soc::runtime::MapleApi;
 use maple_soc::system::System;
+use maple_soc::SocConfig;
 use maple_vm::VAddr;
 
 use crate::data::{dense_vector, Csr, Dataset};
 use crate::harness::{
-    alloc_u32, config_for, finish, partition, upload_u32, RunStats, Variant, MAX_CYCLES,
+    alloc_u32, check_maple_queues, config_for, finish, partition, upload_u32, RunStats, Variant,
+    MAX_CYCLES,
 };
 
 /// An SDHP problem instance (already linearized).
@@ -75,12 +77,19 @@ impl Sdhp {
             .collect()
     }
 
-    /// The thread counts SDHP runs on under `variant`.
+    /// The thread counts SDHP runs on under `variant`; MAPLE-decoupled
+    /// pairs must fit the queues of [`config_for`]`(variant, threads)`.
     ///
     /// # Errors
     ///
     /// Names the rule `threads` breaks.
     pub fn check_threads(variant: Variant, threads: usize) -> Result<(), String> {
+        Self::check_threads_on(&config_for(variant, threads), variant, threads)
+    }
+
+    /// [`Sdhp::check_threads`] against a tuned configuration: every pair
+    /// takes one queue of MAPLE instance 0.
+    fn check_threads_on(cfg: &SocConfig, variant: Variant, threads: usize) -> Result<(), String> {
         let rule = match variant {
             Variant::MapleDecoupled | Variant::SwDecoupled if !threads.is_multiple_of(2) => {
                 "decoupling needs pairs (an even thread count)"
@@ -88,6 +97,10 @@ impl Sdhp {
             Variant::Desc if threads != 2 => "DeSC runs one Supply/Compute pair",
             Variant::SwPrefetch { .. } | Variant::MapleLima if threads != 1 => {
                 "the prefetch study runs single-threaded"
+            }
+            Variant::MapleDecoupled => {
+                let have = cfg.maple.queues;
+                return check_maple_queues("sdhp", variant, threads, threads / 2, have);
             }
             _ => return Ok(()),
         };
@@ -115,8 +128,9 @@ impl Sdhp {
         threads: usize,
         tune: impl FnOnce(maple_soc::SocConfig) -> maple_soc::SocConfig,
     ) -> RunStats {
-        Self::check_threads(variant, threads).unwrap_or_else(|e| panic!("{e}"));
-        let mut sys = System::new(tune(config_for(variant, threads)));
+        let cfg = tune(config_for(variant, threads));
+        Self::check_threads_on(&cfg, variant, threads).unwrap_or_else(|e| panic!("{e}"));
+        let mut sys = System::new(cfg);
         let a = upload_u32(&mut sys, &self.dense);
         let bb = upload_u32(&mut sys, &self.lin);
         let c = upload_u32(&mut sys, &self.values);

@@ -18,11 +18,13 @@ use maple_isa::builder::ProgramBuilder;
 use maple_isa::Program;
 use maple_soc::runtime::MapleApi;
 use maple_soc::system::System;
+use maple_soc::SocConfig;
 use maple_vm::VAddr;
 
 use crate::data::{dense_vector, Csr, Dataset};
 use crate::harness::{
-    alloc_u32, config_for, finish, partition, upload_u32, RunStats, Variant, MAX_CYCLES,
+    alloc_u32, check_maple_queues, config_for, finish, partition, upload_u32, RunStats, Variant,
+    MAX_CYCLES,
 };
 
 /// An SPMV problem instance.
@@ -75,12 +77,19 @@ impl Spmv {
         }
     }
 
-    /// The thread counts SPMV runs on under `variant`.
+    /// The thread counts SPMV runs on under `variant`; MAPLE-decoupled
+    /// pairs must fit the queues of [`config_for`]`(variant, threads)`.
     ///
     /// # Errors
     ///
     /// Names the rule `threads` breaks.
     pub fn check_threads(variant: Variant, threads: usize) -> Result<(), String> {
+        Self::check_threads_on(&config_for(variant, threads), variant, threads)
+    }
+
+    /// [`Spmv::check_threads`] against a tuned configuration: pairs are
+    /// spread round-robin over every MAPLE instance, one queue each.
+    fn check_threads_on(cfg: &SocConfig, variant: Variant, threads: usize) -> Result<(), String> {
         let rule = match variant {
             Variant::SwDecoupled | Variant::MapleDecoupled
                 if threads < 2 || !threads.is_multiple_of(2) =>
@@ -89,6 +98,10 @@ impl Spmv {
             }
             Variant::Desc if threads != 2 => "the DeSC comparison runs one Supply/Compute pair",
             Variant::MapleLima if threads != 1 => "the prefetch study runs single-threaded",
+            Variant::MapleDecoupled => {
+                let have = cfg.maples * cfg.maple.queues;
+                return check_maple_queues("spmv", variant, threads, threads / 2, have);
+            }
             _ => return Ok(()),
         };
         Err(format!(
@@ -131,8 +144,9 @@ impl Spmv {
         threads: usize,
         tune: impl FnOnce(maple_soc::SocConfig) -> maple_soc::SocConfig,
     ) -> (RunStats, System) {
-        Self::check_threads(variant, threads).unwrap_or_else(|e| panic!("{e}"));
-        let mut sys = System::new(tune(config_for(variant, threads)));
+        let cfg = tune(config_for(variant, threads));
+        Self::check_threads_on(&cfg, variant, threads).unwrap_or_else(|e| panic!("{e}"));
+        let mut sys = System::new(cfg);
         let arrays = self.upload(&mut sys);
         let expected = self.reference();
 

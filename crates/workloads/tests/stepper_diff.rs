@@ -1,6 +1,6 @@
 //! Stepper differential suite: the event-horizon skipping scheduler
 //! (`System::run`) must be **bit-exact** with the dense cycle-by-cycle
-//! reference loop (`System::dense_run`) — identical cycle counts, run
+//! reference loop — identical cycle counts, run
 //! statistics, fault reports, trace event streams, metrics snapshots and
 //! occupancy samples — across the oracle variant grid, the chaos
 //! schedule grid, and traced runs.

@@ -41,6 +41,14 @@ cargo test --offline --release -p maple-workloads --test chaos_oracle -q
 MAPLE_CHAOS_CASES="${MAPLE_CHAOS_CASES:-6}" \
     cargo test --offline --release -p maple-workloads --test chaos_prop -q
 
+echo "==> fabric tick reference: 150000 generated scenarios, diffed cycle by cycle"
+# tick_reference checks the activity-driven fabric tick (flat and
+# clustered shapes, faults, backpressure, skip gaps) against the
+# full-scan reference every cycle; the tier-1 run above covers its
+# default 160 scenarios. About 40 s on a 2-vCPU host.
+MAPLE_TESTKIT_CASES=150000 \
+    cargo test --offline --release -p maple-noc --test tick_reference -q
+
 # Byte-diff gate: runs a maple-bench binary at MAPLE_JOBS=1 and =4, and
 # requires the two outputs to be identical, to equal the committed golden
 # results/NAME.txt byte for byte and (when OK is non-empty) to contain
