@@ -162,9 +162,10 @@ pub fn scaling_sweep(tile_counts: &[usize], seed: u64) -> Vec<ScaleRow> {
 
 /// The hierarchical determinism gate behind `stepper_check --scale N`:
 /// the `N`-tile clustered fabric under the skipping stepper vs the dense
-/// reference, rendered as **host-independent** lines (simulated facts
-/// and a content digest only), so `ci.sh` can byte-diff the output
-/// across worker counts.
+/// reference, rendered as **host-independent** lines (simulated facts,
+/// a content digest and the skipping run's deterministic host-work
+/// counters), so `ci.sh` can byte-diff the output across worker counts
+/// and a rise in work per simulated cycle fails the gate.
 ///
 /// # Errors
 ///
@@ -203,16 +204,25 @@ pub fn scale_gate(seed: u64, tiles: usize) -> Result<String, String> {
     }
     let mut d = maple_sim::hash::Digest::new(0x5CA1);
     d.str(&json);
+    let w = sys.host_work();
     Ok(format!(
         "scale gate: {tiles} tiles ({clusters} clusters of {CLUSTER_TILES}, \
          {threads} cores, {engines} engines, {clusters} banks)\n\
          simulated cycles: {}\n\
          verified: {}\n\
          metrics digest: {:#018x}\n\
+         host work: {} cycles stepped ({} hub), {} skipped; \
+         ticks: {} core, {} engine, {} bank\n\
          scale ok: bit-exact at {tiles} tiles",
         stats.cycles,
         stats.verified,
-        d.finish()
+        d.finish(),
+        w.stepped,
+        w.hub,
+        w.skipped,
+        w.core_ticks,
+        w.engine_ticks,
+        w.bank_ticks,
     ))
 }
 

@@ -19,6 +19,15 @@
 //!
 //! The separate pipelines avoid deadlock: a full queue buffers only its own
 //! produce operations; traffic to other queues keeps flowing.
+//!
+//! Host cost follows the work. Everything a tenant owns lives in one
+//! state struct that a context switch clones and `RESET` replaces. Two
+//! per-queue bit masks name the queues with a buffered produce or consume
+//! head, so the stages, [`Engine::next_event`] and [`Engine::skip`] visit
+//! only those. The decode and response paths have one fixed latency each,
+//! so they are FIFO [`Link`]s. The MMIO replay (dedup) cache exists only
+//! once the fault plane's hooks are installed: the SoC's chaos MMIO
+//! watchdog is the only source of re-sent requests.
 
 use std::collections::VecDeque;
 
@@ -28,7 +37,7 @@ use maple_mem::phys::{PAddr, PhysMem, LINE_SIZE};
 use maple_noc::Coord;
 use maple_sim::fault::{FaultSchedule, WatchdogConfig};
 use maple_sim::hash::FxHashMap;
-use maple_sim::link::DelayQueue;
+use maple_sim::link::Link;
 use maple_sim::stats::Counter;
 use maple_sim::Cycle;
 use maple_trace::{FaultSite, TraceEvent, Tracer};
@@ -186,6 +195,44 @@ struct InflightFetch {
 /// Completed-response dedup cache entries kept for replay.
 const SEEN_CAP: usize = 1024;
 
+/// Request dedup / response replay cache, keyed by (requester, txid):
+/// `None` = the original request is still being processed, `Some` = the
+/// response data, replayed when a core watchdog re-sends the request.
+#[derive(Debug, Default)]
+struct ReplayCache {
+    seen: FxHashMap<(Coord, u64), Option<u64>>,
+    /// FIFO eviction order of *completed* `seen` entries.
+    order: VecDeque<(Coord, u64)>,
+}
+
+impl ReplayCache {
+    /// Records a completed response, evicting the oldest beyond
+    /// [`SEEN_CAP`]. A replayed response is already recorded.
+    fn record(&mut self, key: (Coord, u64), data: u64) {
+        let entry = self.seen.entry(key).or_insert(None);
+        if entry.is_none() {
+            *entry = Some(data);
+            self.order.push_back(key);
+            while self.order.len() > SEEN_CAP {
+                if let Some(old) = self.order.pop_front() {
+                    self.seen.remove(&old);
+                }
+            }
+        }
+    }
+}
+
+/// Iterates the set bits of a per-queue mask, lowest queue first.
+fn queues_in(mut mask: u8) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let q = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            q
+        })
+    })
+}
+
 #[derive(Debug, Clone, Copy)]
 struct LimaCmd {
     a_base: VAddr,
@@ -220,6 +267,145 @@ struct LimaActive {
     next_chunk_seq: u64,
 }
 
+/// One tenant's architectural engine state, as listed on
+/// [`EngineContext`]. `RESET` replaces it (keeping the MMU root); a
+/// context switch saves and restores it whole.
+#[derive(Debug, Clone)]
+struct TenantState {
+    queues: QueueController,
+    tlb: Tlb,
+    page_table: Option<PageTable>,
+    walker_free_at: Cycle,
+    fault: Option<EngineFault>,
+    incoming: Link<MemReq>,
+    produce_pending: Vec<VecDeque<PendingProduce>>,
+    /// Bit `q` is set exactly while `produce_pending[q]` is non-empty,
+    /// so the stages visit only queues with a buffered head.
+    produce_mask: u8,
+    /// Per-queue operand register for the atomic-produce extension.
+    amo_operand: Vec<u64>,
+    prefetch_pending: VecDeque<PendingProduce>,
+    consume_pending: Vec<VecDeque<PendingConsume>>,
+    /// Bit `q` is set exactly while `consume_pending[q]` is non-empty.
+    consume_mask: u8,
+    open_owner: Vec<Option<Coord>>,
+    out_resp: Link<OutboundResp>,
+    out_mem: VecDeque<MemReq>,
+    inflight: FxHashMap<u64, InflightFetch>,
+    lima_regs: (VAddr, VAddr, u32, u32), // staged A, B, lo, hi
+    lima_cmds: VecDeque<LimaCmd>,
+    lima_go_pending: VecDeque<(Coord, u64, LimaCmd)>,
+    lima: Option<LimaActive>,
+    /// Set when a fetch exhausted its retries; the driver must reset or
+    /// retire this instance.
+    poisoned: bool,
+}
+
+impl TenantState {
+    fn new(cfg: &MapleConfig) -> Self {
+        let queues = QueueController::new(
+            cfg.queues,
+            cfg.default_entries,
+            cfg.default_entry_bytes,
+            cfg.scratchpad_bytes,
+        )
+        .expect("default queue configuration must fit the scratchpad");
+        TenantState {
+            queues,
+            tlb: Tlb::new(cfg.tlb_entries),
+            page_table: None,
+            walker_free_at: Cycle::ZERO,
+            fault: None,
+            incoming: Link::new(cfg.decode_latency),
+            produce_pending: (0..cfg.queues).map(|_| VecDeque::new()).collect(),
+            produce_mask: 0,
+            amo_operand: vec![0; cfg.queues],
+            prefetch_pending: VecDeque::new(),
+            consume_pending: (0..cfg.queues).map(|_| VecDeque::new()).collect(),
+            consume_mask: 0,
+            open_owner: vec![None; cfg.queues],
+            out_resp: Link::new(cfg.respond_latency),
+            out_mem: VecDeque::new(),
+            inflight: FxHashMap::default(),
+            lima_regs: (VAddr(0), VAddr(0), 0, 0),
+            lima_cmds: VecDeque::new(),
+            lima_go_pending: VecDeque::new(),
+            lima: None,
+            poisoned: false,
+        }
+    }
+
+    fn push_produce(&mut self, q: u8, payload: ProducePayload, ack_dst: Coord, ack_id: u64) {
+        self.produce_pending[usize::from(q)].push_back(PendingProduce {
+            payload,
+            ack_dst,
+            ack_id,
+        });
+        self.produce_mask |= 1 << q;
+    }
+
+    fn pop_produce(&mut self, qi: usize) {
+        let pending = &mut self.produce_pending[qi];
+        pending.pop_front();
+        if pending.is_empty() {
+            self.produce_mask &= !(1 << qi);
+        }
+    }
+
+    fn push_consume(&mut self, q: u8, op: PendingConsume) {
+        self.consume_pending[usize::from(q)].push_back(op);
+        self.consume_mask |= 1 << q;
+    }
+
+    fn pop_consume(&mut self, qi: usize) {
+        let pending = &mut self.consume_pending[qi];
+        pending.pop_front();
+        if pending.is_empty() {
+            self.consume_mask &= !(1 << qi);
+        }
+    }
+
+    /// Whether both masks name exactly the queues with buffered heads.
+    fn masks_match(&self) -> bool {
+        fn mask<T>(pending: &[VecDeque<T>]) -> u8 {
+            pending
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| !p.is_empty())
+                .fold(0, |m, (q, _)| m | 1 << q)
+        }
+        mask(&self.produce_pending) == self.produce_mask
+            && mask(&self.consume_pending) == self.consume_mask
+    }
+
+    fn pending_produces(&self) -> usize {
+        self.produce_pending.iter().map(VecDeque::len).sum()
+    }
+
+    fn pending_consumes(&self) -> usize {
+        self.consume_pending.iter().map(VecDeque::len).sum()
+    }
+
+    fn queue_occupancies(&self) -> Vec<usize> {
+        (0..self.queues.count())
+            .map(|q| self.queues.queue(q as u8).occupancy())
+            .collect()
+    }
+
+    fn is_quiescent(&self) -> bool {
+        self.incoming.is_empty()
+            && self.inflight.is_empty()
+            && self.out_mem.is_empty()
+            && self.out_resp.is_empty()
+            && self.lima.is_none()
+            && self.lima_cmds.is_empty()
+            && self.lima_go_pending.is_empty()
+            && self.produce_mask == 0
+            && self.prefetch_pending.is_empty()
+            && self.consume_mask == 0
+    }
+}
+
 /// A saved snapshot of one tenant's architectural engine state: everything
 /// the virtualization driver must save and restore across a context switch
 /// — the queue controller (occupancy, reservations, in-order slots), the
@@ -234,53 +420,31 @@ struct LimaActive {
 /// preserves), so transactions issued under one tenant can never alias
 /// another tenant's after a switch.
 #[derive(Debug, Clone)]
-pub struct EngineContext {
-    queues: QueueController,
-    tlb: Tlb,
-    page_table: Option<PageTable>,
-    walker_free_at: Cycle,
-    fault: Option<EngineFault>,
-    incoming: DelayQueue<MemReq>,
-    produce_pending: Vec<VecDeque<PendingProduce>>,
-    amo_operand: Vec<u64>,
-    prefetch_pending: VecDeque<PendingProduce>,
-    consume_pending: Vec<VecDeque<PendingConsume>>,
-    open_owner: Vec<Option<Coord>>,
-    out_resp: DelayQueue<OutboundResp>,
-    out_mem: VecDeque<MemReq>,
-    inflight: FxHashMap<u64, InflightFetch>,
-    lima_regs: (VAddr, VAddr, u32, u32),
-    lima_cmds: VecDeque<LimaCmd>,
-    lima_go_pending: VecDeque<(Coord, u64, LimaCmd)>,
-    lima: Option<LimaActive>,
-    poisoned: bool,
-}
+pub struct EngineContext(TenantState);
 
 impl EngineContext {
     /// Outstanding memory fetches captured in this context.
     #[must_use]
     pub fn inflight_fetches(&self) -> usize {
-        self.inflight.len()
+        self.0.inflight.len()
     }
 
     /// Buffered produce operations captured across all queues.
     #[must_use]
     pub fn pending_produces(&self) -> usize {
-        self.produce_pending.iter().map(VecDeque::len).sum()
+        self.0.pending_produces()
     }
 
     /// Buffered consume operations captured across all queues.
     #[must_use]
     pub fn pending_consumes(&self) -> usize {
-        self.consume_pending.iter().map(VecDeque::len).sum()
+        self.0.pending_consumes()
     }
 
     /// Occupancy of every captured hardware queue.
     #[must_use]
     pub fn queue_occupancies(&self) -> Vec<usize> {
-        (0..self.queues.count())
-            .map(|q| self.queues.queue(q as u8).occupancy())
-            .collect()
+        self.0.queue_occupancies()
     }
 
     /// Whether the captured state holds no in-flight work at all — the
@@ -288,16 +452,7 @@ impl EngineContext {
     /// by responses that raced a switch-out.
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
-        self.incoming.is_empty()
-            && self.inflight.is_empty()
-            && self.out_mem.is_empty()
-            && self.out_resp.is_empty()
-            && self.lima.is_none()
-            && self.lima_cmds.is_empty()
-            && self.lima_go_pending.is_empty()
-            && self.produce_pending.iter().all(VecDeque::is_empty)
-            && self.prefetch_pending.is_empty()
-            && self.consume_pending.iter().all(VecDeque::is_empty)
+        self.0.is_quiescent()
     }
 }
 
@@ -308,42 +463,19 @@ impl EngineContext {
 #[derive(Debug)]
 pub struct Engine {
     cfg: MapleConfig,
-    queues: QueueController,
-    tlb: Tlb,
-    page_table: Option<PageTable>,
-    walker_free_at: Cycle,
-    fault: Option<EngineFault>,
-    incoming: DelayQueue<MemReq>,
-    produce_pending: Vec<VecDeque<PendingProduce>>,
-    /// Per-queue operand register for the atomic-produce extension.
-    amo_operand: Vec<u64>,
-    prefetch_pending: VecDeque<PendingProduce>,
-    consume_pending: Vec<VecDeque<PendingConsume>>,
-    open_owner: Vec<Option<Coord>>,
-    out_resp: DelayQueue<OutboundResp>,
-    out_mem: VecDeque<MemReq>,
+    /// The running tenant's architectural state.
+    tenant: TenantState,
     next_txid: u64,
-    inflight: FxHashMap<u64, InflightFetch>,
-    lima_regs: (VAddr, VAddr, u32, u32), // staged A, B, lo, hi
-    lima_cmds: VecDeque<LimaCmd>,
-    lima_go_pending: VecDeque<(Coord, u64, LimaCmd)>,
-    lima: Option<LimaActive>,
     stats: EngineStats,
-    /// Request dedup / response replay cache, keyed by (requester, txid):
-    /// `None` = the original request is still being processed, `Some` =
-    /// the response data, replayed when a core watchdog re-sends the
+    /// Request dedup / response replay cache, present only with the fault
+    /// plane's hooks: only the chaos MMIO watchdog ever re-sends a
     /// request. Survives `RESET` (like `next_txid`) so pre-reset retries
     /// stay idempotent.
-    seen: FxHashMap<(Coord, u64), Option<u64>>,
-    /// FIFO eviction order of *completed* `seen` entries.
-    seen_order: VecDeque<(Coord, u64)>,
+    replay: Option<ReplayCache>,
     /// Fetch watchdog; `None` (the default) never times out.
     watchdog: Option<WatchdogConfig>,
     /// MMIO ack-loss schedule from the fault plane.
     ack_fault: Option<FaultSchedule>,
-    /// Set when a fetch exhausted its retries; the driver must reset or
-    /// retire this instance.
-    poisoned: bool,
     tracer: Tracer,
     /// Engine index used in trace events (set alongside the tracer).
     trace_id: usize,
@@ -357,39 +489,13 @@ impl Engine {
     /// Panics if the default queue shape exceeds the scratchpad budget.
     #[must_use]
     pub fn new(cfg: MapleConfig) -> Self {
-        let queues = QueueController::new(
-            cfg.queues,
-            cfg.default_entries,
-            cfg.default_entry_bytes,
-            cfg.scratchpad_bytes,
-        )
-        .expect("default queue configuration must fit the scratchpad");
         Engine {
-            queues,
-            tlb: Tlb::new(cfg.tlb_entries),
-            page_table: None,
-            walker_free_at: Cycle::ZERO,
-            fault: None,
-            incoming: DelayQueue::new(),
-            produce_pending: (0..cfg.queues).map(|_| VecDeque::new()).collect(),
-            amo_operand: vec![0; cfg.queues],
-            prefetch_pending: VecDeque::new(),
-            consume_pending: (0..cfg.queues).map(|_| VecDeque::new()).collect(),
-            open_owner: vec![None; cfg.queues],
-            out_resp: DelayQueue::new(),
-            out_mem: VecDeque::new(),
+            tenant: TenantState::new(&cfg),
             next_txid: 0,
-            inflight: FxHashMap::default(),
-            lima_regs: (VAddr(0), VAddr(0), 0, 0),
-            lima_cmds: VecDeque::new(),
-            lima_go_pending: VecDeque::new(),
-            lima: None,
             stats: EngineStats::default(),
-            seen: FxHashMap::default(),
-            seen_order: VecDeque::new(),
+            replay: None,
             watchdog: None,
             ack_fault: None,
-            poisoned: false,
             tracer: Tracer::disabled(),
             trace_id: 0,
             cfg,
@@ -412,38 +518,44 @@ impl Engine {
     /// Programs the MMU root (driver path; also reachable via the
     /// `SET_PT_ROOT` MMIO store).
     pub fn set_page_table(&mut self, pt: PageTable) {
-        self.page_table = Some(pt);
+        self.tenant.page_table = Some(pt);
     }
 
     /// The pending fault, if the engine raised one (the interrupt line).
     #[must_use]
     pub fn fault(&self) -> Option<EngineFault> {
-        self.fault
+        self.tenant.fault
     }
 
     /// Driver: clear the fault after fixing the page tables; the stalled
     /// operation retries.
     pub fn resolve_fault(&mut self) {
-        self.fault = None;
+        self.tenant.fault = None;
     }
 
     /// Invalidate the engine TLB entry for a page (Linux shootdown
     /// callback; also reachable via the `TLB_SHOOTDOWN` MMIO store).
     pub fn tlb_shootdown(&mut self, vpn: VirtPage) {
-        self.tlb.shootdown(vpn);
+        self.tenant.tlb.shootdown(vpn);
     }
 
     /// Arms the per-fetch watchdog: an outstanding memory fetch past its
     /// (exponentially backed-off) deadline is re-issued, and poisoned
-    /// after `max_retries` re-issues. Off by default.
+    /// after `max_retries` re-issues. Off by default. Like
+    /// [`Engine::set_ack_fault`], it is a fault-plane hook and installs
+    /// the MMIO replay cache.
     pub fn set_watchdog(&mut self, w: WatchdogConfig) {
         self.watchdog = Some(w);
+        self.replay.get_or_insert_with(ReplayCache::default);
     }
 
     /// Installs the fault plane's MMIO ack-loss schedule: outbound
     /// responses/acks are dropped at the source with the scheduled rate.
+    /// Also installs the MMIO replay cache, which makes the re-sends of
+    /// lost acks idempotent.
     pub fn set_ack_fault(&mut self, f: FaultSchedule) {
         self.ack_fault = Some(f);
+        self.replay.get_or_insert_with(ReplayCache::default);
     }
 
     /// Whether a fetch exhausted its watchdog retries. A poisoned engine
@@ -451,33 +563,31 @@ impl Engine {
     /// driver should retire it.
     #[must_use]
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned
+        self.tenant.poisoned
     }
 
     /// Outstanding memory fetches (no response yet).
     #[must_use]
     pub fn inflight_fetches(&self) -> usize {
-        self.inflight.len()
+        self.tenant.inflight.len()
     }
 
     /// Produce operations buffered across all queues.
     #[must_use]
     pub fn pending_produces(&self) -> usize {
-        self.produce_pending.iter().map(VecDeque::len).sum()
+        self.tenant.pending_produces()
     }
 
     /// Consume operations buffered across all queues.
     #[must_use]
     pub fn pending_consumes(&self) -> usize {
-        self.consume_pending.iter().map(VecDeque::len).sum()
+        self.tenant.pending_consumes()
     }
 
     /// Current occupancy of every hardware queue.
     #[must_use]
     pub fn queue_occupancies(&self) -> Vec<usize> {
-        (0..self.cfg.queues)
-            .map(|q| self.queues.queue(q as u8).occupancy())
-            .collect()
+        self.tenant.queue_occupancies()
     }
 
     /// Resets all engine state (the MMIO `RESET` / driver `INIT` path).
@@ -488,30 +598,15 @@ impl Engine {
     /// fault-plane hooks survive for the same reason — a core retry of a
     /// pre-reset transaction must stay idempotent.
     pub fn reset(&mut self) {
-        let root = self.page_table;
-        let cfg = self.cfg;
-        let stats = std::mem::take(&mut self.stats);
-        let next_txid = self.next_txid;
-        let mut seen = std::mem::take(&mut self.seen);
-        // In-progress entries guard operations the reset just dropped;
-        // keeping them would make a core's retry of such an operation a
-        // "duplicate" forever. Completed entries stay for replay.
-        seen.retain(|_, v| v.is_some());
-        let seen_order = std::mem::take(&mut self.seen_order);
-        let watchdog = self.watchdog;
-        let ack_fault = self.ack_fault.take();
-        let tracer = self.tracer.clone();
-        let trace_id = self.trace_id;
-        *self = Engine::new(cfg);
-        self.tracer = tracer;
-        self.trace_id = trace_id;
-        self.page_table = root;
-        self.stats = stats;
-        self.next_txid = next_txid;
-        self.seen = seen;
-        self.seen_order = seen_order;
-        self.watchdog = watchdog;
-        self.ack_fault = ack_fault;
+        let root = self.tenant.page_table;
+        self.tenant = TenantState::new(&self.cfg);
+        self.tenant.page_table = root;
+        if let Some(cache) = &mut self.replay {
+            // In-progress entries guard operations the reset just dropped;
+            // keeping them would make a core's retry of such an operation
+            // a "duplicate" forever. Completed entries stay for replay.
+            cache.seen.retain(|_, v| v.is_some());
+        }
     }
 
     /// Captures the tenant-visible architectural state for a driver-level
@@ -520,27 +615,7 @@ impl Engine {
     /// [`Engine::reset`] (for a fresh one) to complete the switch.
     #[must_use]
     pub fn save_context(&self) -> EngineContext {
-        EngineContext {
-            queues: self.queues.clone(),
-            tlb: self.tlb.clone(),
-            page_table: self.page_table,
-            walker_free_at: self.walker_free_at,
-            fault: self.fault,
-            incoming: self.incoming.clone(),
-            produce_pending: self.produce_pending.clone(),
-            amo_operand: self.amo_operand.clone(),
-            prefetch_pending: self.prefetch_pending.clone(),
-            consume_pending: self.consume_pending.clone(),
-            open_owner: self.open_owner.clone(),
-            out_resp: self.out_resp.clone(),
-            out_mem: self.out_mem.clone(),
-            inflight: self.inflight.clone(),
-            lima_regs: self.lima_regs,
-            lima_cmds: self.lima_cmds.clone(),
-            lima_go_pending: self.lima_go_pending.clone(),
-            lima: self.lima.clone(),
-            poisoned: self.poisoned,
-        }
+        EngineContext(self.tenant.clone())
     }
 
     /// Installs a previously saved tenant context, replacing the current
@@ -554,32 +629,15 @@ impl Engine {
     /// queue count (contexts are not portable across RTL configurations).
     pub fn restore_context(&mut self, ctx: EngineContext) {
         assert_eq!(
-            ctx.queues.count(),
+            ctx.0.queues.count(),
             self.cfg.queues,
             "engine context restored onto an incompatible configuration"
         );
-        self.queues = ctx.queues;
-        self.tlb = ctx.tlb;
-        self.page_table = ctx.page_table;
-        self.walker_free_at = ctx.walker_free_at;
-        self.fault = ctx.fault;
-        self.incoming = ctx.incoming;
-        self.produce_pending = ctx.produce_pending;
-        self.amo_operand = ctx.amo_operand;
-        self.prefetch_pending = ctx.prefetch_pending;
-        self.consume_pending = ctx.consume_pending;
-        self.open_owner = ctx.open_owner;
-        self.out_resp = ctx.out_resp;
-        self.out_mem = ctx.out_mem;
-        self.inflight = ctx.inflight;
-        self.lima_regs = ctx.lima_regs;
-        self.lima_cmds = ctx.lima_cmds;
-        self.lima_go_pending = ctx.lima_go_pending;
-        self.lima = ctx.lima;
-        self.poisoned = ctx.poisoned;
+        self.tenant = ctx.0;
     }
 
-    /// Drops every entry of the MMIO replay (dedup) cache.
+    /// Drops every entry of the MMIO replay (dedup) cache, if the fault
+    /// plane installed one.
     ///
     /// The cache makes in-run core-side retries idempotent; its keys are
     /// `(core tile, L1 transaction id)`, and a freshly (re)loaded core
@@ -589,8 +647,9 @@ impl Engine {
     /// dropped entry, while a stale entry would wrongly replay a previous
     /// request's response to a new core with a recycled id.
     pub fn flush_replay_cache(&mut self) {
-        self.seen.clear();
-        self.seen_order.clear();
+        if let Some(cache) = &mut self.replay {
+            *cache = ReplayCache::default();
+        }
     }
 
     /// Engine statistics.
@@ -602,7 +661,7 @@ impl Engine {
     /// TLB miss count (for `STAT_TLB_MISSES`).
     #[must_use]
     pub fn tlb_misses(&self) -> u64 {
-        self.tlb.misses()
+        self.tenant.tlb.misses()
     }
 
     /// Direct read access to a queue (tests, occupancy sampling).
@@ -612,28 +671,19 @@ impl Engine {
     /// Panics if `q` is out of range.
     #[must_use]
     pub fn queue(&self, q: u8) -> &crate::queue::FifoQueue {
-        self.queues.queue(q)
+        self.tenant.queues.queue(q)
     }
 
     /// Whether the engine holds no in-flight work at all.
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.incoming.is_empty()
-            && self.inflight.is_empty()
-            && self.out_mem.is_empty()
-            && self.out_resp.is_empty()
-            && self.lima.is_none()
-            && self.lima_cmds.is_empty()
-            && self.lima_go_pending.is_empty()
-            && self.produce_pending.iter().all(VecDeque::is_empty)
-            && self.prefetch_pending.is_empty()
-            && self.consume_pending.iter().all(VecDeque::is_empty)
+        self.tenant.is_quiescent()
     }
 
     /// Accepts an MMIO request from the NoC (a core's load or store to this
     /// instance's page).
     pub fn accept(&mut self, now: Cycle, req: MemReq) {
-        self.incoming.send(now, self.cfg.decode_latency, req);
+        self.tenant.incoming.send(now, req);
     }
 
     /// Delivers a response to one of the engine's own memory fetches.
@@ -642,7 +692,7 @@ impl Engine {
     /// dropped the in-flight state while replies were still crossing the
     /// NoC — are counted and discarded, as the RTL's decoder does.
     pub fn on_mem_resp(&mut self, now: Cycle, resp: MemResp, mem: &PhysMem) {
-        let Some(f) = self.inflight.remove(&resp.id) else {
+        let Some(f) = self.tenant.inflight.remove(&resp.id) else {
             self.stats.stale_responses.inc();
             return;
         };
@@ -653,10 +703,10 @@ impl Engine {
         match f.purpose {
             FetchPurpose::QueueFill { q, slot, .. } => {
                 let _ = mem; // data travels in the response
-                self.queues.queue_mut(q).fill(slot, resp.data);
+                self.tenant.queues.queue_mut(q).fill(slot, resp.data);
             }
             FetchPurpose::LimaChunk { seq } => {
-                if let Some(active) = &mut self.lima {
+                if let Some(active) = &mut self.tenant.lima {
                     if let Some(c) = active.chunks.iter_mut().find(|c| c.seq == seq) {
                         c.ready = true;
                     }
@@ -670,12 +720,12 @@ impl Engine {
     /// Pops the engine's next outbound memory request (`reply_to` is filled
     /// in by the host tile).
     pub fn pop_mem_request(&mut self) -> Option<MemReq> {
-        self.out_mem.pop_front()
+        self.tenant.out_mem.pop_front()
     }
 
     /// Pops a response (ack or data) ready for a core.
     pub fn pop_response(&mut self, now: Cycle) -> Option<OutboundResp> {
-        self.out_resp.recv(now)
+        self.tenant.out_resp.recv(now)
     }
 
     fn fresh_txid(&mut self) -> u64 {
@@ -687,15 +737,8 @@ impl Engine {
     fn respond(&mut self, now: Cycle, dst: Coord, id: u64, data: u64) {
         // Record the completed response for replay: a core watchdog may
         // re-send the request if this response is lost on the NoC.
-        let entry = self.seen.entry((dst, id)).or_insert(None);
-        if entry.is_none() {
-            *entry = Some(data);
-            self.seen_order.push_back((dst, id));
-            while self.seen_order.len() > SEEN_CAP {
-                if let Some(old) = self.seen_order.pop_front() {
-                    self.seen.remove(&old);
-                }
-            }
+        if let Some(cache) = &mut self.replay {
+            cache.record((dst, id), data);
         }
         if let Some(f) = &mut self.ack_fault {
             if f.strike() {
@@ -706,9 +749,8 @@ impl Engine {
                 return;
             }
         }
-        self.out_resp.send(
+        self.tenant.out_resp.send(
             now,
-            self.cfg.respond_latency,
             OutboundResp {
                 dst,
                 resp: MemResp {
@@ -724,35 +766,37 @@ impl Engine {
     /// Engine-side translation. Returns the physical address, or `None`
     /// while the walker is busy or a fault is pending (the op retries).
     fn translate(&mut self, now: Cycle, mem: &PhysMem, va: VAddr) -> Option<PAddr> {
-        if self.fault.is_some() {
+        if self.tenant.fault.is_some() {
             return None; // MMU stalled until the driver resolves the fault
         }
-        if now < self.walker_free_at {
+        if now < self.tenant.walker_free_at {
             // Walker busy: serve TLB hits without perturbing the hit/miss
             // counters (retries behind the walker are not new misses).
             return self
+                .tenant
                 .tlb
                 .probe(va.page())
                 .map(|e| e.frame.offset(va.page_offset()));
         }
-        if let Some(e) = self.tlb.lookup(va.page()) {
+        if let Some(e) = self.tenant.tlb.lookup(va.page()) {
             return Some(e.frame.offset(va.page_offset()));
         }
         let pt = self
+            .tenant
             .page_table
             .expect("engine used before the driver programmed its MMU");
-        self.walker_free_at = now.plus(walk_latency(self.cfg.ptw_read_latency));
+        self.tenant.walker_free_at = now.plus(walk_latency(self.cfg.ptw_read_latency));
         match pt.translate_checked(mem, va, false) {
             Ok(t) => {
                 let frame = PAddr(t.paddr.0 & !(maple_mem::PAGE_SIZE - 1));
-                self.tlb.insert(va.page(), frame, t.flags);
+                self.tenant.tlb.insert(va.page(), frame, t.flags);
                 // The result is architecturally available once the walk
                 // completes; the op retries and hits the TLB then.
                 None
             }
             Err(fault) => {
                 self.stats.faults.inc();
-                self.fault = Some(EngineFault { vaddr: va, fault });
+                self.tenant.fault = Some(EngineFault { vaddr: va, fault });
                 None
             }
         }
@@ -766,30 +810,35 @@ impl Engine {
         self.prefetch_stage(now, mem);
         self.lima_stage(now, mem);
         self.consume_stage(now);
+        debug_assert!(
+            self.tenant.masks_match(),
+            "a pending mask disagrees with its queues' buffered heads"
+        );
     }
 
     fn dispatch_incoming(&mut self, now: Cycle) {
-        while let Some(req) = self.incoming.recv(now) {
+        while let Some(req) = self.tenant.incoming.recv(now) {
             // Dedup against retried requests: a core watchdog re-sends an
             // MMIO operation (same transaction ID) when its response is
             // lost. Completed operations replay the recorded response;
             // still-in-flight ones drop the duplicate. MMIO operations are
             // not idempotent (a retried CONSUME must not pop twice), so
             // this cache is what makes core-side retry safe.
-            let key = (req.reply_to, req.id);
-            match self.seen.get(&key) {
-                Some(Some(data)) => {
-                    let data = *data;
-                    self.stats.replayed_responses.inc();
-                    self.respond(now, key.0, key.1, data);
-                    continue;
-                }
-                Some(None) => {
-                    self.stats.duplicate_requests.inc();
-                    continue;
-                }
-                None => {
-                    self.seen.insert(key, None);
+            if let Some(cache) = &mut self.replay {
+                let key = (req.reply_to, req.id);
+                match cache.seen.get(&key).copied() {
+                    Some(Some(data)) => {
+                        self.stats.replayed_responses.inc();
+                        self.respond(now, key.0, key.1, data);
+                        continue;
+                    }
+                    Some(None) => {
+                        self.stats.duplicate_requests.inc();
+                        continue;
+                    }
+                    None => {
+                        cache.seen.insert(key, None);
+                    }
                 }
             }
             let offset = req.addr.page_offset();
@@ -834,34 +883,18 @@ impl Engine {
         }
         match op {
             StoreOp::Produce => {
-                self.produce_pending[usize::from(q)].push_back(PendingProduce {
-                    payload: ProducePayload::Data(data),
-                    ack_dst: dst,
-                    ack_id: id,
-                });
+                self.tenant
+                    .push_produce(q, ProducePayload::Data(data), dst, id);
             }
-            StoreOp::ProducePtr => {
-                self.produce_pending[usize::from(q)].push_back(PendingProduce {
-                    payload: ProducePayload::Ptr {
-                        va: VAddr(data),
-                        coherent: false,
-                    },
-                    ack_dst: dst,
-                    ack_id: id,
-                });
-            }
-            StoreOp::ProducePtrLlc => {
-                self.produce_pending[usize::from(q)].push_back(PendingProduce {
-                    payload: ProducePayload::Ptr {
-                        va: VAddr(data),
-                        coherent: true,
-                    },
-                    ack_dst: dst,
-                    ack_id: id,
-                });
+            StoreOp::ProducePtr | StoreOp::ProducePtrLlc => {
+                let payload = ProducePayload::Ptr {
+                    va: VAddr(data),
+                    coherent: op == StoreOp::ProducePtrLlc,
+                };
+                self.tenant.push_produce(q, payload, dst, id);
             }
             StoreOp::Prefetch => {
-                self.prefetch_pending.push_back(PendingProduce {
+                self.tenant.prefetch_pending.push_back(PendingProduce {
                     payload: ProducePayload::Ptr {
                         va: VAddr(data),
                         coherent: true,
@@ -873,23 +906,24 @@ impl Engine {
             StoreOp::ConfigQueue => {
                 let (entries, entry_bytes) = decode_config_queue(data);
                 let ok = self
+                    .tenant
                     .queues
                     .reconfigure(q, entries as usize, entry_bytes)
                     .is_ok();
                 self.respond(now, dst, id, u64::from(ok));
             }
             StoreOp::LimaABase => {
-                self.lima_regs.0 = VAddr(data);
+                self.tenant.lima_regs.0 = VAddr(data);
                 self.respond(now, dst, id, 0);
             }
             StoreOp::LimaBBase => {
-                self.lima_regs.1 = VAddr(data);
+                self.tenant.lima_regs.1 = VAddr(data);
                 self.respond(now, dst, id, 0);
             }
             StoreOp::LimaRange => {
                 let (lo, hi) = decode_lima_range(data);
-                self.lima_regs.2 = lo;
-                self.lima_regs.3 = hi;
+                self.tenant.lima_regs.2 = lo;
+                self.tenant.lima_regs.3 = hi;
                 self.respond(now, dst, id, 0);
             }
             StoreOp::LimaGo => {
@@ -899,31 +933,31 @@ impl Engine {
                     return;
                 }
                 let cmd = LimaCmd {
-                    a_base: self.lima_regs.0,
-                    b_base: self.lima_regs.1,
-                    lo: self.lima_regs.2,
-                    hi: self.lima_regs.3,
+                    a_base: self.tenant.lima_regs.0,
+                    b_base: self.tenant.lima_regs.1,
+                    lo: self.tenant.lima_regs.2,
+                    hi: self.tenant.lima_regs.3,
                     speculative,
                     queue: q,
                     a_elem,
                     b_elem,
                 };
-                if self.lima_cmds.len() < self.cfg.lima_cmd_depth {
-                    self.lima_cmds.push_back(cmd);
+                if self.tenant.lima_cmds.len() < self.cfg.lima_cmd_depth {
+                    self.tenant.lima_cmds.push_back(cmd);
                     self.respond(now, dst, id, 1);
                 } else {
                     // Command queue full: buffer the launch and withhold
                     // the store ack (same no-overflow backpressure as the
                     // Produce pipeline).
-                    self.lima_go_pending.push_back((dst, id, cmd));
+                    self.tenant.lima_go_pending.push_back((dst, id, cmd));
                 }
             }
             StoreOp::SetPtRoot => {
-                self.page_table = Some(PageTable::from_root(PAddr(data)));
+                self.tenant.page_table = Some(PageTable::from_root(PAddr(data)));
                 self.respond(now, dst, id, 0);
             }
             StoreOp::TlbShootdown => {
-                self.tlb.shootdown(VAddr(data).page());
+                self.tenant.tlb.shootdown(VAddr(data).page());
                 self.respond(now, dst, id, 0);
             }
             StoreOp::Reset => {
@@ -931,35 +965,27 @@ impl Engine {
                 self.respond(now, dst, id, 0);
             }
             StoreOp::Close => {
-                self.open_owner[usize::from(q)] = None;
+                self.tenant.open_owner[usize::from(q)] = None;
                 self.respond(now, dst, id, 0);
             }
             StoreOp::FaultResume => {
-                self.fault = None;
+                self.tenant.fault = None;
                 self.respond(now, dst, id, 0);
             }
-            StoreOp::ProduceAmoAdd => {
-                self.produce_pending[usize::from(q)].push_back(PendingProduce {
-                    payload: ProducePayload::AmoPtr {
-                        va: VAddr(data),
-                        kind: maple_mem::phys::AmoKind::Add,
-                    },
-                    ack_dst: dst,
-                    ack_id: id,
-                });
-            }
-            StoreOp::ProduceAmoMin => {
-                self.produce_pending[usize::from(q)].push_back(PendingProduce {
-                    payload: ProducePayload::AmoPtr {
-                        va: VAddr(data),
-                        kind: maple_mem::phys::AmoKind::MinU,
-                    },
-                    ack_dst: dst,
-                    ack_id: id,
-                });
+            StoreOp::ProduceAmoAdd | StoreOp::ProduceAmoMin => {
+                let kind = if op == StoreOp::ProduceAmoAdd {
+                    maple_mem::phys::AmoKind::Add
+                } else {
+                    maple_mem::phys::AmoKind::MinU
+                };
+                let payload = ProducePayload::AmoPtr {
+                    va: VAddr(data),
+                    kind,
+                };
+                self.tenant.push_produce(q, payload, dst, id);
             }
             StoreOp::SetAmoOperand => {
-                self.amo_operand[usize::from(q)] = data;
+                self.tenant.amo_operand[usize::from(q)] = data;
                 self.respond(now, dst, id, 0);
             }
         }
@@ -973,14 +999,11 @@ impl Engine {
         }
         match op {
             LoadOp::Consume => {
-                self.consume_pending[usize::from(q)].push_back(PendingConsume {
-                    dst,
-                    id,
-                    size,
-                });
+                self.tenant
+                    .push_consume(q, PendingConsume { dst, id, size });
             }
             LoadOp::Open => {
-                let owner = &mut self.open_owner[usize::from(q)];
+                let owner = &mut self.tenant.open_owner[usize::from(q)];
                 let granted = match owner {
                     None => {
                         *owner = Some(dst);
@@ -991,25 +1014,25 @@ impl Engine {
                 self.respond(now, dst, id, u64::from(granted));
             }
             LoadOp::StatProduced => {
-                let v = self.queues.queue(q).produced.get();
+                let v = self.tenant.queues.queue(q).produced.get();
                 self.respond(now, dst, id, v);
             }
             LoadOp::StatConsumed => {
-                let v = self.queues.queue(q).consumed.get();
+                let v = self.tenant.queues.queue(q).consumed.get();
                 self.respond(now, dst, id, v);
             }
             LoadOp::StatOccupancy => {
-                let v = self.queues.queue(q).occupancy() as u64;
+                let v = self.tenant.queues.queue(q).occupancy() as u64;
                 self.respond(now, dst, id, v);
             }
             LoadOp::StatMemFetches => {
                 self.respond(now, dst, id, self.stats.mem_fetches.get());
             }
             LoadOp::StatTlbMisses => {
-                self.respond(now, dst, id, self.tlb.misses());
+                self.respond(now, dst, id, self.tenant.tlb.misses());
             }
             LoadOp::FaultVa => {
-                let va = self.fault.map_or(0, |f| f.vaddr.0);
+                let va = self.tenant.fault.map_or(0, |f| f.vaddr.0);
                 self.respond(now, dst, id, va);
             }
         }
@@ -1017,7 +1040,7 @@ impl Engine {
 
     /// Issues a non-coherent (or coherent) word fetch feeding queue `q`.
     fn issue_queue_fetch(&mut self, now: Cycle, q: u8, slot: Slot, paddr: PAddr, coherent: bool) {
-        let size = self.queues.queue(q).entry_bytes();
+        let size = self.tenant.queues.queue(q).entry_bytes();
         let id = self.fresh_txid();
         let req = MemReq {
             id,
@@ -1037,7 +1060,7 @@ impl Engine {
         self.tracer.emit(now, || TraceEvent::QueuePush {
             engine: self.trace_id,
             queue: usize::from(q),
-            occupancy: self.queues.queue(q).occupancy(),
+            occupancy: self.tenant.queues.queue(q).occupancy(),
         });
     }
 
@@ -1047,7 +1070,7 @@ impl Engine {
             engine: self.trace_id,
             addr: req.addr.0,
         });
-        self.inflight.insert(
+        self.tenant.inflight.insert(
             req.id,
             InflightFetch {
                 purpose,
@@ -1057,7 +1080,7 @@ impl Engine {
             },
         );
         self.stats.mem_fetches.inc();
-        self.out_mem.push_back(req);
+        self.tenant.out_mem.push_back(req);
     }
 
     /// Re-issues overdue fetches with exponential backoff; a fetch that
@@ -1067,10 +1090,11 @@ impl Engine {
         let Some(w) = self.watchdog else {
             return;
         };
-        if self.inflight.is_empty() {
+        if self.tenant.inflight.is_empty() {
             return;
         }
         let mut overdue: Vec<u64> = self
+            .tenant
             .inflight
             .iter()
             .filter(|(_, f)| now >= w.deadline(f.issued, f.retries))
@@ -1084,14 +1108,14 @@ impl Engine {
         overdue.sort_unstable();
         for id in overdue {
             self.stats.fetch_timeouts.inc();
-            let Some(f) = self.inflight.get_mut(&id) else {
+            let Some(f) = self.tenant.inflight.get_mut(&id) else {
                 continue;
             };
             let retryable = !matches!(f.req.kind, MemReqKind::Amo { .. });
             if !retryable || f.retries >= w.max_retries {
-                self.inflight.remove(&id);
+                self.tenant.inflight.remove(&id);
                 self.stats.poisoned_fetches.inc();
-                self.poisoned = true;
+                self.tenant.poisoned = true;
             } else {
                 f.retries += 1;
                 f.issued = now;
@@ -1100,29 +1124,28 @@ impl Engine {
                 self.tracer.emit(now, || TraceEvent::FaultRecovered {
                     site: FaultSite::FetchRetry,
                 });
-                self.out_mem.push_back(req);
+                self.tenant.out_mem.push_back(req);
             }
         }
     }
 
     fn produce_stage(&mut self, now: Cycle, mem: &PhysMem) {
-        for qi in 0..self.cfg.queues {
-            let Some(head) = self.produce_pending[qi].front().copied() else {
-                continue;
-            };
+        for qi in queues_in(self.tenant.produce_mask) {
+            let head = self.tenant.produce_pending[qi][0];
             let q = qi as u8;
-            if self.queues.queue(q).is_full() {
+            if self.tenant.queues.queue(q).is_full() {
                 self.stats.produce_stalls.inc();
                 continue; // buffered; only this queue stalls
             }
             match head.payload {
                 ProducePayload::Data(v) => {
-                    self.queues
+                    self.tenant
+                        .queues
                         .queue_mut(q)
                         .push(v)
                         .expect("checked not full");
                     self.trace_queue_push(now, q);
-                    self.produce_pending[qi].pop_front();
+                    self.tenant.pop_produce(qi);
                     self.respond(now, head.ack_dst, head.ack_id, 0);
                 }
                 ProducePayload::Ptr { va, coherent } => {
@@ -1130,13 +1153,14 @@ impl Engine {
                         continue; // walker busy or fault pending: retry
                     };
                     let slot = self
+                        .tenant
                         .queues
                         .queue_mut(q)
                         .reserve()
                         .expect("checked not full");
                     self.trace_queue_push(now, q);
                     self.issue_queue_fetch(now, q, slot, paddr, coherent);
-                    self.produce_pending[qi].pop_front();
+                    self.tenant.pop_produce(qi);
                     // Store acked as soon as the produce is accepted
                     // (paper step 4): the Access thread moves on while the
                     // fetch is in flight.
@@ -1147,12 +1171,13 @@ impl Engine {
                         continue;
                     };
                     let slot = self
+                        .tenant
                         .queues
                         .queue_mut(q)
                         .reserve()
                         .expect("checked not full");
                     self.trace_queue_push(now, q);
-                    let size = self.queues.queue(q).entry_bytes();
+                    let size = self.tenant.queues.queue(q).entry_bytes();
                     let txid = self.fresh_txid();
                     let req = MemReq {
                         id: txid,
@@ -1160,12 +1185,12 @@ impl Engine {
                         kind: MemReqKind::Amo {
                             kind,
                             size,
-                            operand: self.amo_operand[qi],
+                            operand: self.tenant.amo_operand[qi],
                         },
                         reply_to: Coord::default(),
                     };
                     self.track_fetch(now, FetchPurpose::QueueFill { q, slot }, req);
-                    self.produce_pending[qi].pop_front();
+                    self.tenant.pop_produce(qi);
                     self.respond(now, head.ack_dst, head.ack_id, 0);
                 }
             }
@@ -1173,51 +1198,51 @@ impl Engine {
     }
 
     fn prefetch_stage(&mut self, now: Cycle, mem: &PhysMem) {
-        let Some(head) = self.prefetch_pending.front().copied() else {
+        let Some(head) = self.tenant.prefetch_pending.front().copied() else {
             return;
         };
         let ProducePayload::Ptr { va, .. } = head.payload else {
             unreachable!("prefetch ops always carry pointers");
         };
         // Speculative: a fault drops the prefetch instead of interrupting.
-        if self.fault.is_some() {
+        if self.tenant.fault.is_some() {
             return;
         }
         // Mirror `translate`: while the walker is busy, serve TLB hits
         // through the non-mutating probe so retries queued behind the
         // walker do not count as fresh misses every cycle.
-        let hit = if now < self.walker_free_at {
-            self.tlb.probe(va.page())
+        let hit = if now < self.tenant.walker_free_at {
+            self.tenant.tlb.probe(va.page())
         } else {
-            self.tlb.lookup(va.page())
+            self.tenant.tlb.lookup(va.page())
         };
         if let Some(e) = hit {
             let paddr = e.frame.offset(va.page_offset());
             self.stats.llc_prefetches.inc();
             let id = self.fresh_txid();
-            self.out_mem.push_back(MemReq {
+            self.tenant.out_mem.push_back(MemReq {
                 id,
                 addr: paddr,
                 kind: MemReqKind::PrefetchLine,
                 reply_to: Coord::default(),
             });
-            self.prefetch_pending.pop_front();
+            self.tenant.prefetch_pending.pop_front();
             self.respond(now, head.ack_dst, head.ack_id, 0);
             return;
         }
-        if now < self.walker_free_at {
+        if now < self.tenant.walker_free_at {
             return;
         }
-        let pt = self.page_table.expect("engine MMU unprogrammed");
-        self.walker_free_at = now.plus(walk_latency(self.cfg.ptw_read_latency));
+        let pt = self.tenant.page_table.expect("engine MMU unprogrammed");
+        self.tenant.walker_free_at = now.plus(walk_latency(self.cfg.ptw_read_latency));
         match pt.translate_checked(mem, va, false) {
             Ok(t) => {
                 let frame = PAddr(t.paddr.0 & !(maple_mem::PAGE_SIZE - 1));
-                self.tlb.insert(va.page(), frame, t.flags);
+                self.tenant.tlb.insert(va.page(), frame, t.flags);
             }
             Err(_) => {
                 // Speculative prefetch to an unmapped page: drop silently.
-                self.prefetch_pending.pop_front();
+                self.tenant.prefetch_pending.pop_front();
                 self.respond(now, head.ack_dst, head.ack_id, 0);
             }
         }
@@ -1226,16 +1251,16 @@ impl Engine {
     fn lima_stage(&mut self, now: Cycle, mem: &PhysMem) {
         // Drain buffered launches as command-queue slots free up, acking
         // the stalled stores.
-        while self.lima_cmds.len() < self.cfg.lima_cmd_depth {
-            let Some((dst, id, cmd)) = self.lima_go_pending.pop_front() else {
+        while self.tenant.lima_cmds.len() < self.cfg.lima_cmd_depth {
+            let Some((dst, id, cmd)) = self.tenant.lima_go_pending.pop_front() else {
                 break;
             };
-            self.lima_cmds.push_back(cmd);
+            self.tenant.lima_cmds.push_back(cmd);
             self.respond(now, dst, id, 1);
         }
-        if self.lima.is_none() {
-            if let Some(cmd) = self.lima_cmds.pop_front() {
-                self.lima = Some(LimaActive {
+        if self.tenant.lima.is_none() {
+            if let Some(cmd) = self.tenant.lima_cmds.pop_front() {
+                self.tenant.lima = Some(LimaActive {
                     next_fetch: cmd.lo,
                     chunks: VecDeque::new(),
                     head_pos: 0,
@@ -1244,7 +1269,7 @@ impl Engine {
                 });
             }
         }
-        let Some(mut active) = self.lima.take() else {
+        let Some(mut active) = self.tenant.lima.take() else {
             return;
         };
 
@@ -1305,9 +1330,9 @@ impl Engine {
             if active.cmd.speculative {
                 // Speculative: prefetch A[b] into the LLC.
                 let Some(paddr) = self.translate(now, mem, target) else {
-                    if self.fault.is_some() {
+                    if self.tenant.fault.is_some() {
                         // LIMA prefetches are speculative: skip the element.
-                        self.fault = None;
+                        self.tenant.fault = None;
                         active.head_pos += 1;
                         continue;
                     }
@@ -1315,7 +1340,7 @@ impl Engine {
                 };
                 self.stats.llc_prefetches.inc();
                 let id = self.fresh_txid();
-                self.out_mem.push_back(MemReq {
+                self.tenant.out_mem.push_back(MemReq {
                     id,
                     addr: paddr,
                     kind: MemReqKind::PrefetchLine,
@@ -1325,7 +1350,7 @@ impl Engine {
             } else {
                 // Non-speculative: pointer-produce into the target queue.
                 let q = active.cmd.queue;
-                if self.queues.queue(q).is_full() {
+                if self.tenant.queues.queue(q).is_full() {
                     self.stats.produce_stalls.inc();
                     break;
                 }
@@ -1333,6 +1358,7 @@ impl Engine {
                     break; // fault raised or walker busy: resume later
                 };
                 let slot = self
+                    .tenant
                     .queues
                     .queue_mut(q)
                     .reserve()
@@ -1348,25 +1374,23 @@ impl Engine {
         if active.next_fetch >= active.cmd.hi && active.chunks.is_empty() {
             self.stats.lima_completed.inc();
         } else {
-            self.lima = Some(active);
+            self.tenant.lima = Some(active);
         }
     }
 
     fn consume_stage(&mut self, now: Cycle) {
-        for qi in 0..self.cfg.queues {
-            let Some(head) = self.consume_pending[qi].front().copied() else {
-                continue;
-            };
+        for qi in queues_in(self.tenant.consume_mask) {
+            let head = self.tenant.consume_pending[qi][0];
             let q = qi as u8;
-            let entry_bytes = self.queues.queue(q).entry_bytes();
+            let entry_bytes = self.tenant.queues.queue(q).entry_bytes();
             let n = (usize::from(head.size) / usize::from(entry_bytes)).max(1);
-            if let Some(data) = self.queues.queue_mut(q).pop_packed(n) {
+            if let Some(data) = self.tenant.queues.queue_mut(q).pop_packed(n) {
                 self.tracer.emit(now, || TraceEvent::QueuePop {
                     engine: self.trace_id,
                     queue: qi,
-                    occupancy: self.queues.queue(q).occupancy(),
+                    occupancy: self.tenant.queues.queue(q).occupancy(),
                 });
-                self.consume_pending[qi].pop_front();
+                self.tenant.pop_consume(qi);
                 self.respond(now, head.dst, head.id, data);
             } else {
                 self.stats.consume_stalls.inc();
@@ -1381,14 +1405,14 @@ impl Engine {
     /// never while a fault blocks the MMU (the unblocking event — driver
     /// fault service or an MMIO `FAULT_RESUME` — is visible elsewhere).
     fn translate_event(&self, now: Cycle, va: VAddr) -> Option<Cycle> {
-        if self.fault.is_some() {
+        if self.tenant.fault.is_some() {
             return None;
         }
-        if now < self.walker_free_at {
-            if self.tlb.probe(va.page()).is_some() {
+        if now < self.tenant.walker_free_at {
+            if self.tenant.tlb.probe(va.page()).is_some() {
                 Some(now) // busy-walker probe hit: the op proceeds this cycle
             } else {
-                Some(self.walker_free_at) // retries until then are pure no-ops
+                Some(self.tenant.walker_free_at) // retries until then are pure no-ops
             }
         } else {
             Some(now)
@@ -1409,25 +1433,23 @@ impl Engine {
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let mut h = maple_sim::Horizon::IDLE;
         // Outbound traffic the host tile must drain.
-        if !self.out_mem.is_empty() {
+        if !self.tenant.out_mem.is_empty() {
             h.at(now);
         }
-        h.observe(self.out_resp.next_deadline().map(|d| d.max(now)));
+        h.observe(self.tenant.out_resp.next_deadline().map(|d| d.max(now)));
         // Incoming MMIO operations finish decode at their deadline.
-        h.observe(self.incoming.next_deadline().map(|d| d.max(now)));
+        h.observe(self.tenant.incoming.next_deadline().map(|d| d.max(now)));
         // Watchdog: the earliest fetch deadline (re-issue or poison).
         if let Some(w) = self.watchdog {
-            for f in self.inflight.values() {
+            for f in self.tenant.inflight.values() {
                 h.at(w.deadline(f.issued, f.retries).max(now));
             }
         }
         // Produce pipeline: a head behind a free slot acts now (immediate
         // data) or when its translation can act. Full queues are stalls.
-        for qi in 0..self.cfg.queues {
-            let Some(head) = self.produce_pending[qi].front() else {
-                continue;
-            };
-            if self.queues.queue(qi as u8).is_full() {
+        for qi in queues_in(self.tenant.produce_mask) {
+            let head = &self.tenant.produce_pending[qi][0];
+            if self.tenant.queues.queue(qi as u8).is_full() {
                 continue; // per-cycle produce_stalls: bulk-counted by skip()
             }
             match head.payload {
@@ -1438,20 +1460,22 @@ impl Engine {
             }
         }
         // Prefetch pipeline head (fault-blocked heads sit silently).
-        if let Some(head) = self.prefetch_pending.front() {
+        if let Some(head) = self.tenant.prefetch_pending.front() {
             if let ProducePayload::Ptr { va, .. } = head.payload {
                 h.observe(self.translate_event(now, va));
             }
         }
         // LIMA: buffered launches drain when the command queue has room;
         // an idle unit activates a queued command the next tick.
-        if !self.lima_go_pending.is_empty() && self.lima_cmds.len() < self.cfg.lima_cmd_depth {
+        if !self.tenant.lima_go_pending.is_empty()
+            && self.tenant.lima_cmds.len() < self.cfg.lima_cmd_depth
+        {
             h.at(now);
         }
-        if self.lima.is_none() && !self.lima_cmds.is_empty() {
+        if self.tenant.lima.is_none() && !self.tenant.lima_cmds.is_empty() {
             h.at(now);
         }
-        if let Some(active) = &self.lima {
+        if let Some(active) = &self.tenant.lima {
             // Fetch stage: room for another B chunk.
             if active.next_fetch < active.cmd.hi
                 && active.chunks.len() < self.cfg.lima_chunks_inflight
@@ -1471,8 +1495,8 @@ impl Engine {
                         h.at(now); // the exhausted chunk retires this cycle
                     } else if active.cmd.speculative {
                         h.at(now); // prefetches even consume pending faults
-                    } else if !self.queues.queue(active.cmd.queue).is_full()
-                        && self.fault.is_none()
+                    } else if !self.tenant.queues.queue(active.cmd.queue).is_full()
+                        && self.tenant.fault.is_none()
                     {
                         h.at(now);
                     }
@@ -1481,11 +1505,9 @@ impl Engine {
         }
         // Consume pipeline: a head with enough packed data pops this cycle
         // (empty-queue heads are stalls, bulk-counted by skip()).
-        for qi in 0..self.cfg.queues {
-            let Some(head) = self.consume_pending[qi].front() else {
-                continue;
-            };
-            let q = self.queues.queue(qi as u8);
+        for qi in queues_in(self.tenant.consume_mask) {
+            let head = &self.tenant.consume_pending[qi][0];
+            let q = self.tenant.queues.queue(qi as u8);
             let n = (usize::from(head.size) / usize::from(q.entry_bytes())).max(1);
             if q.ready_at_head() >= n {
                 h.at(now);
@@ -1503,27 +1525,25 @@ impl Engine {
     /// non-speculative produce head is blocked on a full queue, and one
     /// `consume_stalls` per queue whose consume head lacks packed data.
     pub fn skip(&mut self, cycles: u64) {
-        for qi in 0..self.cfg.queues {
-            if !self.produce_pending[qi].is_empty() && self.queues.queue(qi as u8).is_full() {
+        for qi in queues_in(self.tenant.produce_mask) {
+            if self.tenant.queues.queue(qi as u8).is_full() {
                 self.stats.produce_stalls.add(cycles);
             }
         }
-        if let Some(active) = &self.lima {
+        if let Some(active) = &self.tenant.lima {
             if let Some(chunk) = active.chunks.front() {
                 if chunk.ready
                     && active.head_pos < chunk.count
                     && !active.cmd.speculative
-                    && self.queues.queue(active.cmd.queue).is_full()
+                    && self.tenant.queues.queue(active.cmd.queue).is_full()
                 {
                     self.stats.produce_stalls.add(cycles);
                 }
             }
         }
-        for qi in 0..self.cfg.queues {
-            let Some(head) = self.consume_pending[qi].front() else {
-                continue;
-            };
-            let q = self.queues.queue(qi as u8);
+        for qi in queues_in(self.tenant.consume_mask) {
+            let head = &self.tenant.consume_pending[qi][0];
+            let q = self.tenant.queues.queue(qi as u8);
             let n = (usize::from(head.size) / usize::from(q.entry_bytes())).max(1);
             if q.ready_at_head() < n {
                 self.stats.consume_stalls.add(cycles);

@@ -40,7 +40,8 @@ pub struct Slot(pub u64);
 /// One circular FIFO.
 #[derive(Debug, Clone)]
 pub struct FifoQueue {
-    /// (sequence, value-if-arrived) in FIFO order.
+    /// (sequence, value-if-arrived) in FIFO order; sequences are
+    /// contiguous (reservations append `next_seq`, pops take the head).
     slots: VecDeque<(u64, Option<u64>)>,
     next_seq: u64,
     entries: usize,
@@ -132,10 +133,13 @@ impl FifoQueue {
     /// filled twice — all protocol violations the RTL's formal properties
     /// rule out.
     pub fn fill(&mut self, slot: Slot, value: u64) {
+        // Sequences run contiguously from the head: the slot's position is
+        // its distance from the head's sequence.
         let entry = self
             .slots
-            .iter_mut()
-            .find(|(seq, _)| *seq == slot.0)
+            .front()
+            .and_then(|&(head, _)| slot.0.checked_sub(head))
+            .and_then(|i| self.slots.get_mut(i as usize))
             .expect("fill of unreserved or already-consumed slot");
         assert!(entry.1.is_none(), "slot filled twice");
         entry.1 = Some(value);
@@ -359,6 +363,27 @@ mod tests {
         let s = q.reserve().unwrap();
         q.fill(s, 1);
         q.fill(s, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "unreserved or already-consumed")]
+    fn fill_of_consumed_slot_panics() {
+        // The slot sits before the head: its position would underflow.
+        let mut q = q32();
+        let s = q.reserve().unwrap();
+        q.push(7).unwrap();
+        q.fill(s, 1);
+        assert_eq!(q.pop(), Some(1));
+        q.fill(s, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "unreserved or already-consumed")]
+    fn fill_of_unreserved_slot_panics() {
+        // The slot lies past the tail: no reservation holds it yet.
+        let mut q = q32();
+        let _ = q.reserve().unwrap();
+        q.fill(Slot(1), 1);
     }
 
     #[test]

@@ -49,6 +49,14 @@ impl Bench {
         }
     }
 
+    /// Installs the fault plane's engine hooks (zero rates), as the SoC
+    /// does when a plane is configured; they bring the MMIO replay cache.
+    fn install_fault_plane_hooks(&mut self) {
+        let plane = FaultPlaneConfig::new(1);
+        self.engine.set_watchdog(plane.engine_watchdog);
+        self.engine.set_ack_fault(plane.ack_loss_schedule(0));
+    }
+
     /// Maps `pages` pages of data at `va_base`, returns the phys base of
     /// the first page.
     fn map(&mut self, va_base: u64, pages: u64) -> PAddr {
@@ -637,7 +645,7 @@ fn mmio_offsets_stay_inside_one_page() {
 // Fault-plane & robustness tests
 // ---------------------------------------------------------------------------
 
-use maple_sim::fault::{FaultSchedule, WatchdogConfig};
+use maple_sim::fault::{FaultPlaneConfig, FaultSchedule, WatchdogConfig};
 
 #[test]
 fn stale_responses_counted_across_back_to_back_resets() {
@@ -798,6 +806,7 @@ fn retried_request_replays_response_without_double_effect() {
     // engine must recognise the (requester, txid) pair and replay the
     // recorded ack instead of executing the produce twice.
     let mut b = Bench::new(MapleConfig::default());
+    b.install_fault_plane_hooks();
     let p = b.store(StoreOp::Produce, 0, 5);
     b.run_until_ack(p, 100);
     b.engine.accept(
@@ -825,6 +834,7 @@ fn duplicate_of_inflight_request_is_dropped() {
     // (consume on an empty queue): the duplicate must be swallowed, and
     // the eventual data delivered exactly once.
     let mut b = Bench::new(MapleConfig::default());
+    b.install_fault_plane_hooks();
     let c = b.load(LoadOp::Consume, 0, 4);
     b.run(50);
     b.engine.accept(

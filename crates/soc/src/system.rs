@@ -20,7 +20,7 @@ use maple_mem::phys::{PAddr, PhysMem, PAGE_SIZE};
 use maple_mem::WriteStage;
 use maple_noc::{Coord, Fabric, MeshConfig};
 use maple_sim::fault::{CoreHang, EngineHang, HangDiagnosis, UnserviceableFault, WatchdogConfig};
-use maple_sim::link::{DelayQueue, Link};
+use maple_sim::link::Link;
 use maple_sim::stats::Counter;
 use maple_sim::worklist::Worklist;
 use maple_sim::{Cycle, RunOutcome};
@@ -138,6 +138,13 @@ pub struct HostWork {
     pub hub: u64,
     /// Cycles a run loop jumped over by advancing time to the horizon.
     pub skipped: u64,
+    /// Core ticks in phase 2 (a sleeping core's cycles are skipped, not
+    /// ticked).
+    pub core_ticks: u64,
+    /// Engine ticks in phase 2.
+    pub engine_ticks: u64,
+    /// L2 bank ticks in phase 3b.
+    pub bank_ticks: u64,
 }
 
 /// Driver/uncore-level chaos state: scheduled events still to inject,
@@ -238,7 +245,7 @@ pub struct System {
     egress_tiles: Vec<usize>,
     arrival_tiles: Vec<Coord>,
     arrivals: Vec<(Sink, Coord)>,
-    fault_service: DelayQueue<FaultTarget>,
+    fault_service: Link<FaultTarget>,
     faults_in_service: Vec<bool>,
     engine_fault_in_service: Vec<bool>,
     /// Per-engine, per-queue occupancy samples (taken every
@@ -389,7 +396,7 @@ impl System {
             egress_tiles: Vec::new(),
             arrival_tiles: Vec::new(),
             arrivals: Vec::new(),
-            fault_service: DelayQueue::new(),
+            fault_service: Link::new(cfg.fault_latency),
             faults_in_service: Vec::new(),
             engine_fault_in_service: vec![false; cfg.maples],
             occupancy: (0..cfg.maples)
@@ -1069,6 +1076,7 @@ impl System {
         //     tick, so only ticked cores need checking.
         let mut busy = false;
         self.core_wake.collect(now);
+        self.host_work.core_ticks += self.core_wake.due_now().len() as u64;
         for k in 0..self.core_wake.due_now().len() {
             let i = self.core_wake.due_now()[k];
             self.core_wake.wake(i, now, |n| self.cores[i].skip(n));
@@ -1086,7 +1094,7 @@ impl System {
                 self.faults_in_service[i] = true;
                 let vaddr = core.fault().expect("Faulted implies a fault").vaddr;
                 let target = FaultTarget::Core(i, vaddr);
-                self.fault_service.send(now, self.cfg.fault_latency, target);
+                self.fault_service.send(now, target);
                 busy = true;
             }
             let tile = self.layout.core_tiles[i];
@@ -1100,6 +1108,7 @@ impl System {
         // 2d. Tick the due engines; per engine, requests precede
         //     responses.
         self.engine_wake.collect(now);
+        self.host_work.engine_ticks += self.engine_wake.due_now().len() as u64;
         for k in 0..self.engine_wake.due_now().len() {
             let e = self.engine_wake.due_now()[k];
             self.engine_wake.wake(e, now, |n| self.engines[e].skip(n));
@@ -1108,7 +1117,7 @@ impl System {
                 if let Some(fault) = self.engines[e].fault() {
                     self.engine_fault_in_service[e] = true;
                     let target = FaultTarget::Engine(e, fault.vaddr);
-                    self.fault_service.send(now, self.cfg.fault_latency, target);
+                    self.fault_service.send(now, target);
                     busy = true;
                 }
             }
@@ -1219,6 +1228,7 @@ impl System {
         //     a tick fills a bank's outbound queue, so only ticked banks
         //     have egress.
         self.bank_wake.collect(now);
+        self.host_work.bank_ticks += self.bank_wake.due_now().len() as u64;
         for &b in self.bank_wake.due_now() {
             self.l2[b].tick(now, mem);
         }
@@ -1545,8 +1555,9 @@ impl System {
     }
 
     /// How the run loops have spent their host work so far: cycles
-    /// stepped, stepped cycles that ran the hub phases, and cycles
-    /// skipped. Deterministic, and not part of [`System::metrics_snapshot`].
+    /// stepped, stepped cycles that ran the hub phases, cycles skipped,
+    /// and core, engine and L2 bank ticks. Deterministic, and not part of
+    /// [`System::metrics_snapshot`].
     #[must_use]
     pub fn host_work(&self) -> HostWork {
         self.host_work

@@ -687,7 +687,10 @@ fn host_work_counts_hub_cycles_exactly() {
     // or a send in the uncore on every cycle it is stepped, so the hub
     // runs on all of them but one: the page-table walk's L1 hit before
     // the first store leaves. Under the dense stepper the hub runs on
-    // every cycle and nothing is skipped.
+    // every cycle and nothing is skipped. The tick counters follow: the
+    // skipping run ticks the idle engine and banks only on the first
+    // cycle (and the banks while the stores drain); the dense run ticks
+    // every core, engine and bank on every cycle.
     use maple_soc::HostWork;
     let run = |cfg: SocConfig, load: &dyn Fn(&mut System)| {
         let mut sys = System::new(cfg);
@@ -709,15 +712,24 @@ fn host_work_counts_hub_cycles_exactly() {
     };
     let skipping = SocConfig::fpga_prototype();
     let dense = SocConfig::fpga_prototype().with_dense_stepper();
-    let work = |stepped, hub, skipped| HostWork {
+    let work = |stepped, hub, skipped, (core_ticks, engine_ticks, bank_ticks)| HostWork {
         stepped,
         hub,
         skipped,
+        core_ticks,
+        engine_ticks,
+        bank_ticks,
     };
-    assert_eq!(run(skipping.clone(), &compute), work(8_017, 1, 984));
-    assert_eq!(run(dense.clone(), &compute), work(9_001, 9_001, 0));
-    assert_eq!(run(skipping, &stream), work(67, 66, 88));
-    assert_eq!(run(dense, &stream), work(155, 155, 0));
+    assert_eq!(
+        run(skipping.clone(), &compute),
+        work(8_017, 1, 984, (8_002, 1, 1))
+    );
+    assert_eq!(
+        run(dense.clone(), &compute),
+        work(9_001, 9_001, 0, (9_001, 9_001, 9_001))
+    );
+    assert_eq!(run(skipping, &stream), work(67, 66, 88, (66, 1, 14)));
+    assert_eq!(run(dense, &stream), work(155, 155, 0, (155, 155, 155)));
 }
 
 #[test]
