@@ -90,11 +90,6 @@ impl DropletPrefetcher {
         self.watches.push(watch);
     }
 
-    /// Removes all watches.
-    pub fn clear_watches(&mut self) {
-        self.watches.clear();
-    }
-
     /// Observes a request arriving at the L2. Demand line fetches within a
     /// watched index range schedule a decode.
     pub fn observe(&mut self, now: Cycle, req: &MemReq) {

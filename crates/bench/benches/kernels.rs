@@ -2,7 +2,7 @@
 //! hot component paths.
 //!
 //! These benchmark the *simulator itself* (host wall-clock per simulated
-//! workload), complementing the `fig*` binaries that report simulated
+//! workload), complementing the `results` driver, whose figures report simulated
 //! cycles. Useful for catching performance regressions in the timing
 //! models.
 //!

@@ -1,16 +1,20 @@
 //! Machine-readable aggregate of the paper-reproduction headline numbers.
 //!
-//! Writes `BENCH_maple.json` at the repository root: per-figure geomean
-//! speedups (Figures 8, 9, 12), the mean load latency view (Figure 11),
-//! the consume round trip (Figure 14), and the harness accounting (jobs,
-//! total sweep wall-clock). The suites are the ones the `fig*` binaries
-//! run, simulated fresh; only the `harness` section varies run to run.
-//! Diff the JSON against a previous checkout to spot regressions.
+//! Writes `BENCH_maple.json` in the working directory (run it from the
+//! repository root) and rewrites the generated tables of `README.md`
+//! there: per-figure geomean speedups (Figures 8, 9, 12), the mean load
+//! latency view (Figure 11), the consume round trip (Figure 14), and the
+//! harness accounting (jobs, total sweep wall-clock). The suites are the
+//! `results` driver's, simulated fresh through the same
+//! [`simulate`]; only the host-timing fields vary run to run. Diff the
+//! JSON against a previous checkout to spot regressions. A failed write
+//! exits 1.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::Path;
+use std::process::exit;
 
-use maple_bench::experiments::{decoupling_suite, prefetch_suite, prior_work_suite};
+use maple_bench::experiments::{decoupling_suite, prefetch_suite, prior_work_suite, simulate};
 use maple_bench::rtt::measure_roundtrip;
 use maple_bench::scaling::{scaling_sweep, SCALE_TILES};
 use maple_bench::stepper::stall_heavy_comparison;
@@ -33,42 +37,44 @@ fn rewrite_block(text: &str, begin_marker: &str, end_marker: &str, body: &str) -
     Some(out)
 }
 
-fn rewrite_readme_table(readme: &PathBuf, doc: &maple_trace::Json) {
+fn rewrite_readme_table(readme: &Path, doc: &maple_trace::Json) {
     let Ok(text) = fs::read_to_string(readme) else {
         eprintln!("[bench_summary] README.md not found; skipping table rewrite");
         return;
     };
     let mut out = text.clone();
-    match rewrite_block(
-        &out,
-        README_TABLE_BEGIN,
-        README_TABLE_END,
-        &readme_throughput_table(doc),
-    ) {
-        Some(next) => out = next,
-        None => eprintln!("[bench_summary] README.md throughput markers missing; skipping rewrite"),
-    }
-    match rewrite_block(
-        &out,
-        README_SCALING_BEGIN,
-        README_SCALING_END,
-        &readme_scaling_table(doc),
-    ) {
-        Some(next) => out = next,
-        None => eprintln!("[bench_summary] README.md scaling markers missing; skipping rewrite"),
+    let blocks = [
+        (README_TABLE_BEGIN, README_TABLE_END, readme_throughput_table(doc)),
+        (README_SCALING_BEGIN, README_SCALING_END, readme_scaling_table(doc)),
+    ];
+    for (begin, end, body) in blocks {
+        match rewrite_block(&out, begin, end, &body) {
+            Some(next) => out = next,
+            None => eprintln!("[bench_summary] README.md lacks {begin}; skipping that block"),
+        }
     }
     if out != text {
-        fs::write(readme, out).expect("rewrite README.md");
+        write_or_exit(readme, &out);
         eprintln!("[bench_summary] README.md generated tables rewritten");
+    }
+}
+
+fn write_or_exit(path: &Path, text: &str) {
+    if let Err(e) = fs::write(path, text) {
+        eprintln!("[bench_summary] cannot write {}: {e}", path.display());
+        exit(1);
     }
 }
 
 fn main() {
     maple_bench::cli::no_arguments("bench_summary");
     let t0 = std::time::Instant::now();
-    let fig08 = decoupling_suite();
-    let fig09 = prefetch_suite();
-    let fig12 = prior_work_suite();
+    let [fig08, fig09, fig12]: [Vec<_>; 3] = simulate(
+        "bench_summary",
+        &[decoupling_suite(), prefetch_suite(), prior_work_suite()],
+    )
+    .try_into()
+    .expect("one row set per suite");
 
     eprintln!("[bench_summary] measuring consume round trip...");
     let rtt = measure_roundtrip(SocConfig::fpga_prototype());
@@ -132,12 +138,9 @@ fn main() {
         Some(&scaling),
     );
 
-    let mut path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    path.push("../../BENCH_maple.json");
-    fs::write(&path, doc.render_pretty() + "\n").expect("write BENCH_maple.json");
-    let mut readme = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    readme.push("../../README.md");
-    rewrite_readme_table(&readme, &doc);
+    let path = Path::new("BENCH_maple.json");
+    write_or_exit(path, &(doc.render_pretty() + "\n"));
+    rewrite_readme_table(Path::new("README.md"), &doc);
     eprintln!(
         "[bench_summary] jobs={}, total wall {:.2}s",
         harness.jobs, harness.wall_seconds

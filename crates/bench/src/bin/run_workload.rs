@@ -15,7 +15,7 @@
 //! does not run the variant on, prints usage and exits 2 before any
 //! simulation runs.
 
-use maple_bench::experiments::{app_datasets, run_case};
+use maple_bench::experiments::{app_datasets, run_case, CaseSpec};
 use maple_workloads::Variant;
 
 fn parse_variant(s: &str) -> Option<Variant> {
@@ -71,7 +71,7 @@ fn main() {
             }),
     };
 
-    let stats = run_case(app, ds, variant, threads).unwrap_or_else(|e| {
+    let stats = run_case(&CaseSpec::new(app, ds, variant, threads)).unwrap_or_else(|e| {
         eprintln!("{e}");
         usage()
     });

@@ -1,13 +1,14 @@
-//! Shared experiment execution for the figure binaries.
+//! Shared experiment execution for the result driver.
 //!
-//! Suites run the workload/variant matrices of Section 5 through
-//! [`par_map`]: every case of a suite is one item of one ordered map
-//! (worker count from `MAPLE_JOBS`), simulated fresh on every run. Rows
+//! Every figure names its cases ([`CaseSpec`]); [`simulate`] takes the
+//! union of the cases a run asks for, drops duplicates, and simulates
+//! the rest as one [`par_map`] (worker count from `MAPLE_JOBS`). Rows
 //! come back in case order, bit-identical at every worker count, and
-//! `scripts/ci.sh` byte-diffs every figure built from them against
-//! `results/`.
+//! the `results --check` driver byte-diffs every figure built from them
+//! against `results/`.
 
 use maple_sim::par::{jobs_from_env, par_map};
+use maple_soc::SocConfig;
 use maple_trace::{StallBreakdown, StallRow};
 use maple_workloads::bfs::Bfs;
 use maple_workloads::sdhp::Sdhp;
@@ -15,25 +16,19 @@ use maple_workloads::spmm::Spmm;
 use maple_workloads::spmv::Spmv;
 use maple_workloads::{RunStats, Variant};
 
-use crate::instances;
+use crate::instances::{self, Named};
 
-/// One measured (app, dataset, variant) cell.
+/// One measured case.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
-    /// Application name.
-    pub app: String,
-    /// Dataset label.
-    pub dataset: String,
-    /// Variant label.
-    pub variant: String,
+    /// The case that was run.
+    pub case: CaseSpec,
     /// Cycles to completion.
     pub cycles: u64,
     /// Load instructions retired.
     pub loads: u64,
     /// Mean load-to-use latency.
     pub load_latency: f64,
-    /// Result matched the host reference.
-    pub verified: bool,
     /// Total core cycles backing the stall attribution.
     pub core_cycles: u64,
     /// Aggregate stall attribution across cores.
@@ -43,21 +38,44 @@ pub struct Measurement {
 impl Measurement {
     fn from_stats(spec: &CaseSpec, s: &RunStats) -> Self {
         Measurement {
-            app: spec.app.clone(),
-            dataset: spec.dataset.clone(),
-            variant: spec.variant.label().into(),
+            case: spec.clone(),
             cycles: s.cycles,
             loads: s.loads,
             load_latency: s.mean_load_latency,
-            verified: s.verified,
             core_cycles: s.core_cycles,
             stall: s.stall,
         }
     }
 }
 
+/// A change to a kernel's SoC configuration (the sensitivity sweeps).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tuning {
+    /// The kernel's own configuration.
+    Default,
+    /// Extra MAPLE pipeline cycles (Figure 15's round-trip knob).
+    MapleExtraLatency(u64),
+    /// Entries per MAPLE queue (Section 5.3's queue-size sweep).
+    QueueEntries(usize),
+    /// MAPLE instances (the engine-scaling ablation).
+    Maples(usize),
+}
+
+impl Tuning {
+    /// Applies the tuning to `cfg`.
+    #[must_use]
+    pub fn apply(self, cfg: SocConfig) -> SocConfig {
+        match self {
+            Tuning::Default => cfg,
+            Tuning::MapleExtraLatency(cycles) => cfg.with_maple_extra_latency(cycles),
+            Tuning::QueueEntries(entries) => cfg.with_queue_entries(entries),
+            Tuning::Maples(maples) => cfg.with_maples(maples),
+        }
+    }
+}
+
 /// One case of a suite matrix.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CaseSpec {
     /// Application name.
     pub app: String,
@@ -67,12 +85,29 @@ pub struct CaseSpec {
     pub variant: Variant,
     /// Thread count.
     pub threads: usize,
+    /// Configuration change on top of the kernel's own.
+    pub tuning: Tuning,
 }
 
-/// Runs a suite of cases on `workers` threads and returns one
-/// [`Measurement`] per case, in case order — bit-identical at every
-/// worker count. `run` executes one case. Reports `[name] jobs=N,
-/// wall=…s` on stderr.
+impl CaseSpec {
+    /// An untuned case.
+    #[must_use]
+    pub fn new(app: &str, dataset: &str, variant: Variant, threads: usize) -> Self {
+        CaseSpec {
+            app: app.into(),
+            dataset: dataset.into(),
+            variant,
+            threads,
+            tuning: Tuning::Default,
+        }
+    }
+}
+
+/// Simulates every distinct case of `requests` once, on `workers`
+/// threads with `run` executing one case, and returns each request's
+/// rows in its case order — bit-identical at every worker count.
+/// Reports the requested and simulated case counts and `jobs=N,
+/// wall=…s` on stderr under `[name]`.
 ///
 /// # Panics
 ///
@@ -80,11 +115,19 @@ pub struct CaseSpec {
 pub fn suite_with(
     workers: usize,
     name: &str,
-    cases: &[CaseSpec],
+    requests: &[Vec<CaseSpec>],
     run: impl Fn(&CaseSpec) -> RunStats + Sync,
-) -> Vec<Measurement> {
+) -> Vec<Vec<Measurement>> {
     let t0 = std::time::Instant::now();
-    let stats = par_map(workers, cases, run).unwrap_or_else(|(j, e)| {
+    let mut cases: Vec<CaseSpec> = Vec::new();
+    for case in requests.iter().flatten() {
+        if !cases.contains(case) {
+            cases.push(case.clone());
+        }
+    }
+    let requested = requests.iter().map(Vec::len).sum::<usize>();
+    eprintln!("[{name}] {requested} cases requested, {} simulated", cases.len());
+    let stats = par_map(workers, &cases, run).unwrap_or_else(|(j, e)| {
         let spec = &cases[j];
         panic!(
             "[{name}] {}/{}/{} t={}: {e}",
@@ -94,7 +137,7 @@ pub fn suite_with(
             spec.threads
         )
     });
-    let rows = cases
+    let rows: Vec<Measurement> = cases
         .iter()
         .zip(&stats)
         .map(|(spec, s)| {
@@ -112,126 +155,115 @@ pub fn suite_with(
         "[{name}] jobs={workers}, wall={:.2}s",
         t0.elapsed().as_secs_f64()
     );
-    rows
+    let row = |c: &CaseSpec| rows[cases.iter().position(|d| d == c).unwrap()].clone();
+    requests.iter().map(|r| r.iter().map(row).collect()).collect()
 }
 
 /// [`suite_with`] at the `MAPLE_JOBS` worker count, running real
 /// workload cases.
-fn suite(name: &str, cases: Vec<CaseSpec>) -> Vec<Measurement> {
-    suite_with(jobs_from_env(), name, &cases, |c| {
-        run_case(&c.app, &c.dataset, c.variant, c.threads).unwrap_or_else(|e| panic!("{e}"))
+#[must_use]
+pub fn simulate(name: &str, requests: &[Vec<CaseSpec>]) -> Vec<Vec<Measurement>> {
+    suite_with(jobs_from_env(), name, requests, |c| {
+        run_case(c).unwrap_or_else(|e| panic!("{e}"))
     })
 }
 
-/// Runs one evaluation instance — `app` is `sdhp`, `spmm`, `spmv` or
-/// `bfs`, `ds` a dataset label of [`app_datasets`] — under `variant` on
-/// `threads` threads.
+/// Runs one evaluation case: `app` is `sdhp`, `spmm`, `spmv` or `bfs`,
+/// `dataset` a label of [`app_datasets`].
 ///
 /// # Errors
 ///
-/// Says why when the app or dataset is unknown or the kernel does not
-/// run `variant` on `threads` threads (its `check_threads` rule);
-/// nothing is simulated then.
-pub fn run_case(app: &str, ds: &str, variant: Variant, threads: usize) -> Result<RunStats, String> {
-    fn pick<T>(set: Vec<(&str, T)>, ds: &str) -> Option<T> {
-        set.into_iter().find(|(l, _)| *l == ds).map(|(_, i)| i)
+/// Says why when the app or dataset is unknown, the kernel does not run
+/// the variant on that many threads (its `check_threads` rule), or the
+/// case tunes `spmm`, which has no tuning hook; nothing is simulated
+/// then.
+pub fn run_case(case: &CaseSpec) -> Result<RunStats, String> {
+    fn pick<T>(set: &[Named<T>], ds: &str) -> Option<T> {
+        set.iter().find(|(l, _)| *l == ds).map(|(_, build)| build())
     }
-    let stats = match app {
+    let (ds, variant, threads) = (case.dataset.as_str(), case.variant, case.threads);
+    let tune = |c: SocConfig| case.tuning.apply(c);
+    let stats = match case.app.as_str() {
         "sdhp" => {
             Sdhp::check_threads(variant, threads)?;
-            pick(instances::sdhp(), ds).map(|i| i.run(variant, threads))
+            pick(&instances::SDHP, ds).map(|i| i.run_tuned(variant, threads, tune))
         }
         "spmm" => {
             Spmm::check_threads(variant, threads)?;
-            pick(instances::spmm(), ds).map(|i| i.run(variant, threads))
+            if case.tuning != Tuning::Default {
+                return Err(format!("spmm takes no tuning, got {:?}", case.tuning));
+            }
+            pick(&instances::SPMM, ds).map(|i| i.run(variant, threads))
         }
         "spmv" => {
             Spmv::check_threads(variant, threads)?;
-            pick(instances::spmv(), ds).map(|i| i.run(variant, threads))
+            pick(&instances::SPMV, ds).map(|i| i.run_tuned(variant, threads, tune))
         }
         "bfs" => {
             Bfs::check_threads(variant, threads)?;
-            pick(instances::bfs(), ds).map(|i| i.run(variant, threads))
+            pick(&instances::BFS, ds).map(|i| i.run_tuned(variant, threads, tune))
         }
         _ => None,
     };
-    stats.ok_or_else(|| format!("unknown app/dataset `{app} {ds}` (try --list)"))
+    stats.ok_or_else(|| format!("unknown app/dataset `{} {ds}` (try --list)", case.app))
 }
 
 /// Every (app, dataset) pair of the evaluation.
 #[must_use]
 pub fn app_datasets() -> Vec<(String, String)> {
-    let mut v = Vec::new();
-    for (l, _) in instances::sdhp() {
-        v.push(("sdhp".into(), l.into()));
+    fn labels<T>(app: &str, set: &[Named<T>]) -> Vec<(String, String)> {
+        set.iter().map(|(ds, _)| (app.into(), (*ds).into())).collect()
     }
-    for (l, _) in instances::spmm() {
-        v.push(("spmm".into(), l.into()));
-    }
-    for (l, _) in instances::spmv() {
-        v.push(("spmv".into(), l.into()));
-    }
-    for (l, _) in instances::bfs() {
-        v.push(("bfs".into(), l.into()));
-    }
-    v
+    [
+        labels("sdhp", &instances::SDHP),
+        labels("spmm", &instances::SPMM),
+        labels("spmv", &instances::SPMV),
+        labels("bfs", &instances::BFS),
+    ]
+    .concat()
 }
 
 fn matrix(variants: &[(Variant, usize)]) -> Vec<CaseSpec> {
     let mut cases = Vec::new();
     for (app, ds) in app_datasets() {
         for &(variant, threads) in variants {
-            cases.push(CaseSpec {
-                app: app.clone(),
-                dataset: ds.clone(),
-                variant,
-                threads,
-            });
+            cases.push(CaseSpec::new(&app, &ds, variant, threads));
         }
     }
     cases
 }
 
-/// Figure 8 suite: 2-thread do-all, software decoupling, MAPLE
+/// Figure 8 cases: 2-thread do-all, software decoupling, MAPLE
 /// decoupling.
 #[must_use]
-pub fn decoupling_suite() -> Vec<Measurement> {
-    suite(
-        "fig08",
-        matrix(&[
-            (Variant::Doall, 2),
-            (Variant::SwDecoupled, 2),
-            (Variant::MapleDecoupled, 2),
-        ]),
-    )
+pub fn decoupling_suite() -> Vec<CaseSpec> {
+    matrix(&[
+        (Variant::Doall, 2),
+        (Variant::SwDecoupled, 2),
+        (Variant::MapleDecoupled, 2),
+    ])
 }
 
-/// Figures 9–11 suite: single-thread no-prefetch, software prefetching,
+/// Figures 9–11 cases: single-thread no-prefetch, software prefetching,
 /// MAPLE LIMA.
 #[must_use]
-pub fn prefetch_suite() -> Vec<Measurement> {
-    suite(
-        "fig09",
-        matrix(&[
-            (Variant::Doall, 1),
-            (Variant::SwPrefetch { dist: 16 }, 1),
-            (Variant::MapleLima, 1),
-        ]),
-    )
+pub fn prefetch_suite() -> Vec<CaseSpec> {
+    matrix(&[
+        (Variant::Doall, 1),
+        (Variant::SwPrefetch { dist: 16 }, 1),
+        (Variant::MapleLima, 1),
+    ])
 }
 
-/// Figure 12 suite: 2-thread do-all, MAPLE decoupling, DeSC, DROPLET.
+/// Figure 12 cases: 2-thread do-all, MAPLE decoupling, DeSC, DROPLET.
 #[must_use]
-pub fn prior_work_suite() -> Vec<Measurement> {
-    suite(
-        "fig12",
-        matrix(&[
-            (Variant::Doall, 2),
-            (Variant::MapleDecoupled, 2),
-            (Variant::Desc, 2),
-            (Variant::Droplet, 2),
-        ]),
-    )
+pub fn prior_work_suite() -> Vec<CaseSpec> {
+    matrix(&[
+        (Variant::Doall, 2),
+        (Variant::MapleDecoupled, 2),
+        (Variant::Desc, 2),
+        (Variant::Droplet, 2),
+    ])
 }
 
 /// Aggregates measurements into one stall-attribution row per variant
@@ -246,7 +278,7 @@ pub fn stall_rows_by_variant(rows: &[Measurement], variants: &[&str]) -> Vec<Sta
                 core_cycles: 0,
                 breakdown: StallBreakdown::default(),
             };
-            for m in rows.iter().filter(|m| m.variant == *v) {
+            for m in rows.iter().filter(|m| m.case.variant.label() == *v) {
                 row.core_cycles += m.core_cycles;
                 row.breakdown.merge(&m.stall);
             }
@@ -264,6 +296,6 @@ pub fn find<'a>(
     variant: &str,
 ) -> &'a Measurement {
     rows.iter()
-        .find(|m| m.app == app && m.dataset == ds && m.variant == variant)
+        .find(|m| m.case.app == app && m.case.dataset == ds && m.case.variant.label() == variant)
         .unwrap_or_else(|| panic!("no measurement for {app}/{ds}/{variant}"))
 }

@@ -1,22 +1,22 @@
-//! Result rendering shared by the figure binaries.
+//! Result rendering shared by the figure entries.
 //!
-//! Every `fig*` binary funnels its results through one [`FigureReport`]:
-//! the text table on stdout, the JSON sidecar in `results/<figure>.json`,
-//! and the aggregate `BENCH_maple.json` (see the `bench_summary` binary)
-//! are all views of the same structure, so they can never drift apart.
+//! Every figure funnels its results through one [`FigureReport`]: the
+//! text in `results/<figure>.txt` and the JSON sidecar in
+//! `results/<figure>.json` are two views of the same structure, so they
+//! can never drift apart.
 
-use std::fs;
-use std::path::PathBuf;
+use std::fmt::Write;
 
 use maple_sim::stats::geomean;
 use maple_trace::{stall_json, stall_table, Json, StallRow};
 
-/// Prints the figure banner.
-pub fn print_banner(figure: &str, paper_claim: &str) {
-    println!("================================================================");
-    println!("{figure}");
-    println!("paper: {paper_claim}");
-    println!("================================================================");
+use crate::figures::Output;
+
+/// The figure banner.
+#[must_use]
+pub fn banner(figure: &str, paper_claim: &str) -> String {
+    let rule = "================================================================";
+    format!("{rule}\n{figure}\npaper: {paper_claim}\n{rule}\n")
 }
 
 /// A speedup table: rows are `(app, dataset)` pairs, columns are
@@ -66,36 +66,32 @@ impl SpeedupTable {
             .collect()
     }
 
-    /// The column labels.
-    #[must_use]
-    pub fn columns(&self) -> &[String] {
-        &self.columns
-    }
-
     /// Renders the table; ratio tables get a geomean footer.
-    pub fn print(&self) {
-        print!("{:<22}", "workload");
+    #[must_use]
+    pub fn render(&self) -> String {
+        let mut out = format!("{:<22}", "workload");
         for c in &self.columns {
-            print!("{c:>12}");
+            let _ = write!(out, "{c:>12}");
         }
-        println!();
+        out.push('\n');
         for (label, values) in &self.rows {
-            print!("{label:<22}");
+            let _ = write!(out, "{label:<22}");
             for v in values {
-                match &self.unit {
-                    None => print!("{v:>11.2}x"),
-                    Some(u) => print!("{v:>10.1}{u}"),
-                }
+                let _ = match &self.unit {
+                    None => write!(out, "{v:>11.2}x"),
+                    Some(u) => write!(out, "{v:>10.1}{u}"),
+                };
             }
-            println!();
+            out.push('\n');
         }
         if self.unit.is_none() {
-            print!("{:<22}", "geomean");
+            let _ = write!(out, "{:<22}", "geomean");
             for g in self.geomeans() {
-                print!("{g:>11.2}x");
+                let _ = write!(out, "{g:>11.2}x");
             }
-            println!();
+            out.push('\n');
         }
+        out
     }
 
     /// JSON form: columns, per-row cells, and (for ratio tables) the
@@ -153,9 +149,9 @@ pub struct SummaryLine {
     pub paper: String,
 }
 
-/// The single renderer behind every figure binary: one structure, three
-/// views (stdout text, `results/<figure>.json` sidecar, and the
-/// aggregate `BENCH_maple.json`).
+/// The single renderer behind every figure: one structure, two views
+/// (the `results/<figure>.txt` text and the `results/<figure>.json`
+/// sidecar).
 #[derive(Debug, Default)]
 pub struct FigureReport {
     /// Short slug (`fig08`) naming the sidecar file.
@@ -194,29 +190,32 @@ impl FigureReport {
         });
     }
 
-    /// Renders the text view to stdout.
-    pub fn print(&self) {
-        print_banner(&self.title, &self.paper);
+    /// The text view.
+    #[must_use]
+    pub fn render(&self) -> String {
+        let mut out = banner(&self.title, &self.paper);
         if let Some(t) = &self.table {
-            t.print();
+            out += &t.render();
         }
         if !self.lines.is_empty() {
-            println!();
+            out.push('\n');
             let width = self.lines.iter().map(|l| l.label.len()).max().unwrap_or(0);
             for l in &self.lines {
-                println!(
+                let _ = writeln!(
+                    out,
                     "{:<width$}  {:>7.2}{}   [paper: {}]",
                     l.label, l.value, l.unit, l.paper
                 );
             }
         }
         if !self.stalls.is_empty() {
-            println!("\nStall attribution (ours):");
-            print!("{}", stall_table(&self.stalls));
+            out += "\nStall attribution (ours):\n";
+            out += &stall_table(&self.stalls);
         }
+        out
     }
 
-    /// The JSON view backing the sidecar and the aggregate summary.
+    /// The JSON view backing the sidecar.
     #[must_use]
     pub fn to_json(&self) -> Json {
         let mut members = vec![
@@ -251,34 +250,14 @@ impl FigureReport {
         Json::obj(members)
     }
 
-    /// Writes the JSON sidecar to `results/<figure>.json` (next to the
-    /// checked-in `results/<figure>.txt` transcripts) and reports the
-    /// path on stderr. Errors are reported, not fatal: figures still
-    /// print on a read-only checkout.
-    pub fn write_sidecar(&self) {
-        let path = results_path(&format!("{}.json", self.figure));
-        match fs::write(&path, self.to_json().render_pretty() + "\n") {
-            Ok(()) => eprintln!("[{}] sidecar written to {}", self.figure, path.display()),
-            Err(e) => eprintln!("[{}] sidecar write failed: {e}", self.figure),
+    /// Both views: the text and the JSON sidecar.
+    #[must_use]
+    pub fn output(&self) -> Output {
+        Output {
+            text: self.render(),
+            sidecar: Some(self.to_json()),
         }
     }
-
-    /// Prints the text view and writes the JSON sidecar — the standard
-    /// tail of every figure binary.
-    pub fn emit(&self) {
-        self.print();
-        self.write_sidecar();
-    }
-}
-
-/// Path of a file inside the repository's `results/` directory.
-#[must_use]
-pub fn results_path(name: &str) -> PathBuf {
-    let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    p.push("../../results");
-    let _ = fs::create_dir_all(&p);
-    p.push(name);
-    p
 }
 
 #[cfg(test)]
@@ -293,7 +272,9 @@ mod tests {
         let g = t.geomeans();
         assert!((g[0] - 4.0).abs() < 1e-12);
         assert!((g[1] - 1.0).abs() < 1e-12);
-        t.print();
+        let text = t.render();
+        assert_eq!(text.lines().count(), 4);
+        assert!(text.lines().last().unwrap().starts_with("geomean"));
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub struct ServingLine {
 pub fn pairs_of(rows: &[Measurement]) -> Vec<(String, String)> {
     let mut pairs: Vec<(String, String)> = Vec::new();
     for m in rows {
-        let p = (m.app.clone(), m.dataset.clone());
+        let p = (m.case.app.clone(), m.case.dataset.clone());
         if !pairs.contains(&p) {
             pairs.push(p);
         }

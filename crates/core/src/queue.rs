@@ -279,12 +279,6 @@ impl QueueController {
         self.queues[usize::from(q)] = FifoQueue::new(entries, entry_bytes);
         Ok(())
     }
-
-    /// Whether every queue is completely empty.
-    #[must_use]
-    pub fn all_empty(&self) -> bool {
-        self.queues.iter().all(FifoQueue::is_empty)
-    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! epoch barrier the multithreaded kernels synchronize with.
 
 use maple_core::mmio::{
-    config_queue_payload, lima_go_payload, load_offset, store_offset, LoadOp, StoreOp,
+    lima_go_payload, load_offset, store_offset, LoadOp, StoreOp,
 };
 use maple_isa::builder::ProgramBuilder;
 use maple_isa::{AtomicOp, Reg, ZERO};
@@ -76,19 +76,6 @@ impl MapleApi {
         b.st(ZERO, self.base, store_offset(StoreOp::Reset, 0) as i64, 8);
     }
 
-    /// Configure queue `q` to `entries` × `entry_bytes`.
-    pub fn config_queue(
-        &self,
-        b: &mut ProgramBuilder,
-        q: u8,
-        entries: u32,
-        entry_bytes: u8,
-        tmp: Reg,
-    ) {
-        b.li(tmp, config_queue_payload(entries, entry_bytes));
-        b.st(tmp, self.base, store_offset(StoreOp::ConfigQueue, q) as i64, 8);
-    }
-
     /// `LIMA(A, B, lo, hi)` (Figure 4): four stores programming the unit,
     /// with `lo`/`hi` packed from registers. Non-speculative commands
     /// gather into queue `q`; speculative ones prefetch into the LLC.
@@ -141,16 +128,6 @@ impl MapleApi {
             ptr,
             self.base,
             store_offset(StoreOp::ProduceAmoAdd, q) as i64,
-            8,
-        );
-    }
-
-    /// `PRODUCE_AMO_MIN(q, ptr)`: atomic unsigned fetch-min variant.
-    pub fn produce_amo_min(&self, b: &mut ProgramBuilder, q: u8, ptr: Reg) {
-        b.st(
-            ptr,
-            self.base,
-            store_offset(StoreOp::ProduceAmoMin, q) as i64,
             8,
         );
     }

@@ -501,25 +501,11 @@ impl System {
         self.write_bytes(va, &bytes);
     }
 
-    /// Host write of a `u64` slice starting at `va`.
-    pub fn write_slice_u64(&mut self, va: VAddr, data: &[u64]) {
-        let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
-        self.write_bytes(va, &bytes);
-    }
-
     /// Host read of `n` `u32`s starting at `va`.
     pub fn read_slice_u32(&mut self, va: VAddr, n: usize) -> Vec<u32> {
         self.read_bytes(va, n * 4)
             .chunks_exact(4)
             .map(|w| u32::from_le_bytes(w.try_into().expect("4-byte chunk")))
-            .collect()
-    }
-
-    /// Host read of `n` `u64`s starting at `va`.
-    pub fn read_slice_u64(&mut self, va: VAddr, n: usize) -> Vec<u64> {
-        self.read_bytes(va, n * 8)
-            .chunks_exact(8)
-            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
             .collect()
     }
 
@@ -1581,12 +1567,6 @@ impl System {
     #[must_use]
     pub fn engine(&self, i: usize) -> &Engine {
         &self.engines[i]
-    }
-
-    /// L2 bank `b` of a banked (clustered) configuration.
-    #[must_use]
-    pub fn l2_bank(&self, b: usize) -> &SharedL2 {
-        &self.l2[b]
     }
 
     /// Number of L2 banks (1 for flat configurations).

@@ -579,16 +579,13 @@ fn chaos_reset_and_watchdog_deadline_inside_hub_idle_windows_are_bit_exact() {
     // core 1 computes, so the stretches between watchdog deadlines and
     // the scheduled engine RESET are hub-idle. Each event must still
     // fire on its own cycle, traced identically to the dense run.
-    let plane = || {
-        FaultPlaneConfig::new(9)
-            .with_engine_reset_at(5_003, 0)
-            .with_watchdogs(
-                maple_sim::fault::WatchdogConfig::default(),
-                maple_sim::fault::WatchdogConfig {
-                    timeout: 2_500,
-                    max_retries: 2,
-                },
-            )
+    let plane = || FaultPlaneConfig {
+        engine_watchdog: maple_sim::fault::WatchdogConfig::default(),
+        mmio_watchdog: maple_sim::fault::WatchdogConfig {
+            timeout: 2_500,
+            max_retries: 2,
+        },
+        ..FaultPlaneConfig::new(9).with_engine_reset_at(5_003, 0)
     };
     let cfg = SocConfig::fpga_prototype()
         .with_fault_plane(plane())

@@ -28,7 +28,7 @@
 //!   [`MetricsSnapshot`] with a single renderer
 //!   (text table and JSON), plus the per-core stall-attribution report
 //!   (compute / L1-miss / L2-miss / DRAM / consume-wait / MMIO /
-//!   fault-recovery) printed by the figure binaries.
+//!   fault-recovery) printed under the paper's figures.
 
 #![deny(missing_docs)]
 

@@ -16,7 +16,7 @@ use maple_trace::{stall_table, TraceConfig};
 use maple_workloads::Variant;
 
 fn main() {
-    let spmv = instances::spmv().remove(0).1;
+    let spmv = (instances::SPMV[0].1)();
     eprintln!("[trace_spmv] running spmv/riscv-s (maple-dec, 2 threads) with tracing...");
     let (stats, sys) = spmv.run_observed(Variant::MapleDecoupled, 2, |c| {
         c.with_tracing(TraceConfig::default())

@@ -52,28 +52,18 @@ MAPLE_TESTKIT_CASES=150000 \
 # Byte-diff gate: runs a maple-bench binary at MAPLE_JOBS=1 and =4, and
 # requires the two outputs to be identical, to equal the committed golden
 # results/NAME.txt byte for byte and (when OK is non-empty) to contain
-# the line OK. A binary that rewrites a JSON sidecar results/NAME.json
-# (the fig binaries) must rewrite it byte for byte after each run. The
-# goldens hold host-independent lines only, so a change that only speeds
-# up the simulator proves it simulates exactly what its parent did.
-# Leaves the seconds both runs took in GATE_WALL.
+# the line OK. The goldens hold host-independent lines only, so a change
+# that only speeds up the simulator proves it simulates exactly what its
+# parent did. Leaves the seconds both runs took in GATE_WALL.
 #
 # Usage: gate NAME OK BIN [ARGS...]
 gate() {
-    local name=$1 ok=$2 bin=$3 sidecar=""
+    local name=$1 ok=$2 bin=$3
     shift 3
-    if [ -f "results/${name}.json" ]; then
-        sidecar="target/${name}.json"
-        cp "results/${name}.json" "$sidecar"
-    fi
     local t0=$SECONDS
     for jobs in 1 4; do
         MAPLE_JOBS=$jobs cargo run --offline --release -q -p maple-bench --bin "$bin" \
             -- "$@" > "target/${name}_jobs${jobs}.txt"
-        if [ -n "$sidecar" ] && ! diff "$sidecar" "results/${name}.json"; then
-            echo "ERROR: $name at MAPLE_JOBS=$jobs rewrote results/${name}.json differently" >&2
-            exit 1
-        fi
     done
     GATE_WALL=$((SECONDS - t0))
     if ! diff "target/${name}_jobs1.txt" "target/${name}_jobs4.txt"; then
@@ -130,14 +120,16 @@ for TILES in 256 1024; do
     fi
 done
 
-echo "==> results: every result binary must reprint its committed files"
-# The paper's figures (fig08-fig15, stdout and JSON sidecar), cycle
+echo "==> results: every result file must render byte for byte as committed"
+# The paper's figures (fig08-fig15, text and JSON sidecar), cycle
 # counts, queue-depth and scaling sweeps, hop latencies, area and
-# configuration tables, each byte-diffed against results/NAME.txt (stdout
-# only: the suites report progress and wall time on stderr).
-for NAME in fig08 fig09 fig10 fig11 fig12 fig13 fig14 fig15 \
-    counters queue_sweep ablation_maple_scaling hops area tables; do
-    gate "$NAME" "" "$NAME"
+# configuration tables. `results --check` simulates each distinct case
+# once and diffs every rendered file against results/ in-process; both
+# worker counts must match, which is par_map's determinism check.
+for JOBS in 1 4; do
+    t0=$SECONDS
+    MAPLE_JOBS=$JOBS cargo run --offline --release -q -p maple-bench --bin results -- --check
+    echo "    at MAPLE_JOBS=$JOBS ($((SECONDS - t0))s)"
 done
 
 echo "==> perf_counters: maple-perf exact counters must equal results/perf_smoke"

@@ -1,5 +1,5 @@
 //! Smoke tests for the figure harness: tiny instances through the same
-//! experiment plumbing the `fig*` binaries use, so a broken experiment
+//! experiment plumbing the `results` driver uses, so a broken experiment
 //! path fails in `cargo test` rather than at figure-generation time.
 
 use maple_bench::report::SpeedupTable;
@@ -18,19 +18,23 @@ fn speedup_table_renders_geomeans() {
 
 #[test]
 fn instances_are_well_formed() {
-    for (label, inst) in maple_bench::instances::spmv() {
+    for (label, build) in maple_bench::instances::SPMV {
+        let inst = build();
         assert!(inst.a.is_well_formed(), "spmv/{label}");
         assert_eq!(inst.x.len(), inst.a.ncols);
     }
-    for (label, inst) in maple_bench::instances::sdhp() {
+    for (label, build) in maple_bench::instances::SDHP {
+        let inst = build();
         assert!(!inst.lin.is_empty(), "sdhp/{label}");
         assert!(inst.lin.iter().all(|&b| (b as usize) < inst.dense.len()));
     }
-    for (label, inst) in maple_bench::instances::spmm() {
+    for (label, build) in maple_bench::instances::SPMM {
+        let inst = build();
         assert!(inst.a.is_well_formed(), "spmm/{label}");
         assert!(inst.b.is_well_formed(), "spmm/{label}");
     }
-    for (label, inst) in maple_bench::instances::bfs() {
+    for (label, build) in maple_bench::instances::BFS {
+        let inst = build();
         assert!(inst.graph.is_well_formed(), "bfs/{label}");
         assert!(!inst.graph.row_range(inst.root as usize).is_empty());
     }
