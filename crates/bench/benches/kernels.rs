@@ -141,7 +141,11 @@ fn main() {
     harness::bench("spmv/maple_dec_2t", 10, || run_spmv_maple_dec_2t(&spmv));
     let sdhp = sdhp_instance();
     harness::bench("sdhp/lima_1t", 10, || run_sdhp_lima_1t(&sdhp));
-    harness::bench("noc_4x4_saturated_1k_ticks", 20, run_noc_4x4_saturated_1k_ticks);
+    harness::bench(
+        "noc_4x4_saturated_1k_ticks",
+        20,
+        run_noc_4x4_saturated_1k_ticks,
+    );
     harness::bench("engine_1k_data_produces", 20, run_engine_1k_data_produces);
 }
 

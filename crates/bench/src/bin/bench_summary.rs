@@ -44,8 +44,16 @@ fn rewrite_readme_table(readme: &Path, doc: &maple_trace::Json) {
     };
     let mut out = text.clone();
     let blocks = [
-        (README_TABLE_BEGIN, README_TABLE_END, readme_throughput_table(doc)),
-        (README_SCALING_BEGIN, README_SCALING_END, readme_scaling_table(doc)),
+        (
+            README_TABLE_BEGIN,
+            README_TABLE_END,
+            readme_throughput_table(doc),
+        ),
+        (
+            README_SCALING_BEGIN,
+            README_SCALING_END,
+            readme_scaling_table(doc),
+        ),
     ];
     for (begin, end, body) in blocks {
         match rewrite_block(&out, begin, end, &body) {

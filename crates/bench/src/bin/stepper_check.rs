@@ -50,10 +50,9 @@ fn main() {
     };
     match mode {
         Mode::Steppers => stepper_gate(),
-        Mode::Scale(tiles) => print_or_fail(
-            scale_gate(0x5CA1E, tiles),
-            "HIERARCHICAL FABRIC DIVERGENCE",
-        ),
+        Mode::Scale(tiles) => {
+            print_or_fail(scale_gate(0x5CA1E, tiles), "HIERARCHICAL FABRIC DIVERGENCE")
+        }
     }
 }
 

@@ -126,7 +126,10 @@ pub fn suite_with(
         }
     }
     let requested = requests.iter().map(Vec::len).sum::<usize>();
-    eprintln!("[{name}] {requested} cases requested, {} simulated", cases.len());
+    eprintln!(
+        "[{name}] {requested} cases requested, {} simulated",
+        cases.len()
+    );
     let stats = par_map(workers, &cases, run).unwrap_or_else(|(j, e)| {
         let spec = &cases[j];
         panic!(
@@ -156,7 +159,10 @@ pub fn suite_with(
         t0.elapsed().as_secs_f64()
     );
     let row = |c: &CaseSpec| rows[cases.iter().position(|d| d == c).unwrap()].clone();
-    requests.iter().map(|r| r.iter().map(row).collect()).collect()
+    requests
+        .iter()
+        .map(|r| r.iter().map(row).collect())
+        .collect()
 }
 
 /// [`suite_with`] at the `MAPLE_JOBS` worker count, running real
@@ -212,7 +218,9 @@ pub fn run_case(case: &CaseSpec) -> Result<RunStats, String> {
 #[must_use]
 pub fn app_datasets() -> Vec<(String, String)> {
     fn labels<T>(app: &str, set: &[Named<T>]) -> Vec<(String, String)> {
-        set.iter().map(|(ds, _)| (app.into(), (*ds).into())).collect()
+        set.iter()
+            .map(|(ds, _)| (app.into(), (*ds).into()))
+            .collect()
     }
     [
         labels("sdhp", &instances::SDHP),
@@ -289,12 +297,7 @@ pub fn stall_rows_by_variant(rows: &[Measurement], variants: &[&str]) -> Vec<Sta
 
 /// Finds a measurement.
 #[must_use]
-pub fn find<'a>(
-    rows: &'a [Measurement],
-    app: &str,
-    ds: &str,
-    variant: &str,
-) -> &'a Measurement {
+pub fn find<'a>(rows: &'a [Measurement], app: &str, ds: &str, variant: &str) -> &'a Measurement {
     rows.iter()
         .find(|m| m.case.app == app && m.case.dataset == ds && m.case.variant.label() == variant)
         .unwrap_or_else(|| panic!("no measurement for {app}/{ds}/{variant}"))

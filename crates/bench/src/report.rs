@@ -297,9 +297,6 @@ mod tests {
         let table = parsed.get("table").unwrap();
         let g = table.get("geomeans").unwrap().as_array().unwrap();
         assert!((g[1].as_f64().unwrap() - 2.0).abs() < 1e-12);
-        assert_eq!(
-            parsed.get("figure").and_then(|f| f.as_str()),
-            Some("figXX")
-        );
+        assert_eq!(parsed.get("figure").and_then(|f| f.as_str()), Some("figXX"));
     }
 }

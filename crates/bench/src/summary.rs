@@ -219,10 +219,7 @@ pub fn build_json(
                 ("benchmark", Json::from("spmv doall, DRAM 300cy")),
                 ("simulated_cycles", Json::from(s.cycles)),
                 ("host_cores", Json::from(s.host_cores as u64)),
-                (
-                    "dense_mcycles_per_sec",
-                    Json::from(s.dense_mcycles_per_sec),
-                ),
+                ("dense_mcycles_per_sec", Json::from(s.dense_mcycles_per_sec)),
                 (
                     "skipping_mcycles_per_sec",
                     Json::from(s.skipping_mcycles_per_sec),
@@ -277,10 +274,7 @@ pub fn build_json(
                         Json::from(r.lima_latency_reduction),
                     ),
                     // Host-dependent, like the other throughput lines.
-                    (
-                        "host_mcycles_per_sec",
-                        Json::from(r.host_mcycles_per_sec),
-                    ),
+                    ("host_mcycles_per_sec", Json::from(r.host_mcycles_per_sec)),
                 ])
             })
             .collect();

@@ -33,12 +33,18 @@ fn bad_arguments_print_usage_and_exit_2() {
             .expect("spawn stepper_check");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.starts_with("usage: stepper_check"), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("usage: stepper_check"),
+            "{args:?}: {stderr}"
+        );
         assert!(
             retired.iter().all(|flag| !stderr.contains(flag)),
             "{args:?}: usage must not offer retired flags: {stderr}"
         );
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "{args:?}: no gate output on a usage error");
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?}: no gate output on a usage error"
+        );
     }
 }

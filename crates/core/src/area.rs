@@ -76,9 +76,8 @@ pub fn engine_area(cfg: &MapleConfig) -> AreaBreakdown {
     // MMU: TLB entries are ~(vpn 27 + ppn 28 + flags 8) bits of CAM+RAM,
     // plus a PTW FSM (~200 flops).
     let tlb_bits = cfg.tlb_entries as f64 * 63.0;
-    let mmu = (tlb_bits * density::CAM_BIT + 200.0 * density::FLOP)
-        * density::LOGIC_FACTOR
-        * um2_to_mm2;
+    let mmu =
+        (tlb_bits * density::CAM_BIT + 200.0 * density::FLOP) * density::LOGIC_FACTOR * um2_to_mm2;
 
     // Pipelines: buffered ops (3 pipelines × ~4 entries × 80 bits) plus
     // NoC encode/decode.

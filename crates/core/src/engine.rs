@@ -865,15 +865,7 @@ impl Engine {
         }
     }
 
-    fn handle_store(
-        &mut self,
-        now: Cycle,
-        dst: Coord,
-        id: u64,
-        op: StoreOp,
-        q: u8,
-        data: u64,
-    ) {
+    fn handle_store(&mut self, now: Cycle, dst: Coord, id: u64, op: StoreOp, q: u8, data: u64) {
         if usize::from(q) >= self.cfg.queues {
             // Decoded queue index beyond the configured range: reject with
             // an error response instead of indexing out of bounds.
@@ -1278,7 +1270,10 @@ impl Engine {
             && active.chunks.len() < self.cfg.lima_chunks_inflight
         {
             let elem = u64::from(active.cmd.b_elem);
-            let va = active.cmd.b_base.offset(u64::from(active.next_fetch) * elem);
+            let va = active
+                .cmd
+                .b_base
+                .offset(u64::from(active.next_fetch) * elem);
             let Some(paddr) = self.translate(now, mem, va) else {
                 break; // walker busy or fault: resume later
             };
@@ -1481,7 +1476,10 @@ impl Engine {
                 && active.chunks.len() < self.cfg.lima_chunks_inflight
             {
                 let elem = u64::from(active.cmd.b_elem);
-                let va = active.cmd.b_base.offset(u64::from(active.next_fetch) * elem);
+                let va = active
+                    .cmd
+                    .b_base
+                    .offset(u64::from(active.next_fetch) * elem);
                 h.observe(self.translate_event(now, va));
             }
             // Process stage: a ready head chunk. The indirect target address

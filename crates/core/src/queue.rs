@@ -149,10 +149,7 @@ impl FifoQueue {
     /// run of filled slots).
     #[must_use]
     pub fn ready_at_head(&self) -> usize {
-        self.slots
-            .iter()
-            .take_while(|(_, v)| v.is_some())
-            .count()
+        self.slots.iter().take_while(|(_, v)| v.is_some()).count()
     }
 
     /// Pops the head entry if it has arrived.
@@ -177,7 +174,11 @@ impl FifoQueue {
         let shift = u64::from(self.entry_bytes) * 8;
         for i in 0..n {
             let v = self.pop().expect("readiness checked");
-            let mask = if shift >= 64 { u64::MAX } else { (1u64 << shift) - 1 };
+            let mask = if shift >= 64 {
+                u64::MAX
+            } else {
+                (1u64 << shift) - 1
+            };
             out |= (v & mask) << (shift * i as u64);
         }
         Some(out)
@@ -214,8 +215,10 @@ impl QueueController {
             return Err(QueueError::ScratchpadExceeded);
         }
         Ok(QueueController {
-            queues: (0..count).map(|_| FifoQueue::new(entries, entry_bytes)).collect(),
-        scratchpad_bytes,
+            queues: (0..count)
+                .map(|_| FifoQueue::new(entries, entry_bytes))
+                .collect(),
+            scratchpad_bytes,
         })
     }
 
@@ -401,10 +404,7 @@ mod tests {
         // Too big: 48 × 4 + 64 = 256... exactly fits.
         c.reconfigure(0, 48, 4).unwrap();
         // One more entry exceeds the budget and must fail.
-        assert_eq!(
-            c.reconfigure(0, 49, 4),
-            Err(QueueError::ScratchpadExceeded)
-        );
+        assert_eq!(c.reconfigure(0, 49, 4), Err(QueueError::ScratchpadExceeded));
         assert_eq!(c.queue(0).capacity(), 48, "old shape kept on error");
     }
 
@@ -422,6 +422,8 @@ mod tests {
     #[test]
     fn error_display() {
         assert_eq!(QueueError::Full.to_string(), "queue full");
-        assert!(QueueError::ScratchpadExceeded.to_string().contains("scratchpad"));
+        assert!(QueueError::ScratchpadExceeded
+            .to_string()
+            .contains("scratchpad"));
     }
 }

@@ -319,8 +319,13 @@ fn tlb_shootdown_forces_rewalk() {
     b.run_until_ack(sd, 100);
     let frame2 = b.frames.alloc(&mut b.mem);
     b.mem.write_u32(frame2, 2);
-    b.pt
-        .map(&mut b.mem, &mut b.frames, VAddr(0x4000_0000), frame2, PageFlags::rw());
+    b.pt.map(
+        &mut b.mem,
+        &mut b.frames,
+        VAddr(0x4000_0000),
+        frame2,
+        PageFlags::rw(),
+    );
     let id2 = b.store(StoreOp::ProducePtr, 0, 0x4000_0000);
     b.run_until_ack(id2, 1000);
     assert!(b.engine.tlb_misses() > misses_before, "re-walk happened");
@@ -437,13 +442,12 @@ fn prefetch_op_installs_line_in_llc() {
     let id = b.store(StoreOp::Prefetch, 0, 0x4000_0040);
     b.run_until_ack(id, 1000);
     b.run(1000);
-    let pa = b
-        .pt
-        .translate(&b.mem, VAddr(0x4000_0040))
-        .unwrap()
-        .paddr;
+    let pa = b.pt.translate(&b.mem, VAddr(0x4000_0040)).unwrap().paddr;
     assert!(b.l2.contains_line(pa), "prefetched line resident in L2");
-    assert!(b.engine.queue(0).is_empty(), "prefetch never touches queues");
+    assert!(
+        b.engine.queue(0).is_empty(),
+        "prefetch never touches queues"
+    );
     assert_eq!(b.engine.stats().llc_prefetches.get(), 1);
 }
 
@@ -454,7 +458,10 @@ fn prefetch_to_unmapped_page_is_dropped_silently() {
     // Speculative: acked and dropped, no fault raised.
     b.run_until_ack(id, 2000);
     b.run(500);
-    assert!(b.engine.fault().is_none(), "speculative prefetch never faults");
+    assert!(
+        b.engine.fault().is_none(),
+        "speculative prefetch never faults"
+    );
     assert_eq!(b.engine.stats().llc_prefetches.get(), 0);
     assert!(b.engine.is_idle());
 }
@@ -502,7 +509,10 @@ fn reset_during_lima_ignores_stale_chunk_responses() {
     b.map(0x5000_0000, 4);
     b.map(0x6000_0000, 1);
     for i in 0..64u64 {
-        let pa = b.pt.translate(&b.mem, VAddr(0x6000_0000 + i * 4)).unwrap().paddr;
+        let pa =
+            b.pt.translate(&b.mem, VAddr(0x6000_0000 + i * 4))
+                .unwrap()
+                .paddr;
         b.mem.write_u32(pa, (i * 3 % 1024) as u32);
     }
     for (op, val) in [
@@ -556,7 +566,11 @@ fn queue_wraps_around_many_times_without_corruption() {
         let drain = ((produced - consumed) / 2).max(1);
         for _ in 0..drain {
             let c = b.load(LoadOp::Consume, 0, 4);
-            assert_eq!(b.run_until_ack(c, 200), 0x1_0000 + consumed, "FIFO order after wrap");
+            assert_eq!(
+                b.run_until_ack(c, 200),
+                0x1_0000 + consumed,
+                "FIFO order after wrap"
+            );
             consumed += 1;
         }
     }
@@ -626,7 +640,11 @@ fn mixed_produce_and_produce_ptr_keep_program_order() {
     }
     for (i, e) in expect.iter().enumerate() {
         let c = b.load(LoadOp::Consume, 0, 4);
-        assert_eq!(b.run_until_ack(c, 10_000), *e, "position {i} out of program order");
+        assert_eq!(
+            b.run_until_ack(c, 10_000),
+            *e,
+            "position {i} out of program order"
+        );
     }
     assert!(b.engine.queue(0).is_empty());
     assert_eq!(b.engine.queue(0).produced.get(), 16);
@@ -764,7 +782,11 @@ fn watchdog_exhaustion_poisons_engine() {
     assert!(b.ack_of(id).is_some(), "produce store itself was acked");
     assert!(b.engine.is_poisoned());
     assert_eq!(b.engine.stats().fetch_retries.get(), 3);
-    assert_eq!(b.engine.stats().fetch_timeouts.get(), 4, "initial + 3 retries");
+    assert_eq!(
+        b.engine.stats().fetch_timeouts.get(),
+        4,
+        "initial + 3 retries"
+    );
     assert_eq!(b.engine.stats().poisoned_fetches.get(), 1);
     assert_eq!(b.engine.inflight_fetches(), 0, "abandoned fetch untracked");
     // A reset clears the poison.
@@ -796,7 +818,11 @@ fn timed_out_amo_fetch_is_not_retried() {
         b.now += 1;
     }
     assert!(b.engine.is_poisoned());
-    assert_eq!(b.engine.stats().fetch_retries.get(), 0, "atomics never retried");
+    assert_eq!(
+        b.engine.stats().fetch_retries.get(),
+        0,
+        "atomics never retried"
+    );
     assert_eq!(b.engine.stats().poisoned_fetches.get(), 1);
 }
 
@@ -946,7 +972,10 @@ fn two_tenant_contexts_keep_queue_contents_isolated() {
     let id = b.store(StoreOp::Produce, 0, 20);
     b.run_until_ack(id, 200);
     let ctx_b = b.engine.save_context();
-    assert!(ctx_b.is_quiescent(), "drained tenant saves a quiescent context");
+    assert!(
+        ctx_b.is_quiescent(),
+        "drained tenant saves a quiescent context"
+    );
 
     // A drains its own values, untouched by B's occupancy.
     b.engine.restore_context(ctx_a);

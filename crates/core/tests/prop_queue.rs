@@ -65,75 +65,79 @@ impl Gen for OpGen {
 #[test]
 fn queue_matches_reference_model() {
     let inputs = (gen::usize_in(1..64), gen::vec_of(OpGen, 0, 200));
-    check(&Config::new("queue_matches_reference_model"), &inputs, |input| {
-        let (capacity, ops) = input;
-        let capacity = *capacity;
-        let mut q = FifoQueue::new(capacity, 8);
-        // Reference model: FIFO of either a value or a pending ticket.
-        let mut model: VecDeque<Option<u64>> = VecDeque::new();
-        let mut pending_slots: Vec<Slot> = Vec::new();
+    check(
+        &Config::new("queue_matches_reference_model"),
+        &inputs,
+        |input| {
+            let (capacity, ops) = input;
+            let capacity = *capacity;
+            let mut q = FifoQueue::new(capacity, 8);
+            // Reference model: FIFO of either a value or a pending ticket.
+            let mut model: VecDeque<Option<u64>> = VecDeque::new();
+            let mut pending_slots: Vec<Slot> = Vec::new();
 
-        for op in ops {
-            match op {
-                Op::Push(v) => {
-                    let expect_full = model.len() >= capacity;
-                    match q.push(*v) {
-                        Ok(()) => {
-                            tk_assert!(!expect_full, "push succeeded on full queue");
-                            model.push_back(Some(*v));
-                        }
-                        Err(QueueError::Full) => tk_assert!(expect_full),
-                        Err(e) => tk_assert!(false, "unexpected error {e:?}"),
-                    }
-                }
-                Op::Reserve => {
-                    let expect_full = model.len() >= capacity;
-                    match q.reserve() {
-                        Ok(slot) => {
-                            tk_assert!(!expect_full);
-                            model.push_back(None);
-                            pending_slots.push(slot);
-                        }
-                        Err(QueueError::Full) => tk_assert!(expect_full),
-                        Err(e) => tk_assert!(false, "unexpected error {e:?}"),
-                    }
-                }
-                Op::Fill(i, v) => {
-                    if pending_slots.is_empty() {
-                        continue;
-                    }
-                    let idx = i % pending_slots.len();
-                    let slot = pending_slots.remove(idx);
-                    q.fill(slot, *v);
-                    // Patch the model: the idx-th unfilled entry becomes v.
-                    let mut seen = 0;
-                    for e in &mut model {
-                        if e.is_none() {
-                            if seen == idx {
-                                *e = Some(*v);
-                                break;
+            for op in ops {
+                match op {
+                    Op::Push(v) => {
+                        let expect_full = model.len() >= capacity;
+                        match q.push(*v) {
+                            Ok(()) => {
+                                tk_assert!(!expect_full, "push succeeded on full queue");
+                                model.push_back(Some(*v));
                             }
-                            seen += 1;
+                            Err(QueueError::Full) => tk_assert!(expect_full),
+                            Err(e) => tk_assert!(false, "unexpected error {e:?}"),
+                        }
+                    }
+                    Op::Reserve => {
+                        let expect_full = model.len() >= capacity;
+                        match q.reserve() {
+                            Ok(slot) => {
+                                tk_assert!(!expect_full);
+                                model.push_back(None);
+                                pending_slots.push(slot);
+                            }
+                            Err(QueueError::Full) => tk_assert!(expect_full),
+                            Err(e) => tk_assert!(false, "unexpected error {e:?}"),
+                        }
+                    }
+                    Op::Fill(i, v) => {
+                        if pending_slots.is_empty() {
+                            continue;
+                        }
+                        let idx = i % pending_slots.len();
+                        let slot = pending_slots.remove(idx);
+                        q.fill(slot, *v);
+                        // Patch the model: the idx-th unfilled entry becomes v.
+                        let mut seen = 0;
+                        for e in &mut model {
+                            if e.is_none() {
+                                if seen == idx {
+                                    *e = Some(*v);
+                                    break;
+                                }
+                                seen += 1;
+                            }
+                        }
+                    }
+                    Op::Pop => {
+                        let expect = match model.front() {
+                            Some(Some(v)) => Some(*v),
+                            _ => None,
+                        };
+                        let got = q.pop();
+                        tk_assert_eq!(got, expect, "pop mismatch");
+                        if got.is_some() {
+                            model.pop_front();
                         }
                     }
                 }
-                Op::Pop => {
-                    let expect = match model.front() {
-                        Some(Some(v)) => Some(*v),
-                        _ => None,
-                    };
-                    let got = q.pop();
-                    tk_assert_eq!(got, expect, "pop mismatch");
-                    if got.is_some() {
-                        model.pop_front();
-                    }
-                }
+                tk_assert_eq!(q.occupancy(), model.len());
+                tk_assert_eq!(q.is_full(), model.len() >= capacity);
             }
-            tk_assert_eq!(q.occupancy(), model.len());
-            tk_assert_eq!(q.is_full(), model.len() >= capacity);
-        }
-        Ok(())
-    });
+            Ok(())
+        },
+    );
 }
 
 #[test]

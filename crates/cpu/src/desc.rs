@@ -131,7 +131,9 @@ impl DescQueues {
     ///
     /// Returns [`QueueFull`] when the queue has no free slot.
     pub fn reserve(&mut self, q: u8) -> Result<SlotTicket, QueueFull> {
-        self.queue_mut(q).push(None).map(|seq| SlotTicket { queue: q, seq })
+        self.queue_mut(q)
+            .push(None)
+            .map(|seq| SlotTicket { queue: q, seq })
     }
 
     /// Delivers the value for a previously reserved slot.

@@ -550,7 +550,16 @@ impl Core {
                             }
                         };
                         let id = self.fresh_id();
-                        match self.l1.access(now, CoreReq { id, addr: t.paddr, op }, mem, stage) {
+                        match self.l1.access(
+                            now,
+                            CoreReq {
+                                id,
+                                addr: t.paddr,
+                                op,
+                            },
+                            mem,
+                            stage,
+                        ) {
                             Ok(()) => {
                                 self.stats.loads.inc();
                                 self.waiting = Some(Waiting::Resp { id, rd: Some(rd) });
@@ -608,7 +617,16 @@ impl Core {
                         } else {
                             CoreOp::Store { size, data }
                         };
-                        match self.l1.access(now, CoreReq { id, addr: t.paddr, op }, mem, stage) {
+                        match self.l1.access(
+                            now,
+                            CoreReq {
+                                id,
+                                addr: t.paddr,
+                                op,
+                            },
+                            mem,
+                            stage,
+                        ) {
                             Ok(()) => {
                                 self.stats.stores.inc();
                                 self.stats.instructions.inc();
@@ -762,10 +780,8 @@ impl Core {
                         };
                         match self.l1.access(now, req, mem, stage) {
                             Ok(()) => {
-                                let queues =
-                                    desc.expect("DeSC op without queues");
-                                let ticket =
-                                    queues.reserve(q).expect("checked not full above");
+                                let queues = desc.expect("DeSC op without queues");
+                                let ticket = queues.reserve(q).expect("checked not full above");
                                 self.desc_inflight.insert(id, ticket);
                                 self.stats.loads.inc();
                                 self.stats.instructions.inc();

@@ -347,7 +347,13 @@ fn mmio_stores_run_ahead_until_the_buffer_fills() {
     let mut frames = FrameAllocator::new(PAddr(0x10_0000), 4 << 20);
     let mut pt = PageTable::new(&mut mem, &mut frames);
     let dev_va = VAddr(0x8000_0000);
-    pt.map(&mut mem, &mut frames, dev_va, PAddr(0xF000_0000), PageFlags::device());
+    pt.map(
+        &mut mem,
+        &mut frames,
+        dev_va,
+        PAddr(0xF000_0000),
+        PageFlags::device(),
+    );
 
     let cfg = CpuConfig {
         mmio_store_outstanding: 2,
@@ -383,13 +389,29 @@ fn mmio_stores_run_ahead_until_the_buffer_fills() {
     // Acks drain the buffer; the remaining stores issue and the core
     // halts.
     for req in issued.drain(..) {
-        core.on_mem_resp(now, MemResp { id: req.id, data: 0, served_by: ServedBy::Dram }, &mem);
+        core.on_mem_resp(
+            now,
+            MemResp {
+                id: req.id,
+                data: 0,
+                served_by: ServedBy::Dram,
+            },
+            &mem,
+        );
     }
     for _ in 0..500 {
         core.tick(now, &mem, &mut stage, None);
         stage.apply(&mut mem);
         while let Some(req) = core.pop_mem_request() {
-            core.on_mem_resp(now.plus(10), MemResp { id: req.id, data: 0, served_by: ServedBy::Dram }, &mem);
+            core.on_mem_resp(
+                now.plus(10),
+                MemResp {
+                    id: req.id,
+                    data: 0,
+                    served_by: ServedBy::Dram,
+                },
+                &mem,
+            );
         }
         if core.is_halted() {
             break;

@@ -58,7 +58,10 @@ impl Gen for InstGen {
     fn shrink(&self, i: &RandInst) -> Vec<RandInst> {
         let mut out = Vec::new();
         if i.op != AluOp::Add {
-            out.push(RandInst { op: AluOp::Add, ..*i });
+            out.push(RandInst {
+                op: AluOp::Add,
+                ..*i
+            });
         }
         for imm in gen::shrink_i64_toward(i.imm, 0).into_iter().take(3) {
             out.push(RandInst { imm, ..*i });
@@ -75,7 +78,10 @@ impl Gen for InstGen {
             }
         }
         if i.rs2_reg {
-            out.push(RandInst { rs2_reg: false, ..*i });
+            out.push(RandInst {
+                rs2_reg: false,
+                ..*i
+            });
         }
         out
     }
@@ -93,7 +99,12 @@ fn build(seeds: &[u64], insts: &[RandInst]) -> Program {
         } else {
             Operand::Imm(i.imm)
         };
-        b.alu(i.op, regs[usize::from(i.rd - 1)], regs[usize::from(i.rs1 - 1)], rs2);
+        b.alu(
+            i.op,
+            regs[usize::from(i.rd - 1)],
+            regs[usize::from(i.rs1 - 1)],
+            rs2,
+        );
     }
     b.halt();
     b.build().expect("random straight-line program builds")
@@ -119,32 +130,36 @@ fn core_matches_host_model() {
         gen::vec_of(gen::u64_any(), WORK_REGS as usize, WORK_REGS as usize),
         gen::vec_of(InstGen, 0, 60),
     );
-    check(&Config::new("core_matches_host_model"), &inputs, |(seeds, insts)| {
-        let mut mem = PhysMem::new();
-        let mut frames = FrameAllocator::new(PAddr(0x100_0000), 4 << 20);
-        let pt = PageTable::new(&mut mem, &mut frames);
-        let mut core = Core::new(0, CpuConfig::default(), build(seeds, insts), pt);
-        let mut now = Cycle::ZERO;
-        let mut stage = maple_mem::WriteStage::new();
-        for _ in 0..(insts.len() * 8 + 100) {
-            core.tick(now, &mem, &mut stage, None);
-            stage.apply(&mut mem);
-            if core.is_halted() {
-                break;
+    check(
+        &Config::new("core_matches_host_model"),
+        &inputs,
+        |(seeds, insts)| {
+            let mut mem = PhysMem::new();
+            let mut frames = FrameAllocator::new(PAddr(0x100_0000), 4 << 20);
+            let pt = PageTable::new(&mut mem, &mut frames);
+            let mut core = Core::new(0, CpuConfig::default(), build(seeds, insts), pt);
+            let mut now = Cycle::ZERO;
+            let mut stage = maple_mem::WriteStage::new();
+            for _ in 0..(insts.len() * 8 + 100) {
+                core.tick(now, &mem, &mut stage, None);
+                stage.apply(&mut mem);
+                if core.is_halted() {
+                    break;
+                }
+                now += 1;
             }
-            now += 1;
-        }
-        tk_assert!(core.is_halted(), "ALU program must halt");
-        let expect = model(seeds, insts);
-        for (i, e) in expect.iter().enumerate() {
-            // Builder allocates work registers starting at r1.
-            tk_assert_eq!(core.reg(Reg(i as u8 + 1)), *e, "register {i}");
-        }
-        // Instruction count: seeds + insts + halt.
-        tk_assert_eq!(
-            core.stats().instructions.get(),
-            (seeds.len() + insts.len() + 1) as u64
-        );
-        Ok(())
-    });
+            tk_assert!(core.is_halted(), "ALU program must halt");
+            let expect = model(seeds, insts);
+            for (i, e) in expect.iter().enumerate() {
+                // Builder allocates work registers starting at r1.
+                tk_assert_eq!(core.reg(Reg(i as u8 + 1)), *e, "register {i}");
+            }
+            // Instruction count: seeds + insts + halt.
+            tk_assert_eq!(
+                core.stats().instructions.get(),
+                (seeds.len() + insts.len() + 1) as u64
+            );
+            Ok(())
+        },
+    );
 }

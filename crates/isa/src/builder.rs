@@ -362,12 +362,15 @@ mod tests {
         b.halt();
         let p = b.build().unwrap();
         // bge at index 2 targets halt at index 5; jump at 4 targets 2.
-        assert_eq!(p.fetch(2), Some(&Inst::Branch {
-            cond: Cond::GeU,
-            rs1: Reg(1),
-            rs2: Operand::Reg(Reg(2)),
-            target: 5,
-        }));
+        assert_eq!(
+            p.fetch(2),
+            Some(&Inst::Branch {
+                cond: Cond::GeU,
+                rs1: Reg(1),
+                rs2: Operand::Reg(Reg(2)),
+                target: 5,
+            })
+        );
         assert_eq!(p.fetch(4), Some(&Inst::Jump { target: 2 }));
     }
 

@@ -571,10 +571,7 @@ mod tests {
 
     #[test]
     fn disassembly_is_nonempty_and_indexed() {
-        let p = Program::from_insts(vec![
-            Inst::Li { rd: Reg(1), imm: 9 },
-            Inst::Halt,
-        ]);
+        let p = Program::from_insts(vec![Inst::Li { rd: Reg(1), imm: 9 }, Inst::Halt]);
         let d = p.disassemble();
         assert!(d.contains("0: li r1, 9"));
         assert!(d.contains("1: halt"));

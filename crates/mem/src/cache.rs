@@ -32,7 +32,10 @@ impl CacheGeometry {
             ways,
             line_bytes: LINE_SIZE,
         };
-        assert!(g.sets() > 0 && g.sets().is_power_of_two(), "set count must be a power of two");
+        assert!(
+            g.sets() > 0 && g.sets().is_power_of_two(),
+            "set count must be a power of two"
+        );
         g
     }
 
@@ -174,8 +177,7 @@ impl CacheArray {
             valid: true,
             lru: clock,
         };
-        let evicted_line =
-            (victim.tag * self.geo.sets() as u64 + set as u64) * self.geo.line_bytes;
+        let evicted_line = (victim.tag * self.geo.sets() as u64 + set as u64) * self.geo.line_bytes;
         Some(PAddr(evicted_line))
     }
 

@@ -128,9 +128,10 @@ impl<T> Dram<T> {
                 if f.strike() {
                     self.stats.spikes.inc();
                     latency = latency.saturating_add(f.magnitude());
-                    self.tracer.emit(now, || maple_trace::TraceEvent::FaultInjected {
-                        site: maple_trace::FaultSite::DramSpike,
-                    });
+                    self.tracer
+                        .emit(now, || maple_trace::TraceEvent::FaultInjected {
+                            site: maple_trace::FaultSite::DramSpike,
+                        });
                 }
             }
             self.in_flight.send(now, latency, entry);

@@ -347,11 +347,7 @@ impl L1Cache {
             }
             CoreOp::LoadVolatile { size } => {
                 self.stats.loads.inc();
-                self.forward(
-                    now,
-                    req,
-                    MemReqKind::ReadWord { size },
-                );
+                self.forward(now, req, MemReqKind::ReadWord { size });
                 Ok(())
             }
             CoreOp::Amo {
@@ -359,7 +355,15 @@ impl L1Cache {
                 size,
                 operand,
             } => {
-                self.forward(now, req, MemReqKind::Amo { kind, size, operand });
+                self.forward(
+                    now,
+                    req,
+                    MemReqKind::Amo {
+                        kind,
+                        size,
+                        operand,
+                    },
+                );
                 Ok(())
             }
             CoreOp::MmioLoad { size } => {
@@ -383,13 +387,8 @@ impl L1Cache {
 
     fn forward(&mut self, now: Cycle, req: CoreReq, kind: MemReqKind) {
         let txid = self.txid();
-        self.inflight.insert(
-            txid,
-            Origin::Forwarded {
-                accepted: now,
-                req,
-            },
-        );
+        self.inflight
+            .insert(txid, Origin::Forwarded { accepted: now, req });
         self.out.push_back(MemReq {
             id: txid,
             addr: req.addr,
@@ -442,9 +441,7 @@ impl L1Cache {
             Origin::Forwarded { accepted, req } => {
                 if matches!(
                     req.op,
-                    CoreOp::Load { .. }
-                        | CoreOp::LoadVolatile { .. }
-                        | CoreOp::MmioLoad { .. }
+                    CoreOp::Load { .. } | CoreOp::LoadVolatile { .. } | CoreOp::MmioLoad { .. }
                 ) {
                     self.stats
                         .load_latency
@@ -546,16 +543,36 @@ mod tests {
         assert_eq!(req.kind, MemReqKind::ReadLine);
         assert_eq!(req.addr, PAddr(0x1000));
         // Response arrives later.
-        c.on_mem_resp(Cycle(100), MemResp { id: req.id, data: 0, served_by: ServedBy::Dram }, &mem);
+        c.on_mem_resp(
+            Cycle(100),
+            MemResp {
+                id: req.id,
+                data: 0,
+                served_by: ServedBy::Dram,
+            },
+            &mem,
+        );
         assert_eq!(c.pop_core_resp(Cycle(101)), None);
         assert_eq!(
             c.pop_core_resp(Cycle(102)),
-            Some(CoreResp { id: 1, data: 77, served_by: ServedBy::Dram })
+            Some(CoreResp {
+                id: 1,
+                data: 77,
+                served_by: ServedBy::Dram
+            })
         );
         // Second access to the same line now hits with hit latency.
-        c.access(Cycle(200), load(2, 0x1008), &mem, &mut st).unwrap();
+        c.access(Cycle(200), load(2, 0x1008), &mem, &mut st)
+            .unwrap();
         assert!(c.pop_outgoing().is_none(), "hit: no traffic");
-        assert_eq!(c.pop_core_resp(Cycle(202)), Some(CoreResp { id: 2, data: 0, served_by: ServedBy::L1 }));
+        assert_eq!(
+            c.pop_core_resp(Cycle(202)),
+            Some(CoreResp {
+                id: 2,
+                data: 0,
+                served_by: ServedBy::L1
+            })
+        );
         assert_eq!(c.stats().loads.get(), 2);
         assert_eq!(c.stats().load_hits.get(), 1);
     }
@@ -569,7 +586,15 @@ mod tests {
         c.access(Cycle(0), load(2, 0x2008), &mem, &mut st).unwrap();
         let req = c.pop_outgoing().unwrap();
         assert!(c.pop_outgoing().is_none(), "second load merged into MSHR");
-        c.on_mem_resp(Cycle(50), MemResp { id: req.id, data: 0, served_by: ServedBy::Dram }, &mem);
+        c.on_mem_resp(
+            Cycle(50),
+            MemResp {
+                id: req.id,
+                data: 0,
+                served_by: ServedBy::Dram,
+            },
+            &mem,
+        );
         let r1 = c.pop_core_resp(Cycle(52)).unwrap();
         let r2 = c.pop_core_resp(Cycle(52)).unwrap();
         assert_eq!((r1.data, r2.data), (5, 6));
@@ -586,7 +611,9 @@ mod tests {
         let mut st = WriteStage::new();
         c.access(Cycle(0), load(1, 0x0000), &mem, &mut st).unwrap();
         c.access(Cycle(0), load(2, 0x1000), &mem, &mut st).unwrap();
-        let err = c.access(Cycle(0), load(3, 0x2000), &mem, &mut st).unwrap_err();
+        let err = c
+            .access(Cycle(0), load(3, 0x2000), &mem, &mut st)
+            .unwrap_err();
         assert_eq!(err, L1Reject::MshrFull);
         assert!(err.to_string().contains("MSHR"));
     }
@@ -602,7 +629,11 @@ mod tests {
         c.access(Cycle(0), st, &mem, &mut stage).unwrap();
         assert_eq!(mem.read_u64(PAddr(0x3000)), 0, "staged, not yet applied");
         stage.apply(&mut mem);
-        assert_eq!(mem.read_u64(PAddr(0x3000)), 42, "functional write at end of cycle");
+        assert_eq!(
+            mem.read_u64(PAddr(0x3000)),
+            42,
+            "functional write at end of cycle"
+        );
         assert!(stage.is_empty(), "apply drains the stage");
         let out = c.pop_outgoing().unwrap();
         assert!(matches!(
@@ -661,7 +692,15 @@ mod tests {
         // Fill the line first via a demand load.
         c.access(Cycle(0), load(1, 0x4000), &mem, &mut st).unwrap();
         let fill = c.pop_outgoing().unwrap();
-        c.on_mem_resp(Cycle(10), MemResp { id: fill.id, data: 0, served_by: ServedBy::Dram }, &mem);
+        c.on_mem_resp(
+            Cycle(10),
+            MemResp {
+                id: fill.id,
+                data: 0,
+                served_by: ServedBy::Dram,
+            },
+            &mem,
+        );
         let _ = c.pop_core_resp(Cycle(12));
         // Volatile load to the same (resident) line still goes out.
         let v = CoreReq {
@@ -673,10 +712,22 @@ mod tests {
         let fwd = c.pop_outgoing().expect("volatile bypasses the cache");
         assert_eq!(fwd.kind, MemReqKind::ReadWord { size: 8 });
         mem.write_u64(PAddr(0x4000), 1234);
-        c.on_mem_resp(Cycle(60), MemResp { id: fwd.id, data: 1234, served_by: ServedBy::Dram }, &mem);
+        c.on_mem_resp(
+            Cycle(60),
+            MemResp {
+                id: fwd.id,
+                data: 1234,
+                served_by: ServedBy::Dram,
+            },
+            &mem,
+        );
         assert_eq!(
             c.pop_core_resp(Cycle(62)),
-            Some(CoreResp { id: 2, data: 1234, served_by: ServedBy::Dram })
+            Some(CoreResp {
+                id: 2,
+                data: 1234,
+                served_by: ServedBy::Dram
+            })
         );
     }
 
@@ -734,7 +785,15 @@ mod tests {
         .unwrap();
         let req = c.pop_outgoing().unwrap();
         assert_eq!(req.kind, MemReqKind::ReadLine);
-        c.on_mem_resp(Cycle(30), MemResp { id: req.id, data: 0, served_by: ServedBy::Dram }, &mem);
+        c.on_mem_resp(
+            Cycle(30),
+            MemResp {
+                id: req.id,
+                data: 0,
+                served_by: ServedBy::Dram,
+            },
+            &mem,
+        );
         assert_eq!(c.pop_core_resp(Cycle(40)), None, "prefetch is silent");
         assert!(c.contains_line(PAddr(0x5000)));
         assert_eq!(c.stats().prefetches.get(), 1);
@@ -758,7 +817,15 @@ mod tests {
         let (mut c, mem, mut st) = l1();
         c.access(Cycle(0), load(1, 0x6000), &mem, &mut st).unwrap();
         let req = c.pop_outgoing().unwrap();
-        c.on_mem_resp(Cycle(330), MemResp { id: req.id, data: 0, served_by: ServedBy::Dram }, &mem);
+        c.on_mem_resp(
+            Cycle(330),
+            MemResp {
+                id: req.id,
+                data: 0,
+                served_by: ServedBy::Dram,
+            },
+            &mem,
+        );
         let _ = c.pop_core_resp(Cycle(332));
         assert_eq!(c.stats().load_latency.max(), Some(332));
     }
@@ -770,7 +837,15 @@ mod tests {
         c.access(Cycle(0), load(1, 0x0), &mem, &mut st).unwrap();
         assert!(!c.is_idle());
         let req = c.pop_outgoing().unwrap();
-        c.on_mem_resp(Cycle(5), MemResp { id: req.id, data: 0, served_by: ServedBy::Dram }, &mem);
+        c.on_mem_resp(
+            Cycle(5),
+            MemResp {
+                id: req.id,
+                data: 0,
+                served_by: ServedBy::Dram,
+            },
+            &mem,
+        );
         let _ = c.pop_core_resp(Cycle(7)).unwrap();
         assert!(c.is_idle());
     }

@@ -333,8 +333,12 @@ mod tests {
     #[test]
     fn read_write_roundtrip_all_sizes() {
         let mut m = PhysMem::new();
-        for (size, val) in [(1u8, 0xabu64), (2, 0xbeef), (4, 0xdead_beef), (8, u64::MAX - 5)]
-        {
+        for (size, val) in [
+            (1u8, 0xabu64),
+            (2, 0xbeef),
+            (4, 0xdead_beef),
+            (8, u64::MAX - 5),
+        ] {
             let addr = PAddr(0x4000 + u64::from(size) * 64);
             m.write_uint(addr, size, val);
             assert_eq!(m.read_uint(addr, size), val);

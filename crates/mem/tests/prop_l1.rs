@@ -61,7 +61,12 @@ impl Gen for MemOpGen {
             });
         }
         if let MemOp::Store(a, v) = *op {
-            out.extend(gen::shrink_u64(v).into_iter().take(2).map(|v| MemOp::Store(a, v)));
+            out.extend(
+                gen::shrink_u64(v)
+                    .into_iter()
+                    .take(2)
+                    .map(|v| MemOp::Store(a, v)),
+            );
         }
         out
     }
@@ -133,7 +138,16 @@ fn l1_l2_stack_is_read_your_writes() {
             let mut tries = 0;
             let mut stage = WriteStage::new();
             loop {
-                match l1.access(now, CoreReq { id, addr: PAddr(addr), op: core_op }, &mem, &mut stage) {
+                match l1.access(
+                    now,
+                    CoreReq {
+                        id,
+                        addr: PAddr(addr),
+                        op: core_op,
+                    },
+                    &mem,
+                    &mut stage,
+                ) {
                     Ok(()) => {
                         // Single-core test: end-of-cycle apply collapses to
                         // an immediate apply (nobody else reads this cycle).

@@ -155,48 +155,56 @@ fn phys_mem_matches_byte_map() {
         0,
         200,
     );
-    check(&Config::new("phys_mem_matches_byte_map"), &writes, |writes| {
-        let mut dut = PhysMem::new();
-        let mut model: HashMap<u64, u8> = HashMap::new();
-        for (addr, size, value) in writes {
-            dut.write_uint(PAddr(*addr), *size, *value);
-            for i in 0..u64::from(*size) {
-                model.insert(addr + i, (value >> (8 * i)) as u8);
+    check(
+        &Config::new("phys_mem_matches_byte_map"),
+        &writes,
+        |writes| {
+            let mut dut = PhysMem::new();
+            let mut model: HashMap<u64, u8> = HashMap::new();
+            for (addr, size, value) in writes {
+                dut.write_uint(PAddr(*addr), *size, *value);
+                for i in 0..u64::from(*size) {
+                    model.insert(addr + i, (value >> (8 * i)) as u8);
+                }
             }
-        }
-        // Every byte agrees with the model (absent = 0).
-        for (addr, size, _) in writes {
-            let mut expect = 0u64;
-            for i in (0..u64::from(*size)).rev() {
-                expect = (expect << 8) | u64::from(*model.get(&(addr + i)).unwrap_or(&0));
+            // Every byte agrees with the model (absent = 0).
+            for (addr, size, _) in writes {
+                let mut expect = 0u64;
+                for i in (0..u64::from(*size)).rev() {
+                    expect = (expect << 8) | u64::from(*model.get(&(addr + i)).unwrap_or(&0));
+                }
+                tk_assert_eq!(dut.read_uint(PAddr(*addr), *size), expect);
             }
-            tk_assert_eq!(dut.read_uint(PAddr(*addr), *size), expect);
-        }
-        Ok(())
-    });
+            Ok(())
+        },
+    );
 }
 
 #[test]
 fn amo_sequences_preserve_sum() {
     let increments = gen::vec_of(gen::u64_in(1..100), 1, 49);
-    check(&Config::new("amo_sequences_preserve_sum"), &increments, |increments| {
-        // Fetch-add returns each intermediate value exactly once and the
-        // final cell equals the sum — atomicity over any schedule.
-        let mut mem = PhysMem::new();
-        let addr = PAddr(0x400);
-        let mut olds = Vec::new();
-        for &inc in increments {
-            olds.push(mem.amo(addr, 8, AmoKind::Add, inc));
-        }
-        let total: u64 = increments.iter().sum();
-        tk_assert_eq!(mem.read_u64(addr), total);
-        // The observed old values are the strictly increasing prefix sums.
-        let mut acc = 0;
-        for (old, inc) in olds.iter().zip(increments) {
-            tk_assert_eq!(*old, acc);
-            acc += inc;
-        }
-        tk_assert!(acc == total);
-        Ok(())
-    });
+    check(
+        &Config::new("amo_sequences_preserve_sum"),
+        &increments,
+        |increments| {
+            // Fetch-add returns each intermediate value exactly once and the
+            // final cell equals the sum — atomicity over any schedule.
+            let mut mem = PhysMem::new();
+            let addr = PAddr(0x400);
+            let mut olds = Vec::new();
+            for &inc in increments {
+                olds.push(mem.amo(addr, 8, AmoKind::Add, inc));
+            }
+            let total: u64 = increments.iter().sum();
+            tk_assert_eq!(mem.read_u64(addr), total);
+            // The observed old values are the strictly increasing prefix sums.
+            let mut acc = 0;
+            for (old, inc) in olds.iter().zip(increments) {
+                tk_assert_eq!(*old, acc);
+                acc += inc;
+            }
+            tk_assert!(acc == total);
+            Ok(())
+        },
+    );
 }

@@ -210,7 +210,9 @@ impl<T> Crossbar<T> {
     /// Grants input `port`'s head packet if it is ready and its output
     /// is free.
     fn arbitrate(&mut self, port: usize, now: Cycle) {
-        let head = self.inputs[port].front().expect("occupied input has a head");
+        let head = self.inputs[port]
+            .front()
+            .expect("occupied input has a head");
         if head.ready_at > now {
             return;
         }
@@ -237,8 +239,8 @@ impl<T> Crossbar<T> {
     /// mirroring [`crate::Mesh::skip`], so the first arbitration after an
     /// event-horizon jump matches ticking through the gap.
     pub fn skip(&mut self, cycles: u64) {
-        self.rr_start = (self.rr_start + (cycles % self.cfg.ports as u64) as usize)
-            % self.cfg.ports;
+        self.rr_start =
+            (self.rr_start + (cycles % self.cfg.ports as u64) as usize) % self.cfg.ports;
     }
 
     /// Packets buffered in inputs or traversing the switch.
@@ -306,7 +308,10 @@ mod tests {
         for t in 0..20u64 {
             arrivals.extend(tick(&mut x, t).into_iter().map(|(_, v)| (t, v)));
         }
-        assert_eq!(arrivals.iter().map(|&(_, v)| v).collect::<Vec<_>>(), [10, 11]);
+        assert_eq!(
+            arrivals.iter().map(|&(_, v)| v).collect::<Vec<_>>(),
+            [10, 11]
+        );
         assert!(
             arrivals[1].0 - arrivals[0].0 >= 8,
             "8-flit packet must hold the output: {arrivals:?}"
@@ -327,7 +332,11 @@ mod tests {
             landed.extend(tick(&mut x, t));
         }
         let at = |port| -> Vec<u32> {
-            landed.iter().filter(|&&(o, _)| o == port).map(|&(_, v)| v).collect()
+            landed
+                .iter()
+                .filter(|&&(o, _)| o == port)
+                .map(|&(_, v)| v)
+                .collect()
         };
         assert_eq!(at(2), [100, 101, 102, 103]);
         assert_eq!(at(3), [200, 201, 202, 203]);

@@ -149,7 +149,10 @@ impl ClusterTopology {
         let cc = self.cluster_coord(cluster);
         let lx = (port % usize::from(self.cluster_width)) as u16;
         let ly = (port / usize::from(self.cluster_width)) as u16;
-        Coord::new(cc.x * self.cluster_width + lx, cc.y * self.cluster_height + ly)
+        Coord::new(
+            cc.x * self.cluster_width + lx,
+            cc.y * self.cluster_height + ly,
+        )
     }
 
     /// Whether `tile` lies on the global grid.
@@ -309,7 +312,10 @@ impl<T> XbarLayer<T> {
             env.hops = 1;
             to.port
         } else {
-            let (sc, dc) = (self.cluster_coords[from.cluster], self.cluster_coords[to.cluster]);
+            let (sc, dc) = (
+                self.cluster_coords[from.cluster],
+                self.cluster_coords[to.cluster],
+            );
             env.hops = 2 + sc.hops_to(dc);
             self.mesh_port
         };
@@ -600,10 +606,20 @@ impl<T> Fabric<T> {
             return Err(Backpressure(payload));
         }
         let noc = self.fault.as_mut().map(|f| {
-            (&mut f.drop, &mut f.delay, FaultSite::NocDrop, FaultSite::NocDelay)
+            (
+                &mut f.drop,
+                &mut f.delay,
+                FaultSite::NocDrop,
+                FaultSite::NocDelay,
+            )
         });
         let xbar = self.xbar.as_mut().and_then(|x| x.fault.as_mut()).map(|f| {
-            (&mut f.drop, &mut f.delay, FaultSite::XbarDrop, FaultSite::XbarDelay)
+            (
+                &mut f.drop,
+                &mut f.delay,
+                FaultSite::XbarDrop,
+                FaultSite::XbarDelay,
+            )
         });
         let mut ready_at = now;
         for (drop, delay, drop_site, delay_site) in noc.into_iter().chain(xbar) {
@@ -642,7 +658,9 @@ impl<T> Fabric<T> {
     pub fn tick(&mut self, now: Cycle) {
         let (stats, delivered) = (&mut self.stats, &mut self.delivered);
         match &mut self.xbar {
-            None => self.mesh.tick(now, |_, env| deliver(stats, delivered, now, env)),
+            None => self
+                .mesh
+                .tick(now, |_, env| deliver(stats, delivered, now, env)),
             Some(x) => x.tick(now, &mut self.mesh, stats, delivered),
         }
     }
@@ -962,12 +980,16 @@ mod tests {
         let mut f: Fabric<u32> = Fabric::clustered(topo2x2(), 1);
         f.set_fault_plane(&plane);
         for k in 0..5u64 {
-            f.inject_unreliable(Cycle(k), src, dst, 1, k as u32).unwrap();
+            f.inject_unreliable(Cycle(k), src, dst, 1, k as u32)
+                .unwrap();
         }
         for t in 5..40u64 {
             f.tick(Cycle(t));
         }
-        assert!(f.take_delivered(dst).is_empty(), "all dropped at the switch");
+        assert!(
+            f.take_delivered(dst).is_empty(),
+            "all dropped at the switch"
+        );
         assert_eq!(f.stats().dropped.get(), 5);
         assert_eq!(f.stats().injected.get(), 5);
         assert!(f.is_quiescent());
@@ -975,7 +997,8 @@ mod tests {
         let mut f: Fabric<u32> = Fabric::flat(MeshConfig::new(4, 4));
         f.set_fault_plane(&plane);
         for k in 0..5u64 {
-            f.inject_unreliable(Cycle(k), src, dst, 1, k as u32).unwrap();
+            f.inject_unreliable(Cycle(k), src, dst, 1, k as u32)
+                .unwrap();
             f.tick(Cycle(k));
         }
         let mut got = Vec::new();
@@ -1004,6 +1027,9 @@ mod tests {
                 }
             }
         }
-        assert!(refused > 0, "8-deep input must refuse 20 back-to-back packets");
+        assert!(
+            refused > 0,
+            "8-deep input must refuse 20 back-to-back packets"
+        );
     }
 }

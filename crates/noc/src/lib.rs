@@ -421,7 +421,9 @@ impl<T> Mesh<T> {
             let k = rotated.trailing_zeros() as usize;
             rotated &= rotated - 1;
             let port = (start + k) % PORTS;
-            let head = self.buffers[r][port].front().expect("occupied input has a head");
+            let head = self.buffers[r][port]
+                .front()
+                .expect("occupied input has a head");
             if head.ready_at > now {
                 continue;
             }
@@ -732,12 +734,17 @@ mod tests {
         let src = Coord::new(0, 0);
         let dst = Coord::new(1, 1);
         for k in 0..8 {
-            mesh.inject_unreliable(Cycle(k), src, dst, 1, k as u32).unwrap();
+            mesh.inject_unreliable(Cycle(k), src, dst, 1, k as u32)
+                .unwrap();
         }
         drive(&mut mesh, Cycle(8), 64);
         assert!(mesh.take_delivered(dst).is_empty(), "all packets dropped");
         assert_eq!(mesh.stats().dropped.get(), 8);
-        assert_eq!(mesh.stats().injected.get(), 8, "drops still count as injected");
+        assert_eq!(
+            mesh.stats().injected.get(),
+            8,
+            "drops still count as injected"
+        );
         assert_eq!(mesh.stats().delivered.get(), 0);
         assert!(mesh.is_quiescent());
     }
@@ -761,7 +768,10 @@ mod tests {
         }
         let (t, v) = arrival.expect("delayed packet still arrives");
         assert_eq!(v, 77);
-        assert!(t >= extra, "held at least {extra} extra cycles, arrived at {t}");
+        assert!(
+            t >= extra,
+            "held at least {extra} extra cycles, arrived at {t}"
+        );
         assert_eq!(mesh.stats().delayed.get(), 1);
         assert_eq!(mesh.stats().dropped.get(), 0);
     }

@@ -28,6 +28,4 @@ pub mod request;
 pub mod sim;
 
 pub use request::{Request, TenantSpec};
-pub use sim::{
-    serve, ServeConfig, ServeSim, ServingSummary, TenantSummary, CONTEXT_SWITCH_CYCLES,
-};
+pub use sim::{serve, ServeConfig, ServeSim, ServingSummary, TenantSummary, CONTEXT_SWITCH_CYCLES};

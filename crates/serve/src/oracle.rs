@@ -96,7 +96,11 @@ mod tests {
         one_cfg.cluster = Some(maple_soc::ClusterConfig::new(tiles, 1, 1));
         let (flat, flat_summary) = serve(flat_cfg);
         let (one, one_summary) = serve(one_cfg);
-        assert_eq!(flat.outputs(), one.outputs(), "1-cluster outputs diverged from flat");
+        assert_eq!(
+            flat.outputs(),
+            one.outputs(),
+            "1-cluster outputs diverged from flat"
+        );
         assert_eq!(
             format!("{flat_summary:?}"),
             format!("{one_summary:?}"),
@@ -130,7 +134,10 @@ mod tests {
         cfg.kill_engine = Some((4_000, 1));
         let summary = differential_check(&cfg).expect("engine kill");
         assert_eq!(summary.engines_killed, 1);
-        assert!(summary.degraded_dispatches > 0, "dead engine lanes served sw-dec");
+        assert!(
+            summary.degraded_dispatches > 0,
+            "dead engine lanes served sw-dec"
+        );
         assert!(summary.verified);
     }
 }

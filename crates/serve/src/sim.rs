@@ -73,8 +73,8 @@ use maple_vm::VAddr;
 use maple_workloads::data::Csr;
 use maple_workloads::harness::{alloc_u32, FaultReport, MAX_CYCLES};
 use maple_workloads::slice::{
-    doall_query, maple_access_query, maple_execute_query, swdec_access_query,
-    swdec_execute_query, upload_tenant, TenantArrays,
+    doall_query, maple_access_query, maple_execute_query, swdec_access_query, swdec_execute_query,
+    upload_tenant, TenantArrays,
 };
 
 use crate::request::{Request, TenantSpec};
@@ -387,7 +387,12 @@ impl ServeSim {
                 }
             })
             .collect();
-        let max_rows = cfg.tenants.iter().map(|t| t.slice_rows.max(1)).max().unwrap();
+        let max_rows = cfg
+            .tenants
+            .iter()
+            .map(|t| t.slice_rows.max(1))
+            .max()
+            .unwrap();
         let lanes: Vec<Lane> = (0..cfg.lanes())
             .map(|_| {
                 let layout = SwQueueLayout::new(64);
@@ -404,11 +409,7 @@ impl ServeSim {
         for e in 0..cfg.maples {
             sys.map_maple(e);
         }
-        let outputs = cfg
-            .tenants
-            .iter()
-            .map(|t| vec![None; t.requests])
-            .collect();
+        let outputs = cfg.tenants.iter().map(|t| vec![None; t.requests]).collect();
         ServeSim {
             engine_tenant: vec![None; cfg.maples],
             engine_dead: vec![false; cfg.maples],
@@ -454,11 +455,13 @@ impl ServeSim {
         self.switches += 1;
         self.switch_cycles += CONTEXT_SWITCH_CYCLES;
         self.vextra += CONTEXT_SWITCH_CYCLES;
-        self.sys.tracer().emit(Cycle(ts), || TraceEvent::ServeSwitch {
-            engine: e,
-            tenant: t,
-            cost: CONTEXT_SWITCH_CYCLES,
-        });
+        self.sys
+            .tracer()
+            .emit(Cycle(ts), || TraceEvent::ServeSwitch {
+                engine: e,
+                tenant: t,
+                cost: CONTEXT_SWITCH_CYCLES,
+            });
     }
 
     /// Load one request onto a lane's core pair at the given ladder
@@ -502,11 +505,13 @@ impl ServeSim {
             }
         }
         let ts = self.vnow();
-        self.sys.tracer().emit(Cycle(ts), || TraceEvent::ServeDispatch {
-            engine,
-            tenant: req.tenant,
-            rung: rung as u8,
-        });
+        self.sys
+            .tracer()
+            .emit(Cycle(ts), || TraceEvent::ServeDispatch {
+                engine,
+                tenant: req.tenant,
+                rung: rung as u8,
+            });
         if rung > 0 {
             self.degraded_dispatches += 1;
         }
@@ -662,9 +667,7 @@ impl ServeSim {
         // can overshoot the exact recorded maximum; clamp so the digest
         // always satisfies p50 <= p99 <= max.
         fn pct(h: &Histogram, p: f64) -> u64 {
-            h.percentile(p)
-                .unwrap_or(0)
-                .min(h.max().unwrap_or(0))
+            h.percentile(p).unwrap_or(0).min(h.max().unwrap_or(0))
         }
         let mut all = Histogram::new();
         let tenants: Vec<TenantSummary> = self
@@ -785,7 +788,10 @@ mod tests {
         assert_eq!(s.switch_cycles, s.context_switches * CONTEXT_SWITCH_CYCLES);
         assert!(s.p50 > 0 && s.p99 >= s.p50 && s.max >= s.p99);
         assert!(s.fairness() >= 1.0);
-        assert!(s.elapsed >= s.sim_cycles, "vclock includes charges and idles");
+        assert!(
+            s.elapsed >= s.sim_cycles,
+            "vclock includes charges and idles"
+        );
     }
 
     #[test]

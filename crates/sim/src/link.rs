@@ -60,9 +60,7 @@ impl<T> Link<T> {
     /// Receives the oldest message whose delivery time has arrived, if any.
     pub fn recv(&mut self, now: Cycle) -> Option<T> {
         match self.queue.front() {
-            Some((deliver_at, _)) if *deliver_at <= now => {
-                self.queue.pop_front().map(|(_, m)| m)
-            }
+            Some((deliver_at, _)) if *deliver_at <= now => self.queue.pop_front().map(|(_, m)| m),
             _ => None,
         }
     }

@@ -290,8 +290,7 @@ mod tests {
         let r = SimRng::seed(0);
         assert_ne!(r.s, [0; 4]);
         let mut r = r;
-        let distinct: std::collections::BTreeSet<u64> =
-            (0..64).map(|_| r.next_u64()).collect();
+        let distinct: std::collections::BTreeSet<u64> = (0..64).map(|_| r.next_u64()).collect();
         assert!(distinct.len() > 60, "seed 0 stream looks stuck");
     }
 }

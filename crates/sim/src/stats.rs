@@ -164,7 +164,11 @@ impl Histogram {
         for (i, &b) in self.buckets.iter().enumerate() {
             seen += b;
             if seen >= rank {
-                return Some(if i >= 63 { u64::MAX } else { (1u64 << (i + 1)) - 1 });
+                return Some(if i >= 63 {
+                    u64::MAX
+                } else {
+                    (1u64 << (i + 1)) - 1
+                });
             }
         }
         self.max

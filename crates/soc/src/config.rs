@@ -50,7 +50,10 @@ impl ClusterConfig {
     #[must_use]
     pub fn new(tiles_per_cluster: usize, clusters_x: u16, clusters_y: u16) -> Self {
         assert!(tiles_per_cluster > 0, "clusters need at least one tile");
-        assert!(clusters_x > 0 && clusters_y > 0, "cluster grid must be non-empty");
+        assert!(
+            clusters_x > 0 && clusters_y > 0,
+            "cluster grid must be non-empty"
+        );
         ClusterConfig {
             tiles_per_cluster,
             clusters_x,
@@ -370,8 +373,9 @@ impl SocConfig {
                 (idx / usize::from(self.mesh_width)) as u16,
             )
         };
-        let default_tiles: Vec<Coord> =
-            (0..self.maples).map(|i| coord(self.cores + 1 + i)).collect();
+        let default_tiles: Vec<Coord> = (0..self.maples)
+            .map(|i| coord(self.cores + 1 + i))
+            .collect();
         let maple_tiles = match &self.maple_tile_override {
             Some(placement) => {
                 assert_eq!(
@@ -508,7 +512,10 @@ mod tests {
         let clustered = flat.clone().with_clusters(ClusterConfig::new(tiles, 1, 1));
         assert_eq!(clustered.mesh_width, flat.mesh_width);
         assert_eq!(clustered.mesh_height, flat.mesh_height);
-        assert!(clustered.fabric_topology().is_none(), "1 cluster rides the flat mesh");
+        assert!(
+            clustered.fabric_topology().is_none(),
+            "1 cluster rides the flat mesh"
+        );
         assert_eq!(clustered.n_l2_banks(), 1);
         let (fl, cl) = (flat.layout(), clustered.layout());
         assert_eq!(fl.core_tiles, cl.core_tiles);
@@ -527,14 +534,15 @@ mod tests {
         assert_eq!(cfg.mesh_width, 4);
         assert_eq!(cfg.mesh_height, 4);
         assert_eq!(cfg.n_l2_banks(), 4);
-        let topo = cfg.fabric_topology().expect("2x2 clusters use the hierarchy");
+        let topo = cfg
+            .fabric_topology()
+            .expect("2x2 clusters use the hierarchy");
         let l = cfg.layout();
         assert_eq!(l.core_tiles.len(), 8);
         assert_eq!(l.l2_tiles.len(), 4);
         assert_eq!(l.maple_tiles.len(), 4);
         for c in 0..4 {
-            let in_cluster =
-                |t: &&Coord| topo.cluster_index_of(**t) == c;
+            let in_cluster = |t: &&Coord| topo.cluster_index_of(**t) == c;
             assert_eq!(l.core_tiles.iter().filter(in_cluster).count(), 2);
             assert_eq!(l.l2_tiles.iter().filter(in_cluster).count(), 1);
             assert_eq!(l.maple_tiles.iter().filter(in_cluster).count(), 1);
@@ -556,8 +564,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "l2_banks")]
     fn clustering_rejects_excess_banks() {
-        let _ = SocConfig::fpga_prototype()
-            .with_clusters(ClusterConfig::new(4, 1, 1).with_l2_banks(2));
+        let _ =
+            SocConfig::fpga_prototype().with_clusters(ClusterConfig::new(4, 1, 1).with_l2_banks(2));
     }
 
     #[test]

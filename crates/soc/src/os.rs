@@ -47,12 +47,7 @@ impl AddressSpace {
 
     /// Allocates `bytes` of zeroed heap, eagerly mapping every page
     /// (what the evaluation programs do before timing starts).
-    pub fn alloc(
-        &mut self,
-        mem: &mut PhysMem,
-        frames: &mut FrameAllocator,
-        bytes: u64,
-    ) -> VAddr {
+    pub fn alloc(&mut self, mem: &mut PhysMem, frames: &mut FrameAllocator, bytes: u64) -> VAddr {
         let va = self.reserve(bytes);
         let pages = bytes.div_ceil(PAGE_SIZE);
         // Allocate all data frames first so they are physically
@@ -98,7 +93,8 @@ impl AddressSpace {
     ) -> VAddr {
         let va = VAddr(self.next_mmio);
         self.next_mmio += PAGE_SIZE;
-        self.pt.map(mem, frames, va, device_page, PageFlags::device());
+        self.pt
+            .map(mem, frames, va, device_page, PageFlags::device());
         va
     }
 
@@ -181,7 +177,10 @@ mod tests {
     fn lazy_alloc_faults_then_maps() {
         let (mut mem, mut frames, mut aspace) = setup();
         let va = aspace.alloc_lazy(2 * PAGE_SIZE);
-        assert!(aspace.translate(&mem, va).is_none(), "unmapped before touch");
+        assert!(
+            aspace.translate(&mem, va).is_none(),
+            "unmapped before touch"
+        );
         assert!(aspace.handle_fault(&mut mem, &mut frames, VAddr(va.0 + 8)));
         assert!(aspace.translate(&mem, va).is_some());
         // Second page still unmapped until touched.

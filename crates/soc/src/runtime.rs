@@ -7,9 +7,7 @@
 //! by the sensitivity studies. [`Barrier`] provides the OpenMP-style
 //! epoch barrier the multithreaded kernels synchronize with.
 
-use maple_core::mmio::{
-    lima_go_payload, load_offset, store_offset, LoadOp, StoreOp,
-};
+use maple_core::mmio::{lima_go_payload, load_offset, store_offset, LoadOp, StoreOp};
 use maple_isa::builder::ProgramBuilder;
 use maple_isa::{AtomicOp, Reg, ZERO};
 
@@ -37,7 +35,12 @@ impl MapleApi {
 
     /// `PRODUCE_PTR(q, ptr)` — one store; MAPLE fetches non-coherently.
     pub fn produce_ptr(&self, b: &mut ProgramBuilder, q: u8, ptr: Reg) {
-        b.st(ptr, self.base, store_offset(StoreOp::ProducePtr, q) as i64, 8);
+        b.st(
+            ptr,
+            self.base,
+            store_offset(StoreOp::ProducePtr, q) as i64,
+            8,
+        );
     }
 
     /// `PRODUCE_PTR` via the coherent LLC path.
@@ -94,12 +97,27 @@ impl MapleApi {
         tmp: Reg,
         tmp2: Reg,
     ) {
-        b.st(a_base, self.base, store_offset(StoreOp::LimaABase, q) as i64, 8);
-        b.st(b_base, self.base, store_offset(StoreOp::LimaBBase, q) as i64, 8);
+        b.st(
+            a_base,
+            self.base,
+            store_offset(StoreOp::LimaABase, q) as i64,
+            8,
+        );
+        b.st(
+            b_base,
+            self.base,
+            store_offset(StoreOp::LimaBBase, q) as i64,
+            8,
+        );
         // range payload = lo | hi << 32
         b.slli(tmp2, hi, 32);
         b.alu(maple_isa::AluOp::Or, tmp, lo, tmp2);
-        b.st(tmp, self.base, store_offset(StoreOp::LimaRange, q) as i64, 8);
+        b.st(
+            tmp,
+            self.base,
+            store_offset(StoreOp::LimaRange, q) as i64,
+            8,
+        );
         b.li(tmp, lima_go_payload(speculative, b_elem, a_elem));
         b.st(tmp, self.base, store_offset(StoreOp::LimaGo, q) as i64, 8);
     }

@@ -439,7 +439,8 @@ impl System {
         // Host-side touch of a lazy page maps it (like the kernel writing
         // into a fresh mmap).
         assert!(
-            self.aspace.handle_fault(&mut self.mem, &mut self.frames, va),
+            self.aspace
+                .handle_fault(&mut self.mem, &mut self.frames, va),
             "host access to unmapped address {va}"
         );
         self.aspace.translate(&self.mem, va).expect("just mapped")
@@ -552,7 +553,10 @@ impl System {
     /// Panics if instance `i` was never mapped.
     pub fn remap_maple(&mut self, i: usize) -> VAddr {
         let old = self.maple_user_vas[i].expect("remap of an unmapped MAPLE instance");
-        assert!(self.aspace.unmap(&mut self.mem, old), "stale maple VA record");
+        assert!(
+            self.aspace.unmap(&mut self.mem, old),
+            "stale maple VA record"
+        );
         for c in &mut self.cores {
             c.tlb_shootdown(old.page());
         }
@@ -663,7 +667,10 @@ impl System {
             self.cfg.cores
         );
         let mut core = Core::new(idx, self.cfg.cpu, program, self.aspace.page_table());
-        let ring = self.cfg.trace.map_or_else(Tracer::disabled, Tracer::enabled);
+        let ring = self
+            .cfg
+            .trace
+            .map_or_else(Tracer::disabled, Tracer::enabled);
         core.set_tracer(ring.clone());
         self.core_rings.push(ring);
         for &(r, v) in args {
@@ -1088,7 +1095,8 @@ impl System {
                 self.send_req(tile, req, Some(i));
                 busy = true;
             }
-            self.core_wake.settle(i, now, || self.cores[i].next_event(now.plus(1)));
+            self.core_wake
+                .settle(i, now, || self.cores[i].next_event(now.plus(1)));
         }
 
         // 2d. Tick the due engines; per engine, requests precede
@@ -1117,7 +1125,8 @@ impl System {
                 busy = true;
             }
             busy |= self.engines[e].is_poisoned();
-            self.engine_wake.settle(e, now, || self.engines[e].next_event(now.plus(1)));
+            self.engine_wake
+                .settle(e, now, || self.engines[e].next_event(now.plus(1)));
         }
 
         // 2e. Occupancy sampling (hub-scheduled cycles; nothing after this
@@ -1151,7 +1160,8 @@ impl System {
                 }
             }
             Command::EngineFaultServiced { engine, ok } => {
-                self.engine_wake.wake(engine, now, |n| self.engines[engine].skip(n));
+                self.engine_wake
+                    .wake(engine, now, |n| self.engines[engine].skip(n));
                 if self.engines[engine].fault().is_some() {
                     if ok {
                         self.engines[engine].resolve_fault();
@@ -1164,7 +1174,8 @@ impl System {
                 }
             }
             Command::EngineReset { engine } => {
-                self.engine_wake.wake(engine, now, |n| self.engines[engine].skip(n));
+                self.engine_wake
+                    .wake(engine, now, |n| self.engines[engine].skip(n));
                 self.engines[engine].reset();
             }
             Command::Shootdown { vpn } => {
@@ -1227,7 +1238,8 @@ impl System {
                     ((req.addr.0 / maple_mem::LINE_SIZE) % banks) as usize
                 };
                 self.l2[b].accept(now, req);
-                self.bank_wake.wake_by(b, || self.l2[b].next_event(now.plus(1)));
+                self.bank_wake
+                    .wake_by(b, || self.l2[b].next_event(now.plus(1)));
             }
         }
         for k in 0..self.bank_wake.due_now().len() {
@@ -1236,7 +1248,8 @@ impl System {
             while let Some(out) = self.l2[b].pop_outgoing() {
                 self.send_resp(tile, out);
             }
-            self.bank_wake.settle(b, now, || self.l2[b].next_event(now.plus(1)));
+            self.bank_wake
+                .settle(b, now, || self.l2[b].next_event(now.plus(1)));
         }
 
         // 3c. Inject due messages, preserving per-tile order under
@@ -1465,7 +1478,8 @@ impl System {
         // Account every slept cycle before anything reads the cores' and
         // engines' statistics (or diagnoses a hang).
         self.core_wake.flush(self.now, |i, n| self.cores[i].skip(n));
-        self.engine_wake.flush(self.now, |e, n| self.engines[e].skip(n));
+        self.engine_wake
+            .flush(self.now, |e, n| self.engines[e].skip(n));
         match finished {
             Some(at) => RunOutcome::Finished(at),
             None => RunOutcome::Hung(Box::new(self.hang_diagnosis())),
@@ -1656,7 +1670,8 @@ impl System {
     /// byte-identical across steppers. Returns the
     /// records plus the total overflow count.
     fn merged_trace(&self) -> (Vec<TraceRecord>, u64) {
-        let mut rings: Vec<&Tracer> = Vec::with_capacity(self.core_rings.len() + self.engine_rings.len() + 1);
+        let mut rings: Vec<&Tracer> =
+            Vec::with_capacity(self.core_rings.len() + self.engine_rings.len() + 1);
         rings.extend(&self.core_rings);
         rings.extend(&self.engine_rings);
         rings.push(&self.tracer);
@@ -1694,10 +1709,7 @@ impl System {
     /// Cycles core `i` has been live: issue to halt, or to now if still
     /// running.
     fn core_cycles(&self, i: usize) -> u64 {
-        self.cores[i]
-            .stats()
-            .halted_at
-            .map_or(self.now.0, |h| h.0)
+        self.cores[i].stats().halted_at.map_or(self.now.0, |h| h.0)
     }
 
     /// Per-core stall attribution rows (blocking cycles split by

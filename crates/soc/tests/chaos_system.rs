@@ -125,10 +125,8 @@ fn lossy_noc_replay_is_deterministic() {
             .with_noc_drop(0.02)
             .with_noc_delay(0.02, 200)
     };
-    let (out1, got1, _, sys1) =
-        run_pair(SocConfig::fpga_prototype().with_fault_plane(mk()), 96, 5);
-    let (out2, got2, _, sys2) =
-        run_pair(SocConfig::fpga_prototype().with_fault_plane(mk()), 96, 5);
+    let (out1, got1, _, sys1) = run_pair(SocConfig::fpga_prototype().with_fault_plane(mk()), 96, 5);
+    let (out2, got2, _, sys2) = run_pair(SocConfig::fpga_prototype().with_fault_plane(mk()), 96, 5);
     assert_eq!(out1, out2, "same seed, same outcome and cycle");
     assert_eq!(got1, got2);
     assert_eq!(
@@ -148,11 +146,7 @@ fn ack_blackout_yields_hang_diagnosis_not_timeout() {
     // (poisoned engine visible) well before the cycle budget — never a
     // bare timeout, never a panic.
     let plane = FaultPlaneConfig::new(9).with_mmio_ack_loss(1.0);
-    let (out, _, _, sys) = run_pair(
-        SocConfig::fpga_prototype().with_fault_plane(plane),
-        64,
-        11,
-    );
+    let (out, _, _, sys) = run_pair(SocConfig::fpga_prototype().with_fault_plane(plane), 64, 11);
     assert!(!out.is_finished());
     let d = out.diagnosis().expect("structured diagnosis, not TimedOut");
     assert!(d.any_poisoned(), "engine reported poisoned:\n{d}");
@@ -174,11 +168,8 @@ fn mid_run_reset_is_injected_and_counted() {
     // a diagnosis; in both cases the injection is visible in counters
     // and nothing panics.
     let plane = FaultPlaneConfig::new(3).with_engine_reset_at(5_000, 0);
-    let (out, got, expected, sys) = run_pair(
-        SocConfig::fpga_prototype().with_fault_plane(plane),
-        256,
-        13,
-    );
+    let (out, got, expected, sys) =
+        run_pair(SocConfig::fpga_prototype().with_fault_plane(plane), 256, 13);
     let chaos = sys.chaos_stats().unwrap();
     assert_eq!(chaos.resets_injected.get(), 1, "reset delivered");
     if out.is_finished() {

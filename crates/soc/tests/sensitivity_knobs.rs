@@ -38,9 +38,7 @@ fn maple_extra_latency_increases_roundtrip_monotonically() {
     let base = roundtrip_cycles(SocConfig::fpga_prototype());
     let mut prev = base;
     for extra in [10u64, 30, 80] {
-        let c = roundtrip_cycles(
-            SocConfig::fpga_prototype().with_maple_extra_latency(extra),
-        );
+        let c = roundtrip_cycles(SocConfig::fpga_prototype().with_maple_extra_latency(extra));
         assert!(
             c > prev,
             "extra latency {extra} should slow the ping-pong: {c} vs {prev}"

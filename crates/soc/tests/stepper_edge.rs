@@ -81,7 +81,10 @@ fn assert_steppers_agree_then<T>(
         "trace records diverged"
     );
     let dense_work = dense_sys.host_work();
-    assert_eq!(dense_work.hub, dense_work.stepped, "dense runs the hub every cycle");
+    assert_eq!(
+        dense_work.hub, dense_work.stepped,
+        "dense runs the hub every cycle"
+    );
     assert_eq!(dense_work.skipped, 0, "dense skips nothing");
     (skip_out, skip_sys, loaded)
 }
@@ -112,7 +115,10 @@ fn chaos_reset_fires_exactly_at_skipped_to_cycle() {
     let cfg = SocConfig::fpga_prototype().with_fault_plane(plane);
     let (_, sys, ()) = assert_steppers_agree(cfg, 2_000_000, load_starved_consumer);
     assert_eq!(
-        sys.chaos_stats().expect("plane installed").resets_injected.get(),
+        sys.chaos_stats()
+            .expect("plane installed")
+            .resets_injected
+            .get(),
         1,
         "the scheduled reset must fire even though cycle 5000 is inside a \
          quiescent gap"
@@ -194,7 +200,11 @@ fn chaos_reset_racing_another_cores_mmio_is_bit_exact() {
     let cfg = SocConfig::fpga_prototype().with_fault_plane(plane);
     let (_, sys, ()) = assert_steppers_agree(cfg, 2_000_000, |sys| load_pair(sys, 256, 23));
     let chaos = sys.chaos_stats().expect("plane installed");
-    assert_eq!(chaos.resets_injected.get(), 1, "the reset must fire mid-run");
+    assert_eq!(
+        chaos.resets_injected.get(),
+        1,
+        "the reset must fire mid-run"
+    );
 }
 
 #[test]
@@ -439,8 +449,11 @@ fn backpressured_egress_and_phase1_mmio_retries_are_bit_exact() {
             .with_noc_delay(0.2, 60)
             .with_noc_drop(0.05)
     };
-    let (skip_out, skip_sys) =
-        run_pair(SocConfig::fpga_prototype().with_fault_plane(plane()), 512, 5);
+    let (skip_out, skip_sys) = run_pair(
+        SocConfig::fpga_prototype().with_fault_plane(plane()),
+        512,
+        5,
+    );
     let (dense_out, dense_sys) = run_pair(
         SocConfig::fpga_prototype()
             .with_fault_plane(plane())
@@ -455,8 +468,14 @@ fn backpressured_egress_and_phase1_mmio_retries_are_bit_exact() {
         "metrics diverged"
     );
     let chaos = skip_sys.chaos_stats().expect("plane installed");
-    assert!(chaos.mmio_retries.get() > 0, "the watchdog must re-queue MMIO");
-    assert!(skip_sys.mesh_stats().delayed.get() > 0, "packets must be held");
+    assert!(
+        chaos.mmio_retries.get() > 0,
+        "the watchdog must re-queue MMIO"
+    );
+    assert!(
+        skip_sys.mesh_stats().delayed.get() > 0,
+        "packets must be held"
+    );
 }
 
 #[test]
@@ -476,7 +495,9 @@ fn unserviceable_fault_without_chaos_ends_hung_under_both_steppers() {
         sys.load_program(b.build().unwrap(), &[(ptr, lazy.0)]);
         lazy.0 + 64 * 4096
     });
-    let d = out.diagnosis().expect("an unserviceable fault ends the run hung");
+    let d = out
+        .diagnosis()
+        .expect("an unserviceable fault ends the run hung");
     assert!(d.at.0 < BUDGET, "the run ends at the fault, not the budget");
     assert_eq!(
         d.unserviceable,
@@ -488,8 +509,9 @@ fn unserviceable_fault_without_chaos_ends_hung_under_both_steppers() {
     );
     assert_eq!(d.cores[0].state, "faulted");
     assert!(
-        d.to_string()
-            .contains(&format!("core 0 faulted outside any lazy region at va:{vaddr:#x}")),
+        d.to_string().contains(&format!(
+            "core 0 faulted outside any lazy region at va:{vaddr:#x}"
+        )),
         "{d}"
     );
 }
@@ -542,7 +564,10 @@ fn fault_services_ending_hub_idle_windows_are_bit_exact() {
         "the loads wait out three fault services"
     );
     let work = sys.host_work();
-    assert!(work.hub < work.stepped, "hub-idle cycles occurred: {work:?}");
+    assert!(
+        work.hub < work.stepped,
+        "hub-idle cycles occurred: {work:?}"
+    );
 }
 
 #[test]
@@ -674,7 +699,11 @@ fn occupancy_samples_inside_hub_idle_windows_are_bit_exact() {
     assert!(out.is_finished(), "{out:?}");
     let occupancy = sys.queue_occupancy(0, 0);
     assert!(occupancy.count() > 50, "sampled throughout the run");
-    assert_eq!(occupancy.max(), Some(K as u64), "sampled while the queue was full");
+    assert_eq!(
+        occupancy.max(),
+        Some(K as u64),
+        "sampled while the queue was full"
+    );
 }
 
 #[test]
@@ -741,5 +770,9 @@ fn engine_poisoned_on_a_hub_idle_cycle_is_retired_on_the_dense_cycle() {
     let (out, sys, ()) = assert_steppers_agree(cfg, 2_000_000, |sys| load_pair(sys, 16, 5));
     assert!(matches!(out, RunOutcome::Hung(_)), "{out:?}");
     let chaos = sys.chaos_stats().expect("plane installed");
-    assert_eq!(chaos.engines_poisoned.get(), 1, "the engine must be retired");
+    assert_eq!(
+        chaos.engines_poisoned.get(),
+        1,
+        "the engine must be retired"
+    );
 }

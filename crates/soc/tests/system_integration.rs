@@ -14,7 +14,10 @@ fn host_reference(a: &[u32], b: &[u32], c: &[u32]) -> (Vec<u32>, u64) {
         .zip(c)
         .map(|(&bi, &ci)| a[bi as usize].wrapping_mul(ci))
         .collect();
-    let acc = res.iter().map(|&v| u64::from(v)).fold(0u64, u64::wrapping_add);
+    let acc = res
+        .iter()
+        .map(|&v| u64::from(v))
+        .fold(0u64, u64::wrapping_add);
     (res, acc)
 }
 
@@ -59,10 +62,7 @@ fn doall_kernel_computes_reference_result() {
     let out = sys.run(10_000_000);
     assert!(out.is_finished(), "doall timed out");
     assert_eq!(sys.read_slice_u32(va_r, b.len()), res_ref);
-    assert_eq!(
-        sys.core(core).reg(args.acc),
-        acc_ref
-    );
+    assert_eq!(sys.core(core).reg(args.acc), acc_ref);
 }
 
 #[test]
@@ -173,10 +173,7 @@ fn desc_pair_matches_reference() {
             (pair.access_args.n, b.len() as u64),
         ],
     );
-    let execute = sys.load_program(
-        pair.execute,
-        &[(pair.execute_args.n, b.len() as u64)],
-    );
+    let execute = sys.load_program(pair.execute, &[(pair.execute_args.n, b.len() as u64)]);
     sys.pair_desc(access, execute, 3);
     let out = sys.run(50_000_000);
     assert!(out.is_finished(), "DeSC pair timed out");
@@ -221,7 +218,10 @@ fn mmio_consume_roundtrip_is_l2_scale_not_dram_scale() {
         (15.0..60.0).contains(&lat),
         "consume round trip should be L2-scale (~25+hops), got {lat:.1}"
     );
-    assert!(lat < 100.0, "an order of magnitude below the 300-cycle DRAM");
+    assert!(
+        lat < 100.0,
+        "an order of magnitude below the 300-cycle DRAM"
+    );
 }
 
 #[test]
@@ -247,10 +247,7 @@ fn lazy_allocation_faults_on_core_and_engine() {
     api.produce_ptr(&mut b, 0, ptr);
     api.consume(&mut b, 0, v2, 4);
     b.halt();
-    let core = sys.load_program(
-        b.build().unwrap(),
-        &[(base, maple_va.0), (arr, lazy.0)],
-    );
+    let core = sys.load_program(b.build().unwrap(), &[(base, maple_va.0), (arr, lazy.0)]);
     let out = sys.run(10_000_000);
     assert!(out.is_finished(), "faults must be serviced, not wedge");
     assert_eq!(sys.core(core).reg(v1), 0, "fresh page reads zero");

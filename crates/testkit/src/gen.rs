@@ -178,9 +178,21 @@ macro_rules! narrow_uint_gen {
     };
 }
 
-narrow_uint_gen!(u8_in, u8, "Uniform `u8` in a half-open range, shrinking toward the lower bound.");
-narrow_uint_gen!(u32_in, u32, "Uniform `u32` in a half-open range, shrinking toward the lower bound.");
-narrow_uint_gen!(usize_in, usize, "Uniform `usize` in a half-open range, shrinking toward the lower bound.");
+narrow_uint_gen!(
+    u8_in,
+    u8,
+    "Uniform `u8` in a half-open range, shrinking toward the lower bound."
+);
+narrow_uint_gen!(
+    u32_in,
+    u32,
+    "Uniform `u32` in a half-open range, shrinking toward the lower bound."
+);
+narrow_uint_gen!(
+    usize_in,
+    usize,
+    "Uniform `usize` in a half-open range, shrinking toward the lower bound."
+);
 
 /// Uniform `i64` in `[range.start, range.end)`, shrinking toward zero
 /// when the range contains it (toward the bound closest to zero

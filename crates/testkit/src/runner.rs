@@ -166,7 +166,14 @@ where
 
 /// The shared failure tail of [`check`]/[`check_parallel`]: greedy
 /// shrink descent, then the reproduction report as a panic.
-fn falsify<G, F>(cfg: &Config, gen: &G, prop: &F, case: u64, value: G::Value, first_msg: String) -> !
+fn falsify<G, F>(
+    cfg: &Config,
+    gen: &G,
+    prop: &F,
+    case: u64,
+    value: G::Value,
+    first_msg: String,
+) -> !
 where
     G: Gen,
     F: Fn(&G::Value) -> Result<(), String>,
@@ -236,7 +243,10 @@ fn clip(s: &str, max: usize) -> String {
     if s.len() <= max {
         return s.to_string();
     }
-    let cut = (0..=max).rev().find(|&i| s.is_char_boundary(i)).unwrap_or(0);
+    let cut = (0..=max)
+        .rev()
+        .find(|&i| s.is_char_boundary(i))
+        .unwrap_or(0);
     format!("{}… [{} bytes clipped]", &s[..cut], s.len() - cut)
 }
 
@@ -258,7 +268,10 @@ impl QuietPanics {
             let prev = panic::take_hook();
             panic::set_hook(Box::new(move |info| {
                 let me = std::thread::current().id();
-                let quiet = suppressed().lock().map(|s| s.contains(&me)).unwrap_or(false);
+                let quiet = suppressed()
+                    .lock()
+                    .map(|s| s.contains(&me))
+                    .unwrap_or(false);
                 if !quiet {
                     prev(info);
                 }
@@ -321,8 +334,14 @@ mod tests {
             });
         }));
         let msg = panic_message(&*outcome.expect_err("property must be falsified"));
-        assert!(msg.contains("no_big_values"), "report names the property: {msg}");
-        assert!(msg.contains("0x0000000000005eed"), "report prints the seed: {msg}");
+        assert!(
+            msg.contains("no_big_values"),
+            "report names the property: {msg}"
+        );
+        assert!(
+            msg.contains("0x0000000000005eed"),
+            "report prints the seed: {msg}"
+        );
         // Greedy shrinking must reach the minimal counterexample: the
         // single-element vector [100].
         assert!(

@@ -23,12 +23,19 @@ fn tuple_and_choice_generators_compose() {
         gen::choice(vec!["spmv", "sdhp", "bfs"]),
         gen::bools(),
     );
-    check(&Config::new("tuple_compose").with_cases(128), &g, |(n, kernel, flag)| {
-        tk_assert!(*n >= 1 && *n < 64, "n out of range: {n}");
-        tk_assert!(["spmv", "sdhp", "bfs"].contains(kernel), "bad kernel {kernel}");
-        let _ = flag;
-        Ok(())
-    });
+    check(
+        &Config::new("tuple_compose").with_cases(128),
+        &g,
+        |(n, kernel, flag)| {
+            tk_assert!(*n >= 1 && *n < 64, "n out of range: {n}");
+            tk_assert!(
+                ["spmv", "sdhp", "bfs"].contains(kernel),
+                "bad kernel {kernel}"
+            );
+            let _ = flag;
+            Ok(())
+        },
+    );
 }
 
 #[test]
@@ -81,8 +88,14 @@ fn env_seed_override_replays_identical_cases() {
 
     assert_eq!(seed_a, 0xFEED_BEEF);
     assert_eq!(seed_a, seed_b, "hex and decimal parse to the same seed");
-    assert_eq!(run_a, run_b, "same seed replays the identical case sequence");
-    assert_ne!(seed_c, seed_a, "unset env falls back to the name-derived seed");
+    assert_eq!(
+        run_a, run_b,
+        "same seed replays the identical case sequence"
+    );
+    assert_ne!(
+        seed_c, seed_a,
+        "unset env falls back to the name-derived seed"
+    );
 }
 
 #[test]
@@ -107,11 +120,15 @@ fn custom_gen_impl_with_domain_shrink() {
         }
     }
 
-    check(&Config::new("pow2_in_range"), &PowerOfTwo { max_log2: 12 }, |&v| {
-        tk_assert!(v.is_power_of_two(), "not a power of two: {v}");
-        tk_assert!(v <= 4096, "too large: {v}");
-        Ok(())
-    });
+    check(
+        &Config::new("pow2_in_range"),
+        &PowerOfTwo { max_log2: 12 },
+        |&v| {
+            tk_assert!(v.is_power_of_two(), "not a power of two: {v}");
+            tk_assert!(v <= 4096, "too large: {v}");
+            Ok(())
+        },
+    );
 
     // And its shrink ladder terminates at 1.
     let cfg = Config {
@@ -130,7 +147,10 @@ fn custom_gen_impl_with_domain_shrink() {
     let payload = out.expect_err("must fail");
     let msg = payload.downcast_ref::<String>().expect("String payload");
     assert!(
-        msg.contains("shrunk input") && msg.lines().any(|l| l.contains("shrunk input") && l.ends_with(": 1")),
+        msg.contains("shrunk input")
+            && msg
+                .lines()
+                .any(|l| l.contains("shrunk input") && l.ends_with(": 1")),
         "halving ladder reaches the minimal power of two: {msg}"
     );
 }

@@ -22,14 +22,7 @@ const PID_NOC: u64 = 2;
 const PID_FAULTS: u64 = 3;
 const PID_SERVE: u64 = 4;
 
-fn event_json(
-    name: &str,
-    ph: &str,
-    ts: u64,
-    pid: u64,
-    tid: u64,
-    args: Vec<(&str, Json)>,
-) -> Json {
+fn event_json(name: &str, ph: &str, ts: u64, pid: u64, tid: u64, args: Vec<(&str, Json)>) -> Json {
     let mut members = vec![
         ("name", Json::from(name)),
         ("ph", Json::from(ph)),

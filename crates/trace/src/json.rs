@@ -301,7 +301,11 @@ pub struct ParseError {
 
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "JSON parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "JSON parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 
@@ -446,8 +450,7 @@ impl<'a> Parser<'a> {
                     // Consume one UTF-8 scalar (input is &str, so slicing
                     // at char boundaries is safe via chars()).
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8"))?;
+                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
                     let c = s.chars().next().expect("non-empty");
                     if (c as u32) < 0x20 {
                         return Err(self.err("unescaped control character"));
@@ -521,8 +524,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("digits are ASCII");
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
         if !float {
             if let Ok(v) = text.parse::<u64>() {
                 return Ok(Json::U64(v));
@@ -605,8 +607,17 @@ mod tests {
     #[test]
     fn parser_rejects_malformed() {
         for bad in [
-            "", "{", "[1,", "{\"a\":}", "tru", "\"unterminated", "01x",
-            "{\"a\" 1}", "[1 2]", "\"bad \u{01} ctrl\"", "1 2",
+            "",
+            "{",
+            "[1,",
+            "{\"a\":}",
+            "tru",
+            "\"unterminated",
+            "01x",
+            "{\"a\" 1}",
+            "[1 2]",
+            "\"bad \u{01} ctrl\"",
+            "1 2",
         ] {
             assert!(Json::parse(bad).is_err(), "should reject {bad:?}");
         }

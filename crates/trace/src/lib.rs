@@ -40,5 +40,7 @@ pub mod tracer;
 
 pub use event::{FaultSite, StallCause, TraceEvent, WaitKind};
 pub use json::Json;
-pub use metrics::{stall_json, stall_table, HistogramSummary, MetricsSnapshot, StallBreakdown, StallRow};
+pub use metrics::{
+    stall_json, stall_table, HistogramSummary, MetricsSnapshot, StallBreakdown, StallRow,
+};
 pub use tracer::{merge_rings, TraceConfig, TraceRecord, Tracer};

@@ -65,7 +65,11 @@ impl StallBreakdown {
     /// Total attributed stall cycles.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.l1_miss + self.l2_miss + self.dram + self.consume_wait + self.mmio
+        self.l1_miss
+            + self.l2_miss
+            + self.dram
+            + self.consume_wait
+            + self.mmio
             + self.fault_recovery
     }
 
@@ -239,7 +243,8 @@ impl MetricsSnapshot {
 
     /// Records a counter.
     pub fn counter(&mut self, name: impl Into<String>, value: u64) {
-        self.entries.push((name.into(), MetricValue::Counter(value)));
+        self.entries
+            .push((name.into(), MetricValue::Counter(value)));
     }
 
     /// Records a gauge.
@@ -397,7 +402,11 @@ mod tests {
         let j = m.to_json();
         assert_eq!(j.get("core0/instructions").unwrap().as_u64(), Some(1234));
         assert_eq!(
-            j.get("dram/latency").unwrap().get("count").unwrap().as_u64(),
+            j.get("dram/latency")
+                .unwrap()
+                .get("count")
+                .unwrap()
+                .as_u64(),
             Some(3)
         );
     }

@@ -40,9 +40,7 @@ impl Default for TraceConfig {
     fn default() -> Self {
         // 1 Mi records ≈ 40 MB; enough for every example and experiment
         // bin while still bounding an unbounded run.
-        TraceConfig {
-            capacity: 1 << 20,
-        }
+        TraceConfig { capacity: 1 << 20 }
     }
 }
 
@@ -118,7 +116,9 @@ impl Tracer {
     #[inline]
     pub fn emit(&self, ts: Cycle, f: impl FnOnce() -> TraceEvent) {
         if let Some(buf) = &self.buf {
-            buf.lock().expect("trace ring poisoned").push(TraceRecord { ts, event: f() });
+            buf.lock()
+                .expect("trace ring poisoned")
+                .push(TraceRecord { ts, event: f() });
         }
     }
 
@@ -196,7 +196,9 @@ mod tests {
     #[test]
     fn disabled_never_runs_the_constructor() {
         let t = Tracer::disabled();
-        t.emit(Cycle(0), || panic!("constructor must not run when disabled"));
+        t.emit(Cycle(0), || {
+            panic!("constructor must not run when disabled")
+        });
         assert!(!t.is_enabled());
         assert!(t.records().is_empty());
         assert_eq!(t.dropped(), 0);

@@ -329,7 +329,13 @@ mod tests {
     #[test]
     fn map_translate_roundtrip() {
         let (mut mem, mut frames, mut pt) = setup();
-        pt.map(&mut mem, &mut frames, VAddr(0x4000), PAddr(0x9000), PageFlags::rw());
+        pt.map(
+            &mut mem,
+            &mut frames,
+            VAddr(0x4000),
+            PAddr(0x9000),
+            PageFlags::rw(),
+        );
         let t = pt.translate(&mem, VAddr(0x4abc)).unwrap();
         assert_eq!(t.paddr, PAddr(0x9abc));
         assert!(t.flags.write);
@@ -348,7 +354,13 @@ mod tests {
     #[test]
     fn protection_fault_on_readonly_store() {
         let (mut mem, mut frames, mut pt) = setup();
-        pt.map(&mut mem, &mut frames, VAddr(0x1000), PAddr(0x8000), PageFlags::ro());
+        pt.map(
+            &mut mem,
+            &mut frames,
+            VAddr(0x1000),
+            PAddr(0x8000),
+            PageFlags::ro(),
+        );
         assert!(pt.translate_checked(&mem, VAddr(0x1000), false).is_ok());
         assert_eq!(
             pt.translate_checked(&mem, VAddr(0x1000), true),
@@ -362,19 +374,40 @@ mod tests {
     fn distant_pages_share_nothing() {
         let (mut mem, mut frames, mut pt) = setup();
         // Far apart in vpn2 space: exercises multi-node allocation.
-        pt.map(&mut mem, &mut frames, VAddr(0x40_0000_0000), PAddr(0x8000), PageFlags::rw());
-        pt.map(&mut mem, &mut frames, VAddr(0x1000), PAddr(0xa000), PageFlags::rw());
+        pt.map(
+            &mut mem,
+            &mut frames,
+            VAddr(0x40_0000_0000),
+            PAddr(0x8000),
+            PageFlags::rw(),
+        );
+        pt.map(
+            &mut mem,
+            &mut frames,
+            VAddr(0x1000),
+            PAddr(0xa000),
+            PageFlags::rw(),
+        );
         assert_eq!(
             pt.translate(&mem, VAddr(0x40_0000_0010)).unwrap().paddr,
             PAddr(0x8010)
         );
-        assert_eq!(pt.translate(&mem, VAddr(0x1004)).unwrap().paddr, PAddr(0xa004));
+        assert_eq!(
+            pt.translate(&mem, VAddr(0x1004)).unwrap().paddr,
+            PAddr(0xa004)
+        );
     }
 
     #[test]
     fn unmap_then_fault() {
         let (mut mem, mut frames, mut pt) = setup();
-        pt.map(&mut mem, &mut frames, VAddr(0x2000), PAddr(0xb000), PageFlags::rw());
+        pt.map(
+            &mut mem,
+            &mut frames,
+            VAddr(0x2000),
+            PAddr(0xb000),
+            PageFlags::rw(),
+        );
         assert!(pt.unmap(&mut mem, VAddr(0x2000)));
         assert!(!pt.unmap(&mut mem, VAddr(0x2000)), "double unmap is no-op");
         assert!(pt.translate(&mem, VAddr(0x2000)).is_err());
@@ -383,8 +416,20 @@ mod tests {
     #[test]
     fn remap_overwrites() {
         let (mut mem, mut frames, mut pt) = setup();
-        pt.map(&mut mem, &mut frames, VAddr(0x3000), PAddr(0xc000), PageFlags::rw());
-        pt.map(&mut mem, &mut frames, VAddr(0x3000), PAddr(0xd000), PageFlags::ro());
+        pt.map(
+            &mut mem,
+            &mut frames,
+            VAddr(0x3000),
+            PAddr(0xc000),
+            PageFlags::rw(),
+        );
+        pt.map(
+            &mut mem,
+            &mut frames,
+            VAddr(0x3000),
+            PAddr(0xd000),
+            PageFlags::ro(),
+        );
         let t = pt.translate(&mem, VAddr(0x3000)).unwrap();
         assert_eq!(t.paddr, PAddr(0xd000));
         assert!(!t.flags.write);
@@ -393,7 +438,13 @@ mod tests {
     #[test]
     fn device_flags_roundtrip() {
         let (mut mem, mut frames, mut pt) = setup();
-        pt.map(&mut mem, &mut frames, VAddr(0xf000), PAddr(0xe000), PageFlags::device());
+        pt.map(
+            &mut mem,
+            &mut frames,
+            VAddr(0xf000),
+            PAddr(0xe000),
+            PageFlags::device(),
+        );
         let t = pt.translate(&mem, VAddr(0xf010)).unwrap();
         assert!(t.flags.mmio);
         assert!(t.flags.user);
@@ -405,9 +456,8 @@ mod tests {
         let mut frames = FrameAllocator::new(PAddr(0x1000), PAGE_SIZE);
         let _ = frames.alloc(&mut mem);
         assert_eq!(frames.remaining(), 0);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            frames.alloc(&mut mem)
-        }));
+        let result =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| frames.alloc(&mut mem)));
         assert!(result.is_err());
     }
 
@@ -415,9 +465,27 @@ mod tests {
     fn two_tables_are_isolated() {
         let (mut mem, mut frames, mut pt1) = setup();
         let mut pt2 = PageTable::new(&mut mem, &mut frames);
-        pt1.map(&mut mem, &mut frames, VAddr(0x5000), PAddr(0x9000), PageFlags::rw());
-        pt2.map(&mut mem, &mut frames, VAddr(0x5000), PAddr(0xa000), PageFlags::rw());
-        assert_eq!(pt1.translate(&mem, VAddr(0x5000)).unwrap().paddr, PAddr(0x9000));
-        assert_eq!(pt2.translate(&mem, VAddr(0x5000)).unwrap().paddr, PAddr(0xa000));
+        pt1.map(
+            &mut mem,
+            &mut frames,
+            VAddr(0x5000),
+            PAddr(0x9000),
+            PageFlags::rw(),
+        );
+        pt2.map(
+            &mut mem,
+            &mut frames,
+            VAddr(0x5000),
+            PAddr(0xa000),
+            PageFlags::rw(),
+        );
+        assert_eq!(
+            pt1.translate(&mem, VAddr(0x5000)).unwrap().paddr,
+            PAddr(0x9000)
+        );
+        assert_eq!(
+            pt2.translate(&mem, VAddr(0x5000)).unwrap().paddr,
+            PAddr(0xa000)
+        );
     }
 }

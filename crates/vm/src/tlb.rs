@@ -105,7 +105,10 @@ impl Tlb {
     /// Probes without counting or touching recency.
     #[must_use]
     pub fn probe(&self, vpn: VirtPage) -> Option<TlbEntry> {
-        self.entries.iter().find(|(_, e)| e.vpn == vpn).map(|(_, e)| *e)
+        self.entries
+            .iter()
+            .find(|(_, e)| e.vpn == vpn)
+            .map(|(_, e)| *e)
     }
 
     /// Inserts (or refreshes) a translation, evicting LRU when full.

@@ -68,35 +68,45 @@ impl Gen for VmOpGen {
 #[test]
 fn page_table_matches_map_model() {
     let ops_gen = gen::vec_of(VmOpGen, 0, 120);
-    check(&Config::new("page_table_matches_map_model"), &ops_gen, |ops| {
-        let mut mem = PhysMem::new();
-        let mut frames = FrameAllocator::new(PAddr(0x100_0000), 32 << 20);
-        let mut pt = PageTable::new(&mut mem, &mut frames);
-        let mut model: HashMap<u64, u64> = HashMap::new(); // vpn -> frame base
-        for op in ops {
-            match *op {
-                VmOp::Map(vpn) => {
-                    let frame = frames.alloc(&mut mem);
-                    pt.map(&mut mem, &mut frames, VAddr(vpn * PAGE_SIZE), frame, PageFlags::rw());
-                    model.insert(vpn, frame.0);
-                }
-                VmOp::Unmap(vpn) => {
-                    let existed = pt.unmap(&mut mem, VAddr(vpn * PAGE_SIZE));
-                    tk_assert_eq!(existed, model.remove(&vpn).is_some());
-                }
-                VmOp::Translate(vpn, off) => {
-                    let got = pt.translate(&mem, VAddr(vpn * PAGE_SIZE + off));
-                    match model.get(&vpn) {
-                        Some(frame) => {
-                            tk_assert_eq!(got.unwrap().paddr, PAddr(frame + off));
+    check(
+        &Config::new("page_table_matches_map_model"),
+        &ops_gen,
+        |ops| {
+            let mut mem = PhysMem::new();
+            let mut frames = FrameAllocator::new(PAddr(0x100_0000), 32 << 20);
+            let mut pt = PageTable::new(&mut mem, &mut frames);
+            let mut model: HashMap<u64, u64> = HashMap::new(); // vpn -> frame base
+            for op in ops {
+                match *op {
+                    VmOp::Map(vpn) => {
+                        let frame = frames.alloc(&mut mem);
+                        pt.map(
+                            &mut mem,
+                            &mut frames,
+                            VAddr(vpn * PAGE_SIZE),
+                            frame,
+                            PageFlags::rw(),
+                        );
+                        model.insert(vpn, frame.0);
+                    }
+                    VmOp::Unmap(vpn) => {
+                        let existed = pt.unmap(&mut mem, VAddr(vpn * PAGE_SIZE));
+                        tk_assert_eq!(existed, model.remove(&vpn).is_some());
+                    }
+                    VmOp::Translate(vpn, off) => {
+                        let got = pt.translate(&mem, VAddr(vpn * PAGE_SIZE + off));
+                        match model.get(&vpn) {
+                            Some(frame) => {
+                                tk_assert_eq!(got.unwrap().paddr, PAddr(frame + off));
+                            }
+                            None => tk_assert!(got.is_err()),
                         }
-                        None => tk_assert!(got.is_err()),
                     }
                 }
             }
-        }
-        Ok(())
-    });
+            Ok(())
+        },
+    );
 }
 
 #[test]
@@ -163,7 +173,13 @@ fn tlb_shootdown_on_device_remap_never_serves_stale() {
             for (d, &frame) in dev_frames.iter().enumerate() {
                 dev_vpn[d] = next_vpn;
                 next_vpn += 1;
-                pt.map(&mut mem, &mut frames, VAddr(dev_vpn[d] * PAGE_SIZE), frame, PageFlags::device());
+                pt.map(
+                    &mut mem,
+                    &mut frames,
+                    VAddr(dev_vpn[d] * PAGE_SIZE),
+                    frame,
+                    PageFlags::device(),
+                );
             }
             for &(dev, tlb_i, remap) in ops {
                 let d = dev as usize;

@@ -153,7 +153,7 @@ impl Bfs {
             ci: upload_u32(&mut sys, &self.graph.col_idx),
             dist: {
                 let init = vec![UNVISITED; n];
-                
+
                 upload_u32(&mut sys, &init)
             },
             cur: alloc_u32(&mut sys, n.max(1)),
@@ -171,13 +171,7 @@ impl Bfs {
         match variant {
             Variant::Doall => self.load_doall(&mut sys, &dev, threads, None, false),
             Variant::Droplet => {
-                sys.droplet_watch(
-                    dev.ci,
-                    (self.graph.nnz() * 4) as u64,
-                    4,
-                    dev.dist,
-                    4,
-                );
+                sys.droplet_watch(dev.ci, (self.graph.nnz() * 4) as u64, 4, dev.dist, 4);
                 self.load_doall(&mut sys, &dev, threads, None, false);
             }
             Variant::SwPrefetch { dist } => {
@@ -275,7 +269,12 @@ impl Bfs {
                     // Prefetch dist[ci[min(j+d, jend-1)]].
                     b.addi(jd, j, i64::from(d));
                     b.addi(c.tmp, jend, -1);
-                    b.alu(maple_isa::AluOp::MinU, jd, jd, maple_isa::Operand::Reg(c.tmp));
+                    b.alu(
+                        maple_isa::AluOp::MinU,
+                        jd,
+                        jd,
+                        maple_isa::Operand::Reg(c.tmp),
+                    );
                     b.load_indexed(v2, c.ci, jd, 2, 4, c.tmp);
                     b.index_addr(c.tmp, c.dist, v2, 2);
                     b.prefetch(c.tmp, 0);
@@ -342,7 +341,12 @@ impl Bfs {
                 // vertices.
                 b.mv(k, i);
                 b.addi(klim, i, RUNAHEAD);
-                b.alu(maple_isa::AluOp::MinU, klim, klim, maple_isa::Operand::Reg(hi));
+                b.alu(
+                    maple_isa::AluOp::MinU,
+                    klim,
+                    klim,
+                    maple_isa::Operand::Reg(hi),
+                );
                 let pro = b.here("prologue");
                 let pro_done = b.label("pro_done");
                 b.bge(k, klim, pro_done);
@@ -370,7 +374,12 @@ impl Bfs {
                 b.bind(no_ahead);
                 // Row bounds arrive as one wide consume: (jend<<32)|j.
                 api.consume(b, q_rp, bounds, 8);
-                b.alu(maple_isa::AluOp::And, j, bounds, maple_isa::Operand::Reg(mask));
+                b.alu(
+                    maple_isa::AluOp::And,
+                    j,
+                    bounds,
+                    maple_isa::Operand::Reg(mask),
+                );
                 b.alu(maple_isa::AluOp::Srl, jend, bounds, 32);
                 let nloop = b.here("neigh");
                 let nnext = b.label("nnext");
@@ -410,7 +419,12 @@ impl Bfs {
                 let eloop = b.here("consume");
                 let edone = b.label("edone");
                 api.consume(b, q, pairv, 8);
-                b.alu(maple_isa::AluOp::And, v, pairv, maple_isa::Operand::Reg(mask));
+                b.alu(
+                    maple_isa::AluOp::And,
+                    v,
+                    pairv,
+                    maple_isa::Operand::Reg(mask),
+                );
                 b.beq(v, u64::from(SENT) as i64, edone);
                 b.alu(maple_isa::AluOp::Srl, dv, pairv, 32);
                 let skip = b.label("skip");
@@ -493,7 +507,12 @@ impl Bfs {
                 cons.emit_consume(b, packed);
                 b.alu(maple_isa::AluOp::Srl, v, packed, 32);
                 b.beq(v, u64::from(SENT) as i64, edone);
-                b.alu(maple_isa::AluOp::And, dv, packed, maple_isa::Operand::Reg(mask));
+                b.alu(
+                    maple_isa::AluOp::And,
+                    dv,
+                    packed,
+                    maple_isa::Operand::Reg(mask),
+                );
                 let skip = b.label("skip");
                 b.bne(dv, c.maxv, skip);
                 c.emit_update(b, v, skip);
@@ -710,12 +729,27 @@ impl Common {
         let s = of.trailing_zeros() as i64;
         // chunk = (cc + of - 1) >> s
         b.addi(self.tmp2, self.cc, of as i64 - 1);
-        b.alu(maple_isa::AluOp::Srl, self.tmp2, self.tmp2, maple_isa::Operand::Imm(s));
+        b.alu(
+            maple_isa::AluOp::Srl,
+            self.tmp2,
+            self.tmp2,
+            maple_isa::Operand::Imm(s),
+        );
         b.li(i, w);
         b.mul(i, i, self.tmp2);
         b.add(hi, i, self.tmp2);
-        b.alu(maple_isa::AluOp::MinU, hi, hi, maple_isa::Operand::Reg(self.cc));
-        b.alu(maple_isa::AluOp::MinU, i, i, maple_isa::Operand::Reg(self.cc));
+        b.alu(
+            maple_isa::AluOp::MinU,
+            hi,
+            hi,
+            maple_isa::Operand::Reg(self.cc),
+        );
+        b.alu(
+            maple_isa::AluOp::MinU,
+            i,
+            i,
+            maple_isa::Operand::Reg(self.cc),
+        );
     }
 
     /// The atomic update: `old = amo_min(dist[v], level); if old == MAX

@@ -566,10 +566,15 @@ mod tests {
         assert_eq!(out.final_stats().faults.ladder_rung, 0);
         // A failing first attempt: the ladder continues at rung 1.
         let mut ran = Vec::new();
-        let out = continue_fallback(Variant::MapleDecoupled, 2, Some(stats(false)), &mut |v, _| {
-            ran.push(v);
-            stats(true)
-        });
+        let out = continue_fallback(
+            Variant::MapleDecoupled,
+            2,
+            Some(stats(false)),
+            &mut |v, _| {
+                ran.push(v);
+                stats(true)
+            },
+        );
         assert_eq!(ran, vec![Variant::SwDecoupled]);
         assert_eq!(out.attempts.len(), 2);
         assert_eq!(out.final_stats().faults.ladder_rung, 1);

@@ -40,7 +40,10 @@ pub const SLOWDOWN_SLACK: u64 = 500_000;
 /// Returns a description of the first violated invariant.
 pub fn check_run(label: &str, s: &RunStats) -> Result<(), String> {
     if !s.verified {
-        return Err(format!("{label}: result diverged from host reference (or run did not finish in {} cycles)", s.cycles));
+        return Err(format!(
+            "{label}: result diverged from host reference (or run did not finish in {} cycles)",
+            s.cycles
+        ));
     }
     // Queue conservation: every entry that went into an engine queue must
     // have come out — a drained queue with produced != consumed means an
@@ -383,7 +386,9 @@ mod tests {
             cycles: 1000 * MAX_SLOWDOWN + SLOWDOWN_SLACK + 1,
             ..ok_stats()
         };
-        assert!(check_cross(&doall, "t", &absurd).unwrap_err().contains("sanity bound"));
+        assert!(check_cross(&doall, "t", &absurd)
+            .unwrap_err()
+            .contains("sanity bound"));
     }
 
     #[test]

@@ -163,9 +163,7 @@ impl Sdhp {
             }
             Variant::MapleDecoupled => {
                 let maple_va = sys.map_maple(0);
-                for (pair, (lo, hi)) in
-                    partition(self.n(), threads / 2).into_iter().enumerate()
-                {
+                for (pair, (lo, hi)) in partition(self.n(), threads / 2).into_iter().enumerate() {
                     let p = spec.gen_maple_pair(pair as u8);
                     sys.load_program(
                         p.access,
@@ -199,8 +197,7 @@ impl Sdhp {
                         (p.access_args.n, self.n() as u64),
                     ],
                 );
-                let compute =
-                    sys.load_program(p.execute, &[(p.execute_args.n, self.n() as u64)]);
+                let compute = sys.load_program(p.execute, &[(p.execute_args.n, self.n() as u64)]);
                 sys.pair_desc(supply, compute, 3);
             }
             Variant::SwDecoupled => self.load_swdec(&mut sys, a, bb, c, res, threads),
@@ -285,15 +282,7 @@ impl Sdhp {
         }
     }
 
-    fn load_swpref(
-        &self,
-        sys: &mut System,
-        a: VAddr,
-        bb: VAddr,
-        c: VAddr,
-        res: VAddr,
-        dist: u32,
-    ) {
+    fn load_swpref(&self, sys: &mut System, a: VAddr, bb: VAddr, c: VAddr, res: VAddr, dist: u32) {
         let n = self.n() as u64;
         let mut b = ProgramBuilder::new();
         let ra = b.reg("a");

@@ -144,7 +144,11 @@ impl SliceRegs {
 /// Single-core do-all shape: the whole query on one core, blocking
 /// gathers. The bottom rung of the ladder — no engine, no partner core.
 #[must_use]
-pub fn doall_query(q: &SliceQuery, arrays: &TenantArrays, out: VAddr) -> (Program, Vec<(Reg, u64)>) {
+pub fn doall_query(
+    q: &SliceQuery,
+    arrays: &TenantArrays,
+    out: VAddr,
+) -> (Program, Vec<(Reg, u64)>) {
     let mut b = ProgramBuilder::new();
     let regs = SliceRegs::allocate(&mut b);
     let r = b.reg("r");
@@ -424,9 +428,21 @@ mod tests {
 
     fn queries() -> Vec<SliceQuery> {
         vec![
-            SliceQuery { kind: QueryKind::SpmvSlice, lo: 3, hi: 19 },
-            SliceQuery { kind: QueryKind::NeighborSum, lo: 40, hi: 64 },
-            SliceQuery { kind: QueryKind::SpmvSlice, lo: 0, hi: 0 },
+            SliceQuery {
+                kind: QueryKind::SpmvSlice,
+                lo: 3,
+                hi: 19,
+            },
+            SliceQuery {
+                kind: QueryKind::NeighborSum,
+                lo: 40,
+                hi: 64,
+            },
+            SliceQuery {
+                kind: QueryKind::SpmvSlice,
+                lo: 0,
+                hi: 0,
+            },
         ]
     }
 

@@ -128,13 +128,7 @@ impl Spmm {
                 }
             }
             Variant::Droplet => {
-                sys.droplet_watch(
-                    arrays.ari,
-                    (self.a.nnz() * 4) as u64,
-                    4,
-                    arrays.cc,
-                    4,
-                );
+                sys.droplet_watch(arrays.ari, (self.a.nnz() * 4) as u64, 4, arrays.cc, 4);
                 for (lo, hi) in partition(self.m, threads) {
                     let (p, binds) = self.doall_program(&arrays, lo, hi, None);
                     sys.load_program(p, &binds);
@@ -326,7 +320,12 @@ impl Spmm {
             let upd = b.here("upd");
             let col_end = b.label("col_end");
             api.consume(&mut b, q, pair_reg, 8);
-            b.alu(maple_isa::AluOp::And, r, pair_reg, maple_isa::Operand::Reg(mask));
+            b.alu(
+                maple_isa::AluOp::And,
+                r,
+                pair_reg,
+                maple_isa::Operand::Reg(mask),
+            );
             b.beq(r, u64::from(COL_SENTINEL) as i64, col_end);
             b.alu(maple_isa::AluOp::Srl, prod, pair_reg, 32);
             b.index_addr(tmp, slab, r, 2);
@@ -402,7 +401,12 @@ impl Spmm {
             let upd = b.here("upd");
             let col_end = b.label("col_end");
             cons.emit_consume(&mut b, packed);
-            b.alu(maple_isa::AluOp::And, r, packed, maple_isa::Operand::Reg(mask));
+            b.alu(
+                maple_isa::AluOp::And,
+                r,
+                packed,
+                maple_isa::Operand::Reg(mask),
+            );
             b.beq(r, u64::from(COL_SENTINEL) as i64, col_end);
             b.alu(maple_isa::AluOp::Srl, prod, packed, 32);
             b.index_addr(tmp, slab, r, 2);
@@ -460,7 +464,9 @@ impl Spmm {
         b.load_indexed(s2, regs.acp, k2, 2, 4, ltmp);
         b.addi(ltmp, k2, 1);
         b.load_indexed(s2e, regs.acp, ltmp, 2, 4, ltmp);
-        api2.lima(&mut b, 0, regs.slab, regs.ari, s2, s2e, true, 4, 4, ltmp, ltmp2);
+        api2.lima(
+            &mut b, 0, regs.slab, regs.ari, s2, s2e, true, 4, 4, ltmp, ltmp2,
+        );
         b.bind(no_next);
         b.load_indexed(regs.k, regs.bri, regs.t, 2, 4, regs.tmp);
         b.load_indexed(regs.bv, regs.bvv, regs.t, 2, 4, regs.tmp);

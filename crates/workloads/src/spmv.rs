@@ -153,13 +153,7 @@ impl Spmv {
         match variant {
             Variant::Doall => self.load_doall(&mut sys, &arrays, threads, None),
             Variant::Droplet => {
-                sys.droplet_watch(
-                    arrays.ci,
-                    (self.a.nnz() * 4) as u64,
-                    4,
-                    arrays.xx,
-                    4,
-                );
+                sys.droplet_watch(arrays.ci, (self.a.nnz() * 4) as u64, 4, arrays.xx, 4);
                 self.load_doall(&mut sys, &arrays, threads, None);
             }
             Variant::SwPrefetch { dist } => {
@@ -610,7 +604,10 @@ impl Spmv {
         b.jump(flush);
         b.bind(flushed);
         b.halt();
-        let supply = sys.load_program(b.build().expect("desc supply builds"), &regs.bindings(arrays));
+        let supply = sys.load_program(
+            b.build().expect("desc supply builds"),
+            &regs.bindings(arrays),
+        );
 
         // Compute: no memory visibility; everything arrives on queues.
         let mut b = ProgramBuilder::new();
@@ -680,7 +677,9 @@ impl Spmv {
             b.load_indexed(lo2, regs.rp, r, 2, 4, tmp);
             b.addi(tmp, r, 1);
             b.load_indexed(hi2, regs.rp, tmp, 2, 4, tmp);
-            api.lima(&mut b, 0, regs.xx, regs.ci, lo2, hi2, false, 4, 4, tmp, tmp2);
+            api.lima(
+                &mut b, 0, regs.xx, regs.ci, lo2, hi2, false, 4, 4, tmp, tmp2,
+            );
         }
         b.bind(start);
         let row = b.here("row");
@@ -693,7 +692,9 @@ impl Spmv {
         b.load_indexed(lo2, regs.rp, rn, 2, 4, tmp);
         b.addi(tmp, rn, 1);
         b.load_indexed(hi2, regs.rp, tmp, 2, 4, tmp);
-        api.lima(&mut b, 0, regs.xx, regs.ci, lo2, hi2, false, 4, 4, tmp, tmp2);
+        api.lima(
+            &mut b, 0, regs.xx, regs.ci, lo2, hi2, false, 4, 4, tmp, tmp2,
+        );
         b.bind(no_next);
         // Process row r, consuming the gathered x values.
         b.load_indexed(j, regs.rp, r, 2, 4, tmp);

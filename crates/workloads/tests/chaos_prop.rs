@@ -50,8 +50,8 @@ fn random_plane(seed: u64) -> FaultPlaneConfig {
 #[test]
 fn any_recoverable_schedule_completes_bit_exact_or_degrades() {
     let inputs = (gen::u64_any(), gen::usize_in(8..32), gen::u64_any());
-    let cfg = Config::new("any_recoverable_schedule_completes_bit_exact_or_degrades")
-        .with_cases(cases());
+    let cfg =
+        Config::new("any_recoverable_schedule_completes_bit_exact_or_degrades").with_cases(cases());
     check_parallel(&cfg, &inputs, |&(plane_seed, rows, data_seed)| {
         let a = uniform_sparse(rows, 4 * 1024, 5, data_seed);
         let x = dense_vector(4 * 1024, data_seed ^ 0x51);

@@ -31,9 +31,7 @@ fn random_csr(rows: usize, ncols: usize, seed: u64) -> Csr {
     let rows_vec: Vec<Vec<(u32, u32)>> = (0..rows)
         .map(|_| {
             let nnz = rng.below(7) as usize;
-            let mut cols: Vec<u32> = (0..nnz)
-                .map(|_| rng.below(ncols as u64) as u32)
-                .collect();
+            let mut cols: Vec<u32> = (0..nnz).map(|_| rng.below(ncols as u64) as u32).collect();
             cols.sort_unstable();
             cols.dedup();
             cols.into_iter()
@@ -47,8 +45,7 @@ fn random_csr(rows: usize, ncols: usize, seed: u64) -> Csr {
 #[test]
 fn spmv_all_variants_match_reference_and_conserve() {
     let inputs = (gen::usize_in(1..12), gen::u64_any(), gen::u64_any());
-    let cfg = Config::new("spmv_all_variants_match_reference_and_conserve")
-        .with_cases(INSTANCES);
+    let cfg = Config::new("spmv_all_variants_match_reference_and_conserve").with_cases(INSTANCES);
     check_parallel(&cfg, &inputs, |&(rows, csr_seed, x_seed)| {
         let a = random_csr(rows, 128, csr_seed);
         let x = dense_vector(128, x_seed);
@@ -60,8 +57,7 @@ fn spmv_all_variants_match_reference_and_conserve() {
 #[test]
 fn sdhp_all_variants_match_reference_and_conserve() {
     let inputs = (gen::usize_in(1..10), gen::u64_any(), gen::u64_any());
-    let cfg = Config::new("sdhp_all_variants_match_reference_and_conserve")
-        .with_cases(INSTANCES);
+    let cfg = Config::new("sdhp_all_variants_match_reference_and_conserve").with_cases(INSTANCES);
     check_parallel(&cfg, &inputs, |&(rows, csr_seed, sdhp_seed)| {
         let a = random_csr(rows, 128, csr_seed);
         let inst = Sdhp::from_sparse(&a, sdhp_seed);
@@ -76,8 +72,7 @@ fn bfs_all_variants_match_reference_and_conserve() {
     // traversal always has at least one level. Disconnected remainders
     // stay UNVISITED and are still compared bit-for-bit.
     let inputs = (gen::usize_in(2..24), gen::u64_any());
-    let cfg = Config::new("bfs_all_variants_match_reference_and_conserve")
-        .with_cases(INSTANCES);
+    let cfg = Config::new("bfs_all_variants_match_reference_and_conserve").with_cases(INSTANCES);
     check_parallel(&cfg, &inputs, |&(verts, graph_seed)| {
         let graph = random_csr(verts, verts, graph_seed);
         let root = (0..graph.nrows)

@@ -120,7 +120,10 @@ fn two_engine_metrics_bit_exact() {
     let tune = |c: maple_soc::SocConfig| c.with_maples(2);
     let (dense_stats, dense_sys) =
         inst.run_observed(Variant::MapleDecoupled, 4, |c| tune(c).with_dense_stepper());
-    assert!(dense_stats.verified, "two-engine run computed a wrong result");
+    assert!(
+        dense_stats.verified,
+        "two-engine run computed a wrong result"
+    );
     let (skip_stats, skip_sys) = inst.run_observed(Variant::MapleDecoupled, 4, tune);
     assert_eq!(
         skip_stats, dense_stats,
@@ -160,7 +163,10 @@ fn one_cluster_grid_bit_identical_to_flat() {
     let grid: Vec<(Variant, usize)> = ORACLE_VARIANTS
         .iter()
         .copied()
-        .chain([(Variant::MapleLima, 1), (Variant::SwPrefetch { dist: 4 }, 1)])
+        .chain([
+            (Variant::MapleLima, 1),
+            (Variant::SwPrefetch { dist: 4 }, 1),
+        ])
         .collect();
     for (v, t) in grid {
         let (flat_stats, flat_sys) = inst.run_observed(v, t, |c| c);
@@ -180,8 +186,9 @@ fn one_cluster_grid_bit_identical_to_flat() {
     // The dense stepper, on the richest variant.
     let (flat_stats, flat_sys) = inst.run_observed(Variant::MapleDecoupled, 2, |c| c);
     let flat_json = flat_sys.metrics_snapshot().to_json().render();
-    let (dense_stats, dense_sys) =
-        inst.run_observed(Variant::MapleDecoupled, 2, |c| one_cluster(c).with_dense_stepper());
+    let (dense_stats, dense_sys) = inst.run_observed(Variant::MapleDecoupled, 2, |c| {
+        one_cluster(c).with_dense_stepper()
+    });
     assert_eq!(
         dense_stats, flat_stats,
         "1-cluster dense stepper diverged from flat skipping\nreplay: SEED={SEED:#x}"
@@ -230,7 +237,10 @@ fn clustered_fabric_steppers_bit_exact() {
     let tune = |c: maple_soc::SocConfig| clustered(c.with_maples(2));
     let (dense_stats, dense_sys) =
         inst.run_observed(Variant::MapleDecoupled, 4, |c| tune(c).with_dense_stepper());
-    assert!(dense_stats.verified, "clustered run computed a wrong result");
+    assert!(
+        dense_stats.verified,
+        "clustered run computed a wrong result"
+    );
     let dense_json = dense_sys.metrics_snapshot().to_json().render();
     let (skip_stats, skip_sys) = inst.run_observed(Variant::MapleDecoupled, 4, tune);
     assert_eq!(

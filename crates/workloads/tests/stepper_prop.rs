@@ -57,36 +57,41 @@ fn skipping_equals_dense_on_random_meshes() {
         ),
     );
     let cfg = Config::new("skipping_equals_dense_on_random_meshes").with_cases(12);
-    check(&cfg, &inputs, |&((threads, maples), (rows, data_seed, chaos, chaos_seed))| {
-        let a = uniform_sparse(rows, 2 * 1024, 5, data_seed);
-        let x = dense_vector(2 * 1024, data_seed ^ 0x51);
-        let inst = Spmv { a, x };
-        let plane = chaos.then(|| random_plane(chaos_seed));
-        let tune = |c: SocConfig| {
-            let c = c.with_maples(maples);
-            match plane.clone() {
-                Some(p) => c.with_fault_plane(p),
-                None => c,
-            }
-        };
-        let (skip_stats, skip_sys) = inst.run_observed(Variant::MapleDecoupled, threads, tune);
-        let (dense_stats, dense_sys) = inst.run_observed(Variant::MapleDecoupled, threads, |c| {
-            tune(c).with_dense_stepper()
-        });
-        maple_testkit::tk_assert_eq!(
-            skip_stats,
-            dense_stats,
-            "threads={threads} maples={maples} chaos={chaos}: \
+    check(
+        &cfg,
+        &inputs,
+        |&((threads, maples), (rows, data_seed, chaos, chaos_seed))| {
+            let a = uniform_sparse(rows, 2 * 1024, 5, data_seed);
+            let x = dense_vector(2 * 1024, data_seed ^ 0x51);
+            let inst = Spmv { a, x };
+            let plane = chaos.then(|| random_plane(chaos_seed));
+            let tune = |c: SocConfig| {
+                let c = c.with_maples(maples);
+                match plane.clone() {
+                    Some(p) => c.with_fault_plane(p),
+                    None => c,
+                }
+            };
+            let (skip_stats, skip_sys) = inst.run_observed(Variant::MapleDecoupled, threads, tune);
+            let (dense_stats, dense_sys) =
+                inst.run_observed(Variant::MapleDecoupled, threads, |c| {
+                    tune(c).with_dense_stepper()
+                });
+            maple_testkit::tk_assert_eq!(
+                skip_stats,
+                dense_stats,
+                "threads={threads} maples={maples} chaos={chaos}: \
              skipping stats diverged from dense"
-        );
-        maple_testkit::tk_assert_eq!(
-            skip_sys.metrics_snapshot().to_json().render(),
-            dense_sys.metrics_snapshot().to_json().render(),
-            "threads={threads} maples={maples} chaos={chaos}: \
+            );
+            maple_testkit::tk_assert_eq!(
+                skip_sys.metrics_snapshot().to_json().render(),
+                dense_sys.metrics_snapshot().to_json().render(),
+                "threads={threads} maples={maples} chaos={chaos}: \
              metrics JSON diverged"
-        );
-        Ok(())
-    });
+            );
+            Ok(())
+        },
+    );
 }
 
 #[test]
@@ -110,45 +115,48 @@ fn clustered_fabrics_agree_across_steppers_on_random_shapes() {
             gen::u64_any(),       // chaos seed
         ),
     );
-    let cfg = Config::new("clustered_fabrics_agree_across_steppers_on_random_shapes").with_cases(10);
-    check(&cfg, &inputs, |&(
-        (cx, cy, bank_draw, threads, maples),
-        (rows, data_seed, chaos, chaos_seed),
-    )| {
-        let clusters = cx * cy;
-        let banks = 1 + (bank_draw as usize) % clusters;
-        // 9 tiles per cluster holds the worst 1×1 packing
-        // (4 cores + 1 bank + 2 engines) with room to spare.
-        let shape = maple_soc::ClusterConfig::new(9, cx as u16, cy as u16).with_l2_banks(banks);
-        let a = uniform_sparse(rows, 2 * 1024, 5, data_seed);
-        let x = dense_vector(2 * 1024, data_seed ^ 0x51);
-        let inst = Spmv { a, x };
-        let plane = chaos.then(|| random_plane(chaos_seed));
-        let tune = |c: SocConfig| {
-            let c = c.with_maples(maples).with_clusters(shape);
-            match plane.clone() {
-                Some(p) => c.with_fault_plane(p),
-                None => c,
-            }
-        };
-        let (skip_stats, skip_sys) = inst.run_observed(Variant::MapleDecoupled, threads, tune);
-        let (dense_stats, dense_sys) = inst.run_observed(Variant::MapleDecoupled, threads, |c| {
-            tune(c).with_dense_stepper()
-        });
-        maple_testkit::tk_assert_eq!(
-            skip_stats,
-            dense_stats,
-            "clusters={cx}x{cy} banks={banks} threads={threads} maples={maples} \
+    let cfg =
+        Config::new("clustered_fabrics_agree_across_steppers_on_random_shapes").with_cases(10);
+    check(
+        &cfg,
+        &inputs,
+        |&((cx, cy, bank_draw, threads, maples), (rows, data_seed, chaos, chaos_seed))| {
+            let clusters = cx * cy;
+            let banks = 1 + (bank_draw as usize) % clusters;
+            // 9 tiles per cluster holds the worst 1×1 packing
+            // (4 cores + 1 bank + 2 engines) with room to spare.
+            let shape = maple_soc::ClusterConfig::new(9, cx as u16, cy as u16).with_l2_banks(banks);
+            let a = uniform_sparse(rows, 2 * 1024, 5, data_seed);
+            let x = dense_vector(2 * 1024, data_seed ^ 0x51);
+            let inst = Spmv { a, x };
+            let plane = chaos.then(|| random_plane(chaos_seed));
+            let tune = |c: SocConfig| {
+                let c = c.with_maples(maples).with_clusters(shape);
+                match plane.clone() {
+                    Some(p) => c.with_fault_plane(p),
+                    None => c,
+                }
+            };
+            let (skip_stats, skip_sys) = inst.run_observed(Variant::MapleDecoupled, threads, tune);
+            let (dense_stats, dense_sys) =
+                inst.run_observed(Variant::MapleDecoupled, threads, |c| {
+                    tune(c).with_dense_stepper()
+                });
+            maple_testkit::tk_assert_eq!(
+                skip_stats,
+                dense_stats,
+                "clusters={cx}x{cy} banks={banks} threads={threads} maples={maples} \
              chaos={chaos}: skipping diverged from dense"
-        );
-        maple_testkit::tk_assert_eq!(
-            skip_sys.metrics_snapshot().to_json().render(),
-            dense_sys.metrics_snapshot().to_json().render(),
-            "clusters={cx}x{cy} banks={banks} threads={threads} maples={maples} \
+            );
+            maple_testkit::tk_assert_eq!(
+                skip_sys.metrics_snapshot().to_json().render(),
+                dense_sys.metrics_snapshot().to_json().render(),
+                "clusters={cx}x{cy} banks={banks} threads={threads} maples={maples} \
              chaos={chaos}: metrics JSON diverged"
-        );
-        Ok(())
-    });
+            );
+            Ok(())
+        },
+    );
 }
 
 /// A consumer with nothing to consume: parks forever, so the run ends in

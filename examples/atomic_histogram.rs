@@ -22,7 +22,9 @@ const UPDATES: u64 = 2000;
 
 fn keys() -> Vec<u32> {
     let mut rng = maple_sim::rng::SimRng::seed(1234);
-    (0..UPDATES).map(|_| rng.below(BUCKETS as u64) as u32).collect()
+    (0..UPDATES)
+        .map(|_| rng.below(BUCKETS as u64) as u32)
+        .collect()
 }
 
 fn reference() -> Vec<u32> {

@@ -23,7 +23,12 @@ fn main() {
     // Distance histogram from the host reference.
     let dist = inst.reference();
     let reached = dist.iter().filter(|&&d| d != u32::MAX).count();
-    let max_level = dist.iter().filter(|&&d| d != u32::MAX).max().copied().unwrap_or(0);
+    let max_level = dist
+        .iter()
+        .filter(|&&d| d != u32::MAX)
+        .max()
+        .copied()
+        .unwrap_or(0);
     println!("reachable: {reached} vertices, eccentricity {max_level}");
     for level in 0..=max_level {
         let at = dist.iter().filter(|&&d| d == level).count();

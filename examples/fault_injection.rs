@@ -33,7 +33,10 @@ fn main() {
 
     // Clean baseline for comparison.
     let clean = inst.run(Variant::MapleDecoupled, 2);
-    println!("fault-free run:  {:>9} cycles, verified = {}", clean.cycles, clean.verified);
+    println!(
+        "fault-free run:  {:>9} cycles, verified = {}",
+        clean.cycles, clean.verified
+    );
 
     // Chaos run through the graceful-degradation ladder.
     let outcome = run_with_fallback(Variant::MapleDecoupled, 2, |v, t| {
@@ -47,17 +50,30 @@ fn main() {
 
     let (_, maple) = &outcome.attempts[0];
     let f = &maple.faults;
-    println!("chaos run:       {:>9} cycles, verified = {}, hung = {}\n", maple.cycles, maple.verified, maple.hung);
-    println!("injected:  {:>5} NoC drops, {:>2} NoC delays, {} engine reset(s)",
-        f.noc_dropped, f.noc_delayed, f.resets_injected);
-    println!("recovered: {:>5} engine fetch retries ({} timeouts)",
-        f.fetch_retries, f.fetch_timeouts);
-    println!("           {:>5} MMIO re-injections  ({} timeouts)",
-        f.mmio_retries, f.mmio_timeouts);
-    println!("           {:>5} responses replayed from the dedup cache",
-        f.replayed_responses);
-    println!("poisoned:  {:>5} fetches abandoned, {} engine(s) retired\n",
-        f.poisoned_fetches, f.engines_poisoned);
+    println!(
+        "chaos run:       {:>9} cycles, verified = {}, hung = {}\n",
+        maple.cycles, maple.verified, maple.hung
+    );
+    println!(
+        "injected:  {:>5} NoC drops, {:>2} NoC delays, {} engine reset(s)",
+        f.noc_dropped, f.noc_delayed, f.resets_injected
+    );
+    println!(
+        "recovered: {:>5} engine fetch retries ({} timeouts)",
+        f.fetch_retries, f.fetch_timeouts
+    );
+    println!(
+        "           {:>5} MMIO re-injections  ({} timeouts)",
+        f.mmio_retries, f.mmio_timeouts
+    );
+    println!(
+        "           {:>5} responses replayed from the dedup cache",
+        f.replayed_responses
+    );
+    println!(
+        "poisoned:  {:>5} fetches abandoned, {} engine(s) retired\n",
+        f.poisoned_fetches, f.engines_poisoned
+    );
 
     if outcome.degraded() {
         println!(
@@ -71,7 +87,11 @@ fn main() {
     let fin = outcome.final_stats();
     println!(
         "standing result: {} via {} in {} cycles ({:+.1}% vs fault-free)",
-        if fin.verified { "bit-exact" } else { "UNVERIFIED" },
+        if fin.verified {
+            "bit-exact"
+        } else {
+            "UNVERIFIED"
+        },
         outcome.final_variant().label(),
         fin.cycles,
         100.0 * (fin.cycles as f64 - clean.cycles as f64) / clean.cycles as f64

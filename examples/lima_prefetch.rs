@@ -30,7 +30,11 @@ fn main() {
     assert!(lima.verified);
 
     println!("variant          cycles      speedup   loads(norm)  mean-load-lat");
-    for (name, s) in [("no prefetch", &base), ("sw prefetch", &swp), ("MAPLE LIMA", &lima)] {
+    for (name, s) in [
+        ("no prefetch", &base),
+        ("sw prefetch", &swp),
+        ("MAPLE LIMA", &lima),
+    ] {
         println!(
             "{name:<14} {:>10}     {:>5.2}x     {:>7.2}      {:>7.1} cy",
             s.cycles,

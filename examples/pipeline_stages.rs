@@ -117,7 +117,10 @@ fn main() {
     let got = sys.read_slice_u32(out_va, N as usize);
     assert_eq!(got, expected, "pipeline result diverged");
 
-    println!("three-stage pipeline over one MAPLE: {N} elements in {}", outcome.cycle());
+    println!(
+        "three-stage pipeline over one MAPLE: {N} elements in {}",
+        outcome.cycle()
+    );
     println!(
         "per-element steady-state cost: {:.1} cycles",
         outcome.cycle().0 as f64 / N as f64

@@ -63,5 +63,8 @@ fn main() {
 
     let path = std::path::Path::new("target/serve_trace.json");
     sim.system().write_trace(path).expect("write chrome trace");
-    println!("wrote {} — open it in https://ui.perfetto.dev", path.display());
+    println!(
+        "wrote {} — open it in https://ui.perfetto.dev",
+        path.display()
+    );
 }

@@ -30,7 +30,10 @@ fn main() {
 
     let path = std::path::Path::new("target/trace_spmv.json");
     sys.write_trace(path).expect("write chrome trace");
-    println!("wrote {} — open it in https://ui.perfetto.dev", path.display());
+    println!(
+        "wrote {} — open it in https://ui.perfetto.dev",
+        path.display()
+    );
 
     println!("\nStall attribution:");
     print!("{}", stall_table(&sys.stall_rows()));

@@ -35,24 +35,15 @@ fn every_kernel_every_variant_is_bit_exact() {
         (Variant::Desc, 2),
         (Variant::Droplet, 2),
     ];
-    let pref_variants = [(Variant::SwPrefetch { dist: 8 }, 1), (Variant::MapleLima, 1)];
+    let pref_variants = [
+        (Variant::SwPrefetch { dist: 8 }, 1),
+        (Variant::MapleLima, 1),
+    ];
 
     for (v, t) in dec_variants.iter().chain(&pref_variants) {
-        assert!(
-            spmv.run(*v, *t).verified,
-            "spmv {} failed",
-            v.label()
-        );
-        assert!(
-            sdhp.run(*v, *t).verified,
-            "sdhp {} failed",
-            v.label()
-        );
-        assert!(
-            spmm.run(*v, *t).verified,
-            "spmm {} failed",
-            v.label()
-        );
+        assert!(spmv.run(*v, *t).verified, "spmv {} failed", v.label());
+        assert!(sdhp.run(*v, *t).verified, "sdhp {} failed", v.label());
+        assert!(spmm.run(*v, *t).verified, "spmm {} failed", v.label());
         assert!(bfs.run(*v, *t).verified, "bfs {} failed", v.label());
     }
 }
@@ -106,10 +97,7 @@ fn four_and_eight_thread_scaling_remains_correct() {
     };
     for t in [4usize, 8] {
         assert!(inst.run(Variant::Doall, t).verified, "doall t={t}");
-        assert!(
-            inst.run(Variant::MapleDecoupled, t).verified,
-            "maple t={t}"
-        );
+        assert!(inst.run(Variant::MapleDecoupled, t).verified, "maple t={t}");
     }
 }
 

@@ -66,10 +66,10 @@ fn area_model_matches_paper_fraction() {
 fn experiment_datasets_cover_all_apps() {
     let pairs = maple_bench::experiments::app_datasets();
     for app in ["sdhp", "spmm", "spmv", "bfs"] {
-        assert!(
-            pairs.iter().any(|(a, _)| a == app),
-            "no datasets for {app}"
-        );
+        assert!(pairs.iter().any(|(a, _)| a == app), "no datasets for {app}");
     }
-    assert!(pairs.len() >= 7, "paper evaluates multiple datasets per app");
+    assert!(
+        pairs.len() >= 7,
+        "paper evaluates multiple datasets per app"
+    );
 }

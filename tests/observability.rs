@@ -48,8 +48,9 @@ fn tracing_is_cycle_identical() {
 #[test]
 fn trace_schema_is_well_formed() {
     let spmv = small_spmv();
-    let (_, sys) =
-        spmv.run_observed(Variant::MapleDecoupled, 2, |c| c.with_tracing(TraceConfig::default()));
+    let (_, sys) = spmv.run_observed(Variant::MapleDecoupled, 2, |c| {
+        c.with_tracing(TraceConfig::default())
+    });
     let records = sys.trace_records();
     assert!(records.len() > 100, "expected a substantial trace");
 
@@ -82,8 +83,9 @@ fn trace_schema_is_well_formed() {
 #[test]
 fn chrome_export_parses_and_is_nonempty() {
     let spmv = small_spmv();
-    let (_, sys) =
-        spmv.run_observed(Variant::MapleDecoupled, 2, |c| c.with_tracing(TraceConfig::default()));
+    let (_, sys) = spmv.run_observed(Variant::MapleDecoupled, 2, |c| {
+        c.with_tracing(TraceConfig::default())
+    });
     let doc = chrome::chrome_trace(&sys.trace_records());
     let text = doc.render();
     let parsed = Json::parse(&text).expect("exported trace must be valid JSON");
@@ -121,8 +123,9 @@ fn chrome_export_parses_and_is_nonempty() {
 #[test]
 fn stall_attribution_is_bounded_and_consistent() {
     let spmv = small_spmv();
-    let (_, sys) =
-        spmv.run_observed(Variant::MapleDecoupled, 2, |c| c.with_tracing(TraceConfig::default()));
+    let (_, sys) = spmv.run_observed(Variant::MapleDecoupled, 2, |c| {
+        c.with_tracing(TraceConfig::default())
+    });
     let rows = sys.stall_rows();
     assert!(!rows.is_empty());
     for row in &rows {

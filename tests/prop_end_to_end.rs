@@ -16,9 +16,7 @@ fn random_csr(rows: usize, ncols: usize, seed: u64) -> Csr {
     let rows_vec: Vec<Vec<(u32, u32)>> = (0..rows)
         .map(|_| {
             let nnz = rng.below(9) as usize;
-            let mut cols: Vec<u32> = (0..nnz)
-                .map(|_| rng.below(ncols as u64) as u32)
-                .collect();
+            let mut cols: Vec<u32> = (0..nnz).map(|_| rng.below(ncols as u64) as u32).collect();
             cols.sort_unstable();
             cols.dedup();
             cols.into_iter()
