@@ -27,6 +27,9 @@ echo "==> scripts: shell syntax check"
 bash -n scripts/ci.sh
 bash -n scripts/perf_ab.sh
 
+echo "==> format: rustfmt must leave every file as committed"
+cargo fmt --all --check
+
 echo "==> tier-1 gate: release build"
 cargo build --offline --workspace --release
 
