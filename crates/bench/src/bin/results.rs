@@ -7,14 +7,16 @@
 //!
 //! With no NAME it covers every entry of `maple_bench::figures::ENTRIES`
 //! (fig08–fig15, counters, queue_sweep, ablation_maple_scaling, hops,
-//! area, tables). Each NAME renders `results/NAME.txt`, plus
-//! `results/NAME.json` for the figures. The simulated cases of all the
-//! requested entries are simulated once, as one ordered parallel map
-//! (`MAPLE_JOBS` workers), so the output is the same at every worker
-//! count. Without `--check` the files are written; with it nothing is
-//! written, and the run exits 1 naming the first file and line that
-//! differ from the committed one. A bad argument or `MAPLE_JOBS` value
-//! exits 2 before any work.
+//! area, tables, and the gates oracle_grid, serve_gate, stepper_gate,
+//! scale_gate_256 and scale_gate_1024). Each NAME renders
+//! `results/NAME.txt`, plus `results/NAME.json` for the figures. The
+//! simulated cases of all the requested entries are simulated once, as
+//! one ordered parallel map (`MAPLE_JOBS` workers), so the output is the
+//! same at every worker count. Without `--check` the files are written;
+//! with it nothing is written, and the run exits 1 naming the first file
+//! and line that differ from the committed one. A gate that diverges
+//! exits 1 with `results: NAME: <message>` before anything is written.
+//! A bad argument or `MAPLE_JOBS` value exits 2 before any work.
 
 use std::fs;
 use std::process::exit;
@@ -57,7 +59,7 @@ fn main() {
     let requests: Vec<_> = entries.iter().map(|e| (e.cases)()).collect();
     let mut files: Vec<(String, String)> = Vec::new();
     for (e, rows) in entries.iter().zip(&simulate("results", &requests)) {
-        let out = (e.render)(rows);
+        let out = (e.render)(rows).unwrap_or_else(|msg| fail(format!("{}: {msg}", e.name)));
         files.push((format!("results/{}.txt", e.name), out.text));
         if let Some(json) = out.sidecar {
             files.push((

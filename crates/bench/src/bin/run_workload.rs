@@ -7,15 +7,16 @@
 //!   app      sdhp | spmm | spmv | bfs
 //!   dataset  a label from `--list` (e.g. riscv-s, wiki, suitesparse)
 //!   variant  doall | sw-dec | maple-dec | desc | sw-pref | maple-lima | droplet
-//!   threads  at least 1; default 2 (1 for the prefetch variants)
+//!   threads  1 to 1024; default 2 (1 for the prefetch variants)
 //! ```
 //!
 //! `run_workload --list` prints the available (app, dataset) pairs. Any
-//! missing, extra or malformed argument, and any thread count the kernel
-//! does not run the variant on, prints usage and exits 2 before any
+//! missing, extra or malformed argument, any thread count above 1024
+//! (`experiments::MAX_THREADS`), and any thread count the kernel does
+//! not run the variant on, prints usage and exits 2 before any
 //! simulation runs.
 
-use maple_bench::experiments::{app_datasets, run_case, CaseSpec};
+use maple_bench::experiments::{app_datasets, run_case, CaseSpec, MAX_THREADS};
 use maple_workloads::Variant;
 
 fn parse_variant(s: &str) -> Option<Variant> {
@@ -35,7 +36,7 @@ fn usage() -> ! {
     eprintln!("usage: run_workload <app> <dataset> <variant> [threads]");
     eprintln!("       run_workload --list");
     eprintln!("variants: doall sw-dec maple-dec desc sw-pref maple-lima droplet");
-    eprintln!("threads: at least 1");
+    eprintln!("threads: 1 to {MAX_THREADS}");
     std::process::exit(2);
 }
 

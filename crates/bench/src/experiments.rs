@@ -7,6 +7,8 @@
 //! the `results --check` driver byte-diffs every figure built from them
 //! against `results/`.
 
+use std::sync::OnceLock;
+
 use maple_sim::par::{jobs_from_env, par_map};
 use maple_soc::SocConfig;
 use maple_trace::{StallBreakdown, StallRow};
@@ -174,40 +176,58 @@ pub fn simulate(name: &str, requests: &[Vec<CaseSpec>]) -> Vec<Vec<Measurement>>
     })
 }
 
+/// The most threads a case may ask for: one per tile of the largest
+/// fabric the repository runs (the 1024-tile scale gate).
+pub const MAX_THREADS: usize = 1024;
+
 /// Runs one evaluation case: `app` is `sdhp`, `spmm`, `spmv` or `bfs`,
-/// `dataset` a label of [`app_datasets`].
+/// `dataset` a label of [`app_datasets`]. Each dataset is built at most
+/// once per process and shared by every case (and worker) that runs it.
 ///
 /// # Errors
 ///
-/// Says why when the app or dataset is unknown, the kernel does not run
-/// the variant on that many threads (its `check_threads` rule), or the
-/// case tunes `spmm`, which has no tuning hook; nothing is simulated
-/// then.
+/// Says why when the case asks for more than [`MAX_THREADS`] threads,
+/// the app or dataset is unknown, the kernel does not run the variant
+/// on that many threads (its `check_threads` rule), or the case tunes
+/// `spmm`, which has no tuning hook; nothing is simulated then.
 pub fn run_case(case: &CaseSpec) -> Result<RunStats, String> {
-    fn pick<T>(set: &[Named<T>], ds: &str) -> Option<T> {
-        set.iter().find(|(l, _)| *l == ds).map(|(_, build)| build())
+    // One lazily built instance per row of each `instances` table.
+    static SDHP: [OnceLock<Sdhp>; 2] = [const { OnceLock::new() }; 2];
+    static SPMM: [OnceLock<Spmm>; 1] = [const { OnceLock::new() }; 1];
+    static SPMV: [OnceLock<Spmv>; 2] = [const { OnceLock::new() }; 2];
+    static BFS: [OnceLock<Bfs>; 3] = [const { OnceLock::new() }; 3];
+    fn pick<'a, T, const N: usize>(
+        set: &[Named<T>; N],
+        built: &'a [OnceLock<T>; N],
+        ds: &str,
+    ) -> Option<&'a T> {
+        let i = set.iter().position(|(l, _)| *l == ds)?;
+        Some(built[i].get_or_init(set[i].1))
     }
     let (ds, variant, threads) = (case.dataset.as_str(), case.variant, case.threads);
+    if threads > MAX_THREADS {
+        return Err(format!("at most {MAX_THREADS} threads, got {threads}"));
+    }
     let tune = |c: SocConfig| case.tuning.apply(c);
     let stats = match case.app.as_str() {
         "sdhp" => {
             Sdhp::check_threads(variant, threads)?;
-            pick(&instances::SDHP, ds).map(|i| i.run_tuned(variant, threads, tune))
+            pick(&instances::SDHP, &SDHP, ds).map(|i| i.run_tuned(variant, threads, tune))
         }
         "spmm" => {
             Spmm::check_threads(variant, threads)?;
             if case.tuning != Tuning::Default {
                 return Err(format!("spmm takes no tuning, got {:?}", case.tuning));
             }
-            pick(&instances::SPMM, ds).map(|i| i.run(variant, threads))
+            pick(&instances::SPMM, &SPMM, ds).map(|i| i.run(variant, threads))
         }
         "spmv" => {
             Spmv::check_threads(variant, threads)?;
-            pick(&instances::SPMV, ds).map(|i| i.run_tuned(variant, threads, tune))
+            pick(&instances::SPMV, &SPMV, ds).map(|i| i.run_tuned(variant, threads, tune))
         }
         "bfs" => {
             Bfs::check_threads(variant, threads)?;
-            pick(&instances::BFS, ds).map(|i| i.run_tuned(variant, threads, tune))
+            pick(&instances::BFS, &BFS, ds).map(|i| i.run_tuned(variant, threads, tune))
         }
         _ => None,
     };

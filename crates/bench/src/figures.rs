@@ -5,9 +5,10 @@
 //! `results` binary simulates the union of the requested entries' cases
 //! once through [`simulate`](crate::experiments::simulate) and renders
 //! every entry from the rows; the millisecond microbenchmarks (Figure
-//! 14, the counters and the hop sweep) simulate inside their render
-//! functions. Each banner quotes the paper's claim next to the measured
-//! rows.
+//! 14, the counters and the hop sweep) and the gates (the oracle grid,
+//! serving, stepper and scale gates, whose render fails on a
+//! divergence) simulate inside their render functions. Each figure
+//! banner quotes the paper's claim next to the measured rows.
 
 use std::fmt::Write;
 
@@ -26,8 +27,12 @@ use maple_workloads::Variant;
 
 use crate::experiments::{self, app_datasets, find, stall_rows_by_variant};
 use crate::experiments::{CaseSpec, Measurement, Tuning};
+use crate::oracle::oracle_grid;
 use crate::report::{banner, FigureReport, SpeedupTable};
 use crate::rtt::measure_roundtrip;
+use crate::scaling::scale_gate;
+use crate::serving::serve_gate;
+use crate::stepper::stepper_gate;
 
 /// What an entry renders: the text of `results/NAME.txt` and, for the
 /// figures, the JSON of `results/NAME.json`.
@@ -53,17 +58,18 @@ pub struct Entry {
     pub name: &'static str,
     /// The simulated cases the entry reads.
     pub cases: fn() -> Vec<CaseSpec>,
-    /// Renders the entry from the rows of `cases`, in case order.
-    pub render: fn(&[Measurement]) -> Output,
+    /// Renders the entry from the rows of `cases`, in case order, or
+    /// says why a gate failed.
+    pub render: fn(&[Measurement]) -> Result<Output, String>,
 }
 
 /// Every result entry, in the order the driver renders them.
-pub const ENTRIES: [Entry; 14] = {
+pub const ENTRIES: [Entry; 19] = {
     use experiments::{decoupling_suite, prefetch_suite, prior_work_suite};
     const fn entry(
         name: &'static str,
         cases: fn() -> Vec<CaseSpec>,
-        render: fn(&[Measurement]) -> Output,
+        render: fn(&[Measurement]) -> Result<Output, String>,
     ) -> Entry {
         Entry {
             name,
@@ -72,22 +78,40 @@ pub const ENTRIES: [Entry; 14] = {
         }
     }
     [
-        entry("fig08", decoupling_suite, |rows| FIG08.render(rows)),
-        entry("fig09", prefetch_suite, |rows| FIG09.render(rows)),
-        entry("fig10", prefetch_suite, |rows| FIG10.render(rows)),
-        entry("fig11", prefetch_suite, |rows| FIG11.render(rows)),
-        entry("fig12", prior_work_suite, |rows| FIG12.render(rows)),
-        entry("fig13", fig13_cases, fig13),
-        entry("fig14", Vec::new, fig14),
-        entry("fig15", fig15_cases, fig15),
-        entry("counters", Vec::new, counters),
-        entry("queue_sweep", queue_sweep_cases, queue_sweep),
-        entry("ablation_maple_scaling", ablation_cases, ablation),
-        entry("hops", Vec::new, hops),
-        entry("area", Vec::new, area),
-        entry("tables", Vec::new, tables),
+        entry("fig08", decoupling_suite, |rows| Ok(FIG08.render(rows))),
+        entry("fig09", prefetch_suite, |rows| Ok(FIG09.render(rows))),
+        entry("fig10", prefetch_suite, |rows| Ok(FIG10.render(rows))),
+        entry("fig11", prefetch_suite, |rows| Ok(FIG11.render(rows))),
+        entry("fig12", prior_work_suite, |rows| Ok(FIG12.render(rows))),
+        entry("fig13", fig13_cases, |rows| Ok(fig13(rows))),
+        entry("fig14", Vec::new, |_| Ok(fig14())),
+        entry("fig15", fig15_cases, |rows| Ok(fig15(rows))),
+        entry("counters", Vec::new, |_| Ok(counters())),
+        entry("queue_sweep", queue_sweep_cases, |rows| {
+            Ok(queue_sweep(rows))
+        }),
+        entry("ablation_maple_scaling", ablation_cases, |rows| {
+            Ok(ablation(rows))
+        }),
+        entry("hops", Vec::new, |_| Ok(hops())),
+        entry("area", Vec::new, |_| Ok(area())),
+        entry("tables", Vec::new, |_| Ok(tables())),
+        entry("oracle_grid", Vec::new, |_| gate(oracle_grid(0x0A_C1E5))),
+        entry("serve_gate", Vec::new, |_| gate(serve_gate(0x5E12E))),
+        entry("stepper_gate", Vec::new, |_| gate(stepper_gate(0x57E9))),
+        entry("scale_gate_256", Vec::new, |_| {
+            gate(scale_gate(0x5CA1E, 256))
+        }),
+        entry("scale_gate_1024", Vec::new, |_| {
+            gate(scale_gate(0x5CA1E, 1024))
+        }),
     ]
 };
+
+/// A gate's rendered lines as its result file, or its failure.
+fn gate(report: Result<String, String>) -> Result<Output, String> {
+    report.map(|text| Output::text(text + "\n"))
+}
 
 /// The speedup of `m` over `base`.
 fn speedup(base: &Measurement, m: &Measurement) -> f64 {
@@ -346,7 +370,7 @@ fn fig13(rows: &[Measurement]) -> Output {
 
 /// Figure 14: round-trip latency breakdown of core-to-MAPLE
 /// communication.
-fn fig14(_: &[Measurement]) -> Output {
+fn fig14() -> Output {
     let cfg = SocConfig::fpga_prototype();
     let steps = [
         ("L1 miss handling + core retire", 2 * cfg.cpu.l1.hit_latency),
@@ -420,7 +444,7 @@ fn fig15(rows: &[Measurement]) -> Output {
 
 /// Section 4.4's methodology: MAPLE's performance counters, read out
 /// after a decoupled run and, in-program, through user-mode loads.
-fn counters(_: &[Measurement]) -> Output {
+fn counters() -> Output {
     let mut out = banner(
         "Section 4.4 — MAPLE performance counters (debug operations)",
         "queue runahead and engine activity observed through the API",
@@ -535,7 +559,7 @@ fn ablation(rows: &[Measurement]) -> Output {
 /// Placement study: the consume round trip with one MAPLE placed at
 /// increasing Manhattan distances from core 0 on a 6×6 mesh; the slope
 /// should be ~2 cycles per hop (one each way).
-fn hops(_: &[Measurement]) -> Output {
+fn hops() -> Output {
     let mut out = banner(
         "Placement study — consume round trip vs hop distance",
         "≈25 cycles + 1 per hop (Figure 14); OS maps a nearby instance",
@@ -568,7 +592,7 @@ fn hops(_: &[Measurement]) -> Output {
 }
 
 /// Section 5.4 area analysis (12 nm component model).
-fn area(_: &[Measurement]) -> Output {
+fn area() -> Output {
     let a = engine_area(&MapleConfig::default());
     let percent = a.fraction_of_ariane() * 100.0;
     let mut out = banner(
@@ -645,7 +669,7 @@ fn config_table(cfg: &SocConfig) -> String {
 }
 
 /// Tables 2 and 3: the evaluation configurations.
-fn tables(_: &[Measurement]) -> Output {
+fn tables() -> Output {
     let table2 = banner(
         "Table 2 — SoC configuration (FPGA prototype equivalent)",
         "OpenPiton + Ariane, 2 cores, 1 MAPLE, Linux-style VM services",

@@ -17,9 +17,9 @@
 //!   run, the honest cost of simulating that tile count.
 //!
 //! [`scale_gate`] is the CI face: at one tile count it byte-compares the
-//! skipping stepper against the dense reference and prints only
-//! host-independent lines, which `ci.sh` diffs across `MAPLE_JOBS`
-//! values and against a committed golden.
+//! skipping stepper against the dense reference and renders only
+//! host-independent lines, which `results --check` diffs against the
+//! committed golden at any `MAPLE_JOBS` value.
 
 use std::time::Instant;
 
@@ -65,33 +65,26 @@ pub struct ScaleRow {
 /// is a perfect square (the sweep points are 64/256/1024 = 2²/4²/8²
 /// clusters).
 #[must_use]
-pub fn square_cluster_grid(tiles: usize) -> Option<(u16, u16)> {
+pub fn cluster_grid(tiles: usize) -> Option<(u16, u16)> {
     if tiles == 0 || !tiles.is_multiple_of(CLUSTER_TILES) {
         return None;
     }
     let clusters = tiles / CLUSTER_TILES;
-    let side = clusters.isqrt();
-    let side = u16::try_from(side).ok()?;
+    let side = u16::try_from(clusters.isqrt()).ok()?;
     (usize::from(side) * usize::from(side) == clusters).then_some((side, side))
-}
-
-/// The square cluster grid at `tiles` total tiles.
-///
-/// # Panics
-///
-/// Panics unless `tiles` is a square multiple of [`CLUSTER_TILES`]
-/// (see [`square_cluster_grid`]).
-#[must_use]
-pub fn cluster_grid(tiles: usize) -> (u16, u16) {
-    square_cluster_grid(tiles).expect("tiles must be a square number of whole clusters")
 }
 
 /// Applies the scaled hierarchy to a harness-built configuration:
 /// `engines` MAPLE instances and a grid of 4×4 crossbar clusters with
 /// one L2 bank per cluster (the [`ClusterConfig`] default).
+///
+/// # Panics
+///
+/// Panics unless `tiles` is a square number of whole clusters (see
+/// [`cluster_grid`]).
 #[must_use]
 pub fn scaled_config(cfg: SocConfig, tiles: usize, engines: usize) -> SocConfig {
-    let (cx, cy) = cluster_grid(tiles);
+    let (cx, cy) = cluster_grid(tiles).expect("tiles must be a square number of whole clusters");
     cfg.with_maples(engines)
         .with_clusters(ClusterConfig::new(CLUSTER_TILES, cx, cy))
 }
@@ -160,12 +153,12 @@ pub fn scaling_sweep(tile_counts: &[usize], seed: u64) -> Vec<ScaleRow> {
         .collect()
 }
 
-/// The hierarchical determinism gate behind `stepper_check --scale N`:
+/// The hierarchical determinism gate behind `results scale_gate_N`:
 /// the `N`-tile clustered fabric under the skipping stepper vs the dense
 /// reference, rendered as **host-independent** lines (simulated facts,
 /// a content digest and the skipping run's deterministic host-work
-/// counters), so `ci.sh` can byte-diff the output across worker counts
-/// and a rise in work per simulated cycle fails the gate.
+/// counters), so `results --check` can byte-diff the output at any
+/// worker count and a rise in work per simulated cycle fails the gate.
 ///
 /// # Errors
 ///
@@ -232,11 +225,11 @@ mod tests {
 
     #[test]
     fn cluster_grids_are_square() {
-        assert_eq!(cluster_grid(64), (2, 2));
-        assert_eq!(cluster_grid(256), (4, 4));
-        assert_eq!(cluster_grid(1024), (8, 8));
+        assert_eq!(cluster_grid(64), Some((2, 2)));
+        assert_eq!(cluster_grid(256), Some((4, 4)));
+        assert_eq!(cluster_grid(1024), Some((8, 8)));
         for bad in [0, 15, 32, 100, 48] {
-            assert_eq!(square_cluster_grid(bad), None, "{bad} tiles");
+            assert_eq!(cluster_grid(bad), None, "{bad} tiles");
         }
     }
 

@@ -9,8 +9,8 @@
 //! degrades a failing engine mid-tenant without a single corrupted
 //! byte. The gate output contains only host-independent lines (request
 //! counts, latency percentiles, fairness, switch counters and a content
-//! digest), so `scripts/ci.sh` byte-diffs it across `MAPLE_JOBS`
-//! values.
+//! digest), so `results --check` byte-diffs it against
+//! `results/serve_gate.txt` at any `MAPLE_JOBS` value.
 
 use maple_serve::oracle::differential_check;
 use maple_serve::{serve, ServeConfig, ServingSummary};
@@ -76,7 +76,7 @@ fn cell_line(label: &str, s: &ServingSummary) -> String {
     )
 }
 
-/// The serving determinism gate behind the `serve_check` binary: the
+/// The serving determinism gate behind `results serve_gate`: the
 /// full grid through [`par_map`], the engine-kill ladder cell,
 /// and a metrics digest — all host-independent lines.
 ///

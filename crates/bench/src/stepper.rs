@@ -6,12 +6,14 @@
 //! event-horizon skipping scheduler, and reports simulated Mcycles per
 //! host second for both. The two runs must be bit-exact (same final
 //! cycle count, same `RunStats`, same metrics snapshot); [`divergence`]
-//! renders any mismatch for the CI gate.
+//! renders any mismatch, and [`stepper_gate`] renders the gate's
+//! host-independent lines.
 //!
 //! [`divergence`]: StepperComparison::divergence
 
 use std::time::Instant;
 
+use maple_sim::hash::Digest;
 use maple_workloads::data::{dense_vector, uniform_sparse};
 use maple_workloads::harness::{RunStats, Variant};
 use maple_workloads::spmv::Spmv;
@@ -75,13 +77,13 @@ impl StepperComparison {
     }
 }
 
-/// Runs the stall-heavy benchmark config under both steppers.
-///
-/// `rows`/`cols` size the sparse gather (the checked-in default is
-/// `stall_heavy_comparison`); `seed` fixes the instance.
+/// Runs the stall-heavy benchmark config under both steppers: SPMV
+/// do-all, 300-cycle DRAM, a working set that misses both cache levels
+/// on most gathers; `seed` fixes the instance.
 #[must_use]
-pub fn compare_steppers(rows: usize, cols: usize, seed: u64) -> StepperComparison {
-    let a = uniform_sparse(rows, cols, 8, seed);
+pub fn stall_heavy_comparison(seed: u64) -> StepperComparison {
+    let cols = 64 * 1024;
+    let a = uniform_sparse(512, cols, 8, seed);
     let x = dense_vector(cols, seed ^ 0x9);
     let inst = Spmv { a, x };
     let measure = |dense: bool| {
@@ -108,9 +110,39 @@ pub fn compare_steppers(rows: usize, cols: usize, seed: u64) -> StepperCompariso
     StepperComparison { dense, skipping }
 }
 
-/// The default stall-heavy instance: SPMV do-all, 300-cycle DRAM, a
-/// working set that misses both cache levels on most gathers.
-#[must_use]
-pub fn stall_heavy_comparison(seed: u64) -> StepperComparison {
-    compare_steppers(512, 64 * 1024, seed)
+/// The stepper gate behind `results stepper_gate`: the stall-heavy
+/// comparison rendered as host-independent lines (simulated cycles,
+/// verification and a digest of the metrics JSON), so `results --check`
+/// byte-diffs it at any worker count. The host throughput of both loops
+/// goes to stderr only.
+///
+/// # Errors
+///
+/// Returns the rendered divergence when the two steppers are not
+/// bit-exact.
+pub fn stepper_gate(seed: u64) -> Result<String, String> {
+    let cmp = stall_heavy_comparison(seed);
+    if let Some(msg) = cmp.divergence() {
+        return Err(msg);
+    }
+    eprintln!(
+        "[stepper_gate] dense {:.2} Mcy/s, skipping {:.2} Mcy/s ({:.1}x)",
+        cmp.dense.mcycles_per_sec(),
+        cmp.skipping.mcycles_per_sec(),
+        cmp.speedup()
+    );
+    let s = &cmp.skipping.stats;
+    let mut d = Digest::new(0x57E9);
+    d.str(&cmp.skipping.metrics_json);
+    Ok(format!(
+        "stepper gate: stall-heavy SPMV do-all, 2 cores, dense vs skipping\n\
+         simulated cycles: {}\n\
+         verified: {}\n\
+         metrics digest: {:#018x}\n\
+         stepper ok: bit-exact at {} cycles",
+        s.cycles,
+        s.verified,
+        d.finish(),
+        s.cycles
+    ))
 }

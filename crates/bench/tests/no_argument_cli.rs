@@ -11,11 +11,9 @@ use std::path::PathBuf;
 use std::process::Command;
 
 /// The binaries and their `CARGO_BIN_EXE_*` paths.
-const BINARIES: [(&str, &str); 4] = [
+const BINARIES: [(&str, &str); 2] = [
     ("bench_summary", env!("CARGO_BIN_EXE_bench_summary")),
-    ("oracle_grid", env!("CARGO_BIN_EXE_oracle_grid")),
     ("results", env!("CARGO_BIN_EXE_results")),
-    ("serve_check", env!("CARGO_BIN_EXE_serve_check")),
 ];
 
 /// Bad invocations — an argument (`fig99` names no `results` entry),

@@ -1,6 +1,7 @@
 //! `run_workload` rejects every missing, extra, malformed or unknown
-//! argument, and every thread count the kernel does not run the variant
-//! on, with usage and exit code 2, before any simulation runs.
+//! argument, every thread count above the largest fabric, and every
+//! thread count the kernel does not run the variant on, with usage and
+//! exit code 2, before any simulation runs.
 
 use std::process::Command;
 
@@ -32,6 +33,9 @@ fn bad_arguments_print_usage_and_exit_2() {
         &["spmv", "riscv-s", "maple-dec", "18"],
         &["sdhp", "suitesparse", "maple-dec", "18"],
         &["bfs", "wiki", "maple-dec", "16"],
+        // More threads than the largest fabric the repository runs.
+        &["spmv", "riscv-s", "doall", "4096"],
+        &["spmv", "riscv-s", "doall", "5000000000"],
     ];
     for args in cases {
         let out = run_workload(args);

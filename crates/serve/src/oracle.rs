@@ -11,8 +11,9 @@
 //! shows up as a byte diff on some request.
 //!
 //! The check is stepper-agnostic on purpose: the caller picks dense or
-//! skipping through [`ServeConfig`], and the `serve_check` CI gate
-//! byte-diffs the whole grid across `MAPLE_JOBS` values.
+//! skipping through [`ServeConfig`], and the `serve_gate` entry of the
+//! `results` driver byte-checks the whole grid at any `MAPLE_JOBS`
+//! value.
 
 use crate::sim::{serve, ServeConfig, ServingSummary};
 

@@ -52,83 +52,33 @@ echo "==> fabric tick reference: 150000 generated scenarios, diffed cycle by cyc
 MAPLE_TESTKIT_CASES=150000 \
     cargo test --offline --release -p maple-noc --test tick_reference -q
 
-# Byte-diff gate: runs a maple-bench binary at MAPLE_JOBS=1 and =4, and
-# requires the two outputs to be identical, to equal the committed golden
-# results/NAME.txt byte for byte and (when OK is non-empty) to contain
-# the line OK. The goldens hold host-independent lines only, so a change
-# that only speeds up the simulator proves it simulates exactly what its
-# parent did. Leaves the seconds both runs took in GATE_WALL.
-#
-# Usage: gate NAME OK BIN [ARGS...]
-gate() {
-    local name=$1 ok=$2 bin=$3
-    shift 3
-    local t0=$SECONDS
-    for jobs in 1 4; do
-        MAPLE_JOBS=$jobs cargo run --offline --release -q -p maple-bench --bin "$bin" \
-            -- "$@" > "target/${name}_jobs${jobs}.txt"
-    done
-    GATE_WALL=$((SECONDS - t0))
-    if ! diff "target/${name}_jobs1.txt" "target/${name}_jobs4.txt"; then
-        echo "ERROR: $name output differs between MAPLE_JOBS=1 and =4" >&2
-        exit 1
-    fi
-    if ! diff "results/${name}.txt" "target/${name}_jobs1.txt"; then
-        echo "ERROR: $name output differs from results/${name}.txt" >&2
-        exit 1
-    fi
-    if [ -n "$ok" ] && ! grep -q "$ok" "target/${name}_jobs1.txt"; then
-        echo "ERROR: $name output lacks the line \"$ok\"" >&2
-        exit 1
-    fi
-    echo "    $(tail -n 1 "target/${name}_jobs1.txt"), identical at 1 and 4 workers and to results/${name}.txt (${GATE_WALL}s)"
-}
-
-echo "==> determinism: oracle grid must be bit-identical across worker counts"
-# The determinism contract of maple_sim::par::par_map: the full oracle
-# grid (differential variants x kernels + fixed-seed chaos schedules)
-# prints the same bytes no matter how many workers run it.
-gate oracle_grid "" oracle_grid
-
-echo "==> stepper: dense vs event-horizon skipping must be bit-exact"
-# One stall-heavy SPMV config runs under both steppers; the binary exits
-# nonzero on any divergence in the final cycle count, the run stats, or
-# the MetricsSnapshot JSON. Its closing line is the perf smoke: host
-# throughput (Mcycles/s) for both loops and the skipping speedup.
-cargo run --offline --release -q -p maple-bench --bin stepper_check \
-    | tee target/stepper_check.txt | tail -n 1
-grep -q "stepper ok: bit-exact" target/stepper_check.txt
-
-echo "==> serving: multi-tenant oracle grid must be bit-exact at any worker count"
-# The serving gate runs the multi-tenant differential oracle over every
-# stepper × chaos cell, two clustered-fabric cells and the engine-kill
-# ladder cell,
-# printing only host-independent lines (percentiles, fairness, switch
-# counters, a metrics digest), so tenant isolation holds regardless of
-# the worker count.
-gate serve_gate "serve ok: bit-exact" serve_check
-
-echo "==> scale smoke: 256- and 1024-tile hierarchical fabrics, bit-exact and golden"
+echo "==> scale budget: 256- and 1024-tile hierarchical fabrics within the wall-clock budget"
 # MemPool-scale configurations (16 or 64 crossbar clusters of 16 tiles,
 # two cores, one engine and one interleaved L2 bank per cluster) through
-# the skipping and dense steppers. The wall-clock budget guards against
-# large fabrics becoming accidentally quadratic to simulate.
+# the skipping and dense steppers, byte-checked against their goldens in
+# one single-worker run. The budget guards against large fabrics becoming
+# accidentally quadratic to simulate.
 SCALE_BUDGET=120
-for TILES in 256 1024; do
-    gate "scale_gate_${TILES}" "scale ok: bit-exact at ${TILES} tiles" \
-        stepper_check --scale "$TILES"
-    if [ "$GATE_WALL" -gt "$SCALE_BUDGET" ]; then
-        echo "ERROR: ${TILES}-tile scale smoke took ${GATE_WALL}s (budget ${SCALE_BUDGET}s)" >&2
-        exit 1
-    fi
-done
+t0=$SECONDS
+MAPLE_JOBS=1 cargo run --offline --release -q -p maple-bench --bin results -- \
+    --check scale_gate_256 scale_gate_1024
+SCALE_WALL=$((SECONDS - t0))
+echo "    ${SCALE_WALL}s (budget ${SCALE_BUDGET}s)"
+if [ "$SCALE_WALL" -gt "$SCALE_BUDGET" ]; then
+    echo "ERROR: the scale gates took ${SCALE_WALL}s (budget ${SCALE_BUDGET}s)" >&2
+    exit 1
+fi
 
 echo "==> results: every result file must render byte for byte as committed"
 # The paper's figures (fig08-fig15, text and JSON sidecar), cycle
 # counts, queue-depth and scaling sweeps, hop latencies, area and
-# configuration tables. `results --check` simulates each distinct case
-# once and diffs every rendered file against results/ in-process; both
-# worker counts must match, which is par_map's determinism check.
+# configuration tables, and the gates: the differential + chaos +
+# hierarchy oracle grid, the multi-tenant serving oracle, dense vs
+# skipping stepper bit-exactness and the 256/1024-tile scale gates.
+# `results --check` simulates each distinct case once and diffs every
+# rendered file against results/ in-process; a gate that diverges exits
+# 1 with its message. Both worker counts must match the goldens, which
+# is par_map's determinism check.
 for JOBS in 1 4; do
     t0=$SECONDS
     MAPLE_JOBS=$JOBS cargo run --offline --release -q -p maple-bench --bin results -- --check
