@@ -500,7 +500,7 @@ impl ServeSim {
                 self.sys.reload_core(e_core, ep, &eb);
             }
             _ => {
-                let (p, b) = doall_query(&req.query, &arrays, out);
+                let (p, b) = doall_query(&req.query, &arrays, out, None);
                 self.sys.reload_core(a_core, p, &b);
             }
         }

@@ -195,15 +195,23 @@ impl SocConfig {
 
     /// Scales the mesh and core count (threads share the single MAPLE, as
     /// in Figure 13).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tile count `cores + 1 + maples` overflows `usize` or
+    /// needs a square mesh wider than `u16::MAX` tiles.
     #[must_use]
     pub fn with_cores(mut self, cores: usize) -> Self {
         self.cores = cores;
-        let tiles = cores + 1 + self.maples;
-        // Smallest square-ish mesh that fits.
-        let mut w = 2u16;
-        while usize::from(w) * usize::from(w) < tiles {
-            w += 1;
-        }
+        let tiles = cores
+            .checked_add(1)
+            .and_then(|t| t.checked_add(self.maples))
+            .unwrap_or_else(|| panic!("{cores} cores + 1 + {} MAPLEs overflow", self.maples));
+        // Smallest square mesh that fits, at least 2×2.
+        let root = tiles.isqrt();
+        let width = (root + usize::from(root * root < tiles)).max(2);
+        let w = u16::try_from(width)
+            .unwrap_or_else(|_| panic!("{tiles} tiles need a {width}-wide mesh (max 65535)"));
         self.mesh_width = w;
         self.mesh_height = w;
         self
@@ -456,6 +464,12 @@ mod tests {
     use super::*;
 
     #[test]
+    #[should_panic(expected = "8589934594 tiles need a 92682-wide mesh")]
+    fn with_cores_rejects_a_mesh_wider_than_u16() {
+        let _ = SocConfig::fpga_prototype().with_cores(1 << 33);
+    }
+
+    #[test]
     fn fpga_prototype_matches_table2() {
         let c = SocConfig::fpga_prototype();
         assert_eq!(c.cores, 2);
@@ -492,6 +506,15 @@ mod tests {
         let c = SocConfig::fpga_prototype().with_cores(8);
         assert!(c.tiles_used() <= usize::from(c.mesh_width) * usize::from(c.mesh_height));
         let _ = c.layout();
+        // The smallest square mesh, at least 2×2, holding cores + L2 + MAPLE.
+        for (cores, width) in [(0, 2), (2, 2), (3, 3), (7, 3), (8, 4), (14, 4), (15, 5)] {
+            let c = SocConfig::fpga_prototype().with_cores(cores);
+            assert_eq!(
+                (c.mesh_width, c.mesh_height),
+                (width, width),
+                "{cores} cores"
+            );
+        }
     }
 
     #[test]

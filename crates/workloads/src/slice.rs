@@ -13,6 +13,12 @@
 //! into a [`Program`] and its register bindings without touching the
 //! [`System`], so the serving scheduler can build programs for any core,
 //! engine, or queue assignment at dispatch time.
+//!
+//! They are also SPMV's only program builders: a full-kernel run
+//! ([`crate::spmv::Spmv::run`]) builds its do-all, DROPLET,
+//! software-prefetch, software-decoupled and MAPLE-decoupled programs as
+//! [`QueryKind::SpmvSlice`] queries over its row partition, so serving
+//! and the figures run the same instruction streams.
 
 use maple_baselines::swdec::{SwConsumer, SwProducer, SwQueueLayout};
 use maple_isa::builder::ProgramBuilder;
@@ -109,18 +115,18 @@ pub fn upload_tenant(sys: &mut System, a: &Csr, x: &[u32]) -> TenantArrays {
     }
 }
 
-/// The register set every slice program binds: the tenant arrays plus
-/// the request's output buffer.
-struct SliceRegs {
-    rp: Reg,
-    ci: Reg,
-    vv: Reg,
-    xx: Reg,
-    out: Reg,
+/// The register set every SPMV-family program binds: the tenant arrays
+/// plus an output base.
+pub(crate) struct SliceRegs {
+    pub(crate) rp: Reg,
+    pub(crate) ci: Reg,
+    pub(crate) vv: Reg,
+    pub(crate) xx: Reg,
+    pub(crate) out: Reg,
 }
 
 impl SliceRegs {
-    fn allocate(b: &mut ProgramBuilder) -> Self {
+    pub(crate) fn allocate(b: &mut ProgramBuilder) -> Self {
         SliceRegs {
             rp: b.reg("rp"),
             ci: b.reg("ci"),
@@ -130,29 +136,40 @@ impl SliceRegs {
         }
     }
 
-    fn bindings(&self, t: &TenantArrays, out: VAddr) -> Vec<(Reg, u64)> {
+    /// The bindings with the `out` register holding `out`.
+    pub(crate) fn bindings(&self, t: &TenantArrays, out: u64) -> Vec<(Reg, u64)> {
         vec![
             (self.rp, t.rp.0),
             (self.ci, t.ci.0),
             (self.vv, t.vv.0),
             (self.xx, t.xx.0),
-            (self.out, out.0),
+            (self.out, out),
         ]
+    }
+
+    /// The bindings of a program that stores row `r` at `out[r]`: the
+    /// `out` register holds `out - 4·lo` (ISA adds wrap), so the query's
+    /// first row lands on `out`, its first output word.
+    fn row_bindings(&self, t: &TenantArrays, q: &SliceQuery, out: VAddr) -> Vec<(Reg, u64)> {
+        self.bindings(t, out.0.wrapping_sub(q.lo as u64 * 4))
     }
 }
 
 /// Single-core do-all shape: the whole query on one core, blocking
 /// gathers. The bottom rung of the ladder — no engine, no partner core.
+///
+/// `prefetch` is `Some((dist, last))` for software prefetching: each
+/// nonzero `j` also prefetches `&x[col_idx[min(j + dist, last)]]`.
 #[must_use]
 pub fn doall_query(
     q: &SliceQuery,
     arrays: &TenantArrays,
     out: VAddr,
+    prefetch: Option<(u32, usize)>,
 ) -> (Program, Vec<(Reg, u64)>) {
     let mut b = ProgramBuilder::new();
     let regs = SliceRegs::allocate(&mut b);
     let r = b.reg("r");
-    let ro = b.reg("ro");
     let j = b.reg("j");
     let jend = b.reg("jend");
     let c = b.reg("c");
@@ -161,7 +178,6 @@ pub fn doall_query(
     let acc = b.reg("acc");
     let tmp = b.reg("tmp");
     b.li(r, q.lo as u64);
-    b.li(ro, 0);
     let row = b.here("row");
     let done = b.label("done");
     b.bge(r, q.hi as i64, done);
@@ -173,28 +189,45 @@ pub fn doall_query(
     let endrow = b.label("endrow");
     b.bge(j, jend, endrow);
     b.load_indexed(c, regs.ci, j, 2, 4, tmp);
-    b.load_indexed(xv, regs.xx, c, 2, 4, tmp);
     match q.kind {
         QueryKind::SpmvSlice => {
             b.load_indexed(v, regs.vv, j, 2, 4, tmp);
+            b.load_indexed(xv, regs.xx, c, 2, 4, tmp);
             b.mul(v, v, xv);
         }
         QueryKind::NeighborSum => {
+            b.load_indexed(xv, regs.xx, c, 2, 4, tmp);
             b.alu(maple_isa::AluOp::Xor, v, xv, maple_isa::Operand::Reg(c));
         }
     }
     b.add(acc, acc, v);
+    if let Some((dist, last)) = prefetch {
+        // jd = min(j + dist, last); prefetch &x[ci[jd]]. The re-load of
+        // ci[jd] and the address arithmetic are the instruction overhead
+        // Figure 10 charges to software prefetching.
+        let jd = b.reg("jd");
+        let c2 = b.reg("c2");
+        b.addi(jd, j, i64::from(dist));
+        b.alu(
+            maple_isa::AluOp::MinU,
+            jd,
+            jd,
+            maple_isa::Operand::Imm(last as i64),
+        );
+        b.load_indexed(c2, regs.ci, jd, 2, 4, tmp);
+        b.index_addr(tmp, regs.xx, c2, 2);
+        b.prefetch(tmp, 0);
+    }
     b.addi(j, j, 1);
     b.jump(inner);
     b.bind(endrow);
-    b.store_indexed(acc, regs.out, ro, 2, 4, tmp);
+    b.store_indexed(acc, regs.out, r, 2, 4, tmp);
     b.addi(r, r, 1);
-    b.addi(ro, ro, 1);
     b.jump(row);
     b.bind(done);
     b.halt();
     let p = b.build().expect("doall slice builds");
-    (p, regs.bindings(arrays, out))
+    (p, regs.row_bindings(arrays, q, out))
 }
 
 /// MAPLE-decoupled Access shape: walks the query's rows producing
@@ -241,7 +274,7 @@ pub fn maple_access_query(
     b.bind(done);
     api.close(&mut b, queue);
     b.halt();
-    let mut binds = regs.bindings(arrays, VAddr(0));
+    let mut binds = regs.bindings(arrays, 0);
     binds.push((mbase, maple_va.0));
     (b.build().expect("slice access builds"), binds)
 }
@@ -262,7 +295,6 @@ pub fn maple_execute_query(
     let mbase = b.reg("maple");
     let api = MapleApi::new(mbase);
     let r = b.reg("r");
-    let ro = b.reg("ro");
     let j = b.reg("j");
     let jend = b.reg("jend");
     let v = b.reg("v");
@@ -270,7 +302,6 @@ pub fn maple_execute_query(
     let acc = b.reg("acc");
     let tmp = b.reg("tmp");
     b.li(r, q.lo as u64);
-    b.li(ro, 0);
     let row = b.here("row");
     let done = b.label("done");
     b.bge(r, q.hi as i64, done);
@@ -296,13 +327,12 @@ pub fn maple_execute_query(
     b.addi(j, j, 1);
     b.jump(inner);
     b.bind(endrow);
-    b.store_indexed(acc, regs.out, ro, 2, 4, tmp);
+    b.store_indexed(acc, regs.out, r, 2, 4, tmp);
     b.addi(r, r, 1);
-    b.addi(ro, ro, 1);
     b.jump(row);
     b.bind(done);
     b.halt();
-    let mut binds = regs.bindings(arrays, out);
+    let mut binds = regs.row_bindings(arrays, q, out);
     binds.push((mbase, maple_va.0));
     (b.build().expect("slice execute builds"), binds)
 }
@@ -348,7 +378,7 @@ pub fn swdec_access_query(
     b.jump(row);
     b.bind(done);
     b.halt();
-    let mut binds = regs.bindings(arrays, VAddr(0));
+    let mut binds = regs.bindings(arrays, 0);
     binds.push((qbase, qva.0));
     (b.build().expect("slice sw access builds"), binds)
 }
@@ -369,7 +399,6 @@ pub fn swdec_execute_query(
     let qbase = b.reg("qbase");
     let cons = SwConsumer::new(&mut b, qbase, layout.capacity);
     let r = b.reg("r");
-    let ro = b.reg("ro");
     let j = b.reg("j");
     let jend = b.reg("jend");
     let v = b.reg("v");
@@ -377,7 +406,6 @@ pub fn swdec_execute_query(
     let acc = b.reg("acc");
     let tmp = b.reg("tmp");
     b.li(r, q.lo as u64);
-    b.li(ro, 0);
     let row = b.here("row");
     let done = b.label("done");
     b.bge(r, q.hi as i64, done);
@@ -403,13 +431,12 @@ pub fn swdec_execute_query(
     b.addi(j, j, 1);
     b.jump(inner);
     b.bind(endrow);
-    b.store_indexed(acc, regs.out, ro, 2, 4, tmp);
+    b.store_indexed(acc, regs.out, r, 2, 4, tmp);
     b.addi(r, r, 1);
-    b.addi(ro, ro, 1);
     b.jump(row);
     b.bind(done);
     b.halt();
-    let mut binds = regs.bindings(arrays, out);
+    let mut binds = regs.row_bindings(arrays, q, out);
     binds.push((qbase, qva.0));
     (b.build().expect("slice sw execute builds"), binds)
 }
@@ -419,6 +446,8 @@ mod tests {
     use super::*;
     use crate::data::{dense_vector, uniform_sparse};
     use crate::harness::{alloc_u32, config_for, Variant, MAX_CYCLES};
+
+    const GUARD: u32 = 0xDEAD_BEEF;
 
     fn instance() -> (Csr, Vec<u32>) {
         let a = uniform_sparse(64, 8 * 1024, 5, 11);
@@ -446,24 +475,40 @@ mod tests {
         ]
     }
 
+    /// Allocates the query's output between two guard words and returns
+    /// `out`, its first word.
+    fn guarded_out(sys: &mut System, q: &SliceQuery) -> VAddr {
+        let buf = alloc_u32(sys, q.rows() + 2);
+        sys.write_slice_u32(buf, &[GUARD]);
+        sys.write_slice_u32(buf.offset(4 * (q.rows() as u64 + 1)), &[GUARD]);
+        buf.offset(4)
+    }
+
+    /// Checks the output against the host reference, and that the
+    /// programs (whose `out` register is biased by `-4·lo`) left both
+    /// guard words alone.
+    fn check(sys: &mut System, q: &SliceQuery, out: VAddr, a: &Csr, x: &[u32]) {
+        let words = sys.read_slice_u32(VAddr(out.0 - 4), q.rows() + 2);
+        let what = format!("{} {}..{}", q.kind.label(), q.lo, q.hi);
+        assert_eq!(words[1..=q.rows()], q.reference(a, x)[..], "{what}");
+        assert_eq!(
+            [words[0], words[q.rows() + 1]],
+            [GUARD; 2],
+            "{what}: guard written"
+        );
+    }
+
     #[test]
     fn doall_query_matches_reference() {
         let (a, x) = instance();
         for q in queries() {
             let mut sys = System::new(config_for(Variant::Doall, 1));
             let arrays = upload_tenant(&mut sys, &a, &x);
-            let out = alloc_u32(&mut sys, q.rows());
-            let (prog, binds) = doall_query(&q, &arrays, out);
+            let out = guarded_out(&mut sys, &q);
+            let (prog, binds) = doall_query(&q, &arrays, out, None);
             sys.load_program(prog, &binds);
             assert!(sys.run(MAX_CYCLES).is_finished());
-            assert_eq!(
-                sys.read_slice_u32(out, q.rows()),
-                q.reference(&a, &x),
-                "{} {}..{}",
-                q.kind.label(),
-                q.lo,
-                q.hi
-            );
+            check(&mut sys, &q, out, &a, &x);
         }
     }
 
@@ -473,14 +518,14 @@ mod tests {
         for q in queries() {
             let mut sys = System::new(config_for(Variant::MapleDecoupled, 2));
             let arrays = upload_tenant(&mut sys, &a, &x);
-            let out = alloc_u32(&mut sys, q.rows());
+            let out = guarded_out(&mut sys, &q);
             let maple_va = sys.map_maple(0);
             let (ap, ab) = maple_access_query(&q, &arrays, maple_va, 0);
             let (ep, eb) = maple_execute_query(&q, &arrays, out, maple_va, 0);
             sys.load_program(ap, &ab);
             sys.load_program(ep, &eb);
             assert!(sys.run(MAX_CYCLES).is_finished());
-            assert_eq!(sys.read_slice_u32(out, q.rows()), q.reference(&a, &x));
+            check(&mut sys, &q, out, &a, &x);
         }
     }
 
@@ -490,7 +535,7 @@ mod tests {
         for q in queries() {
             let mut sys = System::new(config_for(Variant::SwDecoupled, 2));
             let arrays = upload_tenant(&mut sys, &a, &x);
-            let out = alloc_u32(&mut sys, q.rows());
+            let out = guarded_out(&mut sys, &q);
             let layout = SwQueueLayout::new(64);
             let qva = sys.alloc(layout.bytes());
             let (ap, ab) = swdec_access_query(&q, &arrays, qva, &layout);
@@ -498,7 +543,7 @@ mod tests {
             sys.load_program(ap, &ab);
             sys.load_program(ep, &eb);
             assert!(sys.run(MAX_CYCLES).is_finished());
-            assert_eq!(sys.read_slice_u32(out, q.rows()), q.reference(&a, &x));
+            check(&mut sys, &q, out, &a, &x);
         }
     }
 }

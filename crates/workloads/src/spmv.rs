@@ -12,10 +12,14 @@
 //!   overhead the paper charges),
 //! - MAPLE LIMA (one command per row, non-speculative into a queue),
 //! - DROPLET (memory-side indirect prefetcher).
+//!
+//! Do-all, DROPLET, software prefetching and both decoupled variants run
+//! the [`crate::slice`] builders, one [`QueryKind::SpmvSlice`] query per
+//! thread or pair, so serving and the figures share one program set.
+//! Only DeSC, LIMA and the asymmetric study build their own programs.
 
-use maple_baselines::swdec::{SwConsumer, SwProducer, SwQueueLayout};
+use maple_baselines::swdec::SwQueueLayout;
 use maple_isa::builder::ProgramBuilder;
-use maple_isa::Program;
 use maple_soc::runtime::MapleApi;
 use maple_soc::system::System;
 use maple_soc::SocConfig;
@@ -23,8 +27,11 @@ use maple_vm::VAddr;
 
 use crate::data::{dense_vector, Csr, Dataset};
 use crate::harness::{
-    alloc_u32, check_maple_queues, config_for, finish, partition, upload_u32, RunStats, Variant,
-    MAX_CYCLES,
+    alloc_u32, check_maple_queues, config_for, finish, partition, RunStats, Variant, MAX_CYCLES,
+};
+use crate::slice::{
+    doall_query, maple_access_query, maple_execute_query, swdec_access_query, swdec_execute_query,
+    upload_tenant, QueryKind, SliceQuery, SliceRegs, TenantArrays,
 };
 
 /// An SPMV problem instance.
@@ -34,15 +41,6 @@ pub struct Spmv {
     pub a: Csr,
     /// The dense vector.
     pub x: Vec<u32>,
-}
-
-/// Device-side addresses of the uploaded instance.
-struct DeviceArrays {
-    rp: VAddr,
-    ci: VAddr,
-    vv: VAddr,
-    xx: VAddr,
-    yy: VAddr,
 }
 
 impl Spmv {
@@ -67,14 +65,15 @@ impl Spmv {
             .collect()
     }
 
-    fn upload(&self, sys: &mut System) -> DeviceArrays {
-        DeviceArrays {
-            rp: upload_u32(sys, &self.a.row_ptr),
-            ci: upload_u32(sys, &self.a.col_idx),
-            vv: upload_u32(sys, &self.a.values),
-            xx: upload_u32(sys, &self.x),
-            yy: alloc_u32(sys, self.a.nrows),
-        }
+    /// One [`QueryKind::SpmvSlice`] query per part of the row partition.
+    fn slices(&self, parts: usize) -> impl Iterator<Item = SliceQuery> {
+        partition(self.a.nrows, parts)
+            .into_iter()
+            .map(|(lo, hi)| SliceQuery {
+                kind: QueryKind::SpmvSlice,
+                lo,
+                hi,
+            })
     }
 
     /// The thread counts SPMV runs on under `variant`; MAPLE-decoupled
@@ -147,26 +146,56 @@ impl Spmv {
         let cfg = tune(config_for(variant, threads));
         Self::check_threads_on(&cfg, variant, threads).unwrap_or_else(|e| panic!("{e}"));
         let mut sys = System::new(cfg);
-        let arrays = self.upload(&mut sys);
+        let arrays = upload_tenant(&mut sys, &self.a, &self.x);
+        let yy = alloc_u32(&mut sys, self.a.nrows);
         let expected = self.reference();
+        let out = |q: &SliceQuery| yy.offset(q.lo as u64 * 4);
 
         match variant {
-            Variant::Doall => self.load_doall(&mut sys, &arrays, threads, None),
-            Variant::Droplet => {
-                sys.droplet_watch(arrays.ci, (self.a.nnz() * 4) as u64, 4, arrays.xx, 4);
-                self.load_doall(&mut sys, &arrays, threads, None);
+            Variant::Doall | Variant::Droplet | Variant::SwPrefetch { .. } => {
+                if variant == Variant::Droplet {
+                    sys.droplet_watch(arrays.ci, (self.a.nnz() * 4) as u64, 4, arrays.xx, 4);
+                }
+                let prefetch = match variant {
+                    Variant::SwPrefetch { dist } => Some((dist, self.a.nnz().saturating_sub(1))),
+                    _ => None,
+                };
+                for q in self.slices(threads) {
+                    let (p, b) = doall_query(&q, &arrays, out(&q), prefetch);
+                    sys.load_program(p, &b);
+                }
             }
-            Variant::SwPrefetch { dist } => {
-                self.load_doall(&mut sys, &arrays, threads, Some(dist));
+            Variant::SwDecoupled => {
+                let layout = SwQueueLayout::new(64);
+                for q in self.slices(threads / 2) {
+                    let ring = sys.alloc(layout.bytes());
+                    let (ap, ab) = swdec_access_query(&q, &arrays, ring, &layout);
+                    let (ep, eb) = swdec_execute_query(&q, &arrays, out(&q), ring, &layout);
+                    sys.load_program(ap, &ab);
+                    sys.load_program(ep, &eb);
+                }
             }
-            Variant::SwDecoupled => self.load_swdec(&mut sys, &arrays, threads),
-            Variant::MapleDecoupled => self.load_maple_dec(&mut sys, &arrays, threads),
-            Variant::Desc => self.load_desc(&mut sys, &arrays),
-            Variant::MapleLima => self.load_lima(&mut sys, &arrays),
+            Variant::MapleDecoupled => {
+                // Pairs are distributed round-robin over the configured
+                // MAPLE instances (the paper's tiled scaling: "more units
+                // can be employed for larger thread counts").
+                let maples = sys.config().maples;
+                let maple_vas: Vec<_> = (0..maples).map(|e| sys.map_maple(e)).collect();
+                for (pair, q) in self.slices(threads / 2).enumerate() {
+                    let va = maple_vas[pair % maples];
+                    let queue = (pair / maples) as u8;
+                    let (ap, ab) = maple_access_query(&q, &arrays, va, queue);
+                    let (ep, eb) = maple_execute_query(&q, &arrays, out(&q), va, queue);
+                    sys.load_program(ap, &ab);
+                    sys.load_program(ep, &eb);
+                }
+            }
+            Variant::Desc => self.load_desc(&mut sys, &arrays, yy),
+            Variant::MapleLima => self.load_lima(&mut sys, &arrays, yy),
         }
 
         let outcome = sys.run(MAX_CYCLES);
-        let stats = finish(&mut sys, outcome, arrays.yy, &expected);
+        let stats = finish(&mut sys, outcome, yy, &expected);
         (stats, sys)
     }
 
@@ -185,7 +214,8 @@ impl Spmv {
         assert!((1..=7).contains(&executes), "one queue per Execute thread");
         let threads = 1 + executes;
         let mut sys = System::new(config_for(Variant::MapleDecoupled, threads));
-        let arrays = self.upload(&mut sys);
+        let arrays = upload_tenant(&mut sys, &self.a, &self.x);
+        let yy = alloc_u32(&mut sys, self.a.nrows);
         let expected = self.reference();
         let maple_va = sys.map_maple(0);
         let nrows = self.a.nrows;
@@ -194,7 +224,7 @@ impl Spmv {
         {
             use maple_soc::mmio::{store_offset, StoreOp};
             let mut b = ProgramBuilder::new();
-            let regs = DeviceRegs::allocate(&mut b);
+            let regs = SliceRegs::allocate(&mut b);
             let mbase = b.reg("maple");
             let r = b.reg("r");
             let j = b.reg("j");
@@ -236,7 +266,7 @@ impl Spmv {
             b.jump(row);
             b.bind(done);
             b.halt();
-            let mut binds = regs.bindings(&arrays);
+            let mut binds = regs.bindings(&arrays, yy.0);
             binds.push((mbase, maple_va.0));
             sys.load_program(b.build().expect("asymmetric access builds"), &binds);
         }
@@ -244,7 +274,7 @@ impl Spmv {
         // Execute e: rows e, e+E, e+2E, … consuming from queue e.
         for e in 0..executes {
             let mut b = ProgramBuilder::new();
-            let regs = DeviceRegs::allocate(&mut b);
+            let regs = SliceRegs::allocate(&mut b);
             let mbase = b.reg("maple");
             let api = MapleApi::new(mbase);
             let r = b.reg("r");
@@ -272,286 +302,30 @@ impl Spmv {
             b.addi(j, j, 1);
             b.jump(inner);
             b.bind(endrow);
-            b.store_indexed(acc, regs.yy, r, 2, 4, tmp);
+            b.store_indexed(acc, regs.out, r, 2, 4, tmp);
             b.addi(r, r, executes as i64);
             b.jump(row);
             b.bind(done);
             b.halt();
-            let mut binds = regs.bindings(&arrays);
+            let mut binds = regs.bindings(&arrays, yy.0);
             binds.push((mbase, maple_va.0));
             sys.load_program(b.build().expect("asymmetric execute builds"), &binds);
         }
 
         let outcome = sys.run(MAX_CYCLES);
-        finish(&mut sys, outcome, arrays.yy, &expected)
-    }
-
-    // --- do-all (optionally with software prefetching) -------------------
-
-    fn doall_program(
-        &self,
-        lo: usize,
-        hi: usize,
-        prefetch: Option<u32>,
-    ) -> (Program, Vec<(maple_isa::Reg, u64)>, DeviceRegs) {
-        let mut b = ProgramBuilder::new();
-        let regs = DeviceRegs::allocate(&mut b);
-        let r = b.reg("r");
-        let j = b.reg("j");
-        let jend = b.reg("jend");
-        let c = b.reg("c");
-        let v = b.reg("v");
-        let xv = b.reg("xv");
-        let acc = b.reg("acc");
-        let tmp = b.reg("tmp");
-        b.li(r, lo as u64);
-        let row = b.here("row");
-        let done = b.label("done");
-        b.bge(r, hi as i64, done);
-        b.load_indexed(j, regs.rp, r, 2, 4, tmp);
-        b.addi(tmp, r, 1);
-        b.load_indexed(jend, regs.rp, tmp, 2, 4, tmp);
-        b.li(acc, 0);
-        let inner = b.here("inner");
-        let endrow = b.label("endrow");
-        b.bge(j, jend, endrow);
-        b.load_indexed(c, regs.ci, j, 2, 4, tmp);
-        b.load_indexed(v, regs.vv, j, 2, 4, tmp);
-        b.load_indexed(xv, regs.xx, c, 2, 4, tmp);
-        b.mul(v, v, xv);
-        b.add(acc, acc, v);
-        if let Some(dist) = prefetch {
-            // jd = min(j + dist, nnz - 1); prefetch &x[ci[jd]].
-            // The re-load of ci[jd] and the address arithmetic are the
-            // instruction overhead Figure 10 charges to software
-            // prefetching.
-            let jd = b.reg("jd");
-            let c2 = b.reg("c2");
-            b.addi(jd, j, i64::from(dist));
-            b.alu(
-                maple_isa::AluOp::MinU,
-                jd,
-                jd,
-                maple_isa::Operand::Imm(self.a.nnz() as i64 - 1),
-            );
-            b.load_indexed(c2, regs.ci, jd, 2, 4, tmp);
-            b.index_addr(tmp, regs.xx, c2, 2);
-            b.prefetch(tmp, 0);
-        }
-        b.addi(j, j, 1);
-        b.jump(inner);
-        b.bind(endrow);
-        b.store_indexed(acc, regs.yy, r, 2, 4, tmp);
-        b.addi(r, r, 1);
-        b.jump(row);
-        b.bind(done);
-        b.halt();
-        let p = b.build().expect("spmv doall builds");
-        (p, Vec::new(), regs)
-    }
-
-    fn load_doall(
-        &self,
-        sys: &mut System,
-        arrays: &DeviceArrays,
-        threads: usize,
-        prefetch: Option<u32>,
-    ) {
-        for (lo, hi) in partition(self.a.nrows, threads) {
-            let (prog, _, regs) = self.doall_program(lo, hi, prefetch);
-            sys.load_program(prog, &regs.bindings(arrays));
-        }
-    }
-
-    // --- MAPLE decoupling --------------------------------------------------
-
-    fn load_maple_dec(&self, sys: &mut System, arrays: &DeviceArrays, threads: usize) {
-        let pairs = threads / 2;
-        // Pairs are distributed round-robin over the configured MAPLE
-        // instances (the paper's tiled scaling: "more units can be
-        // employed for larger thread counts").
-        let maples = sys.config().maples;
-        let maple_vas: Vec<_> = (0..maples).map(|e| sys.map_maple(e)).collect();
-        for (pair, (lo, hi)) in partition(self.a.nrows, pairs).into_iter().enumerate() {
-            let maple_va = maple_vas[pair % maples];
-            let q = (pair / maples) as u8;
-
-            // Access slice.
-            let mut b = ProgramBuilder::new();
-            let regs = DeviceRegs::allocate(&mut b);
-            let mbase = b.reg("maple");
-            let api = MapleApi::new(mbase);
-            let r = b.reg("r");
-            let j = b.reg("j");
-            let jend = b.reg("jend");
-            let c = b.reg("c");
-            let ptr = b.reg("ptr");
-            let tmp = b.reg("tmp");
-            // API lifecycle: OPEN claims the queue exclusively (spinning
-            // until granted) and CLOSE releases it on exit.
-            let open = b.here("open");
-            api.open(&mut b, q, tmp);
-            b.beq(tmp, 0i64, open);
-            b.li(r, lo as u64);
-            let row = b.here("row");
-            let done = b.label("done");
-            b.bge(r, hi as i64, done);
-            b.load_indexed(j, regs.rp, r, 2, 4, tmp);
-            b.addi(tmp, r, 1);
-            b.load_indexed(jend, regs.rp, tmp, 2, 4, tmp);
-            let inner = b.here("inner");
-            let endrow = b.label("endrow");
-            b.bge(j, jend, endrow);
-            b.load_indexed(c, regs.ci, j, 2, 4, tmp);
-            b.index_addr(ptr, regs.xx, c, 2);
-            api.produce_ptr(&mut b, q, ptr);
-            b.addi(j, j, 1);
-            b.jump(inner);
-            b.bind(endrow);
-            b.addi(r, r, 1);
-            b.jump(row);
-            b.bind(done);
-            api.close(&mut b, q);
-            b.halt();
-            let mut binds = regs.bindings(arrays);
-            binds.push((mbase, maple_va.0));
-            sys.load_program(b.build().expect("access builds"), &binds);
-
-            // Execute slice.
-            let mut b = ProgramBuilder::new();
-            let regs = DeviceRegs::allocate(&mut b);
-            let mbase = b.reg("maple");
-            let api = MapleApi::new(mbase);
-            let r = b.reg("r");
-            let j = b.reg("j");
-            let jend = b.reg("jend");
-            let v = b.reg("v");
-            let xv = b.reg("xv");
-            let acc = b.reg("acc");
-            let tmp = b.reg("tmp");
-            b.li(r, lo as u64);
-            let row = b.here("row");
-            let done = b.label("done");
-            b.bge(r, hi as i64, done);
-            b.load_indexed(j, regs.rp, r, 2, 4, tmp);
-            b.addi(tmp, r, 1);
-            b.load_indexed(jend, regs.rp, tmp, 2, 4, tmp);
-            b.li(acc, 0);
-            let inner = b.here("inner");
-            let endrow = b.label("endrow");
-            b.bge(j, jend, endrow);
-            b.load_indexed(v, regs.vv, j, 2, 4, tmp);
-            api.consume(&mut b, q, xv, 4);
-            b.mul(v, v, xv);
-            b.add(acc, acc, v);
-            b.addi(j, j, 1);
-            b.jump(inner);
-            b.bind(endrow);
-            b.store_indexed(acc, regs.yy, r, 2, 4, tmp);
-            b.addi(r, r, 1);
-            b.jump(row);
-            b.bind(done);
-            b.halt();
-            let mut binds = regs.bindings(arrays);
-            binds.push((mbase, maple_va.0));
-            sys.load_program(b.build().expect("execute builds"), &binds);
-        }
-    }
-
-    // --- software decoupling ----------------------------------------------
-
-    fn load_swdec(&self, sys: &mut System, arrays: &DeviceArrays, threads: usize) {
-        let pairs = threads / 2;
-        let layout = SwQueueLayout::new(64);
-        for (lo, hi) in partition(self.a.nrows, pairs) {
-            let qva = sys.alloc(layout.bytes());
-
-            // Access: performs the IMA itself (blocking), pushes values.
-            let mut b = ProgramBuilder::new();
-            let regs = DeviceRegs::allocate(&mut b);
-            let qbase = b.reg("qbase");
-            let prod = SwProducer::new(&mut b, qbase, layout.capacity);
-            let r = b.reg("r");
-            let j = b.reg("j");
-            let jend = b.reg("jend");
-            let c = b.reg("c");
-            let xv = b.reg("xv");
-            let tmp = b.reg("tmp");
-            b.li(r, lo as u64);
-            let row = b.here("row");
-            let done = b.label("done");
-            b.bge(r, hi as i64, done);
-            b.load_indexed(j, regs.rp, r, 2, 4, tmp);
-            b.addi(tmp, r, 1);
-            b.load_indexed(jend, regs.rp, tmp, 2, 4, tmp);
-            let inner = b.here("inner");
-            let endrow = b.label("endrow");
-            b.bge(j, jend, endrow);
-            b.load_indexed(c, regs.ci, j, 2, 4, tmp);
-            b.load_indexed(xv, regs.xx, c, 2, 4, tmp); // blocking IMA
-            prod.emit_produce(&mut b, xv);
-            b.addi(j, j, 1);
-            b.jump(inner);
-            b.bind(endrow);
-            b.addi(r, r, 1);
-            b.jump(row);
-            b.bind(done);
-            b.halt();
-            let mut binds = regs.bindings(arrays);
-            binds.push((qbase, qva.0));
-            sys.load_program(b.build().expect("sw access builds"), &binds);
-
-            // Execute: pops values, computes, stores.
-            let mut b = ProgramBuilder::new();
-            let regs = DeviceRegs::allocate(&mut b);
-            let qbase = b.reg("qbase");
-            let cons = SwConsumer::new(&mut b, qbase, layout.capacity);
-            let r = b.reg("r");
-            let j = b.reg("j");
-            let jend = b.reg("jend");
-            let v = b.reg("v");
-            let xv = b.reg("xv");
-            let acc = b.reg("acc");
-            let tmp = b.reg("tmp");
-            b.li(r, lo as u64);
-            let row = b.here("row");
-            let done = b.label("done");
-            b.bge(r, hi as i64, done);
-            b.load_indexed(j, regs.rp, r, 2, 4, tmp);
-            b.addi(tmp, r, 1);
-            b.load_indexed(jend, regs.rp, tmp, 2, 4, tmp);
-            b.li(acc, 0);
-            let inner = b.here("inner");
-            let endrow = b.label("endrow");
-            b.bge(j, jend, endrow);
-            b.load_indexed(v, regs.vv, j, 2, 4, tmp);
-            cons.emit_consume(&mut b, xv);
-            b.mul(v, v, xv);
-            b.add(acc, acc, v);
-            b.addi(j, j, 1);
-            b.jump(inner);
-            b.bind(endrow);
-            b.store_indexed(acc, regs.yy, r, 2, 4, tmp);
-            b.addi(r, r, 1);
-            b.jump(row);
-            b.bind(done);
-            b.halt();
-            let mut binds = regs.bindings(arrays);
-            binds.push((qbase, qva.0));
-            sys.load_program(b.build().expect("sw execute builds"), &binds);
-        }
+        finish(&mut sys, outcome, yy, &expected)
     }
 
     // --- DeSC ---------------------------------------------------------------
 
-    fn load_desc(&self, sys: &mut System, arrays: &DeviceArrays) {
+    fn load_desc(&self, sys: &mut System, arrays: &TenantArrays, yy: VAddr) {
         let (lo, hi) = (0, self.a.nrows);
 
         // Supply: streams structure, terminal-loads x and values; row
         // results return on the store-value queue (q2) and are stored
         // asynchronously (opportunistic drain + final flush).
         let mut b = ProgramBuilder::new();
-        let regs = DeviceRegs::allocate(&mut b);
+        let regs = SliceRegs::allocate(&mut b);
         let r = b.reg("r");
         let r2 = b.reg("store_row");
         let j = b.reg("j");
@@ -588,7 +362,7 @@ impl Spmv {
         let no_out = b.label("no_out");
         b.desc_try_consume(acc, 2);
         b.beq(acc, maple_isa::Operand::Reg(empty), no_out);
-        b.store_indexed(acc, regs.yy, r2, 2, 4, tmp);
+        b.store_indexed(acc, regs.out, r2, 2, 4, tmp);
         b.addi(r2, r2, 1);
         b.bind(no_out);
         b.addi(r, r, 1);
@@ -599,14 +373,14 @@ impl Spmv {
         let flushed = b.label("flushed");
         b.bge(r2, hi as i64, flushed);
         b.desc_consume(acc, 2);
-        b.store_indexed(acc, regs.yy, r2, 2, 4, tmp);
+        b.store_indexed(acc, regs.out, r2, 2, 4, tmp);
         b.addi(r2, r2, 1);
         b.jump(flush);
         b.bind(flushed);
         b.halt();
         let supply = sys.load_program(
             b.build().expect("desc supply builds"),
-            &regs.bindings(arrays),
+            &regs.bindings(arrays, yy.0),
         );
 
         // Compute: no memory visibility; everything arrives on queues.
@@ -650,12 +424,12 @@ impl Spmv {
 
     // --- MAPLE LIMA ----------------------------------------------------------
 
-    fn load_lima(&self, sys: &mut System, arrays: &DeviceArrays) {
+    fn load_lima(&self, sys: &mut System, arrays: &TenantArrays, yy: VAddr) {
         let maple_va = sys.map_maple(0);
         let (lo, hi) = (0usize, self.a.nrows);
 
         let mut b = ProgramBuilder::new();
-        let regs = DeviceRegs::allocate(&mut b);
+        let regs = SliceRegs::allocate(&mut b);
         let mbase = b.reg("maple");
         let api = MapleApi::new(mbase);
         let r = b.reg("r");
@@ -711,45 +485,14 @@ impl Spmv {
         b.addi(j, j, 1);
         b.jump(inner);
         b.bind(endrow);
-        b.store_indexed(acc, regs.yy, r, 2, 4, tmp);
+        b.store_indexed(acc, regs.out, r, 2, 4, tmp);
         b.addi(r, r, 1);
         b.jump(row);
         b.bind(done);
         b.halt();
-        let mut binds = regs.bindings(arrays);
+        let mut binds = regs.bindings(arrays, yy.0);
         binds.push((mbase, maple_va.0));
         sys.load_program(b.build().expect("lima builds"), &binds);
-    }
-}
-
-/// The five device-array base registers every SPMV program takes.
-struct DeviceRegs {
-    rp: maple_isa::Reg,
-    ci: maple_isa::Reg,
-    vv: maple_isa::Reg,
-    xx: maple_isa::Reg,
-    yy: maple_isa::Reg,
-}
-
-impl DeviceRegs {
-    fn allocate(b: &mut ProgramBuilder) -> Self {
-        DeviceRegs {
-            rp: b.reg("rp"),
-            ci: b.reg("ci"),
-            vv: b.reg("vv"),
-            xx: b.reg("xx"),
-            yy: b.reg("yy"),
-        }
-    }
-
-    fn bindings(&self, a: &DeviceArrays) -> Vec<(maple_isa::Reg, u64)> {
-        vec![
-            (self.rp, a.rp.0),
-            (self.ci, a.ci.0),
-            (self.vv, a.vv.0),
-            (self.xx, a.xx.0),
-            (self.yy, a.yy.0),
-        ]
     }
 }
 

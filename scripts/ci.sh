@@ -97,16 +97,23 @@ for W in fabric_1024 flat_spmv_dec kernel_mix serve_mt; do
 done
 cargo run --offline --release -q -p maple-perf -- compare results/perf_smoke target/perf_smoke \
     | grep '^exact' | tee target/perf_counters.txt
-if grep -q ' -> ' target/perf_counters.txt; then
-    echo "ERROR: maple-perf exact counters differ from results/perf_smoke" >&2
-    exit 1
-fi
+# Both checks run before exiting, so a failure names every stale golden
+# with the command that regenerates it (after the change is confirmed).
+PERF_FAILED=0
 for W in fabric_1024 flat_spmv_dec kernel_mix serve_mt; do
     if ! grep -Eq "^exact $W: [0-9]+ counters identical over 1 shared seeds" target/perf_counters.txt; then
-        echo "ERROR: no exact-counter verdict for $W" >&2
-        exit 1
+        echo "ERROR: maple-perf exact counters of $W differ from results/perf_smoke; regenerate with:" >&2
+        echo "    cargo run --offline --release -q -p maple-perf -- --workload $W --scale smoke --reps 1 --out results/perf_smoke/$W.json" >&2
+        PERF_FAILED=1
     fi
 done
+if grep -q ' -> ' target/perf_counters.txt; then
+    echo "ERROR: maple-perf exact counters differ from results/perf_smoke" >&2
+    PERF_FAILED=1
+fi
+if [ "$PERF_FAILED" -ne 0 ]; then
+    exit 1
+fi
 
 echo "==> lint: clippy, warnings are errors"
 cargo clippy --offline --workspace --all-targets -- -D warnings
