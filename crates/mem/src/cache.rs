@@ -93,12 +93,6 @@ impl CacheArray {
         }
     }
 
-    /// The cache geometry.
-    #[must_use]
-    pub fn geometry(&self) -> CacheGeometry {
-        self.geo
-    }
-
     fn set_index(&self, addr: PAddr) -> usize {
         ((addr.0 / self.geo.line_bytes) as usize) & (self.geo.sets() - 1)
     }

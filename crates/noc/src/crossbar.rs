@@ -8,9 +8,9 @@
 //! fabric without impedance mismatch:
 //!
 //! - per-input bounded queues with [`Backpressure`] at injection,
-//! - round-robin arbitration over input ports, rotated once per tick
-//!   (and caught up in bulk by [`Crossbar::skip`], mirroring
-//!   [`crate::Mesh::skip`]),
+//! - round-robin arbitration over input ports, scanned from a start the
+//!   caller passes each cycle (the fabric rotates one pointer shared by
+//!   every crossbar),
 //! - at most one grant per *output* port per cycle, with the output held
 //!   busy for `flits` cycles (serialization),
 //! - a fixed `latency`-cycle wire traversal between grant and delivery.
@@ -91,8 +91,6 @@ pub struct Crossbar<T> {
     queued: usize,
     /// Serialization: each output port is busy until this cycle.
     out_busy: Vec<Cycle>,
-    /// Round-robin arbitration pointer over input ports.
-    rr_start: usize,
     /// Granted packets traversing the switch (monotonic arrival order).
     wires: VecDeque<Wire<T>>,
     /// Arbitrations performed (ticks in which an input held a packet).
@@ -110,16 +108,9 @@ impl<T> Crossbar<T> {
             occupied: vec![0; cfg.ports.div_ceil(64)],
             queued: 0,
             out_busy: vec![Cycle::ZERO; cfg.ports],
-            rr_start: 0,
             wires: VecDeque::new(),
             visits: 0,
         }
-    }
-
-    /// The crossbar configuration.
-    #[must_use]
-    pub fn config(&self) -> &CrossbarConfig {
-        &self.cfg
     }
 
     /// Whether `in_port` can accept another packet right now.
@@ -168,18 +159,9 @@ impl<T> Crossbar<T> {
 
     /// Advances the switch one cycle: hand due wire traversals to
     /// `deliver` as `(output port, payload)` in arrival order, then
-    /// arbitrate input heads round-robin with one grant per output port.
-    pub fn tick(&mut self, now: Cycle, deliver: impl FnMut(usize, T)) {
-        let start = self.rr_start;
-        self.rr_start = (start + 1) % self.cfg.ports;
-        self.step(now, start, deliver);
-    }
-
-    /// One cycle of the switch with the round-robin scan starting at input
-    /// `start`, leaving the crossbar's own pointer alone: a fabric of
-    /// crossbars that all rotate in lockstep keeps one shared pointer.
-    /// With every input empty there is nothing to arbitrate, and the step
-    /// only lands due wire traversals.
+    /// arbitrate input heads round-robin from input `start`, with one
+    /// grant per output port. With every input empty there is nothing to
+    /// arbitrate, and the step only lands due wire traversals.
     pub(crate) fn step(&mut self, now: Cycle, start: usize, mut deliver: impl FnMut(usize, T)) {
         while self.wires.front().is_some_and(|w| w.arrives_at <= now) {
             let w = self.wires.pop_front().expect("front exists");
@@ -235,14 +217,6 @@ impl<T> Crossbar<T> {
         });
     }
 
-    /// Catches the arbitration pointer up over skipped quiescent cycles,
-    /// mirroring [`crate::Mesh::skip`], so the first arbitration after an
-    /// event-horizon jump matches ticking through the gap.
-    pub fn skip(&mut self, cycles: u64) {
-        self.rr_start =
-            (self.rr_start + (cycles % self.cfg.ports as u64) as usize) % self.cfg.ports;
-    }
-
     /// Packets buffered in inputs or traversing the switch.
     #[must_use]
     pub fn in_flight(&self) -> usize {
@@ -266,11 +240,19 @@ impl<T> Crossbar<T> {
 mod tests {
     use super::*;
 
-    /// Ticks once, returning what landed as `(output port, payload)`.
-    fn tick(x: &mut Crossbar<u32>, t: u64) -> Vec<(usize, u32)> {
+    /// Steps cycle `t` with the scan starting at input `start`, returning
+    /// what landed as `(output port, payload)`.
+    fn step(x: &mut Crossbar<u32>, t: u64, start: usize) -> Vec<(usize, u32)> {
         let mut landed = Vec::new();
-        x.tick(Cycle(t), |out, v| landed.push((out, v)));
+        x.step(Cycle(t), start, |out, v| landed.push((out, v)));
         landed
+    }
+
+    /// Steps cycle `t` of a crossbar first stepped at cycle 0, whose
+    /// round-robin start has rotated by one per cycle since.
+    fn tick(x: &mut Crossbar<u32>, t: u64) -> Vec<(usize, u32)> {
+        let start = t as usize % x.cfg.ports;
+        step(x, t, start)
     }
 
     #[test]
@@ -349,13 +331,13 @@ mod tests {
         // wins, so the grant order is the rotation from each start.
         for start in 0..130 {
             let mut x: Crossbar<u32> = Crossbar::new(CrossbarConfig::new(130));
-            x.skip(start as u64);
             for p in (0..130).filter(|&p| p != 64) {
                 x.inject(Cycle(0), p, 0, 1, p as u32).unwrap();
             }
             let mut order = Vec::new();
             for t in 0..140u64 {
-                order.extend(tick(&mut x, t).into_iter().map(|(_, v)| v as usize));
+                let from = (start + t as usize) % 130;
+                order.extend(step(&mut x, t, from).into_iter().map(|(_, v)| v as usize));
             }
             // The pointer rotates by one per tick, and each grant goes to
             // the first occupied input at or after it (wrapping).
@@ -383,20 +365,6 @@ mod tests {
         assert!(x.inject(Cycle(0), 0, 1, 1, 1).is_ok());
         assert!(!x.can_inject(0));
         assert_eq!(x.inject(Cycle(0), 0, 1, 1, 2).unwrap_err(), Backpressure(2));
-    }
-
-    #[test]
-    fn skip_rotates_like_ticking_idle() {
-        // Dense: N idle ticks rotate the pointer N times. Skipping must
-        // reproduce the same pointer so the first arbitration after a
-        // gap is identical.
-        let mut dense: Crossbar<u32> = Crossbar::new(CrossbarConfig::new(3));
-        let mut skipped: Crossbar<u32> = Crossbar::new(CrossbarConfig::new(3));
-        for t in 0..7u64 {
-            tick(&mut dense, t);
-        }
-        skipped.skip(7);
-        assert_eq!(dense.rr_start, skipped.rr_start);
     }
 
     #[test]

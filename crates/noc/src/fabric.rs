@@ -5,7 +5,7 @@
 //! P-Mesh. A clustered fabric is the MemPool-style two-level topology
 //! that lets the model reach 256–1024 tiles, where a flat mesh would
 //! charge tens of cycles for what physically is a neighbourhood access.
-//! There every tile sits in a cluster served by a [`Crossbar`]; traffic
+//! There every tile sits in a cluster served by one crossbar; traffic
 //! that stays in the cluster takes one switch traversal, and traffic that
 //! leaves goes crossbar → global [`Mesh`] (one router per *cluster*) →
 //! crossbar.

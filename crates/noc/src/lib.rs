@@ -6,7 +6,7 @@
 //! per-output-port serialization by packet size, and credit-based
 //! backpressure between adjacent routers. For 256–1024 tiles a
 //! [`Fabric`] puts MemPool-style clusters of tiles on single-cycle
-//! [`Crossbar`]s in front of a grid with one router per cluster.
+//! crossbars in front of a grid with one router per cluster.
 //!
 //! [`Fabric`] is the one interconnect the SoC holds, flat or clustered:
 //! it admits packets, draws the fault plane's drops and delays, and
@@ -44,11 +44,10 @@
 
 #![deny(missing_docs)]
 
-pub mod crossbar;
+mod crossbar;
 mod deliveries;
 pub mod fabric;
 
-pub use crossbar::{Crossbar, CrossbarConfig};
 pub use fabric::{ClusterTopology, Fabric, NocFault, XbarFault};
 
 use std::collections::VecDeque;

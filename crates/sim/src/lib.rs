@@ -163,13 +163,11 @@ impl Horizon {
     }
 }
 
-/// Outcome of running a simulation loop.
+/// Outcome of a simulation run (`System::run` in `maple-soc`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunOutcome {
     /// The completion condition was met at the contained cycle.
     Finished(Cycle),
-    /// The cycle budget was exhausted before completion.
-    TimedOut(Cycle),
     /// The run stopped without completing and the driver captured a
     /// structured snapshot of the stuck state (cycle-budget expiry with
     /// outstanding work, or a poisoned engine). Carries the cycle inside
@@ -182,7 +180,7 @@ impl RunOutcome {
     #[must_use]
     pub fn cycle(&self) -> Cycle {
         match self {
-            RunOutcome::Finished(c) | RunOutcome::TimedOut(c) => *c,
+            RunOutcome::Finished(c) => *c,
             RunOutcome::Hung(d) => d.at,
         }
     }
@@ -201,27 +199,6 @@ impl RunOutcome {
             _ => None,
         }
     }
-}
-
-/// Drives `tick` once per cycle until `done` reports true or `max_cycles`
-/// elapses.
-///
-/// This is the outermost loop of every experiment. `tick` receives the
-/// current cycle; `done` is evaluated after each tick.
-pub fn run_until(
-    max_cycles: u64,
-    mut tick: impl FnMut(Cycle),
-    mut done: impl FnMut() -> bool,
-) -> RunOutcome {
-    let mut now = Cycle::ZERO;
-    while now.0 < max_cycles {
-        tick(now);
-        if done() {
-            return RunOutcome::Finished(now);
-        }
-        now += 1;
-    }
-    RunOutcome::TimedOut(now)
 }
 
 #[cfg(test)]
@@ -250,24 +227,6 @@ mod tests {
         let mut c = Cycle(1);
         c += 2;
         assert_eq!(c, Cycle(3));
-    }
-
-    #[test]
-    fn run_until_finishes() {
-        let n = std::cell::Cell::new(0u64);
-        let outcome = run_until(100, |_| n.set(n.get() + 1), || n.get() == 7);
-        let n = n.get();
-        assert_eq!(outcome, RunOutcome::Finished(Cycle(6)));
-        assert_eq!(outcome.cycle(), Cycle(6));
-        assert!(outcome.is_finished());
-        assert_eq!(n, 7);
-    }
-
-    #[test]
-    fn run_until_times_out() {
-        let outcome = run_until(10, |_| {}, || false);
-        assert_eq!(outcome, RunOutcome::TimedOut(Cycle(10)));
-        assert!(!outcome.is_finished());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use maple_sim::fault::FaultPlaneConfig;
 use maple_sim::RunOutcome;
-use maple_soc::compiler::{KernelSpec, ValueOp};
+use maple_soc::compiler;
 use maple_soc::config::SocConfig;
 use maple_soc::system::System;
 
@@ -26,11 +26,6 @@ fn host_reference(a: &[u32], b: &[u32], c: &[u32]) -> Vec<u32> {
 /// Runs the MAPLE-decoupled pair kernel on `cfg`; returns the outcome,
 /// the result vector and the system for stats inspection.
 fn run_pair(cfg: SocConfig, n: usize, seed: u64) -> (RunOutcome, Vec<u32>, Vec<u32>, System) {
-    let spec = KernelSpec {
-        with_stream: true,
-        op: ValueOp::Mul,
-        with_store: true,
-    };
     let (a, b, c) = make_data(n, 1024, seed);
     let expected = host_reference(&a, &b, &c);
     let mut sys = System::new(cfg);
@@ -42,7 +37,7 @@ fn run_pair(cfg: SocConfig, n: usize, seed: u64) -> (RunOutcome, Vec<u32>, Vec<u
     sys.write_slice_u32(va_a, &a);
     sys.write_slice_u32(va_b, &b);
     sys.write_slice_u32(va_c, &c);
-    let pair = spec.gen_maple_pair(0);
+    let pair = compiler::gen_maple_pair(0);
     sys.load_program(
         pair.access,
         &[

@@ -20,7 +20,7 @@
 use maple_isa::builder::ProgramBuilder;
 use maple_sim::fault::{FaultPlaneConfig, UnserviceableFault};
 use maple_sim::RunOutcome;
-use maple_soc::compiler::{KernelSpec, ValueOp};
+use maple_soc::compiler;
 use maple_soc::config::SocConfig;
 use maple_soc::runtime::MapleApi;
 use maple_soc::system::System;
@@ -128,11 +128,6 @@ fn chaos_reset_fires_exactly_at_skipped_to_cycle() {
 /// Loads the MAPLE-decoupled pair kernel over `n` elements: core 0
 /// produces through engine 0, core 1 consumes and stores.
 fn load_pair(sys: &mut System, n: usize, seed: u64) {
-    let spec = KernelSpec {
-        with_stream: true,
-        op: ValueOp::Mul,
-        with_store: true,
-    };
     let mut rng = maple_sim::rng::SimRng::seed(seed);
     let a: Vec<u32> = (0..1024).map(|_| rng.below(1000) as u32).collect();
     let b: Vec<u32> = (0..n).map(|_| rng.below(1024) as u32).collect();
@@ -145,7 +140,7 @@ fn load_pair(sys: &mut System, n: usize, seed: u64) {
     sys.write_slice_u32(va_a, &a);
     sys.write_slice_u32(va_b, &b);
     sys.write_slice_u32(va_c, &c);
-    let pair = spec.gen_maple_pair(0);
+    let pair = compiler::gen_maple_pair(0);
     sys.load_program(
         pair.access,
         &[

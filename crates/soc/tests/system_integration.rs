@@ -3,7 +3,7 @@
 
 use maple_isa::builder::ProgramBuilder;
 use maple_isa::Reg;
-use maple_soc::compiler::{KernelSpec, ValueOp};
+use maple_soc::compiler;
 use maple_soc::config::SocConfig;
 use maple_soc::runtime::{Barrier, MapleApi, BARRIER_BYTES};
 use maple_soc::system::System;
@@ -43,12 +43,7 @@ fn doall_kernel_computes_reference_result() {
     sys.write_slice_u32(va_b, &b);
     sys.write_slice_u32(va_c, &c);
 
-    let spec = KernelSpec {
-        with_stream: true,
-        op: ValueOp::Mul,
-        with_store: true,
-    };
-    let (prog, args) = spec.gen_doall();
+    let (prog, args) = compiler::gen_doall();
     let core = sys.load_program(
         prog,
         &[
@@ -67,11 +62,6 @@ fn doall_kernel_computes_reference_result() {
 
 #[test]
 fn maple_decoupled_pair_matches_reference_and_is_faster() {
-    let spec = KernelSpec {
-        with_stream: true,
-        op: ValueOp::Mul,
-        with_store: true,
-    };
     let (a, b, c) = make_data(256, 4096, 2);
     let (res_ref, _) = host_reference(&a, &b, &c);
 
@@ -85,7 +75,7 @@ fn maple_decoupled_pair_matches_reference_and_is_faster() {
         sys.write_slice_u32(va_a, &a);
         sys.write_slice_u32(va_b, &b);
         sys.write_slice_u32(va_c, &c);
-        let (prog, args) = spec.gen_doall();
+        let (prog, args) = compiler::gen_doall();
         sys.load_program(
             prog,
             &[
@@ -113,7 +103,7 @@ fn maple_decoupled_pair_matches_reference_and_is_faster() {
         sys.write_slice_u32(va_a, &a);
         sys.write_slice_u32(va_b, &b);
         sys.write_slice_u32(va_c, &c);
-        let pair = spec.gen_maple_pair(0);
+        let pair = compiler::gen_maple_pair(0);
         sys.load_program(
             pair.access,
             &[
@@ -146,11 +136,6 @@ fn maple_decoupled_pair_matches_reference_and_is_faster() {
 
 #[test]
 fn desc_pair_matches_reference() {
-    let spec = KernelSpec {
-        with_stream: true,
-        op: ValueOp::Mul,
-        with_store: true,
-    };
     let (a, b, c) = make_data(128, 1024, 3);
     let (res_ref, _) = host_reference(&a, &b, &c);
 
@@ -162,7 +147,7 @@ fn desc_pair_matches_reference() {
     sys.write_slice_u32(va_a, &a);
     sys.write_slice_u32(va_b, &b);
     sys.write_slice_u32(va_c, &c);
-    let pair = spec.gen_desc_pair();
+    let pair = compiler::gen_desc_pair();
     let access = sys.load_program(
         pair.access,
         &[

@@ -10,7 +10,7 @@
 
 use maple_baselines::swdec::{SwConsumer, SwProducer, SwQueueLayout};
 use maple_isa::builder::ProgramBuilder;
-use maple_soc::compiler::{KernelSpec, ValueOp};
+use maple_soc::compiler;
 use maple_soc::runtime::MapleApi;
 use maple_soc::system::System;
 use maple_soc::SocConfig;
@@ -136,11 +136,6 @@ impl Sdhp {
         let c = upload_u32(&mut sys, &self.values);
         let res = alloc_u32(&mut sys, self.n());
         let expected = self.reference();
-        let spec = KernelSpec {
-            with_stream: true,
-            op: ValueOp::Mul,
-            with_store: true,
-        };
 
         match variant {
             Variant::Doall | Variant::Droplet => {
@@ -148,7 +143,7 @@ impl Sdhp {
                     sys.droplet_watch(bb, (self.n() * 4) as u64, 4, a, 4);
                 }
                 for (lo, hi) in partition(self.n(), threads) {
-                    let (prog, args) = spec.gen_doall();
+                    let (prog, args) = compiler::gen_doall();
                     sys.load_program(
                         prog,
                         &[
@@ -164,7 +159,7 @@ impl Sdhp {
             Variant::MapleDecoupled => {
                 let maple_va = sys.map_maple(0);
                 for (pair, (lo, hi)) in partition(self.n(), threads / 2).into_iter().enumerate() {
-                    let p = spec.gen_maple_pair(pair as u8);
+                    let p = compiler::gen_maple_pair(pair as u8);
                     sys.load_program(
                         p.access,
                         &[
@@ -186,7 +181,7 @@ impl Sdhp {
                 }
             }
             Variant::Desc => {
-                let p = spec.gen_desc_pair();
+                let p = compiler::gen_desc_pair();
                 let supply = sys.load_program(
                     p.access,
                     &[

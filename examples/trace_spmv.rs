@@ -25,7 +25,7 @@ fn main() {
         "finished in {} cycles ({} trace events captured, {} dropped)",
         stats.cycles,
         sys.trace_records().len(),
-        sys.tracer().dropped()
+        sys.trace_dropped()
     );
 
     let path = std::path::Path::new("target/trace_spmv.json");

@@ -122,8 +122,15 @@ echo "==> docs gate: rustdoc builds warning-clean, intra-doc links resolve"
 RUSTDOCFLAGS="-D warnings -D rustdoc::broken-intra-doc-links" \
     cargo doc --offline --no-deps --workspace -q
 
-echo "==> trace smoke: traced SPMV run exports a valid, non-empty trace"
-cargo run --offline --release -q --example trace_spmv > /dev/null
+echo "==> trace smoke: traced SPMV run exports a valid, complete, non-empty trace"
+# The example prints the records dropped across every trace ring; at the
+# default capacity a drop means the exported trace is truncated.
+cargo run --offline --release -q --example trace_spmv > target/trace_spmv.txt
+if ! grep -Eq ', 0 dropped\)$' target/trace_spmv.txt; then
+    echo "ERROR: the traced SPMV run dropped trace records at the default capacity:" >&2
+    head -n 1 target/trace_spmv.txt >&2
+    exit 1
+fi
 python3 - <<'PY'
 import json
 with open("target/trace_spmv.json") as f:

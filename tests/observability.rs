@@ -149,5 +149,29 @@ fn disabled_tracer_captures_nothing() {
     let (_, sys) = spmv.run_observed(Variant::MapleDecoupled, 2, |c| c);
     assert!(!sys.tracer().is_enabled());
     assert!(sys.trace_records().is_empty());
-    assert_eq!(sys.tracer().dropped(), 0);
+    assert_eq!(sys.trace_dropped(), 0);
+}
+
+/// A trace that overflows its capacity keeps the most recent records and
+/// counts every other one as dropped, whichever ring it overflowed.
+#[test]
+fn small_capacity_counts_every_dropped_record() {
+    let spmv = small_spmv();
+    let run = |cfg| {
+        spmv.run_observed(Variant::MapleDecoupled, 2, |c| c.with_tracing(cfg))
+            .1
+    };
+    let full = run(TraceConfig::default());
+    assert_eq!(
+        full.trace_dropped(),
+        0,
+        "the default capacity holds the run"
+    );
+    let small = run(TraceConfig { capacity: 64 });
+    let kept = small.trace_records().len();
+    assert_eq!(kept, 64);
+    assert_eq!(
+        kept as u64 + small.trace_dropped(),
+        full.trace_records().len() as u64
+    );
 }
