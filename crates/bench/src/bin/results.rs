@@ -8,7 +8,7 @@
 //! With no NAME it covers every entry of `maple_bench::figures::ENTRIES`
 //! (fig08–fig15, counters, queue_sweep, ablation_maple_scaling, hops,
 //! area, tables, and the gates oracle_grid, serve_gate, stepper_gate,
-//! scale_gate_256 and scale_gate_1024). Each NAME renders
+//! scale_gate_64, scale_gate_256 and scale_gate_1024). Each NAME renders
 //! `results/NAME.txt`, plus `results/NAME.json` for the figures. The
 //! simulated cases of all the requested entries are simulated once, as
 //! one ordered parallel map (`MAPLE_JOBS` workers), so the output is the

@@ -64,7 +64,7 @@ pub struct Entry {
 }
 
 /// Every result entry, in the order the driver renders them.
-pub const ENTRIES: [Entry; 19] = {
+pub const ENTRIES: [Entry; 20] = {
     use experiments::{decoupling_suite, prefetch_suite, prior_work_suite};
     const fn entry(
         name: &'static str,
@@ -97,8 +97,11 @@ pub const ENTRIES: [Entry; 19] = {
         entry("area", Vec::new, |_| Ok(area())),
         entry("tables", Vec::new, |_| Ok(tables())),
         entry("oracle_grid", Vec::new, |_| gate(oracle_grid(0x0A_C1E5))),
-        entry("serve_gate", Vec::new, |_| gate(serve_gate(0x5E12E))),
+        entry("serve_gate", Vec::new, |_| {
+            gate(serve_gate(0x5E12E, 0x57E9))
+        }),
         entry("stepper_gate", Vec::new, |_| gate(stepper_gate(0x57E9))),
+        entry("scale_gate_64", Vec::new, |_| gate(scale_gate(0x5CA1E, 64))),
         entry("scale_gate_256", Vec::new, |_| {
             gate(scale_gate(0x5CA1E, 256))
         }),

@@ -21,4 +21,3 @@ pub mod rtt;
 pub mod scaling;
 pub mod serving;
 pub mod stepper;
-pub mod summary;

@@ -1,5 +1,5 @@
-//! The Figure 14 consume round-trip microbenchmark, shared with the
-//! `bench_summary` aggregate so both report the same number.
+//! The Figure 14 consume round-trip microbenchmark behind the
+//! `results fig14` entry.
 
 use maple_isa::builder::ProgramBuilder;
 use maple_soc::config::SocConfig;

@@ -1,25 +1,26 @@
-//! MemPool-scale scaling sweep over the hierarchical fabric.
+//! MemPool-scale scaling gates over the hierarchical fabric.
 //!
-//! Each row instantiates one SoC built from 4×4 single-cycle crossbar
+//! Each gate instantiates one SoC built from 4×4 single-cycle crossbar
 //! clusters on the global mesh — one L2 bank and one MAPLE engine per
-//! cluster, two cores per cluster driving them — and measures, at that
+//! cluster, two cores per cluster driving them — and renders, at that
 //! tile count:
 //!
+//! - **stepper bit-exactness**: the MAPLE-decoupled run under the
+//!   skipping stepper against the dense reference, with a content digest
+//!   and the skipping run's host-work counters;
 //! - **MAPLE speedup**: simulated cycles of the do-all baseline over
 //!   MAPLE decoupling, both on the same clustered fabric and the same
 //!   per-scale SPMV instance (work grows with the core count, so the
-//!   per-core load is constant across rows);
+//!   per-core load is constant across tile counts);
 //! - **LIMA latency reduction**: mean load latency of the
 //!   single-threaded do-all baseline over LIMA command mode on a fixed
 //!   small instance — fixed so the *fabric* is the only thing changing,
-//!   and the growing bank-interleave distance is what LIMA has to hide;
-//! - **host Mcycles/s**: wall-clock throughput of the MAPLE-decoupled
-//!   run, the honest cost of simulating that tile count.
+//!   and the growing bank-interleave distance is what LIMA has to hide.
 //!
-//! [`scale_gate`] is the CI face: at one tile count it byte-compares the
-//! skipping stepper against the dense reference and renders only
-//! host-independent lines, which `results --check` diffs against the
-//! committed golden at any `MAPLE_JOBS` value.
+//! Every rendered line is simulated and host-independent, so
+//! `results --check` byte-diffs [`scale_gate`] against the committed
+//! golden at any `MAPLE_JOBS` value. The host throughput of the skipping
+//! run, the honest cost of simulating that tile count, goes to stderr.
 
 use std::time::Instant;
 
@@ -32,37 +33,9 @@ use maple_workloads::spmv::Spmv;
 /// local crossbar, the paper's MemPool-style building block).
 pub const CLUSTER_TILES: usize = 16;
 
-/// The checked-in sweep points: 64, 256 and 1024 tiles.
-pub const SCALE_TILES: [usize; 3] = [64, 256, 1024];
-
-/// One scaling measurement row. Everything except
-/// `host_mcycles_per_sec` is simulated and deterministic.
-#[derive(Debug, Clone)]
-pub struct ScaleRow {
-    /// Total tiles on the fabric.
-    pub tiles: usize,
-    /// Crossbar clusters (square grid of 4×4-tile clusters).
-    pub clusters: usize,
-    /// Cores loaded in the speedup pair (two per cluster).
-    pub cores: usize,
-    /// MAPLE engines (one pool slot per cluster).
-    pub engines: usize,
-    /// Interleaved L2 banks (one per cluster).
-    pub l2_banks: usize,
-    /// Simulated cycles of the MAPLE-decoupled run.
-    pub simulated_cycles: u64,
-    /// Do-all cycles over MAPLE-decoupled cycles, same fabric.
-    pub maple_speedup: f64,
-    /// Do-all mean load latency over LIMA mean load latency,
-    /// single-threaded fixed instance on this fabric.
-    pub lima_latency_reduction: f64,
-    /// Host throughput of the MAPLE-decoupled run.
-    pub host_mcycles_per_sec: f64,
-}
-
 /// The square cluster grid at `tiles` total tiles, or `None` unless
 /// `tiles` is a positive multiple of [`CLUSTER_TILES`] whose cluster count
-/// is a perfect square (the sweep points are 64/256/1024 = 2²/4²/8²
+/// is a perfect square (the scale gates run 64/256/1024 = 2²/4²/8²
 /// clusters).
 #[must_use]
 pub fn cluster_grid(tiles: usize) -> Option<(u16, u16)> {
@@ -89,90 +62,39 @@ pub fn scaled_config(cfg: SocConfig, tiles: usize, engines: usize) -> SocConfig 
         .with_clusters(ClusterConfig::new(CLUSTER_TILES, cx, cy))
 }
 
-/// Measures one sweep row at `tiles` total tiles.
-///
-/// # Panics
-///
-/// Panics when any run hangs or fails result verification — the sweep
-/// is a measurement, never a correctness waiver.
-#[must_use]
-pub fn measure_scale(tiles: usize, seed: u64) -> ScaleRow {
-    let clusters = tiles / CLUSTER_TILES;
-    let threads = 2 * clusters;
-    let engines = clusters;
-
-    // Speedup pair: per-core work held constant across scales.
-    let a = uniform_sparse(64 * threads, 32 * 1024, 6, seed);
-    let x = dense_vector(32 * 1024, seed ^ 0x9);
-    let inst = Spmv { a, x };
-    let doall = inst.run_tuned(Variant::Doall, threads, |c| {
-        scaled_config(c, tiles, engines)
-    });
-    assert!(doall.verified, "{tiles}-tile doall failed verification");
-    let t0 = Instant::now();
-    let dec = inst.run_tuned(Variant::MapleDecoupled, threads, |c| {
-        scaled_config(c, tiles, engines)
-    });
-    let wall_seconds = t0.elapsed().as_secs_f64();
-    assert!(dec.verified, "{tiles}-tile maple-dec failed verification");
-
-    // Latency pair: fixed instance, single-threaded, so the growing
-    // fabric (bank-interleave distance) is the only moving part.
-    let la = uniform_sparse(64, 8 * 1024, 5, seed ^ 0x11);
-    let lx = dense_vector(8 * 1024, seed ^ 0x12);
-    let linst = Spmv { a: la, x: lx };
-    let lbase = linst.run_tuned(Variant::Doall, 1, |c| scaled_config(c, tiles, 1));
-    let lima = linst.run_tuned(Variant::MapleLima, 1, |c| scaled_config(c, tiles, 1));
-    assert!(
-        lbase.verified && lima.verified,
-        "{tiles}-tile latency pair failed verification"
-    );
-
-    ScaleRow {
-        tiles,
-        clusters,
-        cores: threads,
-        engines,
-        l2_banks: clusters,
-        simulated_cycles: dec.cycles,
-        maple_speedup: doall.cycles as f64 / dec.cycles as f64,
-        lima_latency_reduction: lbase.mean_load_latency / lima.mean_load_latency,
-        host_mcycles_per_sec: dec.cycles as f64 / wall_seconds / 1.0e6,
-    }
-}
-
-/// Runs [`measure_scale`] at each requested tile count.
-#[must_use]
-pub fn scaling_sweep(tile_counts: &[usize], seed: u64) -> Vec<ScaleRow> {
-    tile_counts
-        .iter()
-        .map(|&tiles| {
-            eprintln!("[scaling] measuring {tiles}-tile fabric...");
-            measure_scale(tiles, seed)
-        })
-        .collect()
-}
-
-/// The hierarchical determinism gate behind `results scale_gate_N`:
-/// the `N`-tile clustered fabric under the skipping stepper vs the dense
-/// reference, rendered as **host-independent** lines (simulated facts,
-/// a content digest and the skipping run's deterministic host-work
-/// counters), so `results --check` can byte-diff the output at any
-/// worker count and a rise in work per simulated cycle fails the gate.
+/// The hierarchical gate behind `results scale_gate_N`: on the
+/// `N`-tile clustered fabric, the MAPLE-decoupled run under the skipping
+/// stepper vs the dense reference, the do-all → MAPLE speedup on the
+/// same instance and the LIMA latency reduction on the fixed one,
+/// rendered as **host-independent** lines (simulated facts, a content
+/// digest and the skipping run's deterministic host-work counters), so
+/// `results --check` can byte-diff the output at any worker count and a
+/// rise in work per simulated cycle fails the gate. The skipping run's
+/// host Mcycles/s goes to stderr only.
 ///
 /// # Errors
 ///
 /// Returns the rendered divergence when the skipping run is not
-/// bit-exact with the dense reference on the clustered fabric.
+/// bit-exact with the dense reference on the clustered fabric, or names
+/// the run that failed verification.
 pub fn scale_gate(seed: u64, tiles: usize) -> Result<String, String> {
     let clusters = tiles / CLUSTER_TILES;
     let threads = 2 * clusters;
     let engines = clusters;
+    let verified = |run: &str, ok: bool| {
+        if ok {
+            Ok(())
+        } else {
+            Err(format!("{tiles}-tile {run} run failed verification"))
+        }
+    };
+
+    // Speedup pair: per-core work held constant across tile counts.
     let a = uniform_sparse(64 * threads, 32 * 1024, 6, seed);
     let x = dense_vector(32 * 1024, seed ^ 0x9);
     let inst = Spmv { a, x };
-    let run = |dense: bool| {
-        inst.run_observed(Variant::MapleDecoupled, threads, move |c| {
+    let run = |variant: Variant, dense: bool| {
+        inst.run_observed(variant, threads, move |c| {
             let c = scaled_config(c, tiles, engines);
             if dense {
                 c.with_dense_stepper()
@@ -181,8 +103,10 @@ pub fn scale_gate(seed: u64, tiles: usize) -> Result<String, String> {
             }
         })
     };
-    let (stats, sys) = run(false);
-    let (dense_stats, dense_sys) = run(true);
+    let t0 = Instant::now();
+    let (stats, sys) = run(Variant::MapleDecoupled, false);
+    let wall_seconds = t0.elapsed().as_secs_f64();
+    let (dense_stats, dense_sys) = run(Variant::MapleDecoupled, true);
     if stats != dense_stats {
         return Err(format!(
             "{tiles}-tile run stats diverged between steppers:\nskipping: {stats:?}\n\
@@ -195,6 +119,24 @@ pub fn scale_gate(seed: u64, tiles: usize) -> Result<String, String> {
             "{tiles}-tile metrics snapshot JSON diverged between steppers"
         ));
     }
+    verified("maple-dec", stats.verified)?;
+    let (doall, _) = run(Variant::Doall, false);
+    verified("doall", doall.verified)?;
+
+    // Latency pair: fixed instance, single-threaded, so the growing
+    // fabric (bank-interleave distance) is the only moving part.
+    let la = uniform_sparse(64, 8 * 1024, 5, seed ^ 0x11);
+    let lx = dense_vector(8 * 1024, seed ^ 0x12);
+    let linst = Spmv { a: la, x: lx };
+    let lbase = linst.run_tuned(Variant::Doall, 1, |c| scaled_config(c, tiles, 1));
+    verified("latency-pair doall", lbase.verified)?;
+    let lima = linst.run_tuned(Variant::MapleLima, 1, |c| scaled_config(c, tiles, 1));
+    verified("latency-pair maple-lima", lima.verified)?;
+
+    eprintln!(
+        "[scale_gate_{tiles}] skipping {:.3} Mcy/s",
+        stats.cycles as f64 / wall_seconds / 1.0e6
+    );
     let mut d = maple_sim::hash::Digest::new(0x5CA1);
     d.str(&json);
     let w = sys.host_work();
@@ -206,6 +148,9 @@ pub fn scale_gate(seed: u64, tiles: usize) -> Result<String, String> {
          metrics digest: {:#018x}\n\
          host work: {} cycles stepped ({} hub), {} skipped; \
          ticks: {} core, {} engine, {} bank\n\
+         maple speedup: {:.2}x over do-all ({} do-all cycles)\n\
+         lima latency reduction: {:.2}x (mean load latency {:.3} do-all, \
+         {:.3} maple-lima, 1 core)\n\
          scale ok: bit-exact at {tiles} tiles",
         stats.cycles,
         stats.verified,
@@ -216,6 +161,11 @@ pub fn scale_gate(seed: u64, tiles: usize) -> Result<String, String> {
         w.core_ticks,
         w.engine_ticks,
         w.bank_ticks,
+        doall.cycles as f64 / stats.cycles as f64,
+        doall.cycles,
+        lbase.mean_load_latency / lima.mean_load_latency,
+        lbase.mean_load_latency,
+        lima.mean_load_latency,
     ))
 }
 
@@ -235,12 +185,25 @@ mod tests {
 
     #[test]
     fn smallest_scale_row_is_sane() {
-        let row = measure_scale(64, 0x5CA1E);
-        assert_eq!(row.clusters, 4);
-        assert_eq!(row.cores, 8);
-        assert_eq!(row.l2_banks, 4);
-        assert!(row.simulated_cycles > 0);
-        assert!(row.maple_speedup.is_finite() && row.maple_speedup > 0.0);
-        assert!(row.lima_latency_reduction > 1.0, "LIMA must hide latency");
+        let text = scale_gate(0x5CA1E, 64).expect("the 64-tile gate passes");
+        assert!(
+            text.starts_with(
+                "scale gate: 64 tiles (4 clusters of 16, 8 cores, 4 engines, 4 banks)"
+            ),
+            "{text}"
+        );
+        let number = |prefix: &str| -> f64 {
+            let line = text.lines().find_map(|l| l.strip_prefix(prefix));
+            let value = line.and_then(|l| l.split('x').next());
+            value.and_then(|v| v.parse().ok()).expect(prefix)
+        };
+        let cycles = number("simulated cycles: ");
+        assert!(cycles > 0.0);
+        let speedup = number("maple speedup: ");
+        assert!(speedup.is_finite() && speedup > 0.0);
+        assert!(
+            number("lima latency reduction: ") > 1.0,
+            "LIMA must hide latency"
+        );
     }
 }

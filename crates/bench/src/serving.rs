@@ -7,10 +7,13 @@
 //! crossbar-cluster fabric, plus
 //! one engine-kill cell proving the maple-dec → sw-dec → do-all ladder
 //! degrades a failing engine mid-tenant without a single corrupted
-//! byte. The gate output contains only host-independent lines (request
-//! counts, latency percentiles, fairness, switch counters and a content
-//! digest), so `results --check` byte-diffs it against
-//! `results/serve_gate.txt` at any `MAPLE_JOBS` value.
+//! byte, and one standard benchmark session
+//! ([`ServeConfig::standard`]) for the tail latency and context-switch
+//! overhead that EXPERIMENTS.md reports. The gate output contains only
+//! host-independent lines (request counts, latency percentiles,
+//! fairness, switch counters and a content digest), so `results --check`
+//! byte-diffs it against `results/serve_gate.txt` at any `MAPLE_JOBS`
+//! value.
 
 use maple_serve::oracle::differential_check;
 use maple_serve::{serve, ServeConfig, ServingSummary};
@@ -77,14 +80,15 @@ fn cell_line(label: &str, s: &ServingSummary) -> String {
 }
 
 /// The serving determinism gate behind `results serve_gate`: the
-/// full grid through [`par_map`], the engine-kill ladder cell,
-/// and a metrics digest — all host-independent lines.
+/// full grid through [`par_map`], the engine-kill ladder cell, the
+/// standard session seeded with `standard_seed`, and a metrics digest —
+/// all host-independent lines.
 ///
 /// # Errors
 ///
 /// Returns the offending cell and violated invariant on the first
 /// isolation failure, unverified request, or missing degradation.
-pub fn serve_gate(seed: u64) -> Result<String, String> {
+pub fn serve_gate(seed: u64, standard_seed: u64) -> Result<String, String> {
     let cells = serve_grid(seed);
     let grid = par_map(jobs_from_env(), &cells, |(label, cfg)| {
         differential_check(cfg).map_err(|e| format!("{label}: {e}"))
@@ -124,6 +128,30 @@ pub fn serve_gate(seed: u64) -> Result<String, String> {
     d.str(&kline);
     out.push_str(&kline);
     out.push('\n');
+
+    // The standard benchmark session: tail latency, fairness and the
+    // virtualization overhead of four tenants sharing two engines.
+    let standard = ServeConfig::standard(standard_seed);
+    let (tenants, engines) = (standard.tenants.len(), standard.maples);
+    let (_, ss) = serve(standard);
+    if !ss.verified {
+        return Err("standard session left requests unverified".into());
+    }
+    out.push_str(&format!(
+        "serve standard: tenants={tenants} engines={engines} requests={} completed={} \
+         p50={} p99={} max={} fairness={:.3} switches={} switch_cycles={} remaps={} \
+         elapsed={}\n",
+        ss.total_requests,
+        ss.completed,
+        ss.p50,
+        ss.p99,
+        ss.max,
+        ss.fairness(),
+        ss.context_switches,
+        ss.switch_cycles,
+        ss.remaps,
+        ss.elapsed
+    ));
 
     // Content digest over one representative session's full metrics
     // snapshot (simulated counters only — nothing host-dependent).

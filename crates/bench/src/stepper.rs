@@ -80,8 +80,11 @@ impl StepperComparison {
 /// Runs the stall-heavy benchmark config under both steppers: SPMV
 /// do-all, 300-cycle DRAM, a working set that misses both cache levels
 /// on most gathers; `seed` fixes the instance.
-#[must_use]
-pub fn stall_heavy_comparison(seed: u64) -> StepperComparison {
+///
+/// # Errors
+///
+/// Names the stepper whose run hung.
+pub fn stall_heavy_comparison(seed: u64) -> Result<StepperComparison, String> {
     let cols = 64 * 1024;
     let a = uniform_sparse(512, cols, 8, seed);
     let x = dense_vector(cols, seed ^ 0x9);
@@ -96,18 +99,21 @@ pub fn stall_heavy_comparison(seed: u64) -> StepperComparison {
             }
         });
         let wall_seconds = t0.elapsed().as_secs_f64();
-        assert!(!stats.hung, "benchmark config must complete");
-        StepperRun {
+        if stats.hung {
+            let stepper = if dense { "dense" } else { "skipping" };
+            return Err(format!("the {stepper} run hung at {} cycles", stats.cycles));
+        }
+        Ok(StepperRun {
             metrics_json: sys.metrics_snapshot().to_json().render(),
             stats,
             wall_seconds,
-        }
+        })
     };
     // Dense first: the expensive run up front, the default stepper's
     // time measured on a warmed allocator.
-    let dense = measure(true);
-    let skipping = measure(false);
-    StepperComparison { dense, skipping }
+    let dense = measure(true)?;
+    let skipping = measure(false)?;
+    Ok(StepperComparison { dense, skipping })
 }
 
 /// The stepper gate behind `results stepper_gate`: the stall-heavy
@@ -118,10 +124,10 @@ pub fn stall_heavy_comparison(seed: u64) -> StepperComparison {
 ///
 /// # Errors
 ///
-/// Returns the rendered divergence when the two steppers are not
-/// bit-exact.
+/// Names a hung run, or returns the rendered divergence when the two
+/// steppers are not bit-exact.
 pub fn stepper_gate(seed: u64) -> Result<String, String> {
-    let cmp = stall_heavy_comparison(seed);
+    let cmp = stall_heavy_comparison(seed)?;
     if let Some(msg) = cmp.divergence() {
         return Err(msg);
     }

@@ -2,11 +2,15 @@
 //! directory: without `--check` they land under `results/` there,
 //! byte-identical to the committed ones; `--check` then passes, writes
 //! nothing, and exits 1 naming the first differing file and line once a
-//! byte is flipped. (Its bad-argument contract is in `no_argument_cli`.)
+//! byte is flipped. Every committed file under `results/` belongs to an
+//! entry, so `results --check` gates all of them. (Its bad-argument
+//! contract is in `no_argument_cli`.)
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+use maple_bench::figures::{Entry, ENTRIES};
 
 /// The files under `dir/results`, with their bytes.
 fn results_in(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
@@ -69,4 +73,28 @@ fn writes_in_the_working_directory_and_check_names_a_flipped_byte() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     let want = format!("results/area.txt differs from the rendered output at line {line}");
     assert!(stderr.contains(&want), "{stderr}");
+}
+
+#[test]
+fn every_committed_result_file_belongs_to_an_entry() {
+    let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    for dir_entry in fs::read_dir(&committed).expect("list results/") {
+        let name = dir_entry.expect("results/ entry").file_name();
+        let name = name.to_str().expect("a UTF-8 file name");
+        // maple-perf's exact-counter goldens, checked by its `compare`.
+        if name == "perf_smoke" {
+            continue;
+        }
+        let stem = name
+            .strip_suffix(".txt")
+            .or_else(|| name.strip_suffix(".json"));
+        assert!(
+            stem.is_some_and(|stem| ENTRIES.iter().any(|e| e.name == stem)),
+            "results/{name} is no entry's NAME.txt or NAME.json, so nothing gates it"
+        );
+    }
+    for Entry { name, .. } in ENTRIES {
+        let path = committed.join(format!("{name}.txt"));
+        assert!(path.is_file(), "entry {name} has no results/{name}.txt");
+    }
 }

@@ -1,8 +1,8 @@
 //! A minimal, in-tree JSON document model.
 //!
-//! The workspace removed its crates.io dependencies (serde included) in
-//! PR 1, so every machine-readable artifact — Chrome traces, metrics
-//! snapshots, `results/*.json` sidecars, `BENCH_maple.json` — goes through
+//! The workspace has no crates.io dependencies (serde included), so
+//! every machine-readable artifact — Chrome traces, metrics snapshots,
+//! `results/*.json` sidecars, maple-perf's run reports — goes through
 //! this writer. A strict parser rides along so tests (and the CI trace
 //! smoke stage) can validate emitted documents without leaving the tree.
 //!

@@ -8,8 +8,8 @@
 //!
 //! * [`json`] — a minimal JSON document model: escaping-correct writer and
 //!   a strict parser, used by every machine-readable artifact the
-//!   workspace emits (`results/*.json` sidecars, `BENCH_maple.json`,
-//!   Chrome traces).
+//!   workspace emits (`results/*.json` sidecars, maple-perf's run
+//!   reports, Chrome traces).
 //! * [`event`] — the cycle-level event taxonomy: core stalls with cause,
 //!   engine fetch issue/fill, queue push/pop with occupancy, NoC hops,
 //!   MMIO transactions, and fault-plane injections/recoveries.

@@ -52,16 +52,17 @@ echo "==> fabric tick reference: 150000 generated scenarios, diffed cycle by cyc
 MAPLE_TESTKIT_CASES=150000 \
     cargo test --offline --release -p maple-noc --test tick_reference -q
 
-echo "==> scale budget: 256- and 1024-tile hierarchical fabrics within the wall-clock budget"
-# MemPool-scale configurations (16 or 64 crossbar clusters of 16 tiles,
-# two cores, one engine and one interleaved L2 bank per cluster) through
-# the skipping and dense steppers, byte-checked against their goldens in
-# one single-worker run. The budget guards against large fabrics becoming
+echo "==> scale budget: 64- to 1024-tile hierarchical fabrics within the wall-clock budget"
+# MemPool-scale configurations (4, 16 or 64 crossbar clusters of 16
+# tiles, two cores, one engine and one interleaved L2 bank per cluster)
+# through the skipping and dense steppers, plus the do-all/MAPLE speedup
+# and LIMA latency pairs, byte-checked against their goldens in one
+# single-worker run. The budget guards against large fabrics becoming
 # accidentally quadratic to simulate.
 SCALE_BUDGET=120
 t0=$SECONDS
 MAPLE_JOBS=1 cargo run --offline --release -q -p maple-bench --bin results -- \
-    --check scale_gate_256 scale_gate_1024
+    --check scale_gate_64 scale_gate_256 scale_gate_1024
 SCALE_WALL=$((SECONDS - t0))
 echo "    ${SCALE_WALL}s (budget ${SCALE_BUDGET}s)"
 if [ "$SCALE_WALL" -gt "$SCALE_BUDGET" ]; then
@@ -74,7 +75,8 @@ echo "==> results: every result file must render byte for byte as committed"
 # counts, queue-depth and scaling sweeps, hop latencies, area and
 # configuration tables, and the gates: the differential + chaos +
 # hierarchy oracle grid, the multi-tenant serving oracle, dense vs
-# skipping stepper bit-exactness and the 256/1024-tile scale gates.
+# skipping stepper bit-exactness, and the 64/256/1024-tile scale gates
+# with their MAPLE-speedup and LIMA rows.
 # `results --check` simulates each distinct case once and diffs every
 # rendered file against results/ in-process; a gate that diverges exits
 # 1 with its message. Both worker counts must match the goldens, which
